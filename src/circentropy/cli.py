@@ -20,7 +20,6 @@ import sys
 
 import numpy as np
 
-from . import highprec
 from .blaschke_moments import moments
 from .corpus import instance_rng, random_circle_poly
 from .entropy import (
@@ -172,6 +171,8 @@ def cmd_verify(args) -> int:
                 f"got {args.precision!r}\n"
             )
             return 2
+        from . import highprec  # mpmath loads only for a --precision rerun
+
         data["highprec"] = highprec.entropy_report_mp(p, bits=bits)
     _emit(json.dumps(data, indent=2), args.out)
     return 0 if report.inequalities_ok else 1

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .blaschke_moments import moments
 from .entropy import polar_term_via_moments
@@ -35,11 +34,11 @@ def objective(angles) -> float:
     n = angles.size
     roots = np.exp(1j * angles)
     coeffs = expand_from_roots(roots, 1.0)
-    norm = float(np.sum(np.abs(coeffs) ** 2))
+    norm = float((np.abs(coeffs) ** 2).sum())
     m = np.arange(1, n + 1)
-    cm = np.array([np.vdot(coeffs[: n + 1 - k], coeffs[k:]) for k in m])
+    cm = np.array([np.vdot(coeffs[: n + 1 - k], coeffs[k:]) for k in range(1, n + 1)])
     powers = roots[:, None] ** m[None, :]
-    entropy = -2.0 * float(np.sum(np.real(powers @ (cm / m))))
+    entropy = -2.0 * float((powers @ (cm / m)).real.sum())
     return entropy / norm - math.log(norm)
 
 
@@ -137,12 +136,16 @@ def minimize(n: int, restarts: int = 8, seed: int = 0,
             trace=[],
         )
 
+    # Imported here: scipy.optimize is most of a cold ``import circentropy``,
+    # and only the search needs it.
+    from scipy.optimize import minimize as scipy_minimize
+
     rng = np.random.default_rng(seed)
     options = dict(xatol=1e-9, fatol=1e-12, maxfev=max_evals, maxiter=max_evals)
     best = None
     trace = []
     for k, x0 in enumerate(_starts(n, restarts, rng)):
-        res = _scipy_minimize(tracked, x0, method="Nelder-Mead", options=options)
+        res = scipy_minimize(tracked, x0, method="Nelder-Mead", options=options)
         trace.append(
             {"restart": k, "fun": float(res.fun), "nfev": int(res.nfev),
              "converged": bool(res.success)}
@@ -151,7 +154,7 @@ def minimize(n: int, restarts: int = 8, seed: int = 0,
             best = res
     # Nelder-Mead can stagnate with a degenerate simplex; one restart from
     # the incumbent reliably polishes the last digits.
-    polish = _scipy_minimize(tracked, best.x, method="Nelder-Mead", options=options)
+    polish = scipy_minimize(tracked, best.x, method="Nelder-Mead", options=options)
     if polish.fun < best.fun:
         best = polish
     angles = np.mod(np.concatenate([[0.0], best.x]), 2 * np.pi)

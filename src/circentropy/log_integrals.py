@@ -201,15 +201,6 @@ def log_pair_spectral(A, B, b_roots=None) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _gl_integrate(f, a: float, b: float, panels: int) -> float:
-    edges = np.linspace(a, b, panels + 1)
-    half = (b - a) / (2.0 * panels)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    pts = (mids[:, None] + half * _GL_NODES[None, :]).ravel()
-    weights = np.tile(_GL_WEIGHTS * half, panels)
-    return float(np.dot(f(pts), weights))
-
-
 def _merge_windows(angles, halfwidth: float):
     """Merge windows around the given angles into disjoint circular clusters.
 

@@ -31,7 +31,6 @@ from .errors import (
 TAU_UNIMOD = 1e-12   # allowed deviation of |root| from 1 on input
 TAU_EXPAND = 1e-10   # relative coefficient tolerance, against max |a_j|
 TAU_SEP = 1e-8       # chordal separation deciding the simple-zero flag
-TAU_CROSS = 1e-8     # spectral vs quadrature cross-check tolerance
 
 
 def as_coefficients(values) -> np.ndarray:
@@ -65,40 +64,46 @@ def _leja_order(roots: np.ndarray) -> np.ndarray:
     to the ones already taken.  Without it, expanding structured root sets
     (e.g. roots of unity in angle order) grows intermediate coefficients
     exponentially and loses ~6 digits by degree 32.
+
+    Ties go to the lowest index: the first root is the first of largest
+    modulus, and each next one the first untaken root with the largest sum
+    of log-distances.  Once only repeats of taken roots remain (every sum is
+    -inf), they are taken in index order, so the result is a permutation.
+    The matrix log|r_i - r_j| is built once, so time and memory are O(m^2).
     """
     m = roots.size
     if m < 3:
         return np.arange(m)
-    order = np.empty(m, dtype=int)
-    taken = np.zeros(m, dtype=bool)
-    first = int(np.argmax(np.abs(roots)))
-    order[0] = first
-    taken[first] = True
-    logdist = np.full(m, -np.inf)
     with np.errstate(divide="ignore"):
-        logdist[~taken] = np.log(np.abs(roots[~taken] - roots[first]))
+        logdist = np.log(np.abs(roots[None, :] - roots[:, None]))
+    order = np.empty(m, dtype=np.intp)
+    taken = np.zeros(m, dtype=bool)
+    idx = np.abs(roots).argmax()
+    order[0] = idx
+    taken[idx] = True
+    # Each added row is -inf on its own diagonal, so a taken root drops out
+    # of every later argmax.
+    total = logdist[idx].copy()
     for k in range(1, m):
-        # argmax restricted to untaken indices; repeated roots reach -inf and
-        # are simply taken last, keeping the result a true permutation.
-        candidates = np.nonzero(~taken)[0]
-        idx = int(candidates[np.argmax(logdist[candidates])])
+        idx = total.argmax()
+        if total[idx] == -np.inf:
+            idx = taken.argmin()
         order[k] = idx
         taken[idx] = True
-        if k < m - 1:
-            with np.errstate(divide="ignore"):
-                logdist[~taken] += np.log(np.abs(roots[~taken] - roots[idx]))
+        total += logdist[idx]
     return order
 
 
 def expand_from_roots(roots, leading) -> np.ndarray:
     """Coefficients of ``leading * prod(z - root)``, lowest degree first."""
     roots = np.asarray(roots, dtype=complex)
-    coeffs = np.array([leading], dtype=complex)
-    for tau in roots[_leja_order(roots)]:
-        nxt = np.zeros(coeffs.size + 1, dtype=complex)
-        nxt[1:] = coeffs
-        nxt[: coeffs.size] -= tau * coeffs
-        coeffs = nxt
+    m = roots.size
+    coeffs = np.zeros(m + 1, dtype=complex)
+    coeffs[m] = leading
+    # After k factors the product fills coeffs[m - k:]; the next factor
+    # (z - tau) extends it by one slot at the low end.
+    for k, tau in enumerate(roots[_leja_order(roots)]):
+        coeffs[m - k - 1 : m] -= tau * coeffs[m - k :]
     return coeffs
 
 

@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line interface contracts."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import circentropy
 from circentropy.cli import main, parse_schedule
 
 
@@ -44,6 +48,19 @@ def test_verify_rejects_off_circle_roots(capsys):
     coeffs = json.dumps([[1, 0], [0, 0], [0, 0], [0.5, 0]])  # zeros off circle
     code, _ = run_cli(capsys, "verify", "--coeffs", coeffs)
     assert code == 3
+
+
+def test_cold_import_skips_optimizer_and_mpmath():
+    # search and verify --precision import these themselves; a cold start of
+    # every other command should not pay for them.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(circentropy.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, circentropy, circentropy.cli; "
+            "print([m for m in ('scipy.optimize', 'mpmath') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_highprec_rerun(capsys):

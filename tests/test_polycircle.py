@@ -7,7 +7,7 @@ import pytest
 
 import circentropy as ce
 from circentropy.corpus import instance_rng, random_circle_poly
-from circentropy.polycircle import TAU_SEP, eval_poly, expand_from_roots
+from circentropy.polycircle import TAU_SEP, _leja_order, eval_poly, expand_from_roots
 
 
 def test_from_roots_single_linear_factor():
@@ -59,6 +59,66 @@ def test_expand_reproduces_coefficients_at_scale():
         assert p.coefficients[-1] == p.leading
         prod = p.leading * np.prod(-p.roots)
         assert abs(p.coefficients[0] - prod) < 1e-10 * scale
+
+
+def _leja_order_reference(roots):
+    # The original greedy loop, restricted to untaken indices at every step;
+    # _leja_order must reproduce its choices exactly.
+    m = roots.size
+    if m < 3:
+        return np.arange(m)
+    order = np.empty(m, dtype=int)
+    taken = np.zeros(m, dtype=bool)
+    first = int(np.argmax(np.abs(roots)))
+    order[0] = first
+    taken[first] = True
+    logdist = np.full(m, -np.inf)
+    with np.errstate(divide="ignore"):
+        logdist[~taken] = np.log(np.abs(roots[~taken] - roots[first]))
+    for k in range(1, m):
+        candidates = np.nonzero(~taken)[0]
+        idx = int(candidates[np.argmax(logdist[candidates])])
+        order[k] = idx
+        taken[idx] = True
+        if k < m - 1:
+            with np.errstate(divide="ignore"):
+                logdist[~taken] += np.log(np.abs(roots[~taken] - roots[idx]))
+    return order
+
+
+def _expand_reference(roots, leading):
+    coeffs = np.array([leading], dtype=complex)
+    for tau in roots[_leja_order_reference(roots)]:
+        nxt = np.zeros(coeffs.size + 1, dtype=complex)
+        nxt[1:] = coeffs
+        nxt[: coeffs.size] -= tau * coeffs
+        coeffs = nxt
+    return coeffs
+
+
+def _leja_oracle_cases():
+    rng = instance_rng(12)
+    for m in list(range(1, 81)) + [128, 256]:
+        yield np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+    for m in range(1, 41):
+        # roots of unity, rotated and in angle order
+        yield np.exp(1j * (rng.uniform(0, 2 * np.pi) + 2 * np.pi * np.arange(m) / m))
+        repeated = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+        repeated[rng.integers(0, m, m // 2)] = repeated[rng.integers(0, m)]
+        yield repeated
+        yield np.full(m, np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        yield rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+
+def test_leja_order_matches_greedy_reference_bit_for_bit():
+    leading = 1.3 - 0.2j
+    for roots in _leja_oracle_cases():
+        order = _leja_order(roots)
+        assert np.array_equal(order, _leja_order_reference(roots)), roots.size
+        got = expand_from_roots(roots, leading)
+        want = _expand_reference(roots, leading)
+        assert np.array_equal(got, want), roots.size
+        assert got.tobytes() == want.tobytes(), roots.size
 
 
 def test_reflect_examples():
