@@ -28,7 +28,6 @@ from .entropy import (
     h_partial_sum,
     h_tail_bound,
     h_values,
-    jensen_gap,
     mu_mass_check,
     norm_via_moments,
     polar_term_via_moments,
@@ -66,8 +65,6 @@ from .log_integrals import (
     circle_quadrature,
     log_pair_quadrature,
     log_pair_spectral,
-    poly_roots,
-    polar_q_coefficients,
     ratio_functional,
     trig_square,
 )

@@ -32,7 +32,7 @@ from .entropy import (
 )
 from .errors import CircEntropyError, RootsOffCircle
 from .extremal import coalescence_experiment, minimize
-from .log_integrals import QuadratureConfig, _roots_with_certificates
+from .log_integrals import QuadratureConfig, polished_roots
 from .polycircle import (
     CirclePoly,
     coefficients_from_json,
@@ -85,14 +85,14 @@ def _poly_from_coefficients(coeffs: np.ndarray) -> CirclePoly:
     if deg < 1:
         raise RootsOffCircle("input polynomial must have degree >= 1")
     body = coeffs[: deg + 1]
-    cert = _roots_with_certificates(body)
-    off = np.max(np.abs(np.abs(cert.roots) - 1.0)) if cert.roots.size else 0.0
+    roots = polished_roots(body)
+    off = np.max(np.abs(np.abs(roots) - 1.0)) if roots.size else 0.0
     if off > INPUT_ROOT_TOL:
         raise RootsOffCircle(
             f"a root sits {off:.3e} away from the unit circle (> {INPUT_ROOT_TOL:.0e})"
         )
     snapped = []
-    for center, mult in root_clusters(cert.roots, tol=1e-7):
+    for center, mult in root_clusters(roots, tol=1e-7):
         snapped.extend([center] * mult)
     p = from_roots(snapped, body[deg])
     scale = np.max(np.abs(body))
@@ -160,7 +160,7 @@ def cmd_verify(args) -> int:
     except (CircEntropyError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    report = verify_main(p, config=_quad_config(args), gap_tol=args.tolerance)
+    report = verify_main(p, gap_tol=args.tolerance)
     data = report.to_dict()
     if args.precision != "double":
         try:
@@ -196,8 +196,8 @@ def _parse_degree_range(spec: str) -> list[int]:
     return [int(tok) for tok in spec.split(",")]
 
 
-def _suite_instance_row(n: int, i: int, p: CirclePoly, config, tol: float):
-    rep = verify_main(p, config=config, gap_tol=tol)
+def _suite_instance_row(n: int, i: int, p: CirclePoly, tol: float):
+    rep = verify_main(p, gap_tol=tol)
     seq = moments(polar_factor(normalize_self_inversive(p).normalized))
     vanish = float(np.max(np.abs(seq.over_range))) if seq.over_range.size else 0.0
     if rep.degree >= 2 and seq.values.size > 1:
@@ -232,7 +232,6 @@ def cmd_suite(args) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    config = _quad_config(args)
     rows = []
     failures = 0
     input_errors = 0
@@ -248,7 +247,7 @@ def cmd_suite(args) -> int:
                 continue
             rng = instance_rng(args.seed, n, i)
             p = random_circle_poly(n, rng, multiple=(n >= 2 and i < n_multiple))
-            row, rep, resids, status = _suite_instance_row(n, i, p, config, args.tolerance)
+            row, rep, resids, status = _suite_instance_row(n, i, p, args.tolerance)
             if status != "ok":
                 failures += 1
             for key, attr in (
@@ -385,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--precision", default="double",
                           help="'double' or a mantissa bit count for a rerun")
     p_verify.add_argument("--out")
-    p_verify.add_argument("--format", choices=["json"], default="json")
     p_verify.set_defaults(func=cmd_verify)
 
     p_suite = sub.add_parser("suite", help="random-corpus verification run")
@@ -440,7 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CircEntropyError as exc:  # e.g. a degree above MAX_SERIES_DEGREE
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

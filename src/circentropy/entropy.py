@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -170,35 +170,7 @@ class EntropyReport:
     gap_tolerance: float
 
     def to_dict(self) -> dict:
-        out = {}
-        for name in (
-            "degree",
-            "simple_zeros",
-            "norm",
-            "entropy",
-            "jensen_term",
-            "polar_term",
-            "gamma",
-            "remainder",
-            "main_bound",
-            "strengthened_bound",
-            "jensen_bound",
-            "polar_bound",
-            "main_gap",
-            "strengthened_gap",
-            "jensen_gap",
-            "polar_gap",
-            "moment_polar_term",
-            "moment_norm",
-            "moment_values_advisory",
-            "extremal",
-            "equality_margin",
-            "routes",
-            "inequalities_ok",
-            "gap_tolerance",
-        ):
-            out[name] = getattr(self, name)
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -213,10 +185,7 @@ def _classify_extremal(coeffs: np.ndarray, n: int) -> tuple[bool, float]:
 
 
 def verify_main(
-    p: CirclePoly,
-    config: QuadratureConfig | None = None,
-    gap_tol: float = GAP_TOL,
-    extra: int = 6,
+    p: CirclePoly, gap_tol: float = GAP_TOL, extra: int = 6
 ) -> EntropyReport:
     """Full entropy report for one circle polynomial.
 
@@ -233,7 +202,7 @@ def verify_main(
 
     norm = parseval_norm(ps)
     gamma = gamma_remainder(ps)
-    rf = ratio_functional(ps, config)
+    rf = ratio_functional(ps)
     jensen_term = rf.jensen_integral
     entropy = rf.entropy_integral
     polar_term = rf.value
@@ -282,11 +251,3 @@ def verify_main(
         inequalities_ok=ok,
         gap_tolerance=gap_tol,
     )
-
-
-def jensen_gap(p: CirclePoly, config: QuadratureConfig | None = None) -> float:
-    """Slack of the Jensen bound: int |p|^2 log|q|^2 dm - N log(N/2)."""
-    ps = normalize_self_inversive(p).normalized
-    rf = ratio_functional(ps, config)
-    norm = parseval_norm(ps)
-    return rf.jensen_integral - norm * math.log(norm / 2.0)

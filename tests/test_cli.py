@@ -50,6 +50,26 @@ def test_verify_rejects_off_circle_roots(capsys):
     assert code == 3
 
 
+def test_verify_rejects_non_finite_angles(capsys):
+    code, out = run_cli(capsys, "verify", "--angles", "[NaN, 1.0]")
+    assert code == 3
+    assert out == ""
+
+
+def test_verify_degree_limit(capsys):
+    from circentropy.log_integrals import MAX_SERIES_DEGREE
+
+    top = MAX_SERIES_DEGREE
+    code, out = run_cli(capsys, "verify", "--binomial", f"n={top}")
+    assert code == 0
+    assert json.loads(out)["extremal"] is True
+    code = main(["verify", "--binomial", f"n={top + 1}"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert str(top) in captured.err
+
+
 def test_cold_import_skips_optimizer_and_mpmath():
     # search and verify --precision import these themselves; a cold start of
     # every other command should not pay for them.
@@ -172,9 +192,13 @@ def test_telescoping_command(capsys):
 
 
 def test_quad_config_env_var(capsys, tmp_path, monkeypatch):
+    # fourier-h is the command whose values come from quadrature
     cfg = tmp_path / "quad.json"
     cfg.write_text(json.dumps({"tolerance": 1e-7, "base_nodes": 2048}))
     monkeypatch.setenv("CIRCENTROPY_CONFIG", str(cfg))
-    code, out = run_cli(capsys, "verify", "--binomial", "n=3", "omega=1")
+    code, out = run_cli(capsys, "fourier-h", "--max-k", "2")
     assert code == 0
-    assert json.loads(out)["inequalities_ok"] is True
+    assert json.loads(out)["max_residual"] < 1e-6
+    cfg.write_text(json.dumps({"nodes": 12}))
+    with pytest.raises(ValueError):
+        main(["fourier-h", "--max-k", "2"])

@@ -120,9 +120,9 @@ def test_verify_main_degree_one():
 
 
 def test_jensen_gap_values():
-    assert abs(ce.jensen_gap(random_binomial(6, instance_rng(43)))) < 1e-9
-    assert abs(ce.jensen_gap(ce.from_roots([-1.0]))) < 1e-12
-    gap = ce.jensen_gap(ce.from_roots([1.0, 1.0]))
+    assert abs(ce.verify_main(random_binomial(6, instance_rng(43))).jensen_gap) < 1e-9
+    assert abs(ce.verify_main(ce.from_roots([-1.0])).jensen_gap) < 1e-12
+    gap = ce.verify_main(ce.from_roots([1.0, 1.0])).jensen_gap
     assert abs(gap - (7.0 - 6.0 * math.log(3.0))) < 1e-10
 
 
@@ -133,11 +133,7 @@ def test_split_additivity_against_quadrature():
         rf = ce.ratio_functional(p)
         e_quad = ce.log_pair_quadrature(p.coefficients, p.coefficients,
                                         b_roots=p.roots)
-        from circentropy.log_integrals import polar_q_coefficients
-
-        j_quad = ce.log_pair_quadrature(
-            p.coefficients, polar_q_coefficients(p.coefficients, n)
-        )
+        j_quad = ce.log_pair_quadrature(p.coefficients, ce.polar_factor(p).q)
         assert abs(e_quad - (j_quad + rf.value)) < 1e-8
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import circentropy as ce
 from circentropy.corpus import instance_rng, random_circle_poly
-from circentropy.log_integrals import polar_q_coefficients, polar_roots_certified
+from circentropy.log_integrals import MAX_SERIES_DEGREE, polished_roots
 from circentropy.polycircle import eval_poly
 
 
@@ -37,31 +37,22 @@ def test_trig_square_hermitian_and_pointwise():
     assert np.max(np.abs(ts(t) - direct)) < 1e-10 * np.max(direct)
 
 
-def test_poly_roots_basics():
-    cert = ce.poly_roots([1.0, -1.0])  # 1 - z
-    assert np.allclose(cert.roots, [1.0])
-    assert cert.infinite_count == 0
+def test_polished_roots_basics():
+    assert np.allclose(polished_roots([1.0, -1.0]), [1.0])  # 1 - z
     # constant (the polar factor of a binomial): no roots
-    cert = ce.poly_roots([3.0 + 0j])
-    assert cert.roots.size == 0
-    # trailing zeros count as roots at infinity
-    cert = ce.poly_roots([2.0, 1.0, 0.0, 0.0])
-    assert cert.infinite_count == 2
-    assert np.allclose(cert.roots, [-2.0])
+    assert polished_roots([3.0 + 0j]).size == 0
+    # trailing zeros lower the degree
+    assert np.allclose(polished_roots([2.0, 1.0, 0.0, 0.0]), [-2.0])
     with pytest.raises(ce.ZeroPolynomial):
-        ce.poly_roots([0.0])
+        polished_roots([0.0])
 
 
-def test_poly_roots_residual_certificates():
+def test_polished_roots_accuracy():
     rng = instance_rng(31)
     b = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    cert = ce.poly_roots(b)
-    resid = np.abs(eval_poly(b, cert.roots))
+    roots = polished_roots(b)
+    resid = np.abs(eval_poly(b, roots))
     assert np.max(resid) < 1e-9 * np.sum(np.abs(b))
-    assert np.max(cert.residuals) < 1e-12
-    # a high-multiplicity zero fails certification
-    with pytest.raises(ce.IllConditioned):
-        ce.poly_roots(ce.from_roots([1.0] * 8).coefficients)
 
 
 def test_log_pair_spectral_frozen_values():
@@ -71,11 +62,30 @@ def test_log_pair_spectral_frozen_values():
 
 
 def test_log_pair_spectral_mahler_and_scaling():
-    # mean of log|e^{it} - rho|^2 is 0 inside, log|rho|^2 outside
+    # mean of log|e^{it} - rho|^2 is 0 for |rho| <= 1, log|rho|^2 outside
     assert abs(ce.log_pair_spectral([1.0], [-1.0, 1.0])) < 1e-14
     assert abs(ce.log_pair_spectral([1.0], [1.0, -0.5]) - 0.0) < 1e-14
     val = ce.log_pair_spectral([1.0, 1.0], [1.0, -0.5])
     assert abs(val - (-1.0)) < 1e-14
+    assert abs(ce.log_pair_spectral([1.0], [-1.0, 1.0], b_roots=[1.0])) < 1e-14
+
+
+def test_log_pair_spectral_input_checks():
+    with pytest.raises(ce.NonUnimodularRoot):
+        ce.log_pair_spectral([1.0, 1.0], [-2.0, 1.0], b_roots=[2.0])
+    with pytest.raises(ValueError):
+        ce.log_pair_spectral([1.0, 1.0], [-1.0, 1.0], b_roots=[1.0, -1.0])
+    with pytest.raises(ce.ZeroConstantTerm):  # a zero at 0 is inside the disk
+        ce.log_pair_spectral([1.0, 1.0], [0.0, 1.0])
+    # the series route stops at its certified degree; roots have no limit
+    top = ce.from_angles(np.arange(MAX_SERIES_DEGREE + 1) * 0.1)
+    with pytest.raises(ce.IllConditioned):
+        ce.log_pair_spectral(top.coefficients, [1.0, 0.5])
+    with pytest.raises(ce.IllConditioned):
+        ce.log_pair_spectral([1.0], top.coefficients)
+    with pytest.raises(ce.IllConditioned):
+        ce.ratio_functional(top)
+    assert abs(ce.log_pair_spectral([1.0], top.coefficients, b_roots=top.roots)) < 1e-12
 
 
 def test_log_pair_quadrature_matches_spectral_frozen():
@@ -85,17 +95,40 @@ def test_log_pair_quadrature_matches_spectral_frozen():
 
 
 def test_route_agreement_random_sample():
-    for n in (1, 3, 7, 12, 16):
-        for i in range(8):
+    # through n = MAX_SERIES_DEGREE, where the series route must still hold
+    for n, count in ((1, 8), (3, 8), (7, 8), (12, 8), (16, 8),
+                     (32, 3), (64, 3), (MAX_SERIES_DEGREE, 3)):
+        for i in range(count):
             p = random_circle_poly(n, instance_rng(32, n, i), unit_norm=True)
             a = p.coefficients
-            q = polar_q_coefficients(a, n)
-            s = ce.log_pair_spectral(a, a, b_roots=p.roots)
+            rf = ce.ratio_functional(p)
             qd = ce.log_pair_quadrature(a, a, b_roots=p.roots)
-            assert abs(s - qd) < 1e-7
-            s = ce.log_pair_spectral(a, q)
-            qd = ce.log_pair_quadrature(a, q)
-            assert abs(s - qd) < 1e-7
+            assert abs(rf.entropy_integral - qd) < 1e-7
+            qd = ce.log_pair_quadrature(a, ce.polar_factor(p).q)
+            assert abs(rf.jensen_integral - qd) < 1e-7
+
+
+def test_jensen_term_matches_mpmath_reference():
+    # Suite instance (n=20, index 92, seed 42), where roots of q found by the
+    # companion matrix drifted by 1.7e-7 N.  Frozen from highprec at 120 bits:
+    #   p = random_circle_poly(20, instance_rng(42, 20, 92))
+    #   ps = ce.normalize_self_inversive(p).normalized
+    #   entropy_values_mp(ps, bits=120)["jensen_term"]
+    reference = 1877893431.41319991340869390634
+    p = random_circle_poly(20, instance_rng(42, 20, 92))
+    ps = ce.normalize_self_inversive(p).normalized
+    rf = ce.ratio_functional(ps)
+    assert abs(rf.jensen_integral - reference) < 1e-12 * ce.parseval_norm(ps)
+
+
+def test_jensen_term_where_the_series_of_q_drifts():
+    # At this n = 128 instance the division by q itself loses 2.1e-7; the
+    # Jensen term divides by h = q/p instead.  Quadrature is within 6e-12
+    # of a 160-bit evaluation of the series here.
+    p = random_circle_poly(128, instance_rng(503, 128, 3), unit_norm=True)
+    a = p.coefficients
+    jensen_q = ce.log_pair_quadrature(a, ce.polar_factor(p).q)
+    assert abs(ce.ratio_functional(p).jensen_integral - jensen_q) < 1e-10
 
 
 def test_rotation_invariance():
@@ -108,8 +141,8 @@ def test_rotation_invariance():
             rotated.coefficients, rotated.coefficients, b_roots=rotated.roots
         )
         assert abs(base_e - rot_e) < 1e-9
-    q = polar_q_coefficients(p.coefficients, 6)
-    qr = polar_q_coefficients(rotated.coefficients, 6)
+    q = ce.polar_factor(p).q
+    qr = ce.polar_factor(ce.normalize_self_inversive(rotated).normalized).q
     assert abs(
         ce.log_pair_spectral(p.coefficients, q)
         - ce.log_pair_spectral(rotated.coefficients, qr)
@@ -142,16 +175,6 @@ def test_ratio_functional_frozen_values():
     rf = ce.ratio_functional(p1)
     assert abs(rf.value - ce.parseval_norm(p1)) < 1e-13
     assert rf.routes["entropy"] == "spectral"
-
-
-def test_polar_roots_certified_multiplicity():
-    # triple zero of p gives a double zero of q at the same point
-    p = ce.normalize_self_inversive(ce.from_roots([1.0, 1.0, 1.0, -1.0, 1j])).normalized
-    q = polar_q_coefficients(p.coefficients, 5)
-    roots = polar_roots_certified(p, q)
-    near_one = np.sum(np.abs(roots - 1.0) < 1e-8)
-    assert near_one == 2
-    assert np.max(np.abs(eval_poly(q, roots[np.abs(roots - 1.0) >= 1e-8]))) < 1e-10
 
 
 def test_log_continuity_along_coalescence():
