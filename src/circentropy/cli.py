@@ -24,6 +24,7 @@ from .blaschke_moments import moments
 from .corpus import instance_rng, random_circle_poly
 from .entropy import (
     GAP_TOL,
+    _verify_with_moments,
     h_fourier,
     h_fourier_quadrature,
     telescoping_closed_form,
@@ -197,8 +198,7 @@ def _parse_degree_range(spec: str) -> list[int]:
 
 
 def _suite_instance_row(n: int, i: int, p: CirclePoly, tol: float):
-    rep = verify_main(p, gap_tol=tol)
-    seq = moments(polar_factor(normalize_self_inversive(p).normalized))
+    rep, seq = _verify_with_moments(p, gap_tol=tol)
     vanish = float(np.max(np.abs(seq.over_range))) if seq.over_range.size else 0.0
     if rep.degree >= 2 and seq.values.size > 1:
         bound_slack = float(np.min(rep.gamma + 1e-9 - np.abs(seq.values[1:])))

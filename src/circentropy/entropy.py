@@ -194,6 +194,18 @@ def verify_main(
     gaps, attaches the moment-formula values (advisory outside the
     simple-zero case), and classifies the equality case.
     """
+    return _verify_with_moments(p, gap_tol, extra)[0]
+
+
+def _verify_with_moments(
+    p: CirclePoly, gap_tol: float = GAP_TOL, extra: int = 6
+) -> tuple[EntropyReport, MomentSequence]:
+    """``verify_main`` and the moment sequence of its polar pair.
+
+    The sequence is the one the report's moment values come from, with
+    ``extra`` over-range moments, so callers that also check moments need
+    not compute it again.
+    """
     if np.any(np.abs(np.abs(p.roots) - 1.0) > TAU_UNIMOD):
         raise RootsOffCircle("verify_main requires all zeros on the unit circle")
     ps = normalize_self_inversive(p).normalized
@@ -225,7 +237,7 @@ def verify_main(
         "polar": polar_term - polar_bound,
     }
     ok = all(v >= -gap_tol for v in gaps.values())
-    return EntropyReport(
+    report = EntropyReport(
         degree=n,
         simple_zeros=d.simple_zeros,
         norm=norm,
@@ -251,3 +263,4 @@ def verify_main(
         inequalities_ok=ok,
         gap_tolerance=gap_tol,
     )
+    return report, seq

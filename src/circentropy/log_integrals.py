@@ -45,6 +45,7 @@ from .polycircle import (
 MAX_SERIES_DEGREE = 128
 _S_CUT = 37.0        # window substitutions stop at |t - angle| = e^{-37}
 _LOG_FLOOR = 1e-64   # clamps squared distances so log never returns -inf
+_BLOCK = 2048        # integrand nodes per (factors x nodes) log-distance block
 
 
 @dataclass(frozen=True)
@@ -236,21 +237,19 @@ def _merge_windows(angles, halfwidth: float):
     return out
 
 
-def _window_pieces(start: float, end: float, centers, s_cut_of=None):
+def _window_pieces(start: float, end: float, centers, s_cuts):
     """One-sided substitution pieces for a merged window of singular angles.
 
     Each sub-arc between a center and the nearest breakpoint maps to the
-    s-interval [-log span, s_cut] under t = center + sign * e^{-s}.
-    ``s_cut_of`` may shorten the default tail cut per center when the caller
-    has certified that the dropped tail is below tolerance.
+    s-interval [-log span, s_cut] under t = center + sign * e^{-s}, with
+    ``s_cuts`` the tail cut of each center.
     """
     pts = [start]
     for left, right in zip(centers[:-1], centers[1:]):
         pts.append(0.5 * (left + right))
     pts.append(end)
     pieces = []
-    for i, c in enumerate(centers):
-        s_cut = _S_CUT if s_cut_of is None else min(_S_CUT, s_cut_of(c))
+    for i, (c, s_cut) in enumerate(zip(centers, s_cuts)):
         for edge, sign in ((pts[i], -1.0), (pts[i + 1], 1.0)):
             span = abs(edge - c)
             if span <= 0:
@@ -261,27 +260,43 @@ def _window_pieces(start: float, end: float, centers, s_cut_of=None):
     return pieces
 
 
+def _gauss_panels(lo, hi, panels):
+    """Gauss-Legendre nodes and weights on ``panels[i]`` equal panels of [lo[i], hi[i]].
+
+    The panel edges of piece i are those of np.linspace(lo[i], hi[i],
+    panels[i] + 1), rounding included: k * ((hi - lo) / panels) + lo, the
+    last edge exactly hi.  Nodes run piece by piece, panel-major; the third
+    result is the piece index of every node.
+    """
+    piece = np.repeat(np.arange(panels.size), panels)
+    ends = np.cumsum(panels)
+    k = np.arange(piece.size) - (ends - panels)[piece]
+    step = ((hi - lo) / panels)[piece]
+    start = lo[piece]
+    left = k * step + start
+    right = (k + 1) * step + start
+    right[ends - 1] = hi
+    half = ((hi - lo) / (2.0 * panels))[piece][:, None]
+    mids = 0.5 * (left + right)
+    nodes = (mids[:, None] + half * _GL_NODES).ravel()
+    weights = (_GL_WEIGHTS * half).ravel()
+    return nodes, weights, np.repeat(piece, _GL_NODES.size)
+
+
 def _level_nodes(window_pieces, arc_pieces, level: int):
-    """Gauss-Legendre nodes (in t) and weights for one refinement level."""
-    pts = []
-    wts = []
-    for c, sign, s0, s_cut in window_pieces:
-        panels = max(2, int(math.ceil((s_cut - s0) / 2.5))) * 2**level
-        edges = np.linspace(s0, s_cut, panels + 1)
-        half = (s_cut - s0) / (2.0 * panels)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        s = (mids[:, None] + half * _GL_NODES[None, :]).ravel()
-        u = np.exp(-s)
-        pts.append(c + sign * u)
-        wts.append(np.tile(_GL_WEIGHTS * half, panels) * u)
-    for a, b, p0 in arc_pieces:
-        panels = p0 * 2**level
-        edges = np.linspace(a, b, panels + 1)
-        half = (b - a) / (2.0 * panels)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        pts.append((mids[:, None] + half * _GL_NODES[None, :]).ravel())
-        wts.append(np.tile(_GL_WEIGHTS * half, panels))
-    return np.concatenate(pts), np.concatenate(wts)
+    """Gauss-Legendre nodes (in t) and weights for one refinement level.
+
+    Window pieces ``(center, sign, s0, s_cut)`` come first, then arc pieces
+    ``(a, b, base panels)``, each in order and panel-major.
+    """
+    c, sign, s0, s_cut = np.array(window_pieces, dtype=float).reshape(-1, 4).T
+    panels = np.maximum(2, np.ceil((s_cut - s0) / 2.5).astype(int)) * 2**level
+    s, w, piece = _gauss_panels(s0, s_cut, panels)
+    u = np.exp(-s)
+    a, b, p0 = np.array(arc_pieces, dtype=float).reshape(-1, 3).T
+    t, arc_w, _ = _gauss_panels(a, b, p0.astype(int) * 2**level)
+    return (np.concatenate((c[piece] + sign[piece] * u, t)),
+            np.concatenate((w * u, arc_w)))
 
 
 def circle_quadrature(f, singular_angles=(), config: QuadratureConfig | None = None,
@@ -293,8 +308,10 @@ def circle_quadrature(f, singular_angles=(), config: QuadratureConfig | None = N
     angle a window of the configured width is cut out and integrated under
     the substitution t = angle +/- e^{-s}, which resolves logarithmic
     singularities; windows and the complement arcs are refined together by
-    panel doubling.  ``s_cut_of`` optionally shortens the substitution tail
-    per angle (the caller certifies the dropped mass).  Raises
+    panel doubling.  ``s_cut_of`` optionally shortens the substitution tail:
+    called once with the array of window centers (an angle past 2pi where a
+    window wraps around), it returns one cut per center, and the caller
+    certifies the dropped mass.  Raises
     ``BudgetExceeded`` when the refinement depth limit is hit before two
     successive levels agree.
     """
@@ -329,10 +346,18 @@ def circle_quadrature(f, singular_angles=(), config: QuadratureConfig | None = N
         raise ValueError(
             "singular windows cover the whole circle; reduce config.window"
         )
+    centers = np.array([c for _, _, group in clusters for c in group])
+    if s_cut_of is None:
+        s_cuts = [_S_CUT] * centers.size
+    else:
+        s_cuts = [min(_S_CUT, s) for s in s_cut_of(centers)]
     window_pieces = []
     arc_pieces = []
-    for start, end, centers in clusters:
-        window_pieces.extend(_window_pieces(start, end, centers, s_cut_of))
+    used = 0
+    for start, end, group in clusters:
+        cuts = s_cuts[used:used + len(group)]
+        used += len(group)
+        window_pieces.extend(_window_pieces(start, end, group, cuts))
     for idx, (_, end, _) in enumerate(clusters):
         nxt_start = clusters[(idx + 1) % len(clusters)][0]
         if idx + 1 == len(clusters):
@@ -352,6 +377,34 @@ def circle_quadrature(f, singular_angles=(), config: QuadratureConfig | None = N
     raise BudgetExceeded(
         f"window refinement did not reach {tol:.2e} within depth {cfg.max_depth}"
     )
+
+
+def _log_distance_sum(t: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """sum_j log max(4 sin^2((t - angles_j)/2), _LOG_FLOOR) at every t.
+
+    Evaluated on (angles x nodes) blocks of ``_BLOCK`` nodes in one reused
+    buffer, so memory is O(len(angles) * _BLOCK) rather than
+    O(len(angles) * len(t)).  Each block sums its rows in order, as one
+    full matrix would.  A remainder shorter than a block joins the last
+    block: numpy sums a one-column matrix pairwise, which rounds
+    differently.
+    """
+    out = np.empty(t.size)
+    buf = np.empty(angles.size * min(t.size, 2 * _BLOCK - 1))
+    lo = 0
+    while lo < t.size:
+        hi = t.size if t.size - lo < 2 * _BLOCK else lo + _BLOCK
+        d = buf[: angles.size * (hi - lo)].reshape(angles.size, hi - lo)
+        np.subtract(t[None, lo:hi], angles[:, None], out=d)
+        np.multiply(d, 0.5, out=d)
+        np.sin(d, out=d)
+        np.square(d, out=d)
+        np.multiply(d, 4.0, out=d)
+        np.maximum(d, _LOG_FLOOR, out=d)
+        np.log(d, out=d)
+        np.sum(d, axis=0, out=out[lo:hi])
+        lo = hi
+    return out
 
 
 def _deflate_root(coeffs: np.ndarray, rho: complex) -> np.ndarray:
@@ -416,8 +469,7 @@ def log_pair_quadrature(A, B, config: QuadratureConfig | None = None,
         b2 = np.abs(eval_poly(deflated, z)) ** 2
         logb = np.log(np.maximum(b2, _LOG_FLOOR))
         if factors.size:
-            dist2 = 4.0 * np.sin(0.5 * (t[None, :] - factors[:, None])) ** 2
-            logb = logb + np.sum(np.log(np.maximum(dist2, _LOG_FLOOR)), axis=0)
+            logb += _log_distance_sum(t, factors)
         return np.where(a2 > 0, a2 * logb, 0.0)
 
     # The substitution tail beyond u0 = e^{-S} contributes at most
@@ -427,8 +479,7 @@ def log_pair_quadrature(A, B, config: QuadratureConfig | None = None,
     sum_a = float(np.sum(np.abs(a_arr)))
     budget = cfg.tolerance * max(1.0, scale) / (8.0 * max(1, len(window_angles)))
 
-    def s_cut_of(center: float) -> float:
-        amp_root = abs(complex(eval_poly(a_arr, np.exp(1j * center))))
+    def tail_cut(amp_root: float) -> float:
         s = 10.0
         while s < _S_CUT:
             u0 = math.exp(-s)
@@ -438,6 +489,12 @@ def log_pair_quadrature(A, B, config: QuadratureConfig | None = None,
                 return s
             s += 3.0
         return _S_CUT
+
+    def s_cut_of(centers: np.ndarray) -> list[float]:
+        # Python floats and abs(): the scalar pow and hypot of the ladder
+        # need not round like numpy's square and complex absolute.
+        values = eval_poly(a_arr, np.exp(1j * centers))
+        return [tail_cut(abs(complex(v))) for v in values]
 
     return circle_quadrature(integrand, window_angles, cfg, scale=scale,
                              s_cut_of=s_cut_of)
@@ -461,15 +518,6 @@ class RatioFunctionalValue:
     jensen_integral: float
     routes: dict
     certificates: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "entropy_integral": self.entropy_integral,
-            "jensen_integral": self.jensen_integral,
-            "routes": dict(self.routes),
-            "certificates": dict(self.certificates),
-        }
 
 
 def ratio_functional(p: CirclePoly) -> RatioFunctionalValue:

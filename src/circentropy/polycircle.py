@@ -49,12 +49,20 @@ def poly_degree(coeffs) -> int:
 
 
 def eval_poly(coeffs, z):
-    """Evaluate a coefficient vector at scalar or array arguments (Horner)."""
+    """Evaluate a coefficient vector at scalar or array arguments (Horner).
+
+    Each step is ``acc * z + c``, in place on the accumulator when it has
+    more than one point.  numpy multiplies a lone complex in place by a
+    plain scalar loop, not the vector loop ``acc * z`` takes, and the two
+    round differently; so a scalar or a one-point argument takes a new
+    product each step.
+    """
     z = np.asarray(z, dtype=complex)
     acc = np.zeros_like(z)
     for c in as_coefficients(coeffs)[::-1]:
-        acc = acc * z + c
-    return acc
+        acc = np.multiply(acc, z, out=acc if acc.size > 1 else None)
+        acc += c
+    return acc[()]
 
 
 def _leja_order(roots: np.ndarray) -> np.ndarray:

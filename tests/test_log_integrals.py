@@ -2,13 +2,23 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import circentropy as ce
+from circentropy import log_integrals
 from circentropy.corpus import instance_rng, random_circle_poly
-from circentropy.log_integrals import MAX_SERIES_DEGREE, polished_roots
+from circentropy.log_integrals import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _LOG_FLOOR,
+    _S_CUT,
+    MAX_SERIES_DEGREE,
+    _level_nodes,
+    polished_roots,
+)
 from circentropy.polycircle import eval_poly
 
 
@@ -202,6 +212,154 @@ def test_finiteness_at_maximal_multiplicity():
         assert math.isfinite(rf.value)
         assert math.isfinite(rf.entropy_integral)
         assert math.isfinite(rf.jensen_integral)
+
+
+def _level_nodes_reference(window_pieces, arc_pieces, level):
+    # The original panel-by-panel construction; _level_nodes must reproduce
+    # its bytes.
+    pts = []
+    wts = []
+    for c, sign, s0, s_cut in window_pieces:
+        panels = max(2, int(math.ceil((s_cut - s0) / 2.5))) * 2**level
+        edges = np.linspace(s0, s_cut, panels + 1)
+        half = (s_cut - s0) / (2.0 * panels)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        s = (mids[:, None] + half * _GL_NODES[None, :]).ravel()
+        u = np.exp(-s)
+        pts.append(c + sign * u)
+        wts.append(np.tile(_GL_WEIGHTS * half, panels) * u)
+    for a, b, p0 in arc_pieces:
+        panels = p0 * 2**level
+        edges = np.linspace(a, b, panels + 1)
+        half = (b - a) / (2.0 * panels)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        pts.append((mids[:, None] + half * _GL_NODES[None, :]).ravel())
+        wts.append(np.tile(_GL_WEIGHTS * half, panels))
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+def _log_distance_sum_reference(t, angles):
+    # The original one-matrix integrand term.
+    dist2 = 4.0 * np.sin(0.5 * (t[None, :] - angles[:, None])) ** 2
+    return np.sum(np.log(np.maximum(dist2, _LOG_FLOOR)), axis=0)
+
+
+def _horner_reference(coeffs, z):
+    # The original Horner loop, a new array per step.
+    z = np.asarray(z, dtype=complex)
+    acc = np.zeros_like(z)
+    for c in np.asarray(coeffs, dtype=complex)[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def _random_pieces(rng):
+    windows = []
+    for _ in range(rng.integers(0, 12)):
+        s0 = -math.log(rng.uniform(1e-9, 5e-3))
+        s_cut = float(rng.choice([s for s in np.arange(10.0, 38.0, 3.0) if s > s0]))
+        c = float(rng.uniform(0, 2 * np.pi + 0.1))  # past 2pi: a wrapped window
+        windows.append((c, float(rng.choice([-1.0, 1.0])), s0, s_cut))
+    arcs = []
+    for _ in range(rng.integers(0 if windows else 1, 6)):
+        a = float(rng.uniform(0, 2 * np.pi))
+        length = float(rng.uniform(1e-3, 3.0))
+        arcs.append((a, a + length, max(1, int(math.ceil(length / 0.15)))))
+    return windows, arcs
+
+
+def _quadrature_oracle_cases():
+    def circle(p):
+        return p, p.coefficients, p.roots
+
+    yield circle(ce.from_roots([-1.0]))  # n = 1
+    # a cluster across 0/2pi, merged into one wrapped window
+    yield circle(ce.from_angles([2 * np.pi - 1e-3, 1e-3, 2 * np.pi - 2e-3, 2.0, 4.0]))
+    yield circle(ce.from_roots([1.0, 1.0, np.exp(2j), np.exp(2j), np.exp(4.5j)]))
+    yield circle(ce.from_angles([1.0, 1.0 + 1e-5, 3.0, 5.0]))
+    # q has a zero 2.5e-7 off the circle: a window that is not a factor
+    yield circle(ce.from_angles([1.0, 1.0 + 1e-3, 3.0, 5.0]))
+    yield circle(random_circle_poly(12, instance_rng(36, 12), unit_norm=True))
+    yield circle(random_circle_poly(128, instance_rng(36, 128), unit_norm=True))
+
+
+def _spy_tail_cuts(m, checked):
+    # The tail cuts of every window group must be those of the original
+    # evaluation, one center at a time.  ``checked`` counts the groups and
+    # the cuts shorter than _S_CUT.
+    quadrature = log_integrals.circle_quadrature
+    window_pieces = log_integrals._window_pieces
+    seen = {}
+
+    def quadrature_spy(f, singular_angles=(), config=None, scale=1.0, s_cut_of=None):
+        seen["s_cut_of"] = s_cut_of
+        return quadrature(f, singular_angles, config, scale=scale, s_cut_of=s_cut_of)
+
+    def window_pieces_spy(start, end, group, cuts):
+        want = [min(_S_CUT, seen["s_cut_of"](np.array([c]))[0]) for c in group]
+        assert list(cuts) == want
+        checked["groups"] += 1
+        checked["short"] += sum(cut < _S_CUT for cut in cuts)
+        return window_pieces(start, end, group, cuts)
+
+    m.setattr(log_integrals, "circle_quadrature", quadrature_spy)
+    m.setattr(log_integrals, "_window_pieces", window_pieces_spy)
+
+
+def test_quadrature_matches_unblocked_reference_bit_for_bit(monkeypatch):
+    rng = instance_rng(35)
+    for _ in range(40):
+        windows, arcs = _random_pieces(rng)
+        for level in range(4):
+            pts, wts = _level_nodes(windows, arcs, level)
+            ref_pts, ref_wts = _level_nodes_reference(windows, arcs, level)
+            assert pts.tobytes() == ref_pts.tobytes()
+            assert wts.tobytes() == ref_wts.tobytes()
+
+    # Horner on an array, on one point and on a scalar equals the original
+    # at every point, wrapped angles included (window centers are evaluated
+    # as one array).
+    for n in (1, 7, 40, 128):
+        a = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        angles = np.concatenate((rng.uniform(0, 2 * np.pi, 50),
+                                 rng.uniform(0, 0.1, 5) + 2 * np.pi))
+        z = np.exp(1j * angles)
+        values = eval_poly(a, z)
+        assert values.tobytes() == _horner_reference(a, z).tobytes()
+        for k, v in enumerate(values):
+            assert v == _horner_reference(a, z[k])
+            assert v == eval_poly(a, z[k])
+            assert v == eval_poly(a, z[k:k + 1])[0]
+
+    checked = {"groups": 0, "short": 0}
+    for p, a, roots in _quadrature_oracle_cases():
+        q = ce.polar_factor(ce.normalize_self_inversive(p).normalized).q
+        calls = ((a, a, roots), (a, q, None))
+        if p.degree < 128:
+            calls += ((a, a, None),)
+        with monkeypatch.context() as m:
+            _spy_tail_cuts(m, checked)
+            got = [ce.log_pair_quadrature(A, B, b_roots=r) for A, B, r in calls]
+        with monkeypatch.context() as m:
+            m.setattr(log_integrals, "_level_nodes", _level_nodes_reference)
+            m.setattr(log_integrals, "_log_distance_sum", _log_distance_sum_reference)
+            m.setattr(log_integrals, "eval_poly", _horner_reference)
+            want = [ce.log_pair_quadrature(A, B, b_roots=r) for A, B, r in calls]
+        assert [v.hex() for v in got] == [v.hex() for v in want], p.degree
+    assert checked["groups"] > 20 and checked["short"] > 0, checked
+
+
+def test_entropy_quadrature_memory_is_blocked():
+    # One (factors x nodes) matrix at n = 128 took a 131 MiB peak.
+    p = random_circle_poly(128, instance_rng(37, 128), unit_norm=True)
+    a = p.coefficients
+    tracemalloc.start()
+    try:
+        ce.log_pair_quadrature(a, a, b_roots=p.roots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_quadrature_config_io(tmp_path):
