@@ -19,7 +19,7 @@ from .polycircle import (
 )
 
 TAU_SERIES = 1e-11   # residual tolerance for truncated series identities
-SERIES_GUARD = 8     # extra orders kept beyond what the moments need
+SERIES_GUARD = 8     # orders the contraction check keeps beyond degree n - 1
 
 
 def series_inverse(q, order: int) -> np.ndarray:
@@ -104,6 +104,7 @@ class MomentSequence:
 
     ``values[k]`` holds M_k; ``over_range[i]`` holds M_{n+i}, which vanishes
     in exact arithmetic because r^k q has a zero of order >= k at the origin.
+    ``truncation_order`` is the degree through which r was expanded.
     """
 
     values: np.ndarray
@@ -133,16 +134,20 @@ def moments(d: PolarDecomposition, extra: int = 6) -> MomentSequence:
     """Moment sequence of the polar pair, by iterated truncated convolution.
 
     Each M_k pairs the Taylor coefficients of r^k q of degrees 0..n-1 against
-    those of q; ``extra`` additional over-range moments M_n..M_{n+extra-1}
-    are reported for the vanishing check.  Inputs without simple zeros are
-    accepted (q(0) != 0 keeps the series well defined) but the sequence then
-    sits outside the moment identity's hypotheses; consumers should consult
-    ``simple_zeros``.
+    those of q, so r is expanded only through degree n - 1: the division
+    recurrence is causal, and a longer expansion gives the same r_0..r_{n-1}.
+    ``extra`` additional over-range moments M_n..M_{n+extra-1} are reported
+    for the vanishing check.  They are exactly (signed) zero, not merely
+    small: r_0 = 0 exactly, so each product with r shifts the lowest nonzero
+    coefficient up by one, and r^k q truncated at degree n - 1 is all zeros
+    for k >= n.  A check on them can therefore never fail.  Inputs without
+    simple zeros are accepted (q(0) != 0 keeps the series well defined) but
+    the sequence then sits outside the moment identity's hypotheses;
+    consumers should consult ``simple_zeros``.
     """
     n = d.degree
-    order = 4 * n + SERIES_GUARD
-    ratio = blaschke_quotient(d, order)
-    r = ratio.coefficients
+    order = n - 1
+    r = blaschke_quotient(d, order).coefficients
     q = np.zeros(n, dtype=complex)
     q[: d.q.size] = d.q
     count = n + max(extra, 0)

@@ -199,9 +199,9 @@ def _parse_degree_range(spec: str) -> list[int]:
 
 def _suite_instance_row(n: int, i: int, p: CirclePoly, tol: float):
     rep, seq = _verify_with_moments(p, gap_tol=tol)
-    vanish = float(np.max(np.abs(seq.over_range))) if seq.over_range.size else 0.0
+    vanish = float(np.abs(seq.over_range).max()) if seq.over_range.size else 0.0
     if rep.degree >= 2 and seq.values.size > 1:
-        bound_slack = float(np.min(rep.gamma + 1e-9 - np.abs(seq.values[1:])))
+        bound_slack = float((rep.gamma + 1e-9 - np.abs(seq.values[1:])).min())
     else:
         bound_slack = 0.0
     status = "ok"

@@ -179,7 +179,7 @@ class EntropyReport:
 def _classify_extremal(coeffs: np.ndarray, n: int) -> tuple[bool, float]:
     """Equality-case test: all interior coefficients negligible, |a_0|=|a_n|."""
     edge = max(abs(coeffs[0]), abs(coeffs[n]))
-    margin = float(np.max(np.abs(coeffs[1:n])) / edge) if n >= 2 else 0.0
+    margin = float(np.abs(coeffs[1:n]).max() / edge) if n >= 2 else 0.0
     balanced = abs(abs(coeffs[0]) - abs(coeffs[n])) < TAU_EQ * edge
     return bool(margin < TAU_EQ and balanced), margin
 
@@ -206,7 +206,7 @@ def _verify_with_moments(
     ``extra`` over-range moments, so callers that also check moments need
     not compute it again.
     """
-    if np.any(np.abs(np.abs(p.roots) - 1.0) > TAU_UNIMOD):
+    if (np.abs(np.abs(p.roots) - 1.0) > TAU_UNIMOD).any():
         raise RootsOffCircle("verify_main requires all zeros on the unit circle")
     ps = normalize_self_inversive(p).normalized
     n = ps.degree

@@ -153,6 +153,9 @@ def _circle_root_pairing(roots, cm) -> float:
 def log_pair_spectral(A, B, b_roots=None) -> float:
     """Integral of |A|^2 log|B|^2 over dm, by the exact series pairing.
 
+    ``A`` is a coefficient vector or its ``trig_square``, so that callers
+    pairing the same A against several B build the autocorrelation once.
+
     With log B = log B(0) + sum_m l_m z^m on the disk, log|B|^2 on the
     circle is 2 log|B(0)| + 2 Re sum_m l_m e^{imt}, and pairing it against
     the autocorrelation c_m of A gives 2 c_0 log|B(0)| + 2 Re sum_m c_m
@@ -170,7 +173,7 @@ def log_pair_spectral(A, B, b_roots=None) -> float:
       ``IllConditioned`` when deg A or deg B exceeds ``MAX_SERIES_DEGREE``;
       use ``log_pair_quadrature`` there.
     """
-    ts = trig_square(A)
+    ts = A if isinstance(A, TrigSquare) else trig_square(A)
     arr = as_coefficients(B)
     deg = poly_degree(arr)
     if deg < 0:
@@ -185,7 +188,7 @@ def log_pair_spectral(A, B, b_roots=None) -> float:
                 f"root list has {roots.size} entries, expected {deg}"
             )
         mods = np.abs(roots)
-        if roots.size and not np.max(np.abs(mods - 1.0)) <= TAU_SEP:
+        if roots.size and not np.abs(mods - 1.0).max() <= TAU_SEP:
             raise NonUnimodularRoot(
                 f"b_roots must lie on the unit circle (within {TAU_SEP:.0e})"
             )
@@ -366,11 +369,13 @@ def circle_quadrature(f, singular_angles=(), config: QuadratureConfig | None = N
             length = nxt_start - end
             arc_pieces.append((end, nxt_start, max(1, int(math.ceil(length / 0.15)))))
 
+    # The weighted sums are numpy reductions, not np.dot: BLAS ddot rounds
+    # differently with the number of BLAS threads.
     pts, wts = _level_nodes(window_pieces, arc_pieces, 0)
-    value = float(np.dot(f(pts), wts)) / (2 * np.pi)
+    value = float((f(pts) * wts).sum()) / (2 * np.pi)
     for level in range(1, cfg.max_depth + 1):
         pts, wts = _level_nodes(window_pieces, arc_pieces, level)
-        refined = float(np.dot(f(pts), wts)) / (2 * np.pi)
+        refined = float((f(pts) * wts).sum()) / (2 * np.pi)
         if abs(refined - value) <= tol:
             return refined
         value = refined
@@ -538,9 +543,10 @@ def ratio_functional(p: CirclePoly) -> RatioFunctionalValue:
     """
     n = p.degree
     a = p.coefficients
-    entropy_integral = log_pair_spectral(a, a, b_roots=p.roots)
+    ts = trig_square(a)
+    entropy_integral = log_pair_spectral(ts, a, b_roots=p.roots)
     power_sums = (np.conj(p.roots)[:, None] ** np.arange(1, n + 1)).sum(axis=0)
-    value = -log_pair_spectral(a, np.concatenate(([n], power_sums)) / n)
+    value = -log_pair_spectral(ts, np.concatenate(([n], power_sums)) / n)
     return RatioFunctionalValue(
         value, entropy_integral, entropy_integral - value,
         {"entropy": "spectral", "jensen": "spectral"},

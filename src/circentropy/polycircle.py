@@ -32,9 +32,18 @@ TAU_UNIMOD = 1e-12   # allowed deviation of |root| from 1 on input
 TAU_EXPAND = 1e-10   # relative coefficient tolerance, against max |a_j|
 TAU_SEP = 1e-8       # chordal separation deciding the simple-zero flag
 
+_COMPLEX = np.dtype(complex)
+
 
 def as_coefficients(values) -> np.ndarray:
-    """Coerce input to a 1-d complex coefficient array, lowest degree first."""
+    """Coerce input to a 1-d complex coefficient array, lowest degree first.
+
+    A nonempty 1-d complex ndarray is returned as it is, which is what
+    ``np.asarray`` would return for it, without the coercion calls.
+    """
+    if (type(values) is np.ndarray and values.ndim == 1 and values.size
+            and values.dtype == _COMPLEX):
+        return values
     arr = np.atleast_1d(np.asarray(values, dtype=complex))
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("coefficients must form a nonempty 1-d sequence")
@@ -201,7 +210,7 @@ def from_roots(roots, leading=1.0) -> CirclePoly:
     if roots.size == 0:
         raise ValueError("a CirclePoly needs at least one root (degree >= 1)")
     mods = np.abs(roots)
-    worst = np.max(np.abs(mods - 1.0))
+    worst = np.abs(mods - 1.0).max()
     if not worst <= TAU_UNIMOD:  # also rejects NaN and infinite roots
         raise NonUnimodularRoot(
             f"root modulus deviates from 1 by {worst:.3e} (> {TAU_UNIMOD:.0e})"
@@ -249,8 +258,8 @@ def _reflection_multiplier(coeffs, n: int) -> complex:
     if mod == 0:
         raise InconsistentReflection("reflection is orthogonal to the input")
     lam /= mod
-    scale = np.max(np.abs(arr))
-    resid = np.max(np.abs(refl - lam * arr))
+    scale = np.abs(arr).max()
+    resid = np.abs(refl - lam * arr).max()
     if resid > TAU_EXPAND * scale:
         raise InconsistentReflection(
             f"reflection residual {resid / scale:.3e} exceeds {TAU_EXPAND:.0e}; "
@@ -303,7 +312,7 @@ def has_simple_zeros(roots, tol: float = TAU_SEP) -> bool:
         return True
     diffs = np.abs(roots[:, None] - roots[None, :])
     diffs[np.diag_indices(roots.size)] = np.inf
-    return bool(np.min(diffs) > tol)
+    return bool(diffs.min() > tol)
 
 
 def polar_factor(p: CirclePoly) -> PolarDecomposition:
@@ -315,8 +324,8 @@ def polar_factor(p: CirclePoly) -> PolarDecomposition:
     n = p.degree
     a = p.coefficients
     refl = reflect(a, n)
-    scale = np.max(np.abs(a))
-    dev = np.max(np.abs(refl - a))
+    scale = np.abs(a).max()
+    dev = np.abs(refl - a).max()
     if dev > TAU_EXPAND * scale:
         raise NotSelfInversive(
             f"reflection deviates by {dev / scale:.3e} relative (> {TAU_EXPAND:.0e})"
@@ -330,7 +339,7 @@ def polar_factor(p: CirclePoly) -> PolarDecomposition:
 def parseval_norm(p) -> float:
     """Squared L2 norm on the circle, computed as sum |a_j|^2."""
     coeffs = p.coefficients if isinstance(p, CirclePoly) else as_coefficients(p)
-    return float(np.sum(np.abs(coeffs) ** 2))
+    return float((np.abs(coeffs) ** 2).sum())
 
 
 def gamma_remainder(p: CirclePoly) -> float:
@@ -343,7 +352,7 @@ def gamma_remainder(p: CirclePoly) -> float:
         return 0.0
     j = np.arange(1, n, dtype=float)
     mid = p.coefficients[1:n]
-    return float(np.sum(j * (n - j) / n**2 * np.abs(mid) ** 2))
+    return float((j * (n - j) / n**2 * np.abs(mid) ** 2).sum())
 
 
 def weighted_form_Sn(g, n: int) -> float:

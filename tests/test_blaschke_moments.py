@@ -5,7 +5,12 @@ import pytest
 
 import circentropy as ce
 from circentropy.blaschke_moments import moments_by_quadrature, series_divide
-from circentropy.corpus import instance_rng, random_circle_poly, random_schur_triple
+from circentropy.corpus import (
+    instance_rng,
+    random_binomial,
+    random_circle_poly,
+    random_schur_triple,
+)
 from circentropy.polycircle import polar_factor
 
 
@@ -112,6 +117,67 @@ def test_moments_match_quadrature():
             seq = ce.moments(d)
             quad = moments_by_quadrature(d, n)
             assert np.max(np.abs(seq.values - quad)) < 1e-8
+
+
+def _moments_reference(d, extra=6):
+    # r expanded through 4n + 8, far past the n - 1 the products read.
+    n = d.degree
+    r = ce.blaschke_quotient(d, 4 * n + 8).coefficients
+    q = np.zeros(n, dtype=complex)
+    q[: d.q.size] = d.q
+    vals = np.zeros(n + extra, dtype=complex)
+    f = q.copy()
+    vals[0] = np.vdot(q, f)
+    for k in range(1, n + extra):
+        f = ce.series_multiply(r, f, n - 1)
+        vals[k] = np.vdot(q, f)
+    return vals[:n], vals[n:]
+
+
+def _ratio_functional_reference(p):
+    # Each pairing builds the autocorrelation of p from its coefficients.
+    n = p.degree
+    a = p.coefficients
+    entropy_integral = ce.log_pair_spectral(a, a, b_roots=p.roots)
+    power_sums = (np.conj(p.roots)[:, None] ** np.arange(1, n + 1)).sum(axis=0)
+    value = -ce.log_pair_spectral(a, np.concatenate(([n], power_sums)) / n)
+    return value, entropy_integral, entropy_integral - value
+
+
+def _oracle_instances():
+    rng = instance_rng(28)
+    for n in list(range(1, 41)) + [64, 128]:
+        yield random_circle_poly(n, instance_rng(28, n), unit_norm=n % 2 == 0)
+        if n >= 2:
+            yield random_circle_poly(n, instance_rng(28, n, 1), multiple=True)
+    for n in (1, 2, 7, 40):
+        yield random_binomial(n, rng)
+    # a pair 1e-5 apart
+    yield ce.from_angles([1.0, 1.0 + 1e-5, 2.0, 3.5, 5.0])
+    angles = rng.uniform(0, 2 * np.pi, 30)
+    angles[1] = angles[0] + 1e-5
+    yield ce.from_angles(angles)
+
+
+def test_moments_and_ratio_functional_match_reference_bit_for_bit():
+    for p in _oracle_instances():
+        p = ce.normalize_self_inversive(p).normalized
+        d = polar_factor(p)
+        n = p.degree
+        extra = 6 + n % 4
+        seq = ce.moments(d, extra=extra)
+        values, over_range = _moments_reference(d, extra)
+        assert seq.truncation_order == n - 1
+        assert seq.values.tobytes() == values.tobytes(), n
+        assert seq.over_range.tobytes() == over_range.tobytes(), n
+        # r_0 = 0 exactly, so r^k q truncated at degree n - 1 is exactly 0
+        # for k >= n.
+        assert not seq.over_range.any()
+
+        rf = ce.ratio_functional(p)
+        want = _ratio_functional_reference(p)
+        got = (rf.value, rf.entropy_integral, rf.jensen_integral)
+        assert [v.hex() for v in got] == [v.hex() for v in want], n
 
 
 def test_moments_json_metadata():

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -360,6 +363,34 @@ def test_entropy_quadrature_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+_BLAS_THREAD_CASES = """
+import circentropy as ce
+from circentropy.corpus import instance_rng, random_circle_poly
+for n, i in ((32, 0), (64, 2), (128, 0)):
+    p = random_circle_poly(n, instance_rng(5, n, i), unit_norm=True)
+    a = p.coefficients
+    print(ce.log_pair_quadrature(a, a, b_roots=p.roots).hex(),
+          ce.log_pair_quadrature(a, ce.polar_factor(p).q).hex())
+"""
+
+
+def test_quadrature_bits_do_not_depend_on_blas_threads():
+    # Summing the weighted integrand with np.dot (BLAS ddot) gave different
+    # last bits under one and two BLAS threads on these instances.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ce.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_THREAD_CASES],
+                              capture_output=True, text=True, env=env,
+                              timeout=300, check=True)
+        outputs.append(proc.stdout)
+    assert len(outputs[0].split()) == 6
+    assert outputs[0] == outputs[1]
 
 
 def test_quadrature_config_io(tmp_path):
