@@ -11,14 +11,11 @@ numerically.
 from .blaschke_moments import (
     ContractionReport,
     MomentSequence,
-    RatioSeries,
-    blaschke_quotient,
     blaschke_series,
     moments,
     moments_by_quadrature,
     schur_contraction_check,
     series_divide,
-    series_inverse,
     series_multiply,
 )
 from .entropy import (

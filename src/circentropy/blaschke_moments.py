@@ -18,27 +18,7 @@ from .polycircle import (
     weighted_form_Sn,
 )
 
-TAU_SERIES = 1e-11   # residual tolerance for truncated series identities
 SERIES_GUARD = 8     # orders the contraction check keeps beyond degree n - 1
-
-
-def series_inverse(q, order: int) -> np.ndarray:
-    """Taylor coefficients of 1/q through degree ``order``.
-
-    Requires q(0) != 0; the convolution of the output with q equals
-    (1, 0, ..., 0) through degree ``order`` up to rounding.
-    """
-    q = as_coefficients(q)
-    if q[0] == 0:
-        raise ZeroConstantTerm("series inversion needs a nonzero constant term")
-    inv = np.zeros(order + 1, dtype=complex)
-    inv[0] = 1.0 / q[0]
-    dq = q.size - 1
-    for k in range(1, order + 1):
-        m = min(k, dq)
-        s = np.dot(q[1 : m + 1], inv[k - m : k][::-1]) if m >= 1 else 0.0
-        inv[k] = -s / q[0]
-    return inv
 
 
 def series_multiply(a, b, order: int) -> np.ndarray:
@@ -54,10 +34,9 @@ def series_multiply(a, b, order: int) -> np.ndarray:
 def series_divide(num, den, order: int) -> np.ndarray:
     """Truncated Taylor coefficients of num/den through degree ``order``.
 
-    Algebraically identical to ``series_multiply(num, series_inverse(den))``
-    but numerically stabler when den has roots close to the unit circle: the
-    division recurrence never materializes the large intermediate
-    coefficients of 1/den.
+    Runs the division recurrence; requires den(0) != 0.  Rounding grows
+    with the coefficients of 1/den, so a denominator whose inverse has
+    bounded coefficients (h rather than q) keeps its digits.
     """
     num = as_coefficients(num)
     den = as_coefficients(den)
@@ -75,91 +54,59 @@ def series_divide(num, den, order: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RatioSeries:
-    """Truncated Taylor series of r = q*/q at the origin.
-
-    r_0 = 0 and the product r * q reproduces q* through the truncation order.
-    """
-
-    coefficients: np.ndarray
-    parent: PolarDecomposition
-    order: int
-
-    def __post_init__(self):
-        self.coefficients.setflags(write=False)
-
-
-def blaschke_quotient(d: PolarDecomposition, order: int | None = None) -> RatioSeries:
-    """Series of the Blaschke quotient r = q*/q, default order 4n."""
-    n = d.degree
-    if order is None:
-        order = 4 * n
-    r = series_divide(d.qstar, d.q, order)
-    return RatioSeries(r, d, order)
-
-
-@dataclass(frozen=True)
 class MomentSequence:
-    """The moments M_k = <r^k q, q> for k = 0..n-1, plus over-range values.
+    """The moments M_k = <r^k q, q> for k = 0..n-1.
 
-    ``values[k]`` holds M_k; ``over_range[i]`` holds M_{n+i}, which vanishes
-    in exact arithmetic because r^k q has a zero of order >= k at the origin.
-    ``truncation_order`` is the degree through which r was expanded.
+    ``ratio_series_residual`` is max_j |(r q - q*)_j| over j = 0..n-1,
+    relative to max |a_j|: r comes from the roots and q, q* from the
+    coefficients, so it measures how well the two agree.
     """
 
     values: np.ndarray
-    over_range: np.ndarray
     degree: int
     simple_zeros: bool
-    truncation_order: int
+    ratio_series_residual: float
 
     def __post_init__(self):
         self.values.setflags(write=False)
-        self.over_range.setflags(write=False)
 
     def to_json_dict(self) -> dict:
-        def pairs(arr):
-            return [[float(v.real), float(v.imag)] for v in arr]
-
         return {
             "degree": self.degree,
             "simple_zeros": self.simple_zeros,
-            "truncation_order": self.truncation_order,
-            "moments": pairs(self.values),
-            "over_range": pairs(self.over_range),
+            "ratio_series_residual": self.ratio_series_residual,
+            "moments": [[float(v.real), float(v.imag)] for v in self.values],
         }
 
 
-def moments(d: PolarDecomposition, extra: int = 6) -> MomentSequence:
+def moments(d: PolarDecomposition) -> MomentSequence:
     """Moment sequence of the polar pair, by iterated truncated convolution.
 
-    Each M_k pairs the Taylor coefficients of r^k q of degrees 0..n-1 against
-    those of q, so r is expanded only through degree n - 1: the division
-    recurrence is causal, and a longer expansion gives the same r_0..r_{n-1}.
-    ``extra`` additional over-range moments M_n..M_{n+extra-1} are reported
-    for the vanishing check.  They are exactly (signed) zero, not merely
-    small: r_0 = 0 exactly, so each product with r shifts the lowest nonzero
-    coefficient up by one, and r^k q truncated at degree n - 1 is all zeros
-    for k >= n.  A check on them can therefore never fail.  Inputs without
-    simple zeros are accepted (q(0) != 0 keeps the series well defined) but
-    the sequence then sits outside the moment identity's hypotheses;
-    consumers should consult ``simple_zeros``.
+    The Blaschke quotient is r = q*/q = 1/h - 1, with h = q/p the series of
+    the roots that the Jensen term uses (``CirclePoly.h_series``).  1/h =
+    1 + r has bounded coefficients, so the division keeps its digits when
+    zeros cluster, where dividing q* by q loses them.  h_0 = 1 exactly, so
+    r_0 = 0 exactly.  Each M_k pairs the Taylor coefficients of r^k q of
+    degrees 0..n-1 against those of q, so r is expanded only through degree
+    n - 1.  The first product r q also gives the ``ratio_series_residual``
+    against q*.  Inputs without simple zeros are accepted (q(0) != 0 keeps
+    the series well defined) but the sequence then sits outside the moment
+    identity's hypotheses; consumers should consult ``simple_zeros``.
     """
     n = d.degree
-    order = n - 1
-    r = blaschke_quotient(d, order).coefficients
-    q = np.zeros(n, dtype=complex)
-    q[: d.q.size] = d.q
-    count = n + max(extra, 0)
-    vals = np.zeros(count, dtype=complex)
-    f = q.copy()
-    vals[0] = np.vdot(q, f)
-    for k in range(1, count):
-        f = series_multiply(r, f, n - 1)
+    p = d.parent
+    q = d.q
+    r = series_divide(1.0, p.h_series, n - 1)
+    r[0] = 0.0
+    rq = series_multiply(r, q, n - 1)
+    resid = float(np.abs(rq - d.qstar[:n]).max() / np.abs(p.coefficients).max())
+    vals = np.zeros(n, dtype=complex)
+    vals[0] = np.vdot(q, q)
+    f = q
+    for k in range(1, n):
+        f = rq if k == 1 else series_multiply(r, f, n - 1)
         vals[k] = np.vdot(q, f)
-    return MomentSequence(
-        vals[:n], vals[n:], n, d.simple_zeros, order
-    )
+    return MomentSequence(vals, n, d.simple_zeros, resid)
 
 
 def moments_by_quadrature(d: PolarDecomposition, count: int, nodes: int = 1 << 14) -> np.ndarray:

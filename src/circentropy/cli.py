@@ -35,6 +35,7 @@ from .errors import CircEntropyError, RootsOffCircle
 from .extremal import coalescence_experiment, minimize
 from .log_integrals import QuadratureConfig, polished_roots
 from .polycircle import (
+    TAU_EXPAND,
     CirclePoly,
     coefficients_from_json,
     from_angles,
@@ -182,7 +183,7 @@ def cmd_verify(args) -> int:
 SUITE_HEADER = [
     "n", "index", "norm", "entropy", "jensen_term", "polar_term", "gamma",
     "main_gap", "strengthened_gap", "jensen_gap", "polar_gap",
-    "moment_polar_resid", "moment_norm_resid", "moment_vanish_max",
+    "moment_polar_resid", "moment_norm_resid", "ratio_series_resid",
     "moment_bound_slack_min", "simple_zeros", "extremal", "status",
 ]
 
@@ -199,9 +200,11 @@ def _parse_degree_range(spec: str) -> list[int]:
 
 def _suite_instance_row(n: int, i: int, p: CirclePoly, tol: float):
     rep, seq = _verify_with_moments(p, gap_tol=tol)
-    vanish = float(np.abs(seq.over_range).max()) if seq.over_range.size else 0.0
-    if rep.degree >= 2 and seq.values.size > 1:
-        bound_slack = float((rep.gamma + 1e-9 - np.abs(seq.values[1:])).min())
+    ratio_resid = seq.ratio_series_residual
+    # M_1 = Gamma exactly (Parseval), so k = 1 is checked as an identity;
+    # the bound |M_k| <= Gamma has room to spare only for k >= 2.
+    if seq.values.size > 2:
+        bound_slack = float((rep.gamma + 1e-9 - np.abs(seq.values[2:])).min())
     else:
         bound_slack = 0.0
     status = "ok"
@@ -211,19 +214,21 @@ def _suite_instance_row(n: int, i: int, p: CirclePoly, tol: float):
     if rep.simple_zeros:
         mp_resid = abs(rep.polar_term - rep.moment_polar_term)
         mn_resid = abs(rep.norm - rep.moment_norm)
-        if mp_resid > 1e-8 * rep.norm or mn_resid > 1e-9 * rep.norm:
+        m1_resid = abs(seq.values[1] - rep.gamma) if rep.degree >= 2 else 0.0
+        if (mp_resid > 1e-8 * rep.norm or mn_resid > 1e-9 * rep.norm
+                or m1_resid > 1e-9 * rep.norm):
             status = "violation:moment_identity"
-        if vanish > 1e-8 * float(seq.values[0].real):
-            status = "violation:moment_vanishing"
+        if ratio_resid > TAU_EXPAND:
+            status = "violation:ratio_series"
         if bound_slack < 0:
             status = "violation:moment_bound"
     row = [
         n, i, rep.norm, rep.entropy, rep.jensen_term, rep.polar_term,
         rep.gamma, rep.main_gap, rep.strengthened_gap, rep.jensen_gap,
-        rep.polar_gap, mp_resid, mn_resid, vanish, bound_slack,
+        rep.polar_gap, mp_resid, mn_resid, ratio_resid, bound_slack,
         rep.simple_zeros, rep.extremal, status,
     ]
-    return row, rep, (mp_resid, mn_resid, vanish), status
+    return row, rep, (mp_resid, mn_resid, ratio_resid), status
 
 
 def cmd_suite(args) -> int:
@@ -237,7 +242,7 @@ def cmd_suite(args) -> int:
     input_errors = 0
     min_gaps = {"main": math.inf, "strengthened": math.inf,
                 "jensen": math.inf, "polar": math.inf}
-    max_resid = {"moment_polar": 0.0, "moment_norm": 0.0, "moment_vanish": 0.0}
+    max_resid = {"moment_polar": 0.0, "moment_norm": 0.0, "ratio_series": 0.0}
     n_multiple = int(round(args.multiple_frac * args.count))
     for n in degrees:
         for i in range(args.count):
@@ -258,7 +263,7 @@ def cmd_suite(args) -> int:
             if rep.simple_zeros:
                 max_resid["moment_polar"] = max(max_resid["moment_polar"], resids[0])
                 max_resid["moment_norm"] = max(max_resid["moment_norm"], resids[1])
-                max_resid["moment_vanish"] = max(max_resid["moment_vanish"], resids[2])
+                max_resid["ratio_series"] = max(max_resid["ratio_series"], resids[2])
             rows.append(row)
     summary = {
         "degrees": degrees,
@@ -355,7 +360,7 @@ def cmd_moments(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     d = polar_factor(normalize_self_inversive(p).normalized)
-    seq = moments(d, extra=args.extra)
+    seq = moments(d)
     _emit(json.dumps(seq.to_json_dict(), indent=2), args.out)
     return 0
 
@@ -423,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_moments = sub.add_parser("moments", help="moment sequence of the polar pair")
     _add_poly_arguments(p_moments)
-    p_moments.add_argument("--extra", type=int, default=6)
     p_moments.add_argument("--out")
     p_moments.set_defaults(func=cmd_moments)
 

@@ -184,9 +184,7 @@ def _classify_extremal(coeffs: np.ndarray, n: int) -> tuple[bool, float]:
     return bool(margin < TAU_EQ and balanced), margin
 
 
-def verify_main(
-    p: CirclePoly, gap_tol: float = GAP_TOL, extra: int = 6
-) -> EntropyReport:
+def verify_main(p: CirclePoly, gap_tol: float = GAP_TOL) -> EntropyReport:
     """Full entropy report for one circle polynomial.
 
     Normalizes the input self-inversive, computes every functional, evaluates
@@ -194,17 +192,16 @@ def verify_main(
     gaps, attaches the moment-formula values (advisory outside the
     simple-zero case), and classifies the equality case.
     """
-    return _verify_with_moments(p, gap_tol, extra)[0]
+    return _verify_with_moments(p, gap_tol)[0]
 
 
 def _verify_with_moments(
-    p: CirclePoly, gap_tol: float = GAP_TOL, extra: int = 6
+    p: CirclePoly, gap_tol: float = GAP_TOL
 ) -> tuple[EntropyReport, MomentSequence]:
     """``verify_main`` and the moment sequence of its polar pair.
 
-    The sequence is the one the report's moment values come from, with
-    ``extra`` over-range moments, so callers that also check moments need
-    not compute it again.
+    The sequence is the one the report's moment values come from, so
+    callers that also check moments need not compute it again.
     """
     if (np.abs(np.abs(p.roots) - 1.0) > TAU_UNIMOD).any():
         raise RootsOffCircle("verify_main requires all zeros on the unit circle")
@@ -225,7 +222,7 @@ def _verify_with_moments(
     jensen_bound = norm * math.log(norm / 2.0)
     polar_bound = norm + remainder
 
-    seq = moments(d, extra=extra)
+    seq = moments(d)
     moment_polar = polar_term_via_moments(seq, n)
     moment_norm_val = norm_via_moments(seq)
 

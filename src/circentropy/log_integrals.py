@@ -531,11 +531,12 @@ def ratio_functional(p: CirclePoly) -> RatioFunctionalValue:
     The difference of int |p|^2 log|p|^2 dm and the Jensen term
     int |p|^2 log|q|^2 dm, q = p - (1/n)Dp, is -int |p|^2 log|h|^2 dm for
     h = q/p = (1/n) sum_tau 1/(1 - conj(tau) z) over the roots tau of p.
-    The coefficients of h and of the entropy pairing both come from the
-    given roots, so nothing is root-found and no pointwise quotient is
-    formed.  h has no zeros or poles in the open disk (Laguerre's theorem
-    on polar derivatives puts the zeros of q in |z| >= 1), and its log
-    coefficients through z^n are those of its degree-n truncation.
+    The coefficients of h (``CirclePoly.h_series``, which the moments read
+    too) and of the entropy pairing both come from the given roots, so
+    nothing is root-found and no pointwise quotient is formed.  h has no
+    zeros or poles in the open disk (Laguerre's theorem on polar
+    derivatives puts the zeros of q in |z| >= 1), and its log coefficients
+    through z^n are those of its degree-n truncation.
     Dividing the series by h rather than by q keeps the recurrence stable:
     1/h = 1 + q*/q has bounded coefficients, while those of 1/q grow when
     zeros of p cluster.  Raises ``IllConditioned`` above degree
@@ -545,8 +546,7 @@ def ratio_functional(p: CirclePoly) -> RatioFunctionalValue:
     a = p.coefficients
     ts = trig_square(a)
     entropy_integral = log_pair_spectral(ts, a, b_roots=p.roots)
-    power_sums = (np.conj(p.roots)[:, None] ** np.arange(1, n + 1)).sum(axis=0)
-    value = -log_pair_spectral(ts, np.concatenate(([n], power_sums)) / n)
+    value = -log_pair_spectral(ts, p.h_series)
     return RatioFunctionalValue(
         value, entropy_integral, entropy_integral - value,
         {"entropy": "spectral", "jensen": "spectral"},

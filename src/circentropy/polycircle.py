@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -172,6 +173,21 @@ class CirclePoly:
 
     def __call__(self, z):
         return eval_poly(self.coefficients, z)
+
+    @cached_property
+    def h_series(self) -> np.ndarray:
+        """Coefficients h_0..h_n of h = q/p = (1/n) sum_tau 1/(1 - conj(tau) z).
+
+        q = p - (1/n)Dp is the polar factor, so h depends on the roots alone:
+        h_k = (1/n) sum_tau conj(tau)^k, and h_0 = n/n = 1 exactly.  The
+        Jensen term pairs against log h, and the Blaschke quotient is
+        q*/q = 1/h - 1.  Computed once per polynomial, on first use.
+        """
+        n = self.degree
+        power_sums = (np.conj(self.roots)[:, None] ** np.arange(1, n + 1)).sum(axis=0)
+        h = np.concatenate(([n], power_sums)) / n
+        h.setflags(write=False)
+        return h
 
     @property
     def angles(self) -> np.ndarray:

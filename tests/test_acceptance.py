@@ -12,7 +12,7 @@ import numpy as np
 
 import circentropy as ce
 from circentropy.corpus import instance_rng, random_circle_poly, random_schur_triple
-from circentropy.polycircle import polar_factor
+from circentropy.polycircle import TAU_EXPAND, polar_factor
 
 TARGET = 1.0 - math.log(2.0)
 
@@ -133,27 +133,34 @@ def test_criterion_04_moment_formula_identity():
     assert elapsed < 60.0
 
 
-def test_criterion_05_moment_vanishing_and_bound():
+def test_criterion_05_moment_identities_and_bound():
+    # M_n, M_{n+1}, ... vanish by construction (r_0 = 0), so the series
+    # identity r q = q* is checked in their place.  M_1 = Gamma exactly
+    # (Parseval), so k = 1 is an identity; the bound |M_k| <= Gamma
+    # applies for k >= 2.
     start = time.perf_counter()
-    worst_vanish = 0.0
+    worst_ratio = worst_m1 = 0.0
     min_bound_slack = math.inf
     for n, p in _moment_corpus():
         d = polar_factor(p)
-        seq = ce.moments(d, extra=6)
-        m0 = float(seq.values[0].real)
-        if seq.over_range.size:
-            worst_vanish = max(worst_vanish,
-                               float(np.max(np.abs(seq.over_range))) / m0)
+        seq = ce.moments(d)
+        worst_ratio = max(worst_ratio, seq.ratio_series_residual)
         if n >= 2:
             gamma = ce.gamma_remainder(p)
-            slack = gamma + 1e-9 - float(np.max(np.abs(seq.values[1:])))
+            norm = ce.parseval_norm(p)
+            worst_m1 = max(worst_m1, abs(seq.values[1] - gamma) / norm)
+        if n >= 3:
+            slack = gamma + 1e-9 - float(np.max(np.abs(seq.values[2:])))
             min_bound_slack = min(min_bound_slack, slack)
     elapsed = time.perf_counter() - start
-    ok = worst_vanish < 1e-8 and min_bound_slack >= 0.0
-    _report(5, "moment-vanishing-and-bound", ok,
-            f"vanish {worst_vanish:.2e}, bound slack {min_bound_slack:.2e}",
+    ok = (worst_ratio <= TAU_EXPAND and worst_m1 <= 1e-9
+          and min_bound_slack >= 0.0)
+    _report(5, "ratio-series-identity-and-bound", ok,
+            f"r q - q* {worst_ratio:.2e}, M1 - Gamma {worst_m1:.2e}, "
+            f"bound slack {min_bound_slack:.2e}",
             elapsed, 60)
-    assert worst_vanish < 1e-8
+    assert worst_ratio <= TAU_EXPAND
+    assert worst_m1 <= 1e-9
     assert min_bound_slack >= 0.0
 
 

@@ -1,78 +1,88 @@
-"""Tests for the ratio series, the moment sequence, and the Schur contraction."""
+"""Tests for series division, the ratio series, the moment sequence, and the
+Schur contraction."""
 
 import numpy as np
 import pytest
 
 import circentropy as ce
 from circentropy.blaschke_moments import moments_by_quadrature, series_divide
+from circentropy.cli import _suite_instance_row
 from circentropy.corpus import (
     instance_rng,
     random_binomial,
     random_circle_poly,
     random_schur_triple,
 )
-from circentropy.polycircle import polar_factor
+from circentropy.polycircle import TAU_EXPAND, polar_factor
 
 
-def test_series_inverse_examples():
-    assert np.allclose(ce.series_inverse([1.0, -1.0], 3), [1, 1, 1, 1])
-    assert np.allclose(ce.series_inverse([-1j], 2), [1j, 0, 0])
+def test_series_divide_examples():
+    assert np.allclose(series_divide(1.0, [1.0, -1.0], 3), [1, 1, 1, 1])
+    assert np.allclose(series_divide(1.0, [-1j], 2), [1j, 0, 0])
     with pytest.raises(ce.ZeroConstantTerm):
-        ce.series_inverse([0.0, 1.0], 2)
-
-
-def test_series_inverse_convolution_identity():
-    rng = instance_rng(20)
-    for deg in (1, 4, 9):
-        q = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        q[0] += 3.0  # keep the constant term well away from zero
-        inv = ce.series_inverse(q, 25)
-        conv = np.convolve(q, inv)[:26]
-        expected = np.zeros(26)
-        expected[0] = 1.0
-        assert np.max(np.abs(conv - expected)) < 1e-11
+        series_divide(1.0, [0.0, 1.0], 2)
 
 
 def test_series_divide_matches_inverse_route():
     rng = instance_rng(21)
-    num = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    den = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    den[0] += 2.0
-    direct = series_divide(num, den, 20)
-    via_inverse = ce.series_multiply(num, ce.series_inverse(den, 20), 20)
-    assert np.max(np.abs(direct - via_inverse)) < 1e-11
+    for deg in (1, 4, 9):
+        num = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        den = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        den[0] += 3.0  # keep the constant term well away from zero
+        direct = series_divide(num, den, 20)
+        # the quotient times den gives num back through the order
+        target = np.zeros(21, dtype=complex)
+        target[: num.size] = num
+        assert np.max(np.abs(ce.series_multiply(direct, den, 20) - target)) < 1e-11
+        # and num/den is num times 1/den
+        via_inverse = ce.series_multiply(num, series_divide(1.0, den, 20), 20)
+        assert np.max(np.abs(direct - via_inverse)) < 1e-11
 
 
-def test_blaschke_quotient_examples():
+def _ratio_series(d, order):
+    # r = q*/q = 1/h - 1; h_series runs through degree n, so r is exact
+    # through degree n, and the moments take it through n - 1.
+    r = series_divide(1.0, d.parent.h_series, order)
+    r[0] = 0.0
+    return r
+
+
+def test_ratio_series_examples():
     n = 5
     p = ce.from_angles((np.pi + 2 * np.pi * np.arange(n)) / n)  # 1 + z^5
-    r = ce.blaschke_quotient(ce.polar_factor(p))
-    expected = np.zeros(r.coefficients.size)
-    expected[n] = 1.0
-    assert np.max(np.abs(r.coefficients - expected)) < 1e-12
+    r = _ratio_series(ce.polar_factor(p), n)
+    assert np.max(np.abs(r - [0, 0, 0, 0, 0, 1.0])) < 1e-12
 
-    r = ce.blaschke_quotient(ce.polar_factor(ce.from_roots([1, -1], 1j)))
-    expected = np.zeros(r.coefficients.size, dtype=complex)
-    expected[2] = -1.0
-    assert np.max(np.abs(r.coefficients - expected)) < 1e-12
+    r = _ratio_series(ce.polar_factor(ce.from_roots([1, -1], 1j)), 2)
+    assert np.max(np.abs(r - [0, 0, -1.0])) < 1e-12
 
     # common factor cancels: qstar/q = z(z-1)(-1)/(1-z) = -z
-    r = ce.blaschke_quotient(ce.polar_factor(ce.from_roots([1.0, 1.0])))
-    expected = np.zeros(r.coefficients.size, dtype=complex)
-    expected[1] = -1.0
-    assert np.max(np.abs(r.coefficients - expected)) < 1e-12
+    r = _ratio_series(ce.polar_factor(ce.from_roots([1.0, 1.0])), 2)
+    assert np.max(np.abs(r - [0, -1.0, 0])) < 1e-12
 
 
 def test_ratio_series_defining_property():
     for n in (3, 8, 14):
         d = polar_factor(random_circle_poly(n, instance_rng(22, n)))
-        r = ce.blaschke_quotient(d)
-        prod = ce.series_multiply(r.coefficients, d.q, r.order)
-        target = np.zeros(r.order + 1, dtype=complex)
-        target[: d.qstar.size] = d.qstar
+        r = _ratio_series(d, n - 1)
+        prod = ce.series_multiply(r, d.q, n - 1)
         scale = np.max(np.abs(d.q))
-        assert abs(r.coefficients[0]) == 0.0
-        assert np.max(np.abs(prod - target)) < 1e-11 * scale
+        assert r[0] == 0.0
+        assert np.max(np.abs(prod - d.qstar[:n])) < 1e-11 * scale
+        seq = ce.moments(d)
+        assert seq.ratio_series_residual < 1e-13
+
+
+def test_ratio_series_residual_detects_roots_that_disagree():
+    # The residual compares r, built from the stored roots, with q and q*,
+    # built from the coefficients; roots of another polynomial of the same
+    # degree must show.
+    p = random_circle_poly(6, instance_rng(29, 6))
+    other = random_circle_poly(6, instance_rng(29, 6, 1))
+    bad = ce.CirclePoly(6, p.coefficients.copy(), other.roots.copy(), p.leading)
+    assert ce.moments(polar_factor(p)).ratio_series_residual < 1e-13
+    assert ce.moments(polar_factor(bad)).ratio_series_residual > TAU_EXPAND
+    assert _suite_instance_row(6, 0, bad, 1e-9)[3] == "violation:ratio_series"
 
 
 def test_moments_frozen_examples():
@@ -92,20 +102,34 @@ def test_moments_frozen_examples():
 
 
 def test_moment_consistency_vanishing_and_bound():
+    # M_1 = Gamma exactly (Parseval); the bound |M_k| <= Gamma has room
+    # only for k >= 2.  M_n, M_{n+1}, ... vanish by construction (r_0 = 0),
+    # so the series identity r q = q* is checked in their place.
     for n in range(2, 21, 3):
         for i in range(10):
             p = random_circle_poly(n, instance_rng(23, n, i), unit_norm=True)
             d = polar_factor(p)
             seq = ce.moments(d)
-            m0 = float(seq.values[0].real)
             assert abs(seq.values[0] - ce.parseval_norm(d.q)) < 1e-10
             gamma = ce.gamma_remainder(p)
             assert abs(seq.values[1] - gamma) < 1e-10
             assert abs(seq.values[1].imag) < 1e-12
             if d.simple_zeros:
-                # vanishing beyond the degree, bound below it
-                assert np.max(np.abs(seq.over_range)) < 1e-8 * m0
-                assert np.all(np.abs(seq.values[1:]) <= gamma + 1e-9)
+                assert seq.ratio_series_residual <= TAU_EXPAND
+                assert abs(seq.values[1] - gamma) <= 1e-9 * ce.parseval_norm(p)
+                assert np.all(np.abs(seq.values[2:]) <= gamma + 1e-9)
+
+
+def test_moments_keep_their_digits_where_zeros_cluster():
+    # Zeros cluster on this instance: a division of q* by q loses about
+    # 1e-9 of N here, the division by h keeps every identity near rounding.
+    p = random_circle_poly(128, instance_rng(503, 128, 3), unit_norm=True)
+    seq = ce.moments(polar_factor(p))
+    norm = ce.parseval_norm(p)
+    assert abs(norm - ce.norm_via_moments(seq)) <= 1e-13 * norm
+    assert abs(seq.values[1] - ce.gamma_remainder(p)) <= 1e-13 * norm
+    polar = ce.ratio_functional(p).value
+    assert abs(polar - ce.polar_term_via_moments(seq)) <= 1e-13 * norm
 
 
 def test_moments_match_quadrature():
@@ -117,21 +141,6 @@ def test_moments_match_quadrature():
             seq = ce.moments(d)
             quad = moments_by_quadrature(d, n)
             assert np.max(np.abs(seq.values - quad)) < 1e-8
-
-
-def _moments_reference(d, extra=6):
-    # r expanded through 4n + 8, far past the n - 1 the products read.
-    n = d.degree
-    r = ce.blaschke_quotient(d, 4 * n + 8).coefficients
-    q = np.zeros(n, dtype=complex)
-    q[: d.q.size] = d.q
-    vals = np.zeros(n + extra, dtype=complex)
-    f = q.copy()
-    vals[0] = np.vdot(q, f)
-    for k in range(1, n + extra):
-        f = ce.series_multiply(r, f, n - 1)
-        vals[k] = np.vdot(q, f)
-    return vals[:n], vals[n:]
 
 
 def _ratio_functional_reference(p):
@@ -159,25 +168,13 @@ def _oracle_instances():
     yield ce.from_angles(angles)
 
 
-def test_moments_and_ratio_functional_match_reference_bit_for_bit():
+def test_ratio_functional_matches_reference_bit_for_bit():
     for p in _oracle_instances():
         p = ce.normalize_self_inversive(p).normalized
-        d = polar_factor(p)
-        n = p.degree
-        extra = 6 + n % 4
-        seq = ce.moments(d, extra=extra)
-        values, over_range = _moments_reference(d, extra)
-        assert seq.truncation_order == n - 1
-        assert seq.values.tobytes() == values.tobytes(), n
-        assert seq.over_range.tobytes() == over_range.tobytes(), n
-        # r_0 = 0 exactly, so r^k q truncated at degree n - 1 is exactly 0
-        # for k >= n.
-        assert not seq.over_range.any()
-
         rf = ce.ratio_functional(p)
         want = _ratio_functional_reference(p)
         got = (rf.value, rf.entropy_integral, rf.jensen_integral)
-        assert [v.hex() for v in got] == [v.hex() for v in want], n
+        assert [v.hex() for v in got] == [v.hex() for v in want], p.degree
 
 
 def test_moments_json_metadata():
@@ -186,7 +183,7 @@ def test_moments_json_metadata():
     assert doc["degree"] == 4
     assert doc["simple_zeros"] is True
     assert len(doc["moments"]) == 4
-    assert len(doc["over_range"]) == 6
+    assert 0.0 <= doc["ratio_series_residual"] < 1e-13
 
 
 def test_schur_contraction_monomial_example():

@@ -106,6 +106,8 @@ def test_suite_deterministic_and_green(capsys, tmp_path):
     assert summary["min_gaps"]["main"] > -1e-9
     csv_text = base1.with_suffix(".csv").read_text()
     assert csv_text.splitlines()[0].startswith("n,index,norm")
+    assert ",ratio_series_resid," in csv_text.splitlines()[0]
+    assert summary["max_residuals"]["ratio_series"] < 1e-13
     assert len(csv_text.splitlines()) == 61
 
 
@@ -182,6 +184,10 @@ def test_moments_command(capsys):
     assert code == 0
     assert doc["degree"] == 2
     assert abs(doc["moments"][0][0] - 1.0) < 1e-12
+    assert len(doc["moments"]) == 2
+    assert 0.0 <= doc["ratio_series_residual"] < 1e-13
+    with pytest.raises(SystemExit):  # moments takes no --extra
+        main(["moments", "--angles", "[0.0, 3.0]", "--extra", "6"])
 
 
 def test_telescoping_command(capsys):
