@@ -23,6 +23,18 @@ def test_series_divide_examples():
         series_divide(1.0, [0.0, 1.0], 2)
 
 
+def test_series_inverse_convolution_identity():
+    rng = instance_rng(20)
+    for deg in (1, 4, 9):
+        q = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        q[0] += 3.0  # keep the constant term well away from zero
+        inv = series_divide(1.0, q, 25)
+        conv = np.convolve(q, inv)[:26]
+        expected = np.zeros(26)
+        expected[0] = 1.0
+        assert np.max(np.abs(conv - expected)) < 1e-11
+
+
 def test_series_divide_matches_inverse_route():
     rng = instance_rng(21)
     for deg in (1, 4, 9):
