@@ -202,11 +202,13 @@ def _suite_instance_row(n: int, i: int, p: CirclePoly, tol: float):
     rep, seq = _verify_with_moments(p, gap_tol=tol)
     ratio_resid = seq.ratio_series_residual
     # M_1 = Gamma exactly (Parseval), so k = 1 is checked as an identity;
-    # the bound |M_k| <= Gamma has room to spare only for k >= 2.
-    if seq.values.size > 2:
+    # the bound |M_k| <= Gamma has room to spare only for k >= 2, and for
+    # n <= 2 there is no such k: the column stays blank.
+    has_bound = seq.values.size > 2
+    if has_bound:
         bound_slack = float((rep.gamma + 1e-9 - np.abs(seq.values[2:])).min())
     else:
-        bound_slack = 0.0
+        bound_slack = ""
     status = "ok"
     mp_resid = mn_resid = ""
     if not rep.inequalities_ok:
@@ -220,7 +222,7 @@ def _suite_instance_row(n: int, i: int, p: CirclePoly, tol: float):
             status = "violation:moment_identity"
         if ratio_resid > TAU_EXPAND:
             status = "violation:ratio_series"
-        if bound_slack < 0:
+        if has_bound and bound_slack < 0:
             status = "violation:moment_bound"
     row = [
         n, i, rep.norm, rep.entropy, rep.jensen_term, rep.polar_term,
@@ -261,8 +263,11 @@ def cmd_suite(args) -> int:
             ):
                 min_gaps[key] = min(min_gaps[key], getattr(rep, attr))
             if rep.simple_zeros:
-                max_resid["moment_polar"] = max(max_resid["moment_polar"], resids[0])
-                max_resid["moment_norm"] = max(max_resid["moment_norm"], resids[1])
+                # relative to N, as the checks they summarize are
+                max_resid["moment_polar"] = max(max_resid["moment_polar"],
+                                                resids[0] / rep.norm)
+                max_resid["moment_norm"] = max(max_resid["moment_norm"],
+                                               resids[1] / rep.norm)
                 max_resid["ratio_series"] = max(max_resid["ratio_series"], resids[2])
             rows.append(row)
     summary = {

@@ -50,7 +50,19 @@ _BLOCK = 2048        # integrand nodes per (factors x nodes) log-distance block
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Settings for the adaptive circle quadrature."""
+    """Settings for the adaptive circle quadrature (``circle_quadrature``).
+
+    - ``base_nodes``: trapezoid points at the first level; used only for
+      integrands without singular angles.
+    - ``tolerance``: the accuracy target, times max(1, |scale|).  With
+      singular angles the Gauss-Kronrod error estimates of all pieces must
+      sum to at most it; without, two successive trapezoid levels must
+      agree within it.
+    - ``max_depth``: the most panel doublings of any one piece, or trapezoid
+      levels.
+    - ``window``: the width of the substitution window around each singular
+      angle.
+    """
 
     base_nodes: int = 4096
     tolerance: float = 1e-9
@@ -213,7 +225,39 @@ def log_pair_spectral(A, B, b_roots=None) -> float:
 # Quadrature route
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# QUADPACK qk21 (Piessens et al., 1983): the nonnegative nodes of the
+# 21-point Kronrod rule on [-1, 1], descending, their Kronrod weights, and
+# the weights of the embedded 10-point Gauss rule at the odd-numbered ones.
+# Written out so that scipy need not load.
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208745109347, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651146,
+)
+# The same rules on all 21 nodes in ascending order; Gauss weight 0 where
+# only Kronrod has a node.
+_K21_NODES = np.concatenate((-np.array(_XGK[:-1]), _XGK[::-1]))
+_K21_WEIGHTS = np.concatenate((_WGK[:-1], _WGK[::-1]))
+_G10_WEIGHTS = np.zeros(21)
+_G10_WEIGHTS[1:10:2] = _WG
+_G10_WEIGHTS[19:10:-2] = _WG
+_KG_WEIGHTS = _K21_WEIGHTS - _G10_WEIGHTS
 
 
 def _merge_windows(angles, halfwidth: float):
@@ -263,13 +307,13 @@ def _window_pieces(start: float, end: float, centers, s_cuts):
     return pieces
 
 
-def _gauss_panels(lo, hi, panels):
-    """Gauss-Legendre nodes and weights on ``panels[i]`` equal panels of [lo[i], hi[i]].
+def _kronrod_panels(lo, hi, panels):
+    """Kronrod nodes and half-widths on ``panels[i]`` equal panels of [lo[i], hi[i]].
 
     The panel edges of piece i are those of np.linspace(lo[i], hi[i],
     panels[i] + 1), rounding included: k * ((hi - lo) / panels) + lo, the
-    last edge exactly hi.  Nodes run piece by piece, panel-major; the third
-    result is the piece index of every node.
+    last edge exactly hi.  One row per panel, piece by piece: the 21 nodes
+    and the half-width.
     """
     piece = np.repeat(np.arange(panels.size), panels)
     ends = np.cumsum(panels)
@@ -279,27 +323,34 @@ def _gauss_panels(lo, hi, panels):
     left = k * step + start
     right = (k + 1) * step + start
     right[ends - 1] = hi
-    half = ((hi - lo) / (2.0 * panels))[piece][:, None]
+    half = ((hi - lo) / (2.0 * panels))[piece]
     mids = 0.5 * (left + right)
-    nodes = (mids[:, None] + half * _GL_NODES).ravel()
-    weights = (_GL_WEIGHTS * half).ravel()
-    return nodes, weights, np.repeat(piece, _GL_NODES.size)
+    return mids[:, None] + half[:, None] * _K21_NODES, half
 
 
-def _level_nodes(window_pieces, arc_pieces, level: int):
-    """Gauss-Legendre nodes (in t) and weights for one refinement level.
+def _kronrod_nodes(window_pieces, arc_pieces, levels):
+    """Kronrod nodes (in t) and Jacobian weights of every panel of the pieces.
 
     Window pieces ``(center, sign, s0, s_cut)`` come first, then arc pieces
-    ``(a, b, base panels)``, each in order and panel-major.
+    ``(a, b, base panels)``; ``levels`` holds one doubling count per piece,
+    in the same order.  Window pieces have max(2, ceil((s_cut - s0) / 2.5))
+    base panels in s.  Returns the nodes and the weights dt/dx times the
+    panel half-width, one row of 21 per panel, and the panel count of each
+    piece.
     """
     c, sign, s0, s_cut = np.array(window_pieces, dtype=float).reshape(-1, 4).T
-    panels = np.maximum(2, np.ceil((s_cut - s0) / 2.5).astype(int)) * 2**level
-    s, w, piece = _gauss_panels(s0, s_cut, panels)
-    u = np.exp(-s)
     a, b, p0 = np.array(arc_pieces, dtype=float).reshape(-1, 3).T
-    t, arc_w, _ = _gauss_panels(a, b, p0.astype(int) * 2**level)
+    panels = np.concatenate((np.maximum(2, np.ceil((s_cut - s0) / 2.5).astype(int)),
+                             p0.astype(int))) << levels
+    win_panels = panels[: c.size]
+    s, half = _kronrod_panels(s0, s_cut, win_panels)
+    u = np.exp(-s)
+    piece = np.repeat(np.arange(c.size), win_panels)[:, None]
+    t, arc_half = _kronrod_panels(a, b, panels[c.size:])
     return (np.concatenate((c[piece] + sign[piece] * u, t)),
-            np.concatenate((w * u, arc_w)))
+            np.concatenate((half[:, None] * u,
+                            np.broadcast_to(arc_half[:, None], t.shape))),
+            panels)
 
 
 def circle_quadrature(f, singular_angles=(), config: QuadratureConfig | None = None,
@@ -310,13 +361,21 @@ def circle_quadrature(f, singular_angles=(), config: QuadratureConfig | None = N
     until two successive levels agree within tolerance.  Around each singular
     angle a window of the configured width is cut out and integrated under
     the substitution t = angle +/- e^{-s}, which resolves logarithmic
-    singularities; windows and the complement arcs are refined together by
-    panel doubling.  ``s_cut_of`` optionally shortens the substitution tail:
-    called once with the array of window centers (an angle past 2pi where a
-    window wraps around), it returns one cut per center, and the caller
-    certifies the dropped mass.  Raises
-    ``BudgetExceeded`` when the refinement depth limit is hit before two
-    successive levels agree.
+    singularities; the complement arcs are pieces of their own.  Every
+    piece is cut into equal panels, each integrated by the 21-point
+    Gauss-Kronrod rule (QUADPACK qk21), and |K21 - G10|, its difference from
+    the embedded 10-point Gauss rule, estimates the panel's error.  Each
+    round calls f once, on the panels of the pieces still refining.  The
+    Kronrod sum is returned once the estimates of all pieces sum to at most
+    the tolerance; until then, every piece whose estimate exceeds its share,
+    tolerance / pieces, has its panels doubled.
+
+    ``s_cut_of`` optionally shortens the substitution tail: called once with
+    the array of window centers (an angle past 2pi where a window wraps
+    around), it returns one cut per center, and the caller certifies the
+    dropped mass.  Raises ``BudgetExceeded`` when a piece would need more
+    than ``max_depth`` doublings, or the trapezoid rule more than
+    ``max_depth`` levels.
     """
     cfg = config or DEFAULT_QUADRATURE
     tol = cfg.tolerance * max(1.0, abs(scale))
@@ -369,19 +428,43 @@ def circle_quadrature(f, singular_angles=(), config: QuadratureConfig | None = N
             length = nxt_start - end
             arc_pieces.append((end, nxt_start, max(1, int(math.ceil(length / 0.15)))))
 
-    # The weighted sums are numpy reductions, not np.dot: BLAS ddot rounds
-    # differently with the number of BLAS threads.
-    pts, wts = _level_nodes(window_pieces, arc_pieces, 0)
-    value = float((f(pts) * wts).sum()) / (2 * np.pi)
-    for level in range(1, cfg.max_depth + 1):
-        pts, wts = _level_nodes(window_pieces, arc_pieces, level)
-        refined = float((f(pts) * wts).sum()) / (2 * np.pi)
-        if abs(refined - value) <= tol:
-            return refined
-        value = refined
-    raise BudgetExceeded(
-        f"window refinement did not reach {tol:.2e} within depth {cfg.max_depth}"
-    )
+    return _kronrod_sum(f, window_pieces, arc_pieces, tol, cfg.max_depth)[0]
+
+
+def _kronrod_sum(f, window_pieces, arc_pieces, tol: float, max_depth: int):
+    """The windowed rounds of ``circle_quadrature``: (mean, error estimate).
+
+    Each round evaluates f once, on every panel of the pieces still
+    refining.  The weighted sums are numpy reductions, not np.dot: BLAS
+    ddot rounds differently with the number of BLAS threads.
+    """
+    n_win = len(window_pieces)
+    pieces = n_win + len(arc_pieces)
+    bound = 2 * np.pi * tol  # value and est are integrals over [0, 2pi)
+    levels = np.zeros(pieces, dtype=int)
+    value = np.zeros(pieces)
+    est = np.zeros(pieces)
+    todo = np.arange(pieces)
+    while True:
+        pts, wts, panels = _kronrod_nodes(
+            [window_pieces[i] for i in todo[todo < n_win]],
+            [arc_pieces[i - n_win] for i in todo[todo >= n_win]],
+            levels[todo])
+        g = f(pts.ravel()).reshape(pts.shape) * wts
+        starts = np.cumsum(panels) - panels
+        value[todo] = np.add.reduceat((g * _K21_WEIGHTS).sum(axis=1), starts)
+        est[todo] = np.add.reduceat(np.abs((g * _KG_WEIGHTS).sum(axis=1)), starts)
+        total = est.sum()
+        if total <= bound:
+            return float(value.sum()) / (2 * np.pi), float(total) / (2 * np.pi)
+        todo = np.flatnonzero(est > bound / pieces)
+        if todo.size == 0:  # the sum exceeds the bound only by rounding
+            todo = np.array([np.argmax(est)])
+        levels[todo] += 1
+        if levels[todo].max() > max_depth:
+            raise BudgetExceeded(
+                f"window refinement did not reach {tol:.2e} within depth {max_depth}"
+            )
 
 
 def _log_distance_sum(t: np.ndarray, angles: np.ndarray) -> np.ndarray:

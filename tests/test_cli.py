@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface contracts."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -109,6 +111,16 @@ def test_suite_deterministic_and_green(capsys, tmp_path):
     assert ",ratio_series_resid," in csv_text.splitlines()[0]
     assert summary["max_residuals"]["ratio_series"] < 1e-13
     assert len(csv_text.splitlines()) == 61
+    # The k >= 2 moment bound exists only for n >= 3; below, its slack is
+    # blank, not 0.  The summary's moment residuals are relative to N.
+    rows = list(csv.DictReader(io.StringIO(csv_text)))
+    for row in rows:
+        assert (row["moment_bound_slack_min"] == "") == (int(row["n"]) <= 2)
+    for key in ("moment_polar", "moment_norm"):
+        relative = [float(row[key + "_resid"]) / float(row["norm"])
+                    for row in rows if row[key + "_resid"] != ""]
+        assert summary["max_residuals"][key] == max(relative)
+        assert max(relative) < 1e-12
 
 
 def test_suite_full_degree_range(capsys):

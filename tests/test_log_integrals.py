@@ -13,13 +13,16 @@ import pytest
 import circentropy as ce
 from circentropy import log_integrals
 from circentropy.corpus import instance_rng, random_circle_poly
+from circentropy.entropy import h_fourier, h_fourier_quadrature
 from circentropy.log_integrals import (
-    _GL_NODES,
-    _GL_WEIGHTS,
+    _G10_WEIGHTS,
+    _K21_NODES,
+    _K21_WEIGHTS,
+    _KG_WEIGHTS,
     _LOG_FLOOR,
     _S_CUT,
     MAX_SERIES_DEGREE,
-    _level_nodes,
+    _kronrod_nodes,
     polished_roots,
 )
 from circentropy.polycircle import eval_poly
@@ -217,9 +220,39 @@ def test_finiteness_at_maximal_multiplicity():
         assert math.isfinite(rf.jensen_integral)
 
 
-def _level_nodes_reference(window_pieces, arc_pieces, level):
-    # The original panel-by-panel construction; _level_nodes must reproduce
-    # its bytes.
+def _kronrod_nodes_reference(window_pieces, arc_pieces, levels):
+    # Panel by panel from np.linspace; _kronrod_nodes must reproduce its
+    # bytes.
+    pts = []
+    wts = []
+    counts = []
+    for (c, sign, s0, s_cut), level in zip(window_pieces, levels):
+        panels = max(2, int(math.ceil((s_cut - s0) / 2.5))) * 2**int(level)
+        edges = np.linspace(s0, s_cut, panels + 1)
+        half = (s_cut - s0) / (2.0 * panels)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        u = np.exp(-(mids[:, None] + half * _K21_NODES[None, :]))
+        pts.append(c + sign * u)
+        wts.append(half * u)
+        counts.append(panels)
+    for (a, b, p0), level in zip(arc_pieces, levels[len(window_pieces):]):
+        panels = p0 * 2**int(level)
+        edges = np.linspace(a, b, panels + 1)
+        half = (b - a) / (2.0 * panels)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        pts.append(mids[:, None] + half * _K21_NODES[None, :])
+        wts.append(np.full((panels, _K21_NODES.size), half))
+        counts.append(panels)
+    return np.concatenate(pts), np.concatenate(wts), np.array(counts)
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _gl16_level_nodes(window_pieces, arc_pieces, level):
+    # The uniform 16-point Gauss-Legendre level rule that the Kronrod rounds
+    # replaced, every panel of every piece doubled ``level`` times: the
+    # accuracy reference.
     pts = []
     wts = []
     for c, sign, s0, s_cut in window_pieces:
@@ -314,10 +347,12 @@ def test_quadrature_matches_unblocked_reference_bit_for_bit(monkeypatch):
     for _ in range(40):
         windows, arcs = _random_pieces(rng)
         for level in range(4):
-            pts, wts = _level_nodes(windows, arcs, level)
-            ref_pts, ref_wts = _level_nodes_reference(windows, arcs, level)
-            assert pts.tobytes() == ref_pts.tobytes()
-            assert wts.tobytes() == ref_wts.tobytes()
+            levels = np.full(len(windows) + len(arcs), level)
+            got = _kronrod_nodes(windows, arcs, levels)
+            want = _kronrod_nodes_reference(windows, arcs, levels)
+            for x, y in zip(got, want):
+                assert x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
 
     # Horner on an array, on one point and on a scalar equals the original
     # at every point, wrapped angles included (window centers are evaluated
@@ -344,12 +379,69 @@ def test_quadrature_matches_unblocked_reference_bit_for_bit(monkeypatch):
             _spy_tail_cuts(m, checked)
             got = [ce.log_pair_quadrature(A, B, b_roots=r) for A, B, r in calls]
         with monkeypatch.context() as m:
-            m.setattr(log_integrals, "_level_nodes", _level_nodes_reference)
+            m.setattr(log_integrals, "_kronrod_nodes", _kronrod_nodes_reference)
             m.setattr(log_integrals, "_log_distance_sum", _log_distance_sum_reference)
             m.setattr(log_integrals, "eval_poly", _horner_reference)
             want = [ce.log_pair_quadrature(A, B, b_roots=r) for A, B, r in calls]
         assert [v.hex() for v in got] == [v.hex() for v in want], p.degree
     assert checked["groups"] > 20 and checked["short"] > 0, checked
+
+
+def test_kronrod_quadrature_is_as_accurate_as_it_estimates(monkeypatch):
+    # Against the uniform GL16 rule at level 5 on the same pieces, every
+    # Kronrod value lies within tol, and its error within the K21 - G10
+    # estimate.  The estimate cannot see rounding: on the wrapped cluster's
+    # Jensen term it is 2e-15 while the value (21.8) is 8 ulps off, so the
+    # second check allows 64 eps times the mean of |f|.
+    kronrod_sum = log_integrals._kronrod_sum
+    checked = []
+
+    def kronrod_spy(f, window_pieces, arc_pieces, tol, max_depth):
+        value, estimate = kronrod_sum(f, window_pieces, arc_pieces, tol, max_depth)
+        pts, wts = _gl16_level_nodes(window_pieces, arc_pieces, 5)
+        fv = f(pts)
+        reference = float((fv * wts).sum()) / (2 * np.pi)
+        mass = float((np.abs(fv) * wts).sum()) / (2 * np.pi)
+        err = abs(value - reference)
+        assert err <= tol, (value, reference, tol)
+        assert err <= estimate + 64 * np.finfo(float).eps * mass, (err, estimate)
+        checked.append(err / tol)
+        return value, estimate
+
+    monkeypatch.setattr(log_integrals, "_kronrod_sum", kronrod_spy)
+    for n in (16, 32, 64, 128):
+        p = random_circle_poly(n, instance_rng(38, n), unit_norm=True)
+        a = p.coefficients
+        ce.log_pair_quadrature(a, a, b_roots=p.roots)
+        ce.log_pair_quadrature(a, ce.polar_factor(p).q)
+    # n = 1, the wrapped cluster, repeated roots, the pair 1e-5 apart and
+    # the zero of q 2.5e-7 off the circle
+    for p, a, roots in list(_quadrature_oracle_cases())[:5]:
+        q = ce.polar_factor(ce.normalize_self_inversive(p).normalized).q
+        for B, r in ((a, roots), (q, None), (a, None)):
+            ce.log_pair_quadrature(a, B, b_roots=r)
+    for k in (0, 1, 2, 50):
+        assert abs(h_fourier_quadrature(k) - float(h_fourier(k))) < 1e-9
+    # at n = 1, q is a constant: the trapezoid branch, no windows
+    assert len(checked) == 26, len(checked)
+    # On these cases K21 is far more accurate than the G10 estimate says
+    # (at most 2e-4 tol); returning the G10 value would not be.
+    assert max(checked) < 1e-2, max(checked)
+
+
+def test_kronrod_table_is_qk21():
+    # K21 integrates x^d exactly through d = 31, the embedded G10 through 19,
+    # and the G10 nodes and weights are numpy's Gauss-Legendre ones.
+    x = _K21_NODES
+    for d in range(32):
+        exact = 0.0 if d % 2 else 2.0 / (d + 1)
+        assert abs((_K21_WEIGHTS * x**d).sum() - exact) < 1e-15, d
+        if d < 20:
+            assert abs((_G10_WEIGHTS * x**d).sum() - exact) < 1e-15, d
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(10)
+    assert np.abs(x[_G10_WEIGHTS > 0] - gauss_x).max() < 1e-15
+    assert np.abs(_G10_WEIGHTS[_G10_WEIGHTS > 0] - gauss_w).max() < 1e-15
+    assert np.array_equal(_KG_WEIGHTS, _K21_WEIGHTS - _G10_WEIGHTS)
 
 
 def test_entropy_quadrature_memory_is_blocked():

@@ -1,11 +1,15 @@
 """Property tests (hypothesis) of the quadrature and spectral routes and the
 moments."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import circentropy as ce
+from circentropy.polycircle import TAU_UNIMOD
 
 
 @settings(deadline=None, max_examples=20, derandomize=True)
@@ -55,3 +59,59 @@ def test_moment_identities_hold_at_higher_degree(n, seed, gap):
     seq = ce.moments(ce.polar_factor(p))
     assert abs(seq.values[1] - ce.gamma_remainder(p)) <= 1e-12 * ce.parseval_norm(p)
     assert seq.ratio_series_residual <= 1e-12
+
+
+@settings(deadline=None, max_examples=25, derandomize=True)
+@given(n=st.integers(3, 24), seed=st.integers(0, 2**32 - 1),
+       multiplicity=st.sampled_from([2, 3]))
+def test_x_log_x_is_zero_at_coalescence(n, seed, multiplicity):
+    # At an exact double or triple zero p and q vanish together, and the
+    # quadrature integrand takes x log x = 0 there; the spectral pairing
+    # never forms a pointwise log, so the routes must still agree.
+    angles = np.random.default_rng(seed).uniform(0, 2 * np.pi, n)
+    angles[1:multiplicity] = angles[0]
+    p = ce.normalize_self_inversive(ce.from_angles(angles)).normalized
+    a = p.coefficients
+    rf = ce.ratio_functional(p)
+    norm = ce.parseval_norm(p)
+    entropy = ce.log_pair_quadrature(a, a, b_roots=p.roots)
+    jensen = ce.log_pair_quadrature(a, ce.polar_factor(p).q)
+    assert abs(entropy - rf.entropy_integral) <= 1e-7 * norm
+    assert abs(jensen - rf.jensen_integral) <= 1e-7 * norm
+
+
+@settings(deadline=None, max_examples=25, derandomize=True)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       log_modulus=st.floats(-7.0, 7.0), phase=st.floats(0.0, 2 * np.pi))
+def test_normalized_entropy_is_invariant_under_scaling(n, seed, log_modulus, phase):
+    # E(cp) = |c|^2 (E(p) + N(p) log|c|^2) and N(cp) = |c|^2 N(p), so
+    # E/N - log N does not move.
+    angles = np.random.default_rng(seed).uniform(0, 2 * np.pi, n)
+    p = ce.from_angles(angles)
+    c = np.exp(log_modulus + 1j * phase)
+
+    def normalized(poly):
+        rep = ce.verify_main(poly)
+        return rep.entropy / rep.norm - np.log(rep.norm)
+
+    base = normalized(p)
+    assert abs(normalized(p.scaled(c)) - base) <= 1e-12 * max(1.0, abs(base))
+
+
+@settings(deadline=None, max_examples=25, derandomize=True)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       log_excess=st.floats(math.log10(TAU_UNIMOD) + 0.01, math.log10(0.5)),
+       outside=st.booleans())
+def test_off_circle_input_is_rejected(n, seed, log_excess, outside):
+    # One root off the circle by more than TAU_UNIMOD is refused, inside
+    # or outside; by half of it, the root is projected and accepted.
+    rng = np.random.default_rng(seed)
+    roots = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    sign = 1.0 if outside else -1.0
+    off = roots.copy()
+    off[-1] *= 1.0 + sign * 10.0**log_excess
+    with pytest.raises(ce.NonUnimodularRoot):
+        ce.from_roots(off)
+    near = roots.copy()
+    near[-1] *= 1.0 + sign * 0.5 * TAU_UNIMOD
+    assert np.all(np.abs(np.abs(ce.from_roots(near).roots) - 1.0) <= 1e-15)
