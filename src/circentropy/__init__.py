@@ -54,6 +54,7 @@ from .extremal import (
     coalescence_experiment,
     minimize,
     objective,
+    objective_and_gradient,
 )
 from .log_integrals import (
     QuadratureConfig,

@@ -18,7 +18,27 @@ from .polycircle import (
     gamma_remainder,
     perturb_roots,
     polar_factor,
+    root_clusters,
 )
+
+# The search's tolerances: a descent endpoint counts as converged when its
+# gradient max-norm is at most GRAD_TOL, and zeros within CLUSTER_TOL
+# (chordal) of each other form one multiple zero.
+GRAD_TOL = 1e-6
+CLUSTER_TOL = 1e-6
+MAX_SPLITS = 3   # cluster-splitting re-descents per start
+
+
+def _objective_terms(angles):
+    """The objective with the roots, coefficients, N(p) and E(p) behind it."""
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    n = angles.size
+    roots = np.exp(1j * angles)
+    coeffs = expand_from_roots(roots, 1.0)
+    norm = float((np.abs(coeffs) ** 2).sum())
+    cm = np.array([np.vdot(coeffs[: n + 1 - k], coeffs[k:]) for k in range(1, n + 1)])
+    entropy = _circle_root_pairing(roots, cm)
+    return entropy / norm - math.log(norm), roots, coeffs, norm, entropy
 
 
 def objective(angles) -> float:
@@ -30,14 +50,50 @@ def objective(angles) -> float:
     1 - log 2.  Evaluated by the spectral route directly from the angles, so
     it stays well defined when angles collide.
     """
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    n = angles.size
-    roots = np.exp(1j * angles)
-    coeffs = expand_from_roots(roots, 1.0)
-    norm = float((np.abs(coeffs) ** 2).sum())
-    cm = np.array([np.vdot(coeffs[: n + 1 - k], coeffs[k:]) for k in range(1, n + 1)])
-    entropy = _circle_root_pairing(roots, cm)
-    return entropy / norm - math.log(norm)
+    return _objective_terms(angles)[0]
+
+
+def objective_and_gradient(angles) -> tuple[float, np.ndarray]:
+    """``objective(angles)``, bit for bit, and its exact angle gradient.
+
+    Moving one zero moves p by dp/dtheta_j = w_j = -i tau_j p/(z - tau_j),
+    a polynomial of degree n - 1 whose coefficients come from synthetic
+    division.  Then dN_j = 2 Re sum_k conj(a_k) w_{j,k}, and since
+    d(x log x) = (log x + 1) dx,
+
+        dE_j = 2 Re sum_{|m| <= n} c_{j,m} lambda_{-m} + dN_j,
+
+    with c_{j,m} = sum_k conj(a_k) w_{j,k+m} the cross-correlation of p
+    and w_j, and lambda_m = -(1/m) sum_k conj(tau_k)^m (m > 0),
+    lambda_{-m} = conj(lambda_m), lambda_0 = 0 the Fourier coefficients of
+    log|p|^2.  The pairing ends at |m| = n because conj(p) w_j is a
+    trigonometric polynomial of that degree, so the gradient is exact, and
+    finite, where zeros collide.  It is summed over the index of w:
+    sum_m c_{j,m} lambda_{-m} = sum_l w_{j,l} g_l with
+    g_l = sum_k conj(a_k) lambda_{k-l}, one vector for every j.  Finally
+    dF = dE/N - (E/N^2 + 1/N) dN.  Sums are elementwise, not BLAS, so the
+    bits do not depend on the BLAS thread count.
+    """
+    value, roots, coeffs, norm, entropy = _objective_terms(angles)
+    n = roots.size
+    # Row j: the coefficients of p/(z - tau_j), lowest degree first, filled
+    # from the top by synthetic division.
+    quot = np.empty((n, n), dtype=complex)
+    quot[:, n - 1] = coeffs[n]
+    for k in range(n - 1, 0, -1):
+        quot[:, k - 1] = coeffs[k] + roots * quot[:, k]
+    m = np.arange(1, n + 1)
+    lam = -(np.conj(roots)[:, None] ** m[None, :]).sum(axis=0) / m
+    # lambda_{-n} .. lambda_n, so that lam_full[n + k - l] = lambda_{k-l}.
+    lam_full = np.concatenate([np.conj(lam[::-1]), [0.0], lam])
+    conj_a = np.conj(coeffs)
+    pairs = lam_full[np.arange(n, 0, -1)[:, None] + np.arange(n + 1)]
+    g = (pairs * conj_a).sum(axis=1)
+    rot = -1j * roots
+    d_norm = 2.0 * (rot * (quot * conj_a[:n]).sum(axis=1)).real
+    d_entropy = 2.0 * (rot * (quot * g).sum(axis=1)).real + d_norm
+    grad = d_entropy / norm - (entropy / norm**2 + 1.0 / norm) * d_norm
+    return value, grad
 
 
 @dataclass(frozen=True)
@@ -96,31 +152,61 @@ def _starts(n: int, restarts: int, rng) -> list[np.ndarray]:
     return out
 
 
-def minimize(n: int, restarts: int = 8, seed: int = 0,
-             max_evals: int = 10000) -> ExtremalResult:
-    """Derivative-free search for the entropy minimum at degree n.
+def _multiplicities(angles) -> list[int]:
+    """Multiplicity pattern of the zeros at the angles, largest first."""
+    clusters = root_clusters(np.exp(1j * angles), CLUSTER_TOL)
+    return sorted((mult for _, mult in clusters), reverse=True)
 
-    Runs Nelder-Mead polytope descent on the n-1 free angles (the first
-    angle is gauge-fixed at 0) from low-discrepancy and uniform random
-    starts, deterministic under the seed, followed by a polish pass from the
-    best point.  The result records the running minimum of every objective
-    evaluation, which live-checks the lower bound across the whole search
-    trajectory.
+
+def _split_clusters(angles) -> np.ndarray | None:
+    """Gauge-fixed simple angles from a configuration with a multiple zero.
+
+    Keeps one zero per cluster (at its center) and moves each extra zero to
+    the midpoint of the then largest gap, so the re-descent starts away from
+    the coalescence stratum.  Returns the n angles sorted with the first at
+    0, or None when every zero is simple.
+    """
+    clusters = root_clusters(np.exp(1j * angles), CLUSTER_TOL)
+    if len(clusters) == angles.size:
+        return None
+    pts = np.sort(np.mod([np.angle(center) for center, _ in clusters], 2 * np.pi))
+    for _ in range(angles.size - len(clusters)):
+        gaps = np.diff(np.append(pts, pts[0] + 2 * np.pi))
+        k = int(np.argmax(gaps))
+        pts = np.sort(np.mod(np.append(pts, pts[k] + gaps[k] / 2), 2 * np.pi))
+    return pts - pts[0]
+
+
+def minimize(n: int, restarts: int = 8, seed: int = 0) -> ExtremalResult:
+    """Gradient search for the entropy minimum at degree n.
+
+    Runs BFGS on the n-1 free angles (the first angle is gauge-fixed at 0)
+    with the exact gradient of ``objective_and_gradient``, from
+    low-discrepancy and uniform random starts, deterministic under the seed.
+    When a descent ends with a multiple zero, the cluster is split
+    (``_split_clusters``) and the start descends again, at most
+    ``MAX_SPLITS`` times.  The result is the best endpoint of all descents;
+    it is ``converged`` when its gradient max-norm is at most ``GRAD_TOL``.
+    The result records the running minimum of every objective value the
+    search computed, line-search points included, which live-checks the
+    lower bound across the whole search trajectory.  Each start leaves one
+    trace entry: its final endpoint's value and gradient max-norm, the
+    evaluations it used, its splits, and the multiplicity pattern of its
+    first endpoint.
     """
     if n < 1 or restarts < 1:
         raise ValueError("need n >= 1 and restarts >= 1")
     state = {"count": 0, "min_seen": math.inf}
 
-    def tracked(x) -> float:
-        val = objective(np.concatenate([[0.0], np.atleast_1d(x)]))
+    def tracked(x):
+        val, grad = objective_and_gradient(np.concatenate([[0.0], x]))
         state["count"] += 1
         if val < state["min_seen"]:
             state["min_seen"] = val
-        return val
+        return val, grad[1:]
 
     if n == 1:
-        val = objective([0.0])
-        state["min_seen"] = min(state["min_seen"], val)
+        val, _ = objective_and_gradient([0.0])
         return ExtremalResult(
             n=1,
             angles=np.zeros(1),
@@ -130,7 +216,7 @@ def minimize(n: int, restarts: int = 8, seed: int = 0,
             converged=True,
             restarts=0,
             evaluations=1,
-            min_objective_seen=state["min_seen"],
+            min_objective_seen=val,
             trace=[],
         )
 
@@ -139,22 +225,30 @@ def minimize(n: int, restarts: int = 8, seed: int = 0,
     from scipy.optimize import minimize as scipy_minimize
 
     rng = np.random.default_rng(seed)
-    options = dict(xatol=1e-9, fatol=1e-12, maxfev=max_evals, maxiter=max_evals)
     best = None
     trace = []
     for k, x0 in enumerate(_starts(n, restarts, rng)):
-        res = scipy_minimize(tracked, x0, method="Nelder-Mead", options=options)
+        before = state["count"]
+        x, splits, pattern = x0, 0, None
+        while True:
+            res = scipy_minimize(tracked, x, jac=True, method="BFGS",
+                                 options={"gtol": 1e-9})
+            if best is None or res.fun < best.fun:
+                best = res
+            endpoint = np.concatenate([[0.0], res.x])
+            if pattern is None:
+                pattern = _multiplicities(endpoint)
+            split = _split_clusters(endpoint) if splits < MAX_SPLITS else None
+            if split is None:
+                break
+            x, splits = split[1:], splits + 1
+        grad_norm = float(np.abs(res.jac).max())
         trace.append(
-            {"restart": k, "fun": float(res.fun), "nfev": int(res.nfev),
-             "converged": bool(res.success)}
+            {"restart": k, "fun": float(res.fun), "grad_norm": grad_norm,
+             "converged": grad_norm <= GRAD_TOL,
+             "evaluations": state["count"] - before, "splits": splits,
+             "pattern": pattern}
         )
-        if best is None or res.fun < best.fun:
-            best = res
-    # Nelder-Mead can stagnate with a degenerate simplex; one restart from
-    # the incumbent reliably polishes the last digits.
-    polish = scipy_minimize(tracked, best.x, method="Nelder-Mead", options=options)
-    if polish.fun < best.fun:
-        best = polish
     angles = np.mod(np.concatenate([[0.0], best.x]), 2 * np.pi)
     achieved = float(best.fun)
     return ExtremalResult(
@@ -163,7 +257,7 @@ def minimize(n: int, restarts: int = 8, seed: int = 0,
         achieved=achieved,
         gap=achieved - (1.0 - math.log(2.0)),
         angle_gap_deviation=angle_gap_deviation(angles),
-        converged=any(entry["converged"] for entry in trace),
+        converged=float(np.abs(best.jac).max()) <= GRAD_TOL,
         restarts=restarts,
         evaluations=state["count"],
         min_objective_seen=state["min_seen"],

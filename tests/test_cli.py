@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import circentropy
+from circentropy import extremal
 from circentropy.cli import main, parse_schedule
 
 
@@ -160,8 +161,22 @@ def test_search_command(capsys):
                         "--seed", "0")
     doc = json.loads(out)
     assert code == 0
+    assert doc["converged"] is True
     assert doc["gap"] < 1e-6
     assert doc["angle_gap_deviation"] < 1e-4
+
+
+def test_search_exit_code_follows_converged(capsys, monkeypatch):
+    # No gradient max-norm is below a negative tolerance, so no endpoint
+    # converges, and search exits 1 with the payload still written.
+    monkeypatch.setattr(extremal, "GRAD_TOL", -1.0)
+    code, out = run_cli(capsys, "search", "--n", "4", "--restarts", "2",
+                        "--seed", "0")
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["converged"] is False
+    assert not any(entry["converged"] for entry in doc["trace"])
+    assert doc["gap"] < 1e-6
 
 
 def test_coalesce_command(capsys):

@@ -6,8 +6,31 @@ import numpy as np
 import pytest
 
 import circentropy as ce
+from circentropy import extremal
 from circentropy.corpus import instance_rng, random_circle_poly
-from circentropy.extremal import angle_gap_deviation
+from circentropy.extremal import (
+    _split_clusters,
+    angle_gap_deviation,
+    objective_and_gradient,
+)
+from circentropy.polycircle import root_clusters
+
+TARGET = 1.0 - math.log(2.0)
+
+
+def _collided_angle_sets(n, rng):
+    """Random angles, and the same with an exact double and triple zero."""
+    angles = rng.uniform(0, 2 * np.pi, n)
+    out = [angles]
+    if n >= 2:
+        double = angles.copy()
+        double[1] = double[0]
+        out.append(double)
+    if n >= 3:
+        triple = angles.copy()
+        triple[1] = triple[2] = triple[0]
+        out.append(triple)
+    return out
 
 
 def test_objective_equally_spaced_is_extremal():
@@ -48,6 +71,106 @@ def test_objective_agrees_with_ratio_functional():
     rf = ce.ratio_functional(p)
     norm = ce.parseval_norm(p)
     assert abs(ce.objective(angles) - (rf.entropy_integral / norm - math.log(norm))) < 1e-11
+
+
+def test_gradient_matches_central_differences():
+    rng = instance_rng(53)
+    h = 1e-6
+    for n in range(2, 13):
+        for angles in _collided_angle_sets(n, rng):
+            _, grad = objective_and_gradient(angles)
+            fd = np.empty(n)
+            for j in range(n):
+                step = np.zeros(n)
+                step[j] = h
+                fd[j] = (ce.objective(angles + step) - ce.objective(angles - step)) / (2 * h)
+            # Where every zero coalesces (n = 2 double, n = 3 triple) the
+            # gradient vanishes by rotation invariance; the floor covers the
+            # rounding of the differences there.
+            scale = np.abs(grad).max()
+            assert np.abs(fd - grad).max() <= 1e-6 * scale + 1e-9, (n, angles)
+
+
+def test_objective_and_gradient_value_is_objective_bit_for_bit():
+    rng = instance_rng(54)
+    for n in (1, 2, 5, 8, 12):
+        for angles in _collided_angle_sets(n, rng):
+            value, grad = objective_and_gradient(angles)
+            assert value == ce.objective(angles)
+            assert grad.shape == (n,)
+    assert objective_and_gradient([0.7, 0.7])[0] == ce.objective([0.7, 0.7])
+
+
+def test_split_clusters_separates_a_double_zero():
+    angles = np.array([0.5, 1.0, 1.0, 2.5, 4.0])
+    split = _split_clusters(angles)
+    assert len(root_clusters(np.exp(1j * split), extremal.CLUSTER_TOL)) == 5
+    # The extra zero goes to the midpoint of the largest gap, 4.0 -> 0.5 + 2 pi,
+    # and the rotation by -0.5 fixes the gauge: the first angle is exactly 0.
+    mid = (4.0 + 0.5 + 2 * np.pi) / 2
+    assert split[0] == 0.0
+    assert np.allclose(split, np.array([0.5, 1.0, 2.5, 4.0, mid]) - 0.5, atol=1e-15)
+
+
+def test_split_clusters_leaves_simple_zeros_alone():
+    assert _split_clusters(np.array([0.0, 1.0, 2.0, 4.0])) is None
+    assert _split_clusters(np.array([0.3])) is None
+
+
+def test_min_objective_seen_is_the_minimum_of_every_value(monkeypatch):
+    seen = []
+    real = extremal.objective_and_gradient
+
+    def spy(angles):
+        value, grad = real(angles)
+        seen.append(value)
+        return value, grad
+
+    monkeypatch.setattr(extremal, "objective_and_gradient", spy)
+    res = ce.minimize(6, restarts=4, seed=11)
+    assert res.evaluations == len(seen)
+    assert res.min_objective_seen == min(seen)
+    assert sum(entry["evaluations"] for entry in res.trace) == len(seen)
+
+
+def test_minimize_trace_census():
+    res = ce.minimize(8, restarts=6, seed=2)
+    assert res.converged and res.gap < 1e-6
+    assert res.restarts == len(res.trace) == 6
+    for k, entry in enumerate(res.trace):
+        assert set(entry) == {"restart", "fun", "grad_norm", "converged",
+                              "evaluations", "splits", "pattern"}
+        assert entry["restart"] == k
+        assert entry["converged"] == (entry["grad_norm"] <= extremal.GRAD_TOL)
+        assert 0 <= entry["splits"] <= extremal.MAX_SPLITS
+        assert sum(entry["pattern"]) == 8
+        assert entry["pattern"] == sorted(entry["pattern"], reverse=True)
+        assert entry["fun"] >= res.achieved
+
+
+def test_simple_zero_endpoints_are_binomial(monkeypatch):
+    # Census of the conjecture that the only local minimum with all zeros
+    # simple is the binomial: every descent that ends with simple zeros
+    # ends at 1 - log 2.
+    import scipy.optimize
+
+    endpoints = []
+    real = scipy.optimize.minimize
+
+    def spy(*args, **kwargs):
+        res = real(*args, **kwargs)
+        endpoints.append(np.concatenate([[0.0], res.x]))
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    for n in range(3, 11):
+        ce.minimize(n, restarts=12, seed=300 + n)
+        simple = [angles for angles in endpoints
+                  if len(root_clusters(np.exp(1j * angles), extremal.CLUSTER_TOL)) == n]
+        assert len(endpoints) >= 12 and simple
+        for angles in simple:
+            assert ce.objective(angles) - TARGET <= 1e-6, (n, angles)
+        endpoints.clear()
 
 
 def test_minimize_degree_one_immediate():
