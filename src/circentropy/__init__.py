@@ -57,7 +57,6 @@ from .extremal import (
     objective_and_gradient,
 )
 from .log_integrals import (
-    QuadratureConfig,
     RatioFunctionalValue,
     TrigSquare,
     circle_quadrature,

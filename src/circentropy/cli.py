@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
 
@@ -33,7 +32,7 @@ from .entropy import (
 )
 from .errors import CircEntropyError, RootsOffCircle
 from .extremal import coalescence_experiment, minimize
-from .log_integrals import QuadratureConfig, polished_roots
+from .log_integrals import polished_roots
 from .polycircle import (
     TAU_EXPAND,
     CirclePoly,
@@ -46,7 +45,6 @@ from .polycircle import (
     root_clusters,
 )
 
-CONFIG_ENV_VAR = "CIRCENTROPY_CONFIG"
 INPUT_ROOT_TOL = 1e-6   # circle membership tolerance for coefficient input
 
 
@@ -131,13 +129,6 @@ def _parse_poly(args) -> CirclePoly:
     return _poly_from_coefficients(coeffs)
 
 
-def _quad_config(args) -> QuadratureConfig | None:
-    path = getattr(args, "quad_config", None) or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        return QuadratureConfig.from_file(path)
-    return None
-
-
 def _emit(payload: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -192,10 +183,12 @@ def _parse_degree_range(spec: str) -> list[int]:
     match = re.fullmatch(r"(\d+)\.\.(\d+)", spec.strip())
     if match:
         lo, hi = int(match.group(1)), int(match.group(2))
-        if lo < 1 or hi < lo:
-            raise ValueError(f"bad degree range {spec!r}")
-        return list(range(lo, hi + 1))
-    return [int(tok) for tok in spec.split(",")]
+        degrees = list(range(lo, hi + 1))
+    else:
+        degrees = [int(tok) for tok in spec.split(",")]
+    if not degrees or min(degrees) < 1:
+        raise ValueError(f"bad degree range {spec!r}")
+    return degrees
 
 
 def _suite_instance_row(n: int, i: int, p: CirclePoly, tol: float):
@@ -298,7 +291,7 @@ def cmd_fourier_h(args) -> int:
     worst = 0.0
     for k in range(args.max_k + 1):
         exact = h_fourier(k)
-        quad = h_fourier_quadrature(k, config=_quad_config(args))
+        quad = h_fourier_quadrature(k)
         resid = abs(quad - float(exact))
         worst = max(worst, resid)
         rows.append([k, exact.numerator, exact.denominator, float(exact), quad, resid])
@@ -316,7 +309,11 @@ def cmd_fourier_h(args) -> int:
 
 
 def cmd_search(args) -> int:
-    result = minimize(args.n, restarts=args.restarts, seed=args.seed)
+    try:
+        result = minimize(args.n, restarts=args.restarts, seed=args.seed)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     _emit(json.dumps(result.to_dict(), indent=2), args.out)
     return 0 if result.converged else 1
 
@@ -381,10 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circentropy",
         description="verification runs for the circle-polynomial entropy inequality",
-    )
-    parser.add_argument(
-        "--quad-config",
-        help=f"path to a quadrature config JSON (default: ${CONFIG_ENV_VAR})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blaschke_moments import MomentSequence, moments
 from .errors import RootsOffCircle
-from .log_integrals import QuadratureConfig, circle_quadrature, ratio_functional
+from .log_integrals import circle_quadrature, ratio_functional
 from .polycircle import (
     TAU_UNIMOD,
     CirclePoly,
@@ -73,13 +73,13 @@ def h_partial_sum(t, L: int) -> np.ndarray:
     return acc
 
 
-def h_fourier_quadrature(k: int, config: QuadratureConfig | None = None) -> float:
+def h_fourier_quadrature(k: int) -> float:
     """Quadrature cross-check of the k-th Fourier coefficient of h."""
 
     def integrand(t):
         return h_values(t) * np.cos(k * t)
 
-    return circle_quadrature(integrand, singular_angles=[np.pi], config=config)
+    return circle_quadrature(integrand, singular_angles=[np.pi])
 
 
 def telescoping_sum(n: int) -> Fraction:

@@ -6,15 +6,14 @@ coefficients come either from given unit-circle roots of B or, when B has
 no zeros in the open disk, from the power series of B'/B; no roots are
 found.  The series route stops at degree ``MAX_SERIES_DEGREE``.  The
 quadrature route integrates the boundary values numerically, with windowed
-exponential substitutions around the circle zeros of B to resolve the
-logarithmic singularities.  The convention x log x = 0 at x = 0 applies
+exponential substitutions around the zeros of B on or near the circle to
+resolve the logarithmic singularities.  The convention x log x = 0 at x = 0 applies
 throughout, and quotient functionals are always evaluated as differences of
 the two integrals, never as pointwise ratios.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,46 +43,11 @@ from .polycircle import (
 # instances (and within 2e-12 at n = 512).
 MAX_SERIES_DEGREE = 128
 _S_CUT = 37.0        # window substitutions stop at |t - angle| = e^{-37}
+_TOLERANCE = 1e-9    # quadrature accuracy target, times max(1, |scale|)
+_WINDOW = 1e-2       # width of the substitution window around a singular angle
+_MAX_DEPTH = 40      # most panel doublings of any one quadrature piece
 _LOG_FLOOR = 1e-64   # clamps squared distances so log never returns -inf
 _BLOCK = 2048        # integrand nodes per (factors x nodes) log-distance block
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Settings for the adaptive circle quadrature (``circle_quadrature``).
-
-    - ``base_nodes``: trapezoid points at the first level; used only for
-      integrands without singular angles.
-    - ``tolerance``: the accuracy target, times max(1, |scale|).  With
-      singular angles the Gauss-Kronrod error estimates of all pieces must
-      sum to at most it; without, two successive trapezoid levels must
-      agree within it.
-    - ``max_depth``: the most panel doublings of any one piece, or trapezoid
-      levels.
-    - ``window``: the width of the substitution window around each singular
-      angle.
-    """
-
-    base_nodes: int = 4096
-    tolerance: float = 1e-9
-    max_depth: int = 40
-    window: float = 1e-2
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuadratureConfig":
-        allowed = {"base_nodes", "tolerance", "max_depth", "window"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown quadrature config keys: {sorted(unknown)}")
-        return cls(**data)
-
-    @classmethod
-    def from_file(cls, path) -> "QuadratureConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -353,86 +317,70 @@ def _kronrod_nodes(window_pieces, arc_pieces, levels):
             panels)
 
 
-def circle_quadrature(f, singular_angles=(), config: QuadratureConfig | None = None,
-                      scale: float = 1.0, s_cut_of=None) -> float:
+def circle_quadrature(f, singular_angles=(), scale: float = 1.0,
+                      s_cut_of=None) -> float:
     """Mean of a vectorized integrand f(t) over t in [0, 2pi).
 
-    With no singular angles this is the periodic trapezoid rule, doubled
-    until two successive levels agree within tolerance.  Around each singular
-    angle a window of the configured width is cut out and integrated under
-    the substitution t = angle +/- e^{-s}, which resolves logarithmic
-    singularities; the complement arcs are pieces of their own.  Every
-    piece is cut into equal panels, each integrated by the 21-point
-    Gauss-Kronrod rule (QUADPACK qk21), and |K21 - G10|, its difference from
-    the embedded 10-point Gauss rule, estimates the panel's error.  Each
-    round calls f once, on the panels of the pieces still refining.  The
-    Kronrod sum is returned once the estimates of all pieces sum to at most
-    the tolerance; until then, every piece whose estimate exceeds its share,
-    tolerance / pieces, has its panels doubled.
+    Around each singular angle a window of width ``_WINDOW`` is cut out and
+    integrated under the substitution t = angle +/- e^{-s}, which resolves
+    logarithmic singularities; the complement arcs are pieces of their own,
+    and with no singular angles the whole circle is one arc.  Every piece is
+    cut into equal panels, each integrated by the 21-point Gauss-Kronrod
+    rule (QUADPACK qk21), and |K21 - G10|, its difference from the embedded
+    10-point Gauss rule, estimates the panel's error.  Each round calls f
+    once, on the panels of the pieces still refining.  The Kronrod sum is
+    returned once the estimates of all pieces sum to at most the tolerance,
+    ``_TOLERANCE`` * max(1, |scale|); until then, every piece whose estimate
+    exceeds its share, tolerance / pieces, has its panels doubled.
 
     ``s_cut_of`` optionally shortens the substitution tail: called once with
     the array of window centers (an angle past 2pi where a window wraps
     around), it returns one cut per center, and the caller certifies the
     dropped mass.  Raises ``BudgetExceeded`` when a piece would need more
-    than ``max_depth`` doublings, or the trapezoid rule more than
-    ``max_depth`` levels.
+    than ``_MAX_DEPTH`` doublings.
     """
-    cfg = config or DEFAULT_QUADRATURE
-    tol = cfg.tolerance * max(1.0, abs(scale))
+    tol = _TOLERANCE * max(1.0, abs(scale))
     angles = np.asarray(singular_angles, dtype=float)
-    if angles.size == 0:
-        nodes = cfg.base_nodes
-        value = float(np.mean(f(np.arange(nodes) * (2 * np.pi / nodes))))
-        for _ in range(cfg.max_depth):
-            mids = (np.arange(nodes) + 0.5) * (2 * np.pi / nodes)
-            refined = 0.5 * (value + float(np.mean(f(mids))))
-            if abs(refined - value) <= tol:
-                return refined
-            value = refined
-            nodes *= 2
-        raise BudgetExceeded(
-            f"trapezoid refinement did not reach {tol:.2e} within depth {cfg.max_depth}"
-        )
-
-    # Deduplicate angle list; multiplicity lives inside the integrand.
-    angles = np.sort(np.mod(angles, 2 * np.pi))
-    keep = np.concatenate(([True], np.diff(angles) > 1e-12))
-    if keep.sum() > 1 and (angles[keep][-1] - angles[keep][0]) >= 2 * np.pi - 1e-12:
-        keep_idx = np.nonzero(keep)[0]
-        keep[keep_idx[-1]] = False
-    angles = angles[keep]
-
-    half = cfg.window / 2.0
-    clusters = _merge_windows(angles, half)
-    if sum(end - start for start, end, _ in clusters) >= 2 * np.pi:
-        raise ValueError(
-            "singular windows cover the whole circle; reduce config.window"
-        )
-    centers = np.array([c for _, _, group in clusters for c in group])
-    if s_cut_of is None:
-        s_cuts = [_S_CUT] * centers.size
-    else:
-        s_cuts = [min(_S_CUT, s) for s in s_cut_of(centers)]
     window_pieces = []
-    arc_pieces = []
-    used = 0
-    for start, end, group in clusters:
-        cuts = s_cuts[used:used + len(group)]
-        used += len(group)
-        window_pieces.extend(_window_pieces(start, end, group, cuts))
-    for idx, (_, end, _) in enumerate(clusters):
-        nxt_start = clusters[(idx + 1) % len(clusters)][0]
-        if idx + 1 == len(clusters):
-            nxt_start += 2 * np.pi
-        if nxt_start - end > 1e-12:
-            length = nxt_start - end
-            arc_pieces.append((end, nxt_start, max(1, int(math.ceil(length / 0.15)))))
+    arcs = [(0.0, 2 * np.pi)]
+    if angles.size:
+        # Deduplicate angle list; multiplicity lives inside the integrand.
+        angles = np.sort(np.mod(angles, 2 * np.pi))
+        keep = np.concatenate(([True], np.diff(angles) > 1e-12))
+        if keep.sum() > 1 and (angles[keep][-1] - angles[keep][0]) >= 2 * np.pi - 1e-12:
+            keep_idx = np.nonzero(keep)[0]
+            keep[keep_idx[-1]] = False
+        angles = angles[keep]
 
-    return _kronrod_sum(f, window_pieces, arc_pieces, tol, cfg.max_depth)[0]
+        clusters = _merge_windows(angles, _WINDOW / 2.0)
+        if sum(end - start for start, end, _ in clusters) >= 2 * np.pi:
+            raise ValueError(
+                f"the windows of {angles.size} singular angles, {_WINDOW:g} wide "
+                "each, cover the whole circle"
+            )
+        centers = np.array([c for _, _, group in clusters for c in group])
+        if s_cut_of is None:
+            s_cuts = [_S_CUT] * centers.size
+        else:
+            s_cuts = [min(_S_CUT, s) for s in s_cut_of(centers)]
+        used = 0
+        for start, end, group in clusters:
+            cuts = s_cuts[used:used + len(group)]
+            used += len(group)
+            window_pieces.extend(_window_pieces(start, end, group, cuts))
+        arcs = []
+        for idx, (_, end, _) in enumerate(clusters):
+            nxt_start = clusters[(idx + 1) % len(clusters)][0]
+            if idx + 1 == len(clusters):
+                nxt_start += 2 * np.pi
+            if nxt_start - end > 1e-12:
+                arcs.append((end, nxt_start))
+    arc_pieces = [(a, b, max(1, int(math.ceil((b - a) / 0.15)))) for a, b in arcs]
+    return _kronrod_sum(f, window_pieces, arc_pieces, tol, _MAX_DEPTH)[0]
 
 
 def _kronrod_sum(f, window_pieces, arc_pieces, tol: float, max_depth: int):
-    """The windowed rounds of ``circle_quadrature``: (mean, error estimate).
+    """The rounds of ``circle_quadrature``: (mean, error estimate).
 
     Each round evaluates f once, on every panel of the pieces still
     refining.  The weighted sums are numpy reductions, not np.dot: BLAS
@@ -463,7 +411,7 @@ def _kronrod_sum(f, window_pieces, arc_pieces, tol: float, max_depth: int):
         levels[todo] += 1
         if levels[todo].max() > max_depth:
             raise BudgetExceeded(
-                f"window refinement did not reach {tol:.2e} within depth {max_depth}"
+                f"panel refinement did not reach {tol:.2e} within depth {max_depth}"
             )
 
 
@@ -506,19 +454,18 @@ def _deflate_root(coeffs: np.ndarray, rho: complex) -> np.ndarray:
     return out[::-1]
 
 
-def log_pair_quadrature(A, B, config: QuadratureConfig | None = None,
-                        b_roots=None) -> float:
+def log_pair_quadrature(A, B, b_roots=None) -> float:
     """Integral of |A|^2 log|B|^2 over dm by adaptive circle quadrature.
 
     Circle zeros of B are located (from ``b_roots`` when supplied, otherwise
     from the companion matrix without certification), deflated out of B, and
     their log factors evaluated through 2|sin((t - angle)/2)|, which stays
     accurate arbitrarily close to the singularity.  Windows around each
-    circle or near-circle zero are integrated under the exponential
-    substitution; the integrand follows x log x = 0 at common zeros of A
-    and B.
+    circle zero, and around each zero less than ``_WINDOW`` off the circle,
+    are integrated under the exponential substitution; the integrand follows
+    x log x = 0 at common zeros of A and B.  With no such zero the whole
+    circle is one arc piece of ``circle_quadrature``.
     """
-    cfg = config or DEFAULT_QUADRATURE
     a_arr = as_coefficients(A)
     b_arr = as_coefficients(B)
     deg = poly_degree(b_arr)
@@ -542,7 +489,7 @@ def log_pair_quadrature(A, B, config: QuadratureConfig | None = None,
             deflated = _deflate_root(deflated, tau)
             factor_angles.append(float(np.angle(tau)))
             window_angles.append(float(np.angle(tau)))
-        elif abs(mod - 1.0) < cfg.window / 2.0:
+        elif abs(mod - 1.0) < _WINDOW:
             window_angles.append(float(np.angle(rho)))
 
     factors = np.asarray(factor_angles)
@@ -565,7 +512,7 @@ def log_pair_quadrature(A, B, config: QuadratureConfig | None = None,
     # center this lets the tail stop far earlier than the generic cutoff.
     deg_a = poly_degree(a_arr)
     sum_a = float(np.sum(np.abs(a_arr)))
-    budget = cfg.tolerance * max(1.0, scale) / (8.0 * max(1, len(window_angles)))
+    budget = _TOLERANCE * max(1.0, scale) / (8.0 * max(1, len(window_angles)))
 
     def tail_cut(amp_root: float) -> float:
         s = 10.0
@@ -584,7 +531,7 @@ def log_pair_quadrature(A, B, config: QuadratureConfig | None = None,
         values = eval_poly(a_arr, np.exp(1j * centers))
         return [tail_cut(abs(complex(v))) for v in values]
 
-    return circle_quadrature(integrand, window_angles, cfg, scale=scale,
+    return circle_quadrature(integrand, window_angles, scale=scale,
                              s_cut_of=s_cut_of)
 
 

@@ -189,6 +189,19 @@ def test_coalesce_command(capsys):
     assert abs(doc["limits"]["entropy"] - 14.0) < 1e-9
 
 
+@pytest.mark.parametrize("argv", [
+    ("suite", "--degrees", "0"),
+    ("suite", "--degrees", "3,-1"),
+    ("search", "--n", "0"),
+    ("search", "--n", "3", "--restarts", "0"),
+])
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    # exit 1 means an inequality violated or a search not converged
+    code = main(list(argv))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_coalesce_empty_schedule_is_usage_error(capsys):
     code, _ = run_cli(capsys, "coalesce", "--angles", "[0.0, 0.0]",
                       "--schedule", "")
@@ -222,16 +235,3 @@ def test_telescoping_command(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["failures"] == []
-
-
-def test_quad_config_env_var(capsys, tmp_path, monkeypatch):
-    # fourier-h is the command whose values come from quadrature
-    cfg = tmp_path / "quad.json"
-    cfg.write_text(json.dumps({"tolerance": 1e-7, "base_nodes": 2048}))
-    monkeypatch.setenv("CIRCENTROPY_CONFIG", str(cfg))
-    code, out = run_cli(capsys, "fourier-h", "--max-k", "2")
-    assert code == 0
-    assert json.loads(out)["max_residual"] < 1e-6
-    cfg.write_text(json.dumps({"nodes": 12}))
-    with pytest.raises(ValueError):
-        main(["fourier-h", "--max-k", "2"])
