@@ -19,6 +19,7 @@ from .polycircle import (
 )
 
 SERIES_GUARD = 8     # orders the contraction check keeps beyond degree n - 1
+CONTRACTION_TOL = 1e-12  # slack the contraction check allows below zero
 
 
 def series_multiply(a, b, order: int) -> np.ndarray:
@@ -109,12 +110,14 @@ def moments(d: PolarDecomposition) -> MomentSequence:
     return MomentSequence(vals, n, d.simple_zeros, resid)
 
 
-def moments_by_quadrature(d: PolarDecomposition, count: int, nodes: int = 1 << 14) -> np.ndarray:
+def moments_by_quadrature(d: PolarDecomposition, count: int) -> np.ndarray:
     """Trapezoidal quadrature of |q|^2 r^k on the circle for k = 0..count-1.
 
-    Evaluates r as the pointwise rational quotient q*/q; intended as the
-    independent cross-check of the series route for simple-zero inputs.
+    Evaluates r on 2^14 nodes as the pointwise rational quotient q*/q;
+    intended as the independent cross-check of the series route for
+    simple-zero inputs.
     """
+    nodes = 1 << 14
     t = np.arange(nodes) * (2 * np.pi / nodes)
     z = np.exp(1j * t)
     qv = eval_poly(d.q, z)
@@ -165,19 +168,17 @@ class ContractionReport:
     passed: bool
 
 
-def schur_contraction_check(
-    phi_zeros, phi_gamma, f, n: int, slack_tol: float = 1e-12, guard: int = SERIES_GUARD
-) -> ContractionReport:
+def schur_contraction_check(phi_zeros, phi_gamma, f, n: int) -> ContractionReport:
     """Check S_n(phi f) <= S_n(f) and A_l(phi f) <= A_l(f) for l <= n-1.
 
     ``phi`` is the finite Blaschke product with the given interior zeros and
     unimodular constant; ``f`` must have vanishing constant coefficient.
-    Slacks are reported with pass/fail at ``slack_tol``.
+    Slacks are reported with pass/fail at ``CONTRACTION_TOL``.
     """
     f = as_coefficients(f)
     if f[0] != 0:
         raise ValueError("f must vanish at the origin (f_0 = 0)")
-    order = n - 1 + guard
+    order = n - 1 + SERIES_GUARD
     phi = blaschke_series(phi_zeros, phi_gamma, order)
     phi_f = series_multiply(phi, f, order)
     s_f = weighted_form_Sn(f, n)
@@ -186,7 +187,7 @@ def schur_contraction_check(
     part_pf = np.array([partial_energy_Al(phi_f, l) for l in range(n)])
     s_slack = s_f - s_pf
     min_partial = float(np.min(part_f - part_pf))
-    passed = s_slack >= -slack_tol and min_partial >= -slack_tol
+    passed = s_slack >= -CONTRACTION_TOL and min_partial >= -CONTRACTION_TOL
     return ContractionReport(
         n, s_f, s_pf, part_f, part_pf, float(s_slack), min_partial, passed
     )

@@ -22,8 +22,6 @@ import numpy as np
 from .blaschke_moments import moments
 from .corpus import instance_rng, random_circle_poly
 from .entropy import (
-    GAP_TOL,
-    _verify_with_moments,
     h_fourier,
     h_fourier_quadrature,
     telescoping_closed_form,
@@ -34,7 +32,6 @@ from .errors import CircEntropyError, RootsOffCircle
 from .extremal import coalescence_experiment, minimize
 from .log_integrals import polished_roots
 from .polycircle import (
-    TAU_EXPAND,
     CirclePoly,
     coefficients_from_json,
     from_angles,
@@ -46,6 +43,7 @@ from .polycircle import (
 )
 
 INPUT_ROOT_TOL = 1e-6   # circle membership tolerance for coefficient input
+MULTIPLE_FRAC = 0.1     # share of each degree's suite instances with a multiple zero
 
 
 def _parse_complex(text: str) -> complex:
@@ -120,6 +118,12 @@ def _add_poly_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_poly(args) -> CirclePoly:
+    """The polynomial given on the command line.
+
+    Text that does not parse raises ValueError or TypeError (exit 2); a
+    parsed polynomial that is not a circle polynomial raises a
+    CircEntropyError (exit 3, in ``main``).
+    """
     if args.binomial is not None:
         return _binomial_poly(args.binomial)
     if args.angles is not None:
@@ -150,10 +154,10 @@ def _csv_payload(header: list[str], rows: list[list]) -> str:
 def cmd_verify(args) -> int:
     try:
         p = _parse_poly(args)
-    except (CircEntropyError, ValueError, json.JSONDecodeError) as exc:
+    except (TypeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 3
-    report = verify_main(p, gap_tol=args.tolerance)
+        return 2
+    report = verify_main(p)
     data = report.to_dict()
     if args.precision != "double":
         try:
@@ -168,9 +172,10 @@ def cmd_verify(args) -> int:
 
         data["highprec"] = highprec.entropy_report_mp(p, bits=bits)
     _emit(json.dumps(data, indent=2), args.out)
-    return 0 if report.inequalities_ok else 1
+    return 0 if report.status == "ok" else 1
 
 
+# After n and index, each column is the EntropyReport field of that name.
 SUITE_HEADER = [
     "n", "index", "norm", "entropy", "jensen_term", "polar_term", "gamma",
     "main_gap", "strengthened_gap", "jensen_gap", "polar_gap",
@@ -191,41 +196,6 @@ def _parse_degree_range(spec: str) -> list[int]:
     return degrees
 
 
-def _suite_instance_row(n: int, i: int, p: CirclePoly, tol: float):
-    rep, seq = _verify_with_moments(p, gap_tol=tol)
-    ratio_resid = seq.ratio_series_residual
-    # M_1 = Gamma exactly (Parseval), so k = 1 is checked as an identity;
-    # the bound |M_k| <= Gamma has room to spare only for k >= 2, and for
-    # n <= 2 there is no such k: the column stays blank.
-    has_bound = seq.values.size > 2
-    if has_bound:
-        bound_slack = float((rep.gamma + 1e-9 - np.abs(seq.values[2:])).min())
-    else:
-        bound_slack = ""
-    status = "ok"
-    mp_resid = mn_resid = ""
-    if not rep.inequalities_ok:
-        status = "violation:inequality"
-    if rep.simple_zeros:
-        mp_resid = abs(rep.polar_term - rep.moment_polar_term)
-        mn_resid = abs(rep.norm - rep.moment_norm)
-        m1_resid = abs(seq.values[1] - rep.gamma) if rep.degree >= 2 else 0.0
-        if (mp_resid > 1e-8 * rep.norm or mn_resid > 1e-9 * rep.norm
-                or m1_resid > 1e-9 * rep.norm):
-            status = "violation:moment_identity"
-        if ratio_resid > TAU_EXPAND:
-            status = "violation:ratio_series"
-        if has_bound and bound_slack < 0:
-            status = "violation:moment_bound"
-    row = [
-        n, i, rep.norm, rep.entropy, rep.jensen_term, rep.polar_term,
-        rep.gamma, rep.main_gap, rep.strengthened_gap, rep.jensen_gap,
-        rep.polar_gap, mp_resid, mn_resid, ratio_resid, bound_slack,
-        rep.simple_zeros, rep.extremal, status,
-    ]
-    return row, rep, (mp_resid, mn_resid, ratio_resid), status
-
-
 def cmd_suite(args) -> int:
     try:
         degrees = _parse_degree_range(args.degrees)
@@ -234,42 +204,34 @@ def cmd_suite(args) -> int:
         return 2
     rows = []
     failures = 0
-    input_errors = 0
     min_gaps = {"main": math.inf, "strengthened": math.inf,
                 "jensen": math.inf, "polar": math.inf}
     max_resid = {"moment_polar": 0.0, "moment_norm": 0.0, "ratio_series": 0.0}
-    n_multiple = int(round(args.multiple_frac * args.count))
+    n_multiple = int(round(MULTIPLE_FRAC * args.count))
     for n in degrees:
         for i in range(args.count):
-            if args.inject_bad and i < args.inject_bad:
-                input_errors += 1
-                rows.append([n, i] + [""] * (len(SUITE_HEADER) - 3) + ["input_error"])
-                continue
             rng = instance_rng(args.seed, n, i)
             p = random_circle_poly(n, rng, multiple=(n >= 2 and i < n_multiple))
-            row, rep, resids, status = _suite_instance_row(n, i, p, args.tolerance)
-            if status != "ok":
+            rep = verify_main(p)
+            if rep.status != "ok":
                 failures += 1
-            for key, attr in (
-                ("main", "main_gap"), ("strengthened", "strengthened_gap"),
-                ("jensen", "jensen_gap"), ("polar", "polar_gap"),
-            ):
-                min_gaps[key] = min(min_gaps[key], getattr(rep, attr))
+            for key in min_gaps:
+                min_gaps[key] = min(min_gaps[key], getattr(rep, key + "_gap"))
             if rep.simple_zeros:
                 # relative to N, as the checks they summarize are
-                max_resid["moment_polar"] = max(max_resid["moment_polar"],
-                                                resids[0] / rep.norm)
-                max_resid["moment_norm"] = max(max_resid["moment_norm"],
-                                               resids[1] / rep.norm)
-                max_resid["ratio_series"] = max(max_resid["ratio_series"], resids[2])
-            rows.append(row)
+                for key in ("moment_polar", "moment_norm"):
+                    max_resid[key] = max(max_resid[key],
+                                         getattr(rep, key + "_resid") / rep.norm)
+                max_resid["ratio_series"] = max(max_resid["ratio_series"],
+                                                rep.ratio_series_resid)
+            # csv writes a None field as an empty cell
+            rows.append([n, i] + [getattr(rep, col) for col in SUITE_HEADER[2:]])
     summary = {
         "degrees": degrees,
         "count": args.count,
         "seed": args.seed,
         "instances": len(rows),
         "failures": failures,
-        "input_errors": input_errors,
         "min_gaps": min_gaps,
         "max_residuals": max_resid,
     }
@@ -339,7 +301,7 @@ def cmd_coalesce(args) -> int:
     try:
         p = _parse_poly(args)
         schedule = parse_schedule(args.schedule)
-    except (CircEntropyError, ValueError, json.JSONDecodeError) as exc:
+    except (TypeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     table = coalescence_experiment(p, schedule, seed=args.seed)
@@ -358,9 +320,9 @@ def cmd_coalesce(args) -> int:
 def cmd_moments(args) -> int:
     try:
         p = _parse_poly(args)
-    except (CircEntropyError, ValueError, json.JSONDecodeError) as exc:
+    except (TypeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 3
+        return 2
     d = polar_factor(normalize_self_inversive(p).normalized)
     seq = moments(d)
     _emit(json.dumps(seq.to_json_dict(), indent=2), args.out)
@@ -383,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="full entropy report for one polynomial")
     _add_poly_arguments(p_verify)
-    p_verify.add_argument("--tolerance", type=float, default=GAP_TOL)
     p_verify.add_argument("--precision", default="double",
                           help="'double' or a mantissa bit count for a rerun")
     p_verify.add_argument("--out")
@@ -393,10 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--degrees", default="1..12")
     p_suite.add_argument("--count", type=int, default=100)
     p_suite.add_argument("--seed", type=int, default=42)
-    p_suite.add_argument("--multiple-frac", type=float, default=0.1)
-    p_suite.add_argument("--tolerance", type=float, default=GAP_TOL)
-    p_suite.add_argument("--inject-bad", type=int, default=0,
-                         help="treat the first K instances per degree as input errors")
     p_suite.add_argument("--out", help="base path; writes BASE.csv and BASE.json")
     p_suite.add_argument("--format", choices=["json", "csv"], default="json")
     p_suite.set_defaults(func=cmd_suite)
@@ -442,7 +399,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CircEntropyError as exc:  # e.g. a degree above MAX_SERIES_DEGREE
+    except CircEntropyError as exc:  # e.g. off-circle roots, n > MAX_SERIES_DEGREE
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

@@ -5,6 +5,7 @@ norm N, the entropy E = int |p|^2 log|p|^2 dm, its split into the Jensen term
 int |p|^2 log|q|^2 dm and the polar quotient functional, the remainder sum,
 every lower bound with its gap, the moment-formula cross values, and the
 equality-case classification against the binomial family c(omega + z^n).
+``verify_main`` decides every check against the one tolerance table below.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .blaschke_moments import MomentSequence, moments
 from .errors import RootsOffCircle
 from .log_integrals import circle_quadrature, ratio_functional
 from .polycircle import (
+    TAU_EXPAND,
     TAU_UNIMOD,
     CirclePoly,
     PolarDecomposition,
@@ -31,7 +33,15 @@ from .polycircle import (
 )
 
 TAU_EQ = 1e-8        # relative coefficient tolerance for equality classification
-GAP_TOL = 1e-9       # default slack allowed on the inequality gaps
+
+# The tolerance table: every check ``verify_main`` decides reads it.  "x N"
+# entries scale with the squared norm N, "x max|a_j|" with the largest
+# coefficient; the others are absolute.
+GAP_TOL = 1e-9                 # absolute: every inequality gap >= -GAP_TOL
+MOMENT_POLAR_TOL = 1e-8        # x N: polar term against its moment formula
+MOMENT_NORM_TOL = 1e-9         # x N: N = 2M_0 + 2 Re M_1, and M_1 = Gamma
+RATIO_SERIES_TOL = TAU_EXPAND  # x max|a_j|: r q = q* through degree n - 1
+MOMENT_BOUND_TOL = 1e-9        # absolute: |M_k| <= Gamma + tol, 2 <= k <= n-1
 
 
 def h_fourier(k: int) -> Fraction:
@@ -99,15 +109,14 @@ def telescoping_closed_form(n: int) -> Fraction:
     return Fraction(1, 4) - Fraction(1, 2 * n * (n - 1))
 
 
-def polar_term_via_moments(seq: MomentSequence, n: int | None = None) -> float:
+def polar_term_via_moments(seq: MomentSequence) -> float:
     """Moment-formula value 2M_0 + 3 Re M_1 + 4 sum_{k>=2} w_k Re M_k.
 
     The weights are (-1)^k / (k(k^2-1)); for n = 1 this reduces to 2 M_0.
     Outside the simple-zero case the value is advisory only (consult the
     sequence's ``simple_zeros`` flag).
     """
-    if n is None:
-        n = seq.degree
+    n = seq.degree
     vals = seq.values
     total = 2.0 * float(vals[0].real)
     if n >= 2:
@@ -125,13 +134,14 @@ def norm_via_moments(seq: MomentSequence) -> float:
     return total
 
 
-def mu_mass_check(d: PolarDecomposition, nodes: int = 1 << 14) -> float:
+def mu_mass_check(d: PolarDecomposition) -> float:
     """Quadrature of |1 + r|^2 over the circle (equals 2 for simple zeros).
 
-    This is twice the total mass of the probability measure (1/2)|1+r|^2 dm.
-    Grid points where |q| is negligible are excluded, which only matters for
-    inputs with multiple zeros.
+    This is twice the total mass of the probability measure (1/2)|1+r|^2 dm,
+    by the trapezoid rule on 2^14 nodes.  Grid points where |q| is negligible
+    are excluded, which only matters for inputs with multiple zeros.
     """
+    nodes = 1 << 14
     t = np.arange(nodes) * (2 * np.pi / nodes)
     z = np.exp(1j * t)
     qv = eval_poly(d.q, z)
@@ -142,7 +152,14 @@ def mu_mass_check(d: PolarDecomposition, nodes: int = 1 << 14) -> float:
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """All functionals, bounds, gaps, and classifications for one polynomial."""
+    """All functionals, bounds, gaps, checks and classifications for one polynomial.
+
+    The moment residuals are ``None`` where their check does not apply:
+    ``moment_polar_resid`` and ``moment_norm_resid`` without simple zeros,
+    ``moment_bound_slack_min`` for n <= 2.  ``status`` is ``"ok"`` or
+    ``"violation:<check>"`` for the failed check that comes last in the
+    order inequality, moment_identity, ratio_series, moment_bound.
+    """
 
     degree: int
     simple_zeros: bool
@@ -168,6 +185,11 @@ class EntropyReport:
     routes: dict
     inequalities_ok: bool
     gap_tolerance: float
+    moment_polar_resid: float | None
+    moment_norm_resid: float | None
+    ratio_series_resid: float
+    moment_bound_slack_min: float | None
+    status: str
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -184,24 +206,15 @@ def _classify_extremal(coeffs: np.ndarray, n: int) -> tuple[bool, float]:
     return bool(margin < TAU_EQ and balanced), margin
 
 
-def verify_main(p: CirclePoly, gap_tol: float = GAP_TOL) -> EntropyReport:
-    """Full entropy report for one circle polynomial.
+def verify_main(p: CirclePoly) -> EntropyReport:
+    """Full entropy report for one circle polynomial, and its verdict.
 
     Normalizes the input self-inversive, computes every functional, evaluates
     the four lower bounds (Jensen, polar, main, strengthened) with their
     gaps, attaches the moment-formula values (advisory outside the
-    simple-zero case), and classifies the equality case.
-    """
-    return _verify_with_moments(p, gap_tol)[0]
-
-
-def _verify_with_moments(
-    p: CirclePoly, gap_tol: float = GAP_TOL
-) -> tuple[EntropyReport, MomentSequence]:
-    """``verify_main`` and the moment sequence of its polar pair.
-
-    The sequence is the one the report's moment values come from, so
-    callers that also check moments need not compute it again.
+    simple-zero case), classifies the equality case, and decides every check
+    against the tolerance table: the gaps always, the moment identities, the
+    series identity r q = q* and the bound |M_k| <= Gamma for simple zeros.
     """
     if (np.abs(np.abs(p.roots) - 1.0) > TAU_UNIMOD).any():
         raise RootsOffCircle("verify_main requires all zeros on the unit circle")
@@ -223,7 +236,7 @@ def _verify_with_moments(
     polar_bound = norm + remainder
 
     seq = moments(d)
-    moment_polar = polar_term_via_moments(seq, n)
+    moment_polar = polar_term_via_moments(seq)
     moment_norm_val = norm_via_moments(seq)
 
     extremal, margin = _classify_extremal(ps.coefficients, n)
@@ -233,8 +246,31 @@ def _verify_with_moments(
         "jensen": jensen_term - jensen_bound,
         "polar": polar_term - polar_bound,
     }
-    ok = all(v >= -gap_tol for v in gaps.values())
-    report = EntropyReport(
+    ok = all(v >= -GAP_TOL for v in gaps.values())
+
+    # M_1 = Gamma exactly (Parseval), so k = 1 is checked as an identity;
+    # the bound |M_k| <= Gamma has room to spare only for k >= 2, and for
+    # n <= 2 there is no such k.  A later check's verdict overrides an
+    # earlier one's.
+    bound_slack = None
+    if n > 2:
+        bound_slack = float((gamma + MOMENT_BOUND_TOL - np.abs(seq.values[2:])).min())
+    polar_resid = norm_resid = None
+    status = "ok" if ok else "violation:inequality"
+    if d.simple_zeros:
+        polar_resid = abs(polar_term - moment_polar)
+        norm_resid = abs(norm - moment_norm_val)
+        m1_resid = abs(seq.values[1] - gamma) if n >= 2 else 0.0
+        if (polar_resid > MOMENT_POLAR_TOL * norm
+                or norm_resid > MOMENT_NORM_TOL * norm
+                or m1_resid > MOMENT_NORM_TOL * norm):
+            status = "violation:moment_identity"
+        if seq.ratio_series_residual > RATIO_SERIES_TOL:
+            status = "violation:ratio_series"
+        if bound_slack is not None and bound_slack < 0:
+            status = "violation:moment_bound"
+
+    return EntropyReport(
         degree=n,
         simple_zeros=d.simple_zeros,
         norm=norm,
@@ -258,6 +294,10 @@ def _verify_with_moments(
         equality_margin=margin,
         routes=dict(rf.routes),
         inequalities_ok=ok,
-        gap_tolerance=gap_tol,
+        gap_tolerance=GAP_TOL,
+        moment_polar_resid=polar_resid,
+        moment_norm_resid=norm_resid,
+        ratio_series_resid=seq.ratio_series_residual,
+        moment_bound_slack_min=bound_slack,
+        status=status,
     )
-    return report, seq

@@ -205,11 +205,11 @@ class CirclePoly:
             complex(factor * self.leading),
         )
 
-    def is_self_inversive(self, tol: float = TAU_EXPAND) -> bool:
-        """Whether the polynomial equals its reflection within ``tol``."""
+    def is_self_inversive(self) -> bool:
+        """Whether the polynomial equals its reflection within ``TAU_EXPAND``."""
         refl = reflect(self.coefficients, self.degree)
         scale = np.max(np.abs(self.coefficients))
-        return bool(np.max(np.abs(refl - self.coefficients)) <= tol * scale)
+        return bool(np.max(np.abs(refl - self.coefficients)) <= TAU_EXPAND * scale)
 
 
 def from_roots(roots, leading=1.0) -> CirclePoly:
@@ -321,14 +321,14 @@ class PolarDecomposition:
         return self.parent.degree
 
 
-def has_simple_zeros(roots, tol: float = TAU_SEP) -> bool:
-    """Whether all pairwise chordal root distances exceed ``tol``."""
+def has_simple_zeros(roots) -> bool:
+    """Whether all pairwise chordal root distances exceed ``TAU_SEP``."""
     roots = np.asarray(roots, dtype=complex)
     if roots.size < 2:
         return True
     diffs = np.abs(roots[:, None] - roots[None, :])
     diffs[np.diag_indices(roots.size)] = np.inf
-    return bool(diffs.min() > tol)
+    return bool(diffs.min() > TAU_SEP)
 
 
 def polar_factor(p: CirclePoly) -> PolarDecomposition:

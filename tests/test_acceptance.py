@@ -12,7 +12,14 @@ import numpy as np
 
 import circentropy as ce
 from circentropy.corpus import instance_rng, random_circle_poly, random_schur_triple
-from circentropy.polycircle import TAU_EXPAND, polar_factor
+from circentropy.entropy import (
+    GAP_TOL,
+    MOMENT_BOUND_TOL,
+    MOMENT_NORM_TOL,
+    MOMENT_POLAR_TOL,
+    RATIO_SERIES_TOL,
+)
+from circentropy.polycircle import polar_factor
 
 TARGET = 1.0 - math.log(2.0)
 
@@ -88,16 +95,16 @@ def test_criterion_03_strengthened_inequality():
                    - remainder)
             min_gap = min(min_gap, gap)
             min_polar_gap = min(min_polar_gap, rf.value - norm - remainder)
-            if gap < -1e-9:
+            if gap < -GAP_TOL:
                 failures += 1
     elapsed = time.perf_counter() - start
-    ok = failures == 0 and min_polar_gap >= -1e-9 and elapsed < 180.0
+    ok = failures == 0 and min_polar_gap >= -GAP_TOL and elapsed < 180.0
     _report(3, "strengthened-inequality", ok,
             f"10000 instances, min gap {min_gap:.2e}, "
             f"min polar gap {min_polar_gap:.2e}, {failures} failures",
             elapsed, 180)
     assert failures == 0
-    assert min_polar_gap >= -1e-9
+    assert min_polar_gap >= -GAP_TOL
     assert elapsed < 180.0
 
 
@@ -124,12 +131,13 @@ def test_criterion_04_moment_formula_identity():
             worst_norm, abs(norm - ce.norm_via_moments(seq)) / norm
         )
     elapsed = time.perf_counter() - start
-    ok = worst_polar < 1e-8 and worst_norm < 1e-9 and elapsed < 60.0
+    ok = (worst_polar < MOMENT_POLAR_TOL and worst_norm < MOMENT_NORM_TOL
+          and elapsed < 60.0)
     _report(4, "moment-formula-identity", ok,
             f"polar resid {worst_polar:.2e}, norm resid {worst_norm:.2e}",
             elapsed, 60)
-    assert worst_polar < 1e-8
-    assert worst_norm < 1e-9
+    assert worst_polar < MOMENT_POLAR_TOL
+    assert worst_norm < MOMENT_NORM_TOL
     assert elapsed < 60.0
 
 
@@ -150,17 +158,17 @@ def test_criterion_05_moment_identities_and_bound():
             norm = ce.parseval_norm(p)
             worst_m1 = max(worst_m1, abs(seq.values[1] - gamma) / norm)
         if n >= 3:
-            slack = gamma + 1e-9 - float(np.max(np.abs(seq.values[2:])))
+            slack = gamma + MOMENT_BOUND_TOL - float(np.max(np.abs(seq.values[2:])))
             min_bound_slack = min(min_bound_slack, slack)
     elapsed = time.perf_counter() - start
-    ok = (worst_ratio <= TAU_EXPAND and worst_m1 <= 1e-9
+    ok = (worst_ratio <= RATIO_SERIES_TOL and worst_m1 <= MOMENT_NORM_TOL
           and min_bound_slack >= 0.0)
     _report(5, "ratio-series-identity-and-bound", ok,
             f"r q - q* {worst_ratio:.2e}, M1 - Gamma {worst_m1:.2e}, "
             f"bound slack {min_bound_slack:.2e}",
             elapsed, 60)
-    assert worst_ratio <= TAU_EXPAND
-    assert worst_m1 <= 1e-9
+    assert worst_ratio <= RATIO_SERIES_TOL
+    assert worst_m1 <= MOMENT_NORM_TOL
     assert min_bound_slack >= 0.0
 
 

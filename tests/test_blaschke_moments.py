@@ -6,7 +6,6 @@ import pytest
 
 import circentropy as ce
 from circentropy.blaschke_moments import moments_by_quadrature, series_divide
-from circentropy.cli import _suite_instance_row
 from circentropy.corpus import (
     instance_rng,
     random_binomial,
@@ -94,7 +93,7 @@ def test_ratio_series_residual_detects_roots_that_disagree():
     bad = ce.CirclePoly(6, p.coefficients.copy(), other.roots.copy(), p.leading)
     assert ce.moments(polar_factor(p)).ratio_series_residual < 1e-13
     assert ce.moments(polar_factor(bad)).ratio_series_residual > TAU_EXPAND
-    assert _suite_instance_row(6, 0, bad, 1e-9)[3] == "violation:ratio_series"
+    assert ce.verify_main(bad).status == "violation:ratio_series"
 
 
 def test_moments_frozen_examples():

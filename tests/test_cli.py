@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import circentropy
-from circentropy import extremal
+from circentropy import entropy, extremal
 from circentropy.cli import main, parse_schedule
 
 
@@ -136,13 +136,18 @@ def test_suite_full_degree_range(capsys):
     assert summary["min_gaps"]["main"] > -1e-9
 
 
-def test_suite_injected_error_continues(capsys):
-    code, out = run_cli(capsys, "suite", "--degrees", "2..3", "--count", "4",
-                        "--seed", "1", "--inject-bad", "1")
-    summary = json.loads(out)
-    assert summary["input_errors"] == 2
-    assert summary["instances"] == 8
-    assert code == 0  # input errors are reported, not counted as violations
+def test_verify_and_suite_share_one_verdict(capsys, monkeypatch):
+    # A negative tolerance fails the moment-norm identity on every
+    # simple-zero instance; verify and the suite read the same verdict.
+    monkeypatch.setattr(entropy, "MOMENT_NORM_TOL", -1.0)
+    code, out = run_cli(capsys, "verify", "--binomial", "n=6")
+    assert code == 1
+    assert json.loads(out)["status"] == "violation:moment_identity"
+    code, out = run_cli(capsys, "suite", "--degrees", "6", "--count", "1",
+                        "--format", "csv")
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["status"] for row in rows] == ["violation:moment_identity"]
 
 
 def test_fourier_h_table(capsys):
@@ -200,6 +205,24 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     code = main(list(argv))
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "moments", "coalesce"])
+@pytest.mark.parametrize("poly_args, expected", [
+    (("--angles", "[1,"), 2),             # not JSON
+    (("--coeffs", "[1, 2]"), 2),          # JSON, but not [re, im] pairs
+    (("--binomial", "n=6", "omega"), 2),  # a token without '='
+    (("--angles", "[]"), 2),              # an empty list
+    (("--coeffs", "[[1,0],[0,0],[0,0],[0.5,0]]"), 3),  # zeros off the circle
+])
+def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
+    # text that does not parse is a usage error (2); a parsed polynomial
+    # that is not a circle polynomial is invalid input (3)
+    code = main([command, *poly_args])
+    captured = capsys.readouterr()
+    assert code == expected
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_coalesce_empty_schedule_is_usage_error(capsys):
