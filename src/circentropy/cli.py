@@ -128,6 +128,11 @@ def _parse_poly(args) -> CirclePoly:
         return _binomial_poly(args.binomial)
     if args.angles is not None:
         angles = json.loads(args.angles)
+        if not isinstance(angles, list) or not all(
+                isinstance(a, (int, float)) and not isinstance(a, bool)
+                for a in angles):
+            raise ValueError(f"--angles must be a JSON array of real numbers, "
+                             f"got {args.angles!r}")
         return from_angles(angles, _parse_complex(args.leading))
     coeffs = coefficients_from_json(json.loads(args.coeffs))
     return _poly_from_coefficients(coeffs)

@@ -47,7 +47,7 @@ _TOLERANCE = 1e-9    # quadrature accuracy target, times max(1, |scale|)
 _WINDOW = 1e-2       # width of the substitution window around a singular angle
 _MAX_DEPTH = 40      # most panel doublings of any one quadrature piece
 _LOG_FLOOR = 1e-64   # clamps squared distances so log never returns -inf
-_BLOCK = 2048        # integrand nodes per (factors x nodes) log-distance block
+_BLOCK = 1024        # integrand nodes per (factors x nodes) log-distance block
 
 
 @dataclass(frozen=True)
@@ -418,22 +418,35 @@ def _kronrod_sum(f, window_pieces, arc_pieces, tol: float, max_depth: int):
 def _log_distance_sum(t: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """sum_j log max(4 sin^2((t - angles_j)/2), _LOG_FLOOR) at every t.
 
-    Evaluated on (angles x nodes) blocks of ``_BLOCK`` nodes in one reused
-    buffer, so memory is O(len(angles) * _BLOCK) rather than
+    Each sine comes from sin((t - a)/2) = sin(t/2) cos(a/2) - cos(t/2) sin(a/2):
+    two sines per node and two per angle, and two products and a
+    difference per (angle, node) element.  Near a zero this errs by
+    O(eps/|t - a|) relative to the distance, as the direct sin((t - a)/2)
+    does, since the node t is itself rounded; at t == a exactly the
+    products are equal and the term is log _LOG_FLOOR.
+
+    Evaluated on (angles x nodes) blocks of ``_BLOCK`` nodes in two reused
+    buffers, so memory is O(len(angles) * _BLOCK) rather than
     O(len(angles) * len(t)).  Each block sums its rows in order, as one
     full matrix would.  A remainder shorter than a block joins the last
     block: numpy sums a one-column matrix pairwise, which rounds
     differently.
     """
+    half_a = 0.5 * angles
+    sin_a, cos_a = np.sin(half_a)[:, None], np.cos(half_a)[:, None]
     out = np.empty(t.size)
-    buf = np.empty(angles.size * min(t.size, 2 * _BLOCK - 1))
+    size = angles.size * min(t.size, 2 * _BLOCK - 1)
+    buf, buf2 = np.empty(size), np.empty(size)
     lo = 0
     while lo < t.size:
         hi = t.size if t.size - lo < 2 * _BLOCK else lo + _BLOCK
-        d = buf[: angles.size * (hi - lo)].reshape(angles.size, hi - lo)
-        np.subtract(t[None, lo:hi], angles[:, None], out=d)
-        np.multiply(d, 0.5, out=d)
-        np.sin(d, out=d)
+        width = hi - lo
+        d = buf[: angles.size * width].reshape(angles.size, width)
+        e = buf2[: angles.size * width].reshape(angles.size, width)
+        half_t = 0.5 * t[None, lo:hi]
+        np.multiply(np.sin(half_t), cos_a, out=d)
+        np.multiply(np.cos(half_t), sin_a, out=e)
+        np.subtract(d, e, out=d)
         np.square(d, out=d)
         np.multiply(d, 4.0, out=d)
         np.maximum(d, _LOG_FLOOR, out=d)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from circentropy.log_integrals import (
     _K21_WEIGHTS,
     _KG_WEIGHTS,
     _LOG_FLOOR,
+    _BLOCK,
     _S_CUT,
     MAX_SERIES_DEGREE,
     _kronrod_nodes,
@@ -121,6 +123,12 @@ def test_route_agreement_random_sample():
             assert abs(rf.entropy_integral - qd) < 1e-7
             qd = ce.log_pair_quadrature(a, ce.polar_factor(p).q)
             assert abs(rf.jensen_integral - qd) < 1e-7
+    # Past MAX_SERIES_DEGREE only the entropy term has both routes: the
+    # quadrature has no degree limit, nor does the pairing on given roots.
+    p = random_circle_poly(256, instance_rng(32, 256, 0), unit_norm=True)
+    a = p.coefficients
+    assert abs(ce.log_pair_spectral(a, a, b_roots=p.roots)
+               - ce.log_pair_quadrature(a, a, b_roots=p.roots)) < 1e-7
 
 
 def test_jensen_term_matches_mpmath_reference():
@@ -274,7 +282,15 @@ def _gl16_level_nodes(window_pieces, arc_pieces, level):
 
 
 def _log_distance_sum_reference(t, angles):
-    # The original one-matrix integrand term.
+    # The integrand term as one (angles x nodes) matrix, with
+    # sin((t - a)/2) = sin(t/2) cos(a/2) - cos(t/2) sin(a/2).
+    half_t, half_a = 0.5 * t[None, :], 0.5 * angles[:, None]
+    sine = np.sin(half_t) * np.cos(half_a) - np.cos(half_t) * np.sin(half_a)
+    return np.sum(np.log(np.maximum(4.0 * sine**2, _LOG_FLOOR)), axis=0)
+
+
+def _log_distance_sum_direct(t, angles):
+    # The form the kernel had before: one sine per (angle, node) element.
     dist2 = 4.0 * np.sin(0.5 * (t[None, :] - angles[:, None])) ** 2
     return np.sum(np.log(np.maximum(dist2, _LOG_FLOOR)), axis=0)
 
@@ -368,6 +384,14 @@ def test_quadrature_matches_unblocked_reference_bit_for_bit(monkeypatch):
             assert v == eval_poly(a, z[k])
             assert v == eval_poly(a, z[k:k + 1])[0]
 
+    # The kernel equals its one-matrix reference at every block edge; a
+    # one-node block would be summed pairwise.
+    angles = rng.uniform(-np.pi, np.pi, 40)
+    for size in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 1):
+        t = rng.uniform(0, 2 * np.pi, size)
+        got = log_integrals._log_distance_sum(t, angles)
+        assert got.tobytes() == _log_distance_sum_reference(t, angles).tobytes(), size
+
     checked = {"groups": 0, "short": 0}
     for p, a, roots in _quadrature_oracle_cases():
         q = ce.polar_factor(ce.normalize_self_inversive(p).normalized).q
@@ -384,6 +408,99 @@ def test_quadrature_matches_unblocked_reference_bit_for_bit(monkeypatch):
             want = [ce.log_pair_quadrature(A, B, b_roots=r) for A, B, r in calls]
         assert [v.hex() for v in got] == [v.hex() for v in want], p.degree
     assert checked["groups"] > 20 and checked["short"] > 0, checked
+
+
+def test_log_distance_kernel_against_mpmath():
+    # Nodes c +/- e^{-s}, s = 1, 3, ..., 37, and c exactly, around angles c
+    # of the set, also shifted by 2pi (wrapped windows); repeated angles at
+    # n = 16.  Against 50 digits, with the node and the angles taken as
+    # exact binary values, the kernel errs by at most
+    # C eps sum_j (1 + 1/|2 sin((t - a_j)/2)|): eps/d per sine near a zero
+    # of distance d, and the rounding of log and of the sum.  C = 8; 2.0
+    # measured at n = 128, where the direct sine form measured 4.1.  A
+    # floored term (t == a exactly) adds its size, |log floor|, to the sum.
+    # Distances below 1e-14 are only bounded below by the floor: a node a
+    # few ulps from a zero can cancel to 0 (see the weight test below).
+    eps = np.finfo(float).eps
+    rng = instance_rng(39)
+    twice = np.repeat(rng.uniform(0, 2 * np.pi, 4), 2)
+    cases = (
+        np.array([2.5]),
+        np.concatenate((twice, rng.uniform(-np.pi, np.pi, 7), [1e-3])),
+        np.angle(random_circle_poly(128, instance_rng(39, 128), unit_norm=True).roots),
+    )
+    log_floor = math.log(_LOG_FLOOR)
+    u = np.exp(-np.arange(1.0, 38.0, 2.0))
+    with mpmath.workdps(50):
+        for angles in cases:
+            centers = np.unique(angles[:4])[:2]
+            t = np.concatenate([c + shift + sign * u for c in centers
+                                for shift in (0.0, 2 * np.pi) for sign in (-1.0, 1.0)]
+                               + [centers])
+            got = log_integrals._log_distance_sum(t, angles)
+            for tk, value in zip(t, got):
+                dist = [abs(2 * mpmath.sin((mpmath.mpf(tk) - mpmath.mpf(a)) / 2))
+                        for a in angles]
+                far = [d for d in dist if d >= 1e-14]
+                near = len(dist) - len(far)
+                reference = float(mpmath.fsum(mpmath.log(d**2) for d in far))
+                bound = 8 * eps * (sum(1 + 1 / float(d) for d in far)
+                                   - near * log_floor)
+                assert np.isfinite(value)
+                if all(d == 0 or d >= 1e-14 for d in dist):
+                    # t == a exactly is the floor, for each repeated angle
+                    assert abs(value - (reference + near * log_floor)) <= bound, tk
+                else:
+                    assert value >= reference + near * log_floor - bound, tk
+
+
+def test_log_distance_floor_only_at_negligible_weight():
+    # Window nodes run down to |t - c| = e^{-37}, below an ulp of c, where
+    # the kernel may cancel the distance to its own center to 0 (as the
+    # direct form does when t rounds to c).  On full-length windows every
+    # floored node lies within one ulp of its center, with a quadrature
+    # weight of at most 1e-15 (5.0e-16 measured, at level 0), so the floor
+    # moves an integral by less than 1e-15 * 147 * |A|^2 per node.
+    rng = instance_rng(41)
+    centers = np.concatenate((rng.uniform(0, 2 * np.pi, 40),
+                              2 * np.pi + rng.uniform(0, 0.1, 8)))
+    windows = [(c, sign, -math.log(0.005), _S_CUT)
+               for c in centers for sign in (-1.0, 1.0)]
+    floored = 0
+    for level in range(4):
+        t, w, panels = _kronrod_nodes(windows, [], np.full(len(windows), level))
+        row_centers = np.repeat([c for c, _, _, _ in windows], panels)
+        for c, t_row, w_row in zip(row_centers, t, w):
+            hit = log_integrals._log_distance_sum(t_row, np.array([c])) <= math.log(_LOG_FLOOR)
+            floored += hit.sum()
+            assert np.all(np.abs(t_row[hit] - c) <= np.spacing(c))
+            assert np.all(w_row[hit] <= 1e-15)
+    assert floored > 0
+
+
+def test_log_distance_kernel_agrees_with_the_direct_sine_form(monkeypatch):
+    # The two forms of the kernel give the same quadrature values on the
+    # oracle cases within 1e-13 max(1, scale); 6.6e-16 max(1, scale)
+    # (7.1e-15 absolute) measured.
+    quadrature = log_integrals.circle_quadrature
+    scales = []
+
+    def quadrature_spy(f, singular_angles=(), scale=1.0, s_cut_of=None):
+        scales.append(scale)
+        return quadrature(f, singular_angles, scale=scale, s_cut_of=s_cut_of)
+
+    monkeypatch.setattr(log_integrals, "circle_quadrature", quadrature_spy)
+    for p, a, roots in _quadrature_oracle_cases():
+        q = ce.polar_factor(ce.normalize_self_inversive(p).normalized).q
+        calls = ((a, a, roots), (a, q, None))
+        if p.degree < 128:
+            calls += ((a, a, None),)
+        for A, B, r in calls:
+            got = ce.log_pair_quadrature(A, B, b_roots=r)
+            with monkeypatch.context() as m:
+                m.setattr(log_integrals, "_log_distance_sum", _log_distance_sum_direct)
+                want = ce.log_pair_quadrature(A, B, b_roots=r)
+            assert abs(got - want) <= 1e-13 * max(1.0, scales[-1])
 
 
 def test_kronrod_quadrature_is_as_accurate_as_it_estimates(monkeypatch):
