@@ -213,12 +213,12 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     (("--coeffs", "[1, 2]"), 2),          # JSON, but not [re, im] pairs
     (("--binomial", "n=6", "omega"), 2),  # a token without '='
     (("--angles", "[]"), 2),              # an empty list
+    (("--coeffs", "[[1,0],[0,0],[0,0],[0.5,0]]"), 3),  # zeros off the circle
     (("--angles", "5"), 2),               # a JSON scalar, not an array
     (("--angles", "true"), 2),
     (("--angles", "null"), 2),
     (("--angles", '"x"'), 2),
     (("--angles", "[true]"), 2),          # a boolean is not a real number
-    (("--coeffs", "[[1,0],[0,0],[0,0],[0.5,0]]"), 3),  # zeros off the circle
 ])
 def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
     # text that does not parse is a usage error (2); a parsed polynomial
