@@ -48,6 +48,10 @@ _WINDOW = 1e-2       # width of the substitution window around a singular angle
 _MAX_DEPTH = 40      # most panel doublings of any one quadrature piece
 _LOG_FLOOR = 1e-64   # clamps squared distances so log never returns -inf
 _BLOCK = 1024        # integrand nodes per (factors x nodes) log-distance block
+_EPS = float(np.finfo(float).eps)
+# Tail cuts tried in turn, and the half-widths e^{-s} they leave.
+_S_LADDER = np.arange(10.0, _S_CUT)
+_U_LADDER = np.array([math.exp(-s) for s in _S_LADDER])
 
 
 @dataclass(frozen=True)
@@ -248,19 +252,23 @@ def _merge_windows(angles, halfwidth: float):
     return out
 
 
-def _window_pieces(start: float, end: float, centers, s_cuts):
-    """One-sided substitution pieces for a merged window of singular angles.
+def _window_pieces(start: float, end: float, centers, s_cuts, closed):
+    """Substitution pieces and closing arcs for a merged window of angles.
 
     Each sub-arc between a center and the nearest breakpoint maps to the
     s-interval [-log span, s_cut] under t = center + sign * e^{-s}, with
-    ``s_cuts`` the tail cut of each center.
+    ``s_cuts`` the tail cut of each center.  Where ``closed`` is set, f is
+    analytic around the center, and the arc |t - center| < e^{-s_cut} that the
+    substitution leaves out, clipped to the breakpoints, is returned as an
+    arc piece ``(a, b)`` instead of being dropped.
     """
     pts = [start]
     for left, right in zip(centers[:-1], centers[1:]):
         pts.append(0.5 * (left + right))
     pts.append(end)
     pieces = []
-    for i, (c, s_cut) in enumerate(zip(centers, s_cuts)):
+    arcs = []
+    for i, (c, s_cut, close) in enumerate(zip(centers, s_cuts, closed)):
         for edge, sign in ((pts[i], -1.0), (pts[i + 1], 1.0)):
             span = abs(edge - c)
             if span <= 0:
@@ -268,7 +276,10 @@ def _window_pieces(start: float, end: float, centers, s_cuts):
             s0 = -math.log(span)
             if s0 < s_cut:
                 pieces.append((c, sign, s0, s_cut))
-    return pieces
+        if close:
+            u = math.exp(-s_cut)
+            arcs.append((max(pts[i], c - u), min(pts[i + 1], c + u)))
+    return pieces, arcs
 
 
 def _kronrod_panels(lo, hi, panels):
@@ -335,9 +346,12 @@ def circle_quadrature(f, singular_angles=(), scale: float = 1.0,
 
     ``s_cut_of`` optionally shortens the substitution tail: called once with
     the array of window centers (an angle past 2pi where a window wraps
-    around), it returns one cut per center, and the caller certifies the
-    dropped mass.  Raises ``BudgetExceeded`` when a piece would need more
-    than ``_MAX_DEPTH`` doublings.
+    around), it returns two sequences, one cut per center and one flag per
+    center.  Where the flag is false the caller certifies the mass beyond
+    the cut, which is dropped; where it is true f is analytic within
+    10 e^{-cut} of the center, and the arc within e^{-cut} becomes one arc
+    piece.  Raises ``BudgetExceeded`` when a piece would need more than
+    ``_MAX_DEPTH`` doublings.
     """
     tol = _TOLERANCE * max(1.0, abs(scale))
     angles = np.asarray(singular_angles, dtype=float)
@@ -360,14 +374,18 @@ def circle_quadrature(f, singular_angles=(), scale: float = 1.0,
             )
         centers = np.array([c for _, _, group in clusters for c in group])
         if s_cut_of is None:
-            s_cuts = [_S_CUT] * centers.size
+            s_cuts, closed = [_S_CUT] * centers.size, [False] * centers.size
         else:
-            s_cuts = [min(_S_CUT, s) for s in s_cut_of(centers)]
+            s_cuts, closed = s_cut_of(centers)
+            s_cuts = [min(_S_CUT, s) for s in s_cuts]
+        closing = []
         used = 0
         for start, end, group in clusters:
-            cuts = s_cuts[used:used + len(group)]
+            k = slice(used, used + len(group))
             used += len(group)
-            window_pieces.extend(_window_pieces(start, end, group, cuts))
+            pieces, inner = _window_pieces(start, end, group, s_cuts[k], closed[k])
+            window_pieces.extend(pieces)
+            closing.extend(inner)
         arcs = []
         for idx, (_, end, _) in enumerate(clusters):
             nxt_start = clusters[(idx + 1) % len(clusters)][0]
@@ -375,6 +393,7 @@ def circle_quadrature(f, singular_angles=(), scale: float = 1.0,
                 nxt_start += 2 * np.pi
             if nxt_start - end > 1e-12:
                 arcs.append((end, nxt_start))
+        arcs.extend(closing)
     arc_pieces = [(a, b, max(1, int(math.ceil((b - a) / 0.15)))) for a, b in arcs]
     return _kronrod_sum(f, window_pieces, arc_pieces, tol, _MAX_DEPTH)[0]
 
@@ -433,7 +452,9 @@ def _log_distance_sum(t: np.ndarray, angles: np.ndarray) -> np.ndarray:
     differently.
     """
     half_a = 0.5 * angles
-    sin_a, cos_a = np.sin(half_a)[:, None], np.cos(half_a)[:, None]
+    # Twice the half-angle sines, so that d is the chord 2 sin((t - a)/2)
+    # itself; scaling by 2 is exact.
+    sin_a, cos_a = 2.0 * np.sin(half_a)[:, None], 2.0 * np.cos(half_a)[:, None]
     out = np.empty(t.size)
     size = angles.size * min(t.size, 2 * _BLOCK - 1)
     buf, buf2 = np.empty(size), np.empty(size)
@@ -448,7 +469,6 @@ def _log_distance_sum(t: np.ndarray, angles: np.ndarray) -> np.ndarray:
         np.multiply(np.cos(half_t), sin_a, out=e)
         np.subtract(d, e, out=d)
         np.square(d, out=d)
-        np.multiply(d, 4.0, out=d)
         np.maximum(d, _LOG_FLOOR, out=d)
         np.log(d, out=d)
         np.sum(d, axis=0, out=out[lo:hi])
@@ -467,17 +487,58 @@ def _deflate_root(coeffs: np.ndarray, rho: complex) -> np.ndarray:
     return out[::-1]
 
 
+def _tail_amplitudes(A, centers) -> np.ndarray:
+    """Bounds on |A(e^{it})| over |t - c| <= e^{-s}, one row per center c
+    and one column per s of ``_S_LADDER``.
+
+    Along the chord from e^{ic}, of length at most u = e^{-s} and inside the
+    closed disk, |A| <= |A(c)| + u min(deg A sum|a_j|, |A'(c)| +
+    u/2 sum j(j-1)|a_j|): a first-order bound, or Taylor's with the
+    remainder bounded by |A''| on the disk.  A(c) and c A'(c) are sums over
+    the powers of e^{ic}, taken by repeated products; each carries an
+    allowance of 10 (deg A + 1) eps times its sum of |coefficients| for the
+    rounding of e^{ic}, of the powers and of the sum.
+    """
+    a = as_coefficients(A)
+    j = np.arange(a.size)
+    abs_a = np.abs(a)
+    sum_a = float(abs_a.sum())
+    rounding = 10.0 * (poly_degree(a) + 1) * _EPS
+    powers = np.ones((np.size(centers), a.size), dtype=complex)
+    powers[:, 1:] = np.exp(1j * np.asarray(centers, dtype=float))[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    value = np.abs((powers * a).sum(axis=1)) + rounding * sum_a
+    # z A'(z) has the modulus of A'(z) on the circle.
+    slope = np.abs((powers * (j * a)).sum(axis=1)) + rounding * float((j * abs_a).sum())
+    curvature = float((j * (j - 1) * abs_a).sum())
+    chord = np.minimum(poly_degree(a) * sum_a,
+                       slope[:, None] + 0.5 * _U_LADDER * curvature)
+    return value[:, None] + _U_LADDER * chord
+
+
 def log_pair_quadrature(A, B, b_roots=None) -> float:
     """Integral of |A|^2 log|B|^2 over dm by adaptive circle quadrature.
 
     Circle zeros of B are located (from ``b_roots`` when supplied, otherwise
     from the companion matrix without certification), deflated out of B, and
     their log factors evaluated through 2|sin((t - angle)/2)|, which stays
-    accurate arbitrarily close to the singularity.  Windows around each
-    circle zero, and around each zero less than ``_WINDOW`` off the circle,
-    are integrated under the exponential substitution; the integrand follows
-    x log x = 0 at common zeros of A and B.  With no such zero the whole
-    circle is one arc piece of ``circle_quadrature``.
+    accurate arbitrarily close to the singularity.  A found root within
+    ``TAU_SEP`` of the circle counts as a circle zero only when B vanishes at
+    its projection to the circle as well as at the root, to rounding;
+    otherwise deflating there would drop a remainder the integrand can see.
+    Windows around each circle zero, and around each zero less than
+    ``_WINDOW`` off the circle, are integrated under the exponential
+    substitution; the integrand follows x log x = 0 at common zeros of A and
+    B.  With no such zero the whole circle is one arc piece of
+    ``circle_quadrature``.
+
+    The substitution around a circle zero stops at the first s = 10, 11, ..
+    where the mass beyond it is certified below its share of the tolerance.
+    Around a zero off the circle it stops at s = -log(d/10), d the distance
+    from the center e^{ic} to the nearest zero of B (for a lone zero, its
+    distance from the circle), unless a circle zero is nearer; the arc
+    within d/10 of the center, where log|B|^2 is analytic, is one Kronrod
+    panel.
     """
     a_arr = as_coefficients(A)
     b_arr = as_coefficients(B)
@@ -492,20 +553,27 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
     else:
         roots = np.zeros(0, dtype=complex)
 
-    deflated = body
-    factor_angles: list[float] = []
-    window_angles: list[float] = []
-    for rho in roots:
-        mod = abs(rho)
-        if abs(mod - 1.0) <= TAU_SEP:
-            tau = rho / mod
+    mods = np.abs(roots)
+    off = np.abs(mods - 1.0)
+    on = off <= TAU_SEP
+    if b_roots is None and on.any():
+        # B at tau within 4 times B at the root, plus Horner's rounding.
+        noise = 8.0 * (deg + 1) * _EPS * float(np.sum(np.abs(body)))
+        found = roots[on]
+        residual = np.abs(eval_poly(body, found / mods[on]))
+        on[on] = residual <= 4.0 * np.abs(eval_poly(body, found)) + noise
+    taus = roots[on] / mods[on]
+    near = roots[~on & (off < _WINDOW)]
+    factors = np.angle(taus)
+    window_angles = np.concatenate((factors, np.angle(near)))
+    if taus.size == deg:
+        # Synthetic division never changes the top coefficient.
+        deflated = body[deg:]
+    else:
+        deflated = body
+        for tau in taus:
             deflated = _deflate_root(deflated, tau)
-            factor_angles.append(float(np.angle(tau)))
-            window_angles.append(float(np.angle(tau)))
-        elif abs(mod - 1.0) < _WINDOW:
-            window_angles.append(float(np.angle(rho)))
 
-    factors = np.asarray(factor_angles)
     scale = float(np.sum(np.abs(a_arr) ** 2)) * max(
         1.0, 2.0 * abs(math.log(max(abs(body[deg]), 1e-300)))
     )
@@ -520,29 +588,27 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
             logb += _log_distance_sum(t, factors)
         return np.where(a2 > 0, a2 * logb, 0.0)
 
-    # The substitution tail beyond u0 = e^{-S} contributes at most
-    # |A|^2_near * u0 * |log|B|^2|_near; where A vanishes at the window
-    # center this lets the tail stop far earlier than the generic cutoff.
-    deg_a = poly_degree(a_arr)
-    sum_a = float(np.sum(np.abs(a_arr)))
-    budget = _TOLERANCE * max(1.0, scale) / (8.0 * max(1, len(window_angles)))
+    # The substitution tail beyond u0 = e^{-s} contributes at most
+    # amp^2 weight, weight = 2 u0 (2 deg B (s + 2) + 160), with amp a bound
+    # on |A| within u0 of the center; where A vanishes at the center this
+    # stops the tail far earlier than the generic cutoff.
+    budget = _TOLERANCE * max(1.0, scale) / (8.0 * max(1, window_angles.size))
+    weight = 2.0 * _U_LADDER * (2.0 * deg * (_S_LADDER + 2.0) + 160.0)
+    window_zeros = np.concatenate((taus, near))
 
-    def tail_cut(amp_root: float) -> float:
-        s = 10.0
-        while s < _S_CUT:
-            u0 = math.exp(-s)
-            amp = (amp_root + u0 * deg_a * sum_a) ** 2
-            log_bound = 2.0 * deg * (s + 2.0) + 160.0
-            if 2.0 * amp * u0 * log_bound <= budget:
-                return s
-            s += 3.0
-        return _S_CUT
-
-    def s_cut_of(centers: np.ndarray) -> list[float]:
-        # Python floats and abs(): the scalar pow and hypot of the ladder
-        # need not round like numpy's square and complex absolute.
-        values = eval_poly(a_arr, np.exp(1j * centers))
-        return [tail_cut(abs(complex(v))) for v in values]
+    def s_cut_of(centers: np.ndarray):
+        # Distances to the nearest zero on the circle and off it.
+        dist = np.abs(np.exp(1j * centers)[:, None] - window_zeros)
+        r_on = dist[:, :taus.size].min(axis=1, initial=np.inf)
+        r_off = dist[:, taus.size:].min(axis=1, initial=np.inf)
+        closed = r_off <= r_on
+        cuts = -np.log(r_off / 10.0)
+        singular = ~closed
+        if singular.any():
+            ok = _tail_amplitudes(a_arr, centers[singular]) ** 2 * weight <= budget
+            cuts[singular] = np.where(ok.any(axis=1), _S_LADDER[ok.argmax(axis=1)],
+                                      _S_CUT)
+        return cuts, closed
 
     return circle_quadrature(integrand, window_angles, scale=scale,
                              s_cut_of=s_cut_of)

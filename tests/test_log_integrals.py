@@ -335,9 +335,9 @@ def _quadrature_oracle_cases():
 
 
 def _spy_tail_cuts(m, checked):
-    # The tail cuts of every window group must be those of the original
-    # evaluation, one center at a time.  ``checked`` counts the groups and
-    # the cuts shorter than _S_CUT.
+    # The tail cuts and closing flags of every window group must be those of
+    # the original evaluation, one center at a time.  ``checked`` counts the
+    # groups, the cuts shorter than _S_CUT and the closed centers.
     quadrature = log_integrals.circle_quadrature
     window_pieces = log_integrals._window_pieces
     seen = {}
@@ -346,12 +346,14 @@ def _spy_tail_cuts(m, checked):
         seen["s_cut_of"] = s_cut_of
         return quadrature(f, singular_angles, scale=scale, s_cut_of=s_cut_of)
 
-    def window_pieces_spy(start, end, group, cuts):
-        want = [min(_S_CUT, seen["s_cut_of"](np.array([c]))[0]) for c in group]
-        assert list(cuts) == want
+    def window_pieces_spy(start, end, group, cuts, closed):
+        want = [seen["s_cut_of"](np.array([c])) for c in group]
+        assert list(cuts) == [min(_S_CUT, cut[0]) for cut, _ in want]
+        assert list(closed) == [bool(flag[0]) for _, flag in want]
         checked["groups"] += 1
         checked["short"] += sum(cut < _S_CUT for cut in cuts)
-        return window_pieces(start, end, group, cuts)
+        checked["closed"] += sum(closed)
+        return window_pieces(start, end, group, cuts, closed)
 
     m.setattr(log_integrals, "circle_quadrature", quadrature_spy)
     m.setattr(log_integrals, "_window_pieces", window_pieces_spy)
@@ -392,7 +394,7 @@ def test_quadrature_matches_unblocked_reference_bit_for_bit(monkeypatch):
         got = log_integrals._log_distance_sum(t, angles)
         assert got.tobytes() == _log_distance_sum_reference(t, angles).tobytes(), size
 
-    checked = {"groups": 0, "short": 0}
+    checked = {"groups": 0, "short": 0, "closed": 0}
     for p, a, roots in _quadrature_oracle_cases():
         q = ce.polar_factor(ce.normalize_self_inversive(p).normalized).q
         calls = ((a, a, roots), (a, q, None))
@@ -408,6 +410,7 @@ def test_quadrature_matches_unblocked_reference_bit_for_bit(monkeypatch):
             want = [ce.log_pair_quadrature(A, B, b_roots=r) for A, B, r in calls]
         assert [v.hex() for v in got] == [v.hex() for v in want], p.degree
     assert checked["groups"] > 20 and checked["short"] > 0, checked
+    assert checked["closed"] > 0, checked
 
 
 def test_log_distance_kernel_against_mpmath():
@@ -565,6 +568,133 @@ def test_zero_just_off_the_circle_is_windowed(monkeypatch):
     (windows, tol), = calls
     assert windows > 0
     assert abs(jensen - ce.ratio_functional(p).jensen_integral) <= tol
+
+
+def _tail_cut_reference(amp_root, deg_a, sum_a, deg_b, budget):
+    # The rule before unit steps and the Taylor bound: a first-order bound
+    # on |A| only, with s = 10, 13, .., 34.
+    s = 10.0
+    while s < _S_CUT:
+        u0 = math.exp(-s)
+        amp = (amp_root + u0 * deg_a * sum_a) ** 2
+        if 2.0 * amp * u0 * (2.0 * deg_b * (s + 2.0) + 160.0) <= budget:
+            return s
+        s += 3.0
+    return _S_CUT
+
+
+def test_tail_amplitude_bounds_and_cuts(monkeypatch):
+    # At zeros of A, near them and at generic points, the dense-sampled sup
+    # of |A(e^{it})| over |t - c| <= e^{-s} stays within the amplitude bound
+    # at every s of the ladder, and no tail cut is later than the rule with
+    # the first-order bound alone gave (windows closed around a zero off the
+    # circle drop no tail).
+    quadrature = log_integrals.circle_quadrature
+    seen = {}
+
+    def quadrature_spy(f, singular_angles=(), scale=1.0, s_cut_of=None):
+        seen.update(s_cut_of=s_cut_of, scale=scale, windows=len(singular_angles))
+        return quadrature(f, singular_angles, scale=scale, s_cut_of=s_cut_of)
+
+    monkeypatch.setattr(log_integrals, "circle_quadrature", quadrature_spy)
+    rng = instance_rng(42, 12)
+    x = np.linspace(-1.0, 1.0, 401)
+    earlier = 0
+    for n in (1, 7, 40, 128):
+        circle = random_circle_poly(n, instance_rng(42, 12, n), unit_norm=True)
+        gaussian = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        for a, zeros in ((circle.coefficients, np.angle(circle.roots)),
+                         (gaussian, np.angle(polished_roots(gaussian)))):
+            zeros = zeros[:12]
+            centers = np.concatenate((zeros, zeros + 1e-9, zeros - 1e-6,
+                                      zeros + 1e-3, rng.uniform(0, 2 * np.pi, 8),
+                                      zeros[:2] + 2 * np.pi))
+            amp = log_integrals._tail_amplitudes(a, centers)
+            offsets = log_integrals._U_LADDER[:, None] * x
+            for c, row in zip(centers, amp):
+                sup = np.abs(eval_poly(a, np.exp(1j * (c + offsets)))).max(axis=1)
+                assert np.all(sup <= row), (n, c)
+            # B = A with its circle zeros given: the windows the repo places.
+            b_roots = circle.roots if a is circle.coefficients else None
+            ce.log_pair_quadrature(a, a, b_roots=b_roots)
+            cuts, closed = seen["s_cut_of"](centers)
+            budget = 1e-9 * max(1.0, seen["scale"]) / (8.0 * max(1, seen["windows"]))
+            values = eval_poly(a, np.exp(1j * centers))
+            for cut, flag, v in zip(cuts, closed, values):
+                if flag:  # a zero off the circle: nothing is dropped
+                    continue
+                old = _tail_cut_reference(abs(complex(v)), n, float(np.abs(a).sum()),
+                                          n, budget)
+                assert cut <= old
+                earlier += cut < old
+    assert earlier > 0
+
+
+def _off_circle_case():
+    # A, and zeros of B in 1.5 <= |z| <= 2.5, far from every window.
+    rng = instance_rng(43)
+    others = (1.5 + rng.uniform(0, 1, 5)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
+    return rng.standard_normal(13) + 1j * rng.standard_normal(13), others
+
+
+def _spy_windows(m):
+    # Records the scale of each quadrature, and each window group's cuts,
+    # closing flags and closing arcs.
+    quadrature = log_integrals.circle_quadrature
+    window_pieces = log_integrals._window_pieces
+    seen = {"scale": [], "groups": []}
+
+    def quadrature_spy(f, singular_angles=(), scale=1.0, s_cut_of=None):
+        seen["scale"].append(scale)
+        return quadrature(f, singular_angles, scale=scale, s_cut_of=s_cut_of)
+
+    def window_pieces_spy(start, end, group, cuts, closed):
+        pieces, arcs = window_pieces(start, end, group, cuts, closed)
+        seen["groups"].append((list(group), list(cuts), list(closed), pieces, arcs))
+        return pieces, arcs
+
+    m.setattr(log_integrals, "circle_quadrature", quadrature_spy)
+    m.setattr(log_integrals, "_window_pieces", window_pieces_spy)
+    return seen
+
+
+@pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-9])
+def test_zero_off_the_circle_stops_at_a_tenth_of_its_distance(monkeypatch, d):
+    # B has one zero at (1 + d) e^{i phi}, phi = 1.3.  Its substitution ends at s = -log(d/10) and one arc panel covers
+    # |t - phi| < d/10, where log|B|^2 is analytic; the series route is
+    # exact here, as B has no zeros in the open disk.  At d = 1e-9, within
+    # TAU_SEP of the circle, the found zero used to be deflated at e^{i phi}
+    # as a circle zero: an error of 1.4e-9 max(1, scale).
+    a, others = _off_circle_case()
+    b = np.poly(np.concatenate(([(1 + d) * np.exp(1.3j)], others)))[::-1]
+    seen = _spy_windows(monkeypatch)
+    value = ce.log_pair_quadrature(a, b)
+    (scale,), ((group, cuts, closed, pieces, arcs),) = seen["scale"], seen["groups"]
+    assert len(group) == 1 and closed == [True]
+    assert abs(cuts[0] + math.log(d / 10)) <= 1e-6
+    assert {s_cut for _, _, _, s_cut in pieces} == {cuts[0]}
+    (lo, hi), = arcs
+    assert abs(lo - (group[0] - d / 10)) <= 1e-6 * d
+    assert abs(hi - (group[0] + d / 10)) <= 1e-6 * d
+    assert abs(value - ce.log_pair_spectral(a, b)) <= 1e-9 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("shift", [0.0, 5e-13])
+def test_circle_zero_merged_with_a_zero_off_it_stays_singular(monkeypatch, shift):
+    # A circle zero and a zero 1e-3 off the circle at the same angle, to
+    # within 1e-12, share one window center: the log singularity keeps the
+    # substitution to its tail cut, with no closing arc.
+    a, others = _off_circle_case()
+    roots = np.concatenate(([np.exp(1.3j), (1 + 1e-3) * np.exp(1j * (1.3 + shift))],
+                            others))
+    b = np.poly(roots)[::-1]
+    seen = _spy_windows(monkeypatch)
+    value = ce.log_pair_quadrature(a, b, b_roots=roots)
+    (scale,), groups = seen["scale"], seen["groups"]
+    merged = [g for g in groups if any(abs(c - 1.3) < 1e-11 for c in g[0])]
+    (group, cuts, closed, pieces, arcs), = merged
+    assert len(group) == 1 and closed == [False] and arcs == []
+    assert abs(value - ce.log_pair_spectral(a, b)) <= 1e-9 * max(1.0, scale)
 
 
 def test_kronrod_table_is_qk21():
