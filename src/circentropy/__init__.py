@@ -13,7 +13,6 @@ from .blaschke_moments import (
     MomentSequence,
     blaschke_series,
     moments,
-    moments_by_quadrature,
     schur_contraction_check,
     series_divide,
     series_multiply,
@@ -22,10 +21,7 @@ from .entropy import (
     EntropyReport,
     h_fourier,
     h_fourier_quadrature,
-    h_partial_sum,
-    h_tail_bound,
     h_values,
-    mu_mass_check,
     norm_via_moments,
     polar_term_via_moments,
     telescoping_closed_form,
@@ -70,7 +66,6 @@ from .polycircle import (
     NormalizationResult,
     PolarDecomposition,
     coefficients_from_json,
-    coefficients_to_json,
     eval_poly,
     expand_from_roots,
     from_angles,

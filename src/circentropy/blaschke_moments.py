@@ -13,12 +13,10 @@ from .polycircle import (
     TAU_SEP,
     PolarDecomposition,
     as_coefficients,
-    eval_poly,
     partial_energy_Al,
     weighted_form_Sn,
 )
 
-SERIES_GUARD = 8     # orders the contraction check keeps beyond degree n - 1
 CONTRACTION_TOL = 1e-12  # slack the contraction check allows below zero
 
 
@@ -110,27 +108,6 @@ def moments(d: PolarDecomposition) -> MomentSequence:
     return MomentSequence(vals, n, d.simple_zeros, resid)
 
 
-def moments_by_quadrature(d: PolarDecomposition, count: int) -> np.ndarray:
-    """Trapezoidal quadrature of |q|^2 r^k on the circle for k = 0..count-1.
-
-    Evaluates r on 2^14 nodes as the pointwise rational quotient q*/q;
-    intended as the independent cross-check of the series route for
-    simple-zero inputs.
-    """
-    nodes = 1 << 14
-    t = np.arange(nodes) * (2 * np.pi / nodes)
-    z = np.exp(1j * t)
-    qv = eval_poly(d.q, z)
-    rv = eval_poly(d.qstar, z) / qv
-    w = np.abs(qv) ** 2
-    out = np.zeros(count, dtype=complex)
-    acc = np.ones_like(z)
-    for k in range(count):
-        out[k] = np.mean(w * acc)
-        acc = acc * rv
-    return out
-
-
 def blaschke_series(zeros, gamma, order: int) -> np.ndarray:
     """Taylor coefficients of a finite Blaschke product through ``order``.
 
@@ -178,7 +155,9 @@ def schur_contraction_check(phi_zeros, phi_gamma, f, n: int) -> ContractionRepor
     f = as_coefficients(f)
     if f[0] != 0:
         raise ValueError("f must vanish at the origin (f_0 = 0)")
-    order = n - 1 + SERIES_GUARD
+    # S_n and A_l read degrees <= n - 1 only, and a truncated product's
+    # coefficients of degree j depend on its inputs through degree j alone.
+    order = n - 1
     phi = blaschke_series(phi_zeros, phi_gamma, order)
     phi_f = series_multiply(phi, f, order)
     s_f = weighted_form_Sn(f, n)

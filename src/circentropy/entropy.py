@@ -10,7 +10,6 @@ equality-case classification against the binomial family c(omega + z^n).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -24,8 +23,6 @@ from .polycircle import (
     TAU_EXPAND,
     TAU_UNIMOD,
     CirclePoly,
-    PolarDecomposition,
-    eval_poly,
     gamma_remainder,
     normalize_self_inversive,
     parseval_norm,
@@ -58,13 +55,6 @@ def h_fourier(k: int) -> Fraction:
     return Fraction(2 * (-1) ** k, k * (k * k - 1))
 
 
-def h_tail_bound(L: int) -> Fraction:
-    """Exact bound 4 * sum_{k>L} 1/(k(k^2-1)) on the partial-sum error."""
-    if L < 1:
-        raise ValueError("tail bound needs L >= 1")
-    return Fraction(2, L * (L + 1))
-
-
 def h_values(t) -> np.ndarray:
     """Pointwise h(e^{it}) = |1+e^{it}|^2 log|1+e^{it}|^2, with 0 log 0 = 0."""
     t = np.asarray(t, dtype=float)
@@ -72,15 +62,6 @@ def h_values(t) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = x * np.log(x)
     return np.where(x > 0, out, 0.0)
-
-
-def h_partial_sum(t, L: int) -> np.ndarray:
-    """Symmetric partial sum of the Fourier series of h through order L."""
-    t = np.asarray(t, dtype=float)
-    acc = np.full_like(t, 2.0) + 3.0 * np.cos(t)
-    for k in range(2, L + 1):
-        acc = acc + 2.0 * float(h_fourier(k)) * np.cos(k * t)
-    return acc
 
 
 def h_fourier_quadrature(k: int) -> float:
@@ -134,22 +115,6 @@ def norm_via_moments(seq: MomentSequence) -> float:
     return total
 
 
-def mu_mass_check(d: PolarDecomposition) -> float:
-    """Quadrature of |1 + r|^2 over the circle (equals 2 for simple zeros).
-
-    This is twice the total mass of the probability measure (1/2)|1+r|^2 dm,
-    by the trapezoid rule on 2^14 nodes.  Grid points where |q| is negligible
-    are excluded, which only matters for inputs with multiple zeros.
-    """
-    nodes = 1 << 14
-    t = np.arange(nodes) * (2 * np.pi / nodes)
-    z = np.exp(1j * t)
-    qv = eval_poly(d.q, z)
-    mask = np.abs(qv) > 1e-13 * np.max(np.abs(qv))
-    rv = eval_poly(d.qstar, z[mask]) / qv[mask]
-    return float(np.mean(np.abs(1.0 + rv) ** 2))
-
-
 @dataclass(frozen=True)
 class EntropyReport:
     """All functionals, bounds, gaps, checks and classifications for one polynomial.
@@ -193,9 +158,6 @@ class EntropyReport:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _classify_extremal(coeffs: np.ndarray, n: int) -> tuple[bool, float]:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .blaschke_moments import moments
 from .entropy import polar_term_via_moments
-from .log_integrals import _circle_root_pairing, ratio_functional
+from .log_integrals import _circle_root_pairing, ratio_functional, trig_square
 from .polycircle import (
     CirclePoly,
     expand_from_roots,
@@ -36,7 +36,7 @@ def _objective_terms(angles):
     roots = np.exp(1j * angles)
     coeffs = expand_from_roots(roots, 1.0)
     norm = float((np.abs(coeffs) ** 2).sum())
-    cm = np.array([np.vdot(coeffs[: n + 1 - k], coeffs[k:]) for k in range(1, n + 1)])
+    cm = trig_square(coeffs).coefficients[n + 1 :]
     entropy = _circle_root_pairing(roots, cm)
     return entropy / norm - math.log(norm), roots, coeffs, norm, entropy
 

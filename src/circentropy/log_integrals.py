@@ -68,16 +68,6 @@ class TrigSquare:
     def __post_init__(self):
         self.coefficients.setflags(write=False)
 
-    def coefficient(self, k: int) -> complex:
-        if abs(k) > self.degree:
-            return 0j
-        return complex(self.coefficients[self.degree + k])
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        k = np.arange(-self.degree, self.degree + 1)
-        return np.real(np.exp(1j * np.outer(t, k)) @ self.coefficients)
-
 
 def trig_square(A) -> TrigSquare:
     """Autocorrelation of the coefficient vector of A."""
@@ -86,11 +76,11 @@ def trig_square(A) -> TrigSquare:
     if deg < 0:
         raise ZeroPolynomial("|A|^2 undefined for the zero polynomial")
     a = arr[: deg + 1]
-    c = np.zeros(2 * deg + 1, dtype=complex)
+    c = np.empty(2 * deg + 1, dtype=complex)
     for k in range(deg + 1):
-        ck = np.vdot(a[: deg + 1 - k], a[k:])
-        c[deg + k] = ck
-        c[deg - k] = np.conj(ck)
+        c[deg + k] = np.vdot(a[: deg + 1 - k], a[k:])
+    # c_{-k} = conj(c_k) for k = 0..d; c_0 is conjugated too.
+    c[: deg + 1] = np.conj(c[deg:][::-1])
     return TrigSquare(c, deg)
 
 
@@ -130,6 +120,14 @@ def _circle_root_pairing(roots, cm) -> float:
     return -2.0 * float((powers @ (cm / m)).real.sum())
 
 
+def _given_roots(b_roots, deg: int) -> np.ndarray:
+    """The roots of B given to either route, one per degree of B."""
+    roots = np.asarray(b_roots, dtype=complex)
+    if roots.size != deg:
+        raise ValueError(f"root list has {roots.size} entries, expected {deg}")
+    return roots
+
+
 def log_pair_spectral(A, B, b_roots=None) -> float:
     """Integral of |A|^2 log|B|^2 over dm, by the exact series pairing.
 
@@ -142,8 +140,8 @@ def log_pair_spectral(A, B, b_roots=None) -> float:
     conj(l_m), which truncates exactly at m = deg A.  The log coefficients
     come from one of two places:
 
-    - ``b_roots`` given: the roots of B, which must lie on the unit circle
-      (``NonUnimodularRoot`` otherwise); they are input data, not found here.
+    - ``b_roots`` given: the deg B roots of B, which must lie on the unit
+      circle (``NonUnimodularRoot`` otherwise); they are input data.
     - no roots: the Taylor series l_m = [B'/B]_{m-1} / m, which uses the
       coefficients of B only through degree deg A.  This is the integral
       when B has no zeros in the open unit disk (zeros on the circle are
@@ -162,11 +160,7 @@ def log_pair_spectral(A, B, b_roots=None) -> float:
     c0 = float(ts.coefficients[d].real)
     cm = ts.coefficients[d + 1 :]
     if b_roots is not None:
-        roots = np.asarray(b_roots, dtype=complex)
-        if roots.size != deg:
-            raise ValueError(
-                f"root list has {roots.size} entries, expected {deg}"
-            )
+        roots = _given_roots(b_roots, deg)
         mods = np.abs(roots)
         if roots.size and not np.abs(mods - 1.0).max() <= TAU_SEP:
             raise NonUnimodularRoot(
@@ -519,10 +513,11 @@ def _tail_amplitudes(A, centers) -> np.ndarray:
 def log_pair_quadrature(A, B, b_roots=None) -> float:
     """Integral of |A|^2 log|B|^2 over dm by adaptive circle quadrature.
 
-    Circle zeros of B are located (from ``b_roots`` when supplied, otherwise
-    from the companion matrix without certification), deflated out of B, and
-    their log factors evaluated through 2|sin((t - angle)/2)|, which stays
-    accurate arbitrarily close to the singularity.  A found root within
+    Circle zeros of B are located (from ``b_roots``, deg B of them, when
+    supplied, otherwise from the companion matrix without certification),
+    deflated out of B, and their log factors evaluated through
+    2|sin((t - angle)/2)|, which stays accurate arbitrarily close to the
+    singularity.  A found root within
     ``TAU_SEP`` of the circle counts as a circle zero only when B vanishes at
     its projection to the circle as well as at the root, to rounding;
     otherwise deflating there would drop a remainder the integrand can see.
@@ -549,7 +544,7 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
     if b_roots is None and deg > 0:
         roots = polished_roots(body)
     elif b_roots is not None:
-        roots = np.asarray(b_roots, dtype=complex)
+        roots = _given_roots(b_roots, deg)
     else:
         roots = np.zeros(0, dtype=complex)
 

@@ -171,9 +171,6 @@ class CirclePoly:
         self.coefficients.setflags(write=False)
         self.roots.setflags(write=False)
 
-    def __call__(self, z):
-        return eval_poly(self.coefficients, z)
-
     @cached_property
     def h_series(self) -> np.ndarray:
         """Coefficients h_0..h_n of h = q/p = (1/n) sum_tau 1/(1 - conj(tau) z).
@@ -189,11 +186,6 @@ class CirclePoly:
         h.setflags(write=False)
         return h
 
-    @property
-    def angles(self) -> np.ndarray:
-        """Root angles in radians, in storage order."""
-        return np.angle(self.roots)
-
     def scaled(self, factor: complex) -> "CirclePoly":
         """The polynomial multiplied by a nonzero constant."""
         if factor == 0:
@@ -204,12 +196,6 @@ class CirclePoly:
             self.roots.copy(),
             complex(factor * self.leading),
         )
-
-    def is_self_inversive(self) -> bool:
-        """Whether the polynomial equals its reflection within ``TAU_EXPAND``."""
-        refl = reflect(self.coefficients, self.degree)
-        scale = np.max(np.abs(self.coefficients))
-        return bool(np.max(np.abs(refl - self.coefficients)) <= TAU_EXPAND * scale)
 
 
 def from_roots(roots, leading=1.0) -> CirclePoly:
@@ -430,12 +416,6 @@ def perturb_roots(p: CirclePoly, epsilon: float, seed=None) -> CirclePoly:
     return CirclePoly(n, eta * coeffs, rotated, eta * p.leading)
 
 
-def coefficients_to_json(coeffs) -> list:
-    """Coefficient vector as JSON-ready [re, im] pairs, lowest degree first."""
-    arr = as_coefficients(coeffs)
-    return [[float(c.real), float(c.imag)] for c in arr]
-
-
 def coefficients_from_json(data) -> np.ndarray:
-    """Inverse of :func:`coefficients_to_json`."""
+    """Coefficient vector from JSON [re, im] pairs, lowest degree first."""
     return np.array([complex(re, im) for re, im in data], dtype=complex)

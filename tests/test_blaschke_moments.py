@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 import circentropy as ce
-from circentropy.blaschke_moments import moments_by_quadrature, series_divide
+from circentropy.blaschke_moments import series_divide
 from circentropy.corpus import (
     instance_rng,
     random_binomial,
     random_circle_poly,
     random_schur_triple,
 )
-from circentropy.polycircle import TAU_EXPAND, polar_factor
+from circentropy.polycircle import TAU_EXPAND, eval_poly, polar_factor
 
 
 def test_series_divide_examples():
@@ -150,8 +150,20 @@ def test_moments_match_quadrature():
                                    unit_norm=True)
             d = polar_factor(p)
             seq = ce.moments(d)
-            quad = moments_by_quadrature(d, n)
+            quad = np.array([_moment_by_quadrature(d, k) for k in range(n)])
             assert np.max(np.abs(seq.values - quad)) < 1e-8
+
+
+def _moment_by_quadrature(d, k):
+    # M_k is the mean of |q|^2 r^k over the circle, with r = q*/q pointwise.
+    def weighted_power(t):
+        z = np.exp(1j * t)
+        qv = eval_poly(d.q, z)
+        return np.abs(qv) ** 2 * (eval_poly(d.qstar, z) / qv) ** k
+
+    re = ce.circle_quadrature(lambda t: weighted_power(t).real)
+    im = ce.circle_quadrature(lambda t: weighted_power(t).imag)
+    return complex(re, im)
 
 
 def _ratio_functional_reference(p):

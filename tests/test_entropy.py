@@ -9,7 +9,7 @@ import pytest
 
 import circentropy as ce
 from circentropy.corpus import instance_rng, random_binomial, random_circle_poly
-from circentropy.polycircle import polar_factor
+from circentropy.polycircle import eval_poly, polar_factor
 
 
 def test_h_fourier_closed_form():
@@ -36,8 +36,11 @@ def test_h_partial_sums_uniform_bound():
     t = np.arange(4096) * (2 * np.pi / 4096)
     h = ce.h_values(t)
     for L in (2, 5, 10, 50):
-        err = np.max(np.abs(h - ce.h_partial_sum(t, L)))
-        assert err <= float(ce.h_tail_bound(L)) + 1e-12
+        partial = sum(float(ce.h_fourier(k)) * np.cos(k * t) for k in range(-L, L + 1))
+        # 4 sum_{k>L} 1/(k(k^2-1)) telescopes to 2/(L(L+1)).
+        tail = 4 * (Fraction(1, 4) - ce.telescoping_closed_form(L + 1))
+        assert tail == Fraction(2, L * (L + 1))
+        assert np.max(np.abs(h - partial)) <= float(tail) + 1e-12
 
 
 def test_telescoping_identity():
@@ -77,15 +80,26 @@ def test_moment_formula_matches_ratio_functional():
             assert abs(norm - ce.norm_via_moments(seq)) < 1e-9 * norm
 
 
+def _mu_mass(p):
+    # |1 + r|^2 = |p/q|^2 on the circle: twice the mass of (1/2)|1 + r|^2 dm.
+    q = polar_factor(p).q
+
+    def ratio(t):
+        z = np.exp(1j * t)
+        return np.abs(eval_poly(p.coefficients, z) / eval_poly(q, z)) ** 2
+
+    return ce.circle_quadrature(ratio)
+
+
 def test_mu_mass():
     n = 5
     p = ce.from_angles((np.pi + 2 * np.pi * np.arange(n)) / n)
-    assert abs(ce.mu_mass_check(polar_factor(p)) - 2.0) < 1e-10
-    assert abs(ce.mu_mass_check(polar_factor(ce.from_roots([1, -1], 1j))) - 2.0) < 1e-10
+    assert abs(_mu_mass(p) - 2.0) < 1e-10
+    assert abs(_mu_mass(ce.from_roots([1, -1], 1j)) - 2.0) < 1e-10
     for i in range(10):
         n = int(instance_rng(41, i).integers(2, 13))
         p = random_circle_poly(n, instance_rng(41, i), min_gap=0.05)
-        assert abs(ce.mu_mass_check(polar_factor(p)) - 2.0) < 1e-8
+        assert abs(_mu_mass(p) - 2.0) < 1e-8
 
 
 def test_verify_main_extremal_family():
@@ -171,7 +185,7 @@ def test_equality_classification_soundness():
 
 def test_report_round_trips_to_json():
     rep = ce.verify_main(ce.from_roots([1.0, 1.0]))
-    doc = json.loads(rep.to_json())
+    doc = json.loads(json.dumps(rep.to_dict()))
     assert doc["degree"] == 2
     assert doc["routes"]["entropy"] == "spectral"
     assert set(doc) == set(rep.to_dict())

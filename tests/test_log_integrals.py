@@ -36,8 +36,9 @@ def test_trig_square_examples():
     assert np.allclose(ts.coefficients, [1, -4, 6, -4, 1])
     ts = ce.trig_square([0, 0, 0, 1.0])  # z^3
     assert ts.degree == 3
-    assert ts.coefficient(0) == 1.0
-    assert all(ts.coefficient(k) == 0 for k in (1, 2, 3, 5))
+    assert ts.coefficients.size == 2 * 3 + 1  # nothing stored beyond |k| = 3
+    assert ts.coefficients[3] == 1.0
+    assert all(ts.coefficients[3 + k] == 0 for k in (1, 2, 3))
     with pytest.raises(ce.ZeroPolynomial):
         ce.trig_square([0.0, 0.0])
 
@@ -48,10 +49,12 @@ def test_trig_square_hermitian_and_pointwise():
     ts = ce.trig_square(a)
     c = ts.coefficients
     assert np.max(np.abs(c - np.conj(c[::-1]))) == 0.0
-    assert abs(ts.coefficient(0) - ce.parseval_norm(a)) < 1e-12
+    assert abs(c[ts.degree] - ce.parseval_norm(a)) < 1e-12
     t = np.arange(1024) * (2 * np.pi / 1024)
     direct = np.abs(eval_poly(a, np.exp(1j * t))) ** 2
-    assert np.max(np.abs(ts(t) - direct)) < 1e-10 * np.max(direct)
+    k = np.arange(-ts.degree, ts.degree + 1)
+    series = np.real(np.exp(1j * np.outer(t, k)) @ c)
+    assert np.max(np.abs(series - direct)) < 1e-10 * np.max(direct)
 
 
 def test_polished_roots_basics():
@@ -90,8 +93,14 @@ def test_log_pair_spectral_mahler_and_scaling():
 def test_log_pair_spectral_input_checks():
     with pytest.raises(ce.NonUnimodularRoot):
         ce.log_pair_spectral([1.0, 1.0], [-2.0, 1.0], b_roots=[2.0])
-    with pytest.raises(ValueError):
-        ce.log_pair_spectral([1.0, 1.0], [-1.0, 1.0], b_roots=[1.0, -1.0])
+    # one given root per degree of B, in both routes
+    for route in (ce.log_pair_spectral, ce.log_pair_quadrature):
+        with pytest.raises(ValueError, match="expected 1"):
+            route([1.0, 1.0], [-1.0, 1.0], b_roots=[1.0, -1.0])
+        with pytest.raises(ValueError, match="expected 2"):
+            route([1, 1], [1, -2, 1], b_roots=[1.0])
+        with pytest.raises(ValueError, match="expected 2"):
+            route([1, 1], [1, -2, 1], b_roots=[1.0, 1.0, 1.0])
     with pytest.raises(ce.ZeroConstantTerm):  # a zero at 0 is inside the disk
         ce.log_pair_spectral([1.0, 1.0], [0.0, 1.0])
     # the series route stops at its certified degree; roots have no limit
