@@ -27,6 +27,7 @@ from .entropy import (
     telescoping_closed_form,
     telescoping_sum,
     verify_main,
+    verify_stack,
 )
 from .errors import (
     BudgetExceeded,
@@ -77,6 +78,7 @@ from .polycircle import (
     perturb_roots,
     polar_factor,
     reflect,
+    stack,
     weighted_form_Sn,
 )
 

@@ -12,43 +12,76 @@ from .errors import ZeroConstantTerm, ZeroOnBoundary
 from .polycircle import (
     TAU_SEP,
     PolarDecomposition,
+    as_coefficient_stack,
     as_coefficients,
     partial_energy_Al,
+    unstacked,
     weighted_form_Sn,
 )
 
 CONTRACTION_TOL = 1e-12  # slack the contraction check allows below zero
 
 
-def series_multiply(a, b, order: int) -> np.ndarray:
-    """Truncated product of two coefficient vectors through degree ``order``."""
-    a = as_coefficients(a)[: order + 1]
-    b = as_coefficients(b)[: order + 1]
-    out = np.convolve(a, b)[: order + 1]
-    if out.size < order + 1:
-        out = np.pad(out, (0, order + 1 - out.size))
+def _fit(a: np.ndarray, size: int) -> np.ndarray:
+    """The coefficients of degree < size along the last axis, zero-padded."""
+    if a.shape[-1] >= size:
+        return a[..., :size]
+    out = np.zeros(a.shape[:-1] + (size,), dtype=complex)
+    out[..., : a.shape[-1]] = a
     return out
+
+
+def _toeplitz(a, size: int) -> np.ndarray:
+    """Lower-triangular Toeplitz matrices T[i, j] = a_{i-j}, one per row of a.
+
+    T b is the product a b truncated through degree size - 1.
+    """
+    padded = np.zeros(a.shape[:-1] + (2 * size - 1,), dtype=complex)
+    padded[..., size - 1 :] = _fit(a, size)
+    idx = np.arange(size)
+    # Row-major, unlike padded[..., index]: every row of T b then sums along
+    # contiguous memory, in the same order whatever the stack size.
+    return np.take(padded, (size - 1) + idx[:, None] - idx, axis=-1)
+
+
+def _apply(T: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """T b, row by row: an elementwise product summed along the last axis."""
+    return (T * _fit(b, T.shape[-1])[..., None, :]).sum(axis=-1)
+
+
+def series_multiply(a, b, order: int) -> np.ndarray:
+    """Truncated product of two coefficient vectors through degree ``order``.
+
+    Stacks of vectors multiply row by row.
+    """
+    a = as_coefficient_stack(a)
+    b = as_coefficient_stack(b)
+    return _apply(_toeplitz(a, order + 1), b)
 
 
 def series_divide(num, den, order: int) -> np.ndarray:
     """Truncated Taylor coefficients of num/den through degree ``order``.
 
-    Runs the division recurrence; requires den(0) != 0.  Rounding grows
-    with the coefficients of 1/den, so a denominator whose inverse has
-    bounded coefficients (h rather than q) keeps its digits.
+    Runs the division recurrence, one step per degree over all rows of a
+    stack at once; requires den(0) != 0.  Rounding grows with the
+    coefficients of 1/den, so a denominator whose inverse has bounded
+    coefficients (h rather than q) keeps its digits.
     """
-    num = as_coefficients(num)
-    den = as_coefficients(den)
-    if den[0] == 0:
+    num = as_coefficient_stack(num)
+    den = as_coefficient_stack(den)
+    if not den[..., 0].all():
         raise ZeroConstantTerm("series division needs a nonzero constant term")
-    out = np.zeros(order + 1, dtype=complex)
-    dd = den.size - 1
+    shape = np.broadcast_shapes(num.shape[:-1], den.shape[:-1]) + (order + 1,)
+    out = np.zeros(shape, dtype=complex)
+    out[...] = _fit(num, order + 1)
+    dd = den.shape[-1] - 1
+    # rev[..., dd - i] = den_i, so out_{k-m..k-1} pairs with den_m..den_1.
+    rev = den[..., ::-1].copy()
     for k in range(order + 1):
-        acc = num[k] if k < num.size else 0.0
         m = min(k, dd)
         if m >= 1:
-            acc = acc - np.dot(den[1 : m + 1], out[k - m : k][::-1])
-        out[k] = acc / den[0]
+            out[..., k] -= (out[..., k - m : k] * rev[..., dd - m : dd]).sum(axis=-1)
+        out[..., k] /= den[..., 0]
     return out
 
 
@@ -58,7 +91,9 @@ class MomentSequence:
 
     ``ratio_series_residual`` is max_j |(r q - q*)_j| over j = 0..n-1,
     relative to max |a_j|: r comes from the roots and q, q* from the
-    coefficients, so it measures how well the two agree.
+    coefficients, so it measures how well the two agree.  For a stack,
+    ``values`` has one row per instance, and ``simple_zeros`` and
+    ``ratio_series_residual`` one entry.
     """
 
     values: np.ndarray
@@ -79,7 +114,10 @@ class MomentSequence:
 
 
 def moments(d: PolarDecomposition) -> MomentSequence:
-    """Moment sequence of the polar pair, by iterated truncated convolution.
+    """Moment sequence of the polar pair, or of a stack of them.
+
+    Every r^k q comes from r^{k-1} q by one product with the lower-triangular
+    Toeplitz matrix of r, for all rows of a stack at once.
 
     The Blaschke quotient is r = q*/q = 1/h - 1, with h = q/p the series of
     the roots that the Jensen term uses (``CirclePoly.h_series``).  1/h =
@@ -96,16 +134,20 @@ def moments(d: PolarDecomposition) -> MomentSequence:
     p = d.parent
     q = d.q
     r = series_divide(1.0, p.h_series, n - 1)
-    r[0] = 0.0
-    rq = series_multiply(r, q, n - 1)
-    resid = float(np.abs(rq - d.qstar[:n]).max() / np.abs(p.coefficients).max())
-    vals = np.zeros(n, dtype=complex)
-    vals[0] = np.vdot(q, q)
+    r[..., 0] = 0.0
+    # One Toeplitz matrix of r serves every product r^k q.
+    t_r = _toeplitz(r, n)
+    rq = _apply(t_r, q)
+    resid = (np.abs(rq - d.qstar[..., :n]).max(axis=-1)
+             / np.abs(p.coefficients).max(axis=-1))
+    conj_q = np.conj(q)
+    vals = np.empty(q.shape, dtype=complex)
+    vals[..., 0] = (conj_q * q).sum(axis=-1).real  # <q, q> is real
     f = q
     for k in range(1, n):
-        f = rq if k == 1 else series_multiply(r, f, n - 1)
-        vals[k] = np.vdot(q, f)
-    return MomentSequence(vals, n, d.simple_zeros, resid)
+        f = rq if k == 1 else _apply(t_r, f)
+        vals[..., k] = (conj_q * f).sum(axis=-1)
+    return MomentSequence(vals, n, d.simple_zeros, unstacked(resid))
 
 
 def blaschke_series(zeros, gamma, order: int) -> np.ndarray:

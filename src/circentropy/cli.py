@@ -25,8 +25,9 @@ from .entropy import (
     h_fourier,
     h_fourier_quadrature,
     telescoping_closed_form,
-    telescoping_sum,
+    telescoping_sums,
     verify_main,
+    verify_stack,
 )
 from .errors import CircEntropyError, RootsOffCircle
 from .extremal import coalescence_experiment, minimize
@@ -214,10 +215,10 @@ def cmd_suite(args) -> int:
     max_resid = {"moment_polar": 0.0, "moment_norm": 0.0, "ratio_series": 0.0}
     n_multiple = int(round(MULTIPLE_FRAC * args.count))
     for n in degrees:
-        for i in range(args.count):
-            rng = instance_rng(args.seed, n, i)
-            p = random_circle_poly(n, rng, multiple=(n >= 2 and i < n_multiple))
-            rep = verify_main(p)
+        polys = [random_circle_poly(n, instance_rng(args.seed, n, i),
+                                    multiple=(n >= 2 and i < n_multiple))
+                 for i in range(args.count)]
+        for i, rep in enumerate(verify_stack(polys)):
             if rep.status != "ok":
                 failures += 1
             for key in min_gaps:
@@ -335,8 +336,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_telescoping(args) -> int:
-    bad = [n for n in range(2, args.max_n + 1)
-           if telescoping_sum(n) != telescoping_closed_form(n)]
+    bad = [n for n, total in telescoping_sums(args.max_n)
+           if total != telescoping_closed_form(n)]
     _emit(json.dumps({"max_n": args.max_n, "failures": bad}, indent=2), args.out)
     return 0 if not bad else 1
 

@@ -5,12 +5,13 @@ norm N, the entropy E = int |p|^2 log|p|^2 dm, its split into the Jensen term
 int |p|^2 log|q|^2 dm and the polar quotient functional, the remainder sum,
 every lower bound with its gap, the moment-formula cross values, and the
 equality-case classification against the binomial family c(omega + z^n).
-``verify_main`` decides every check against the one tolerance table below.
+``verify_stack`` decides every check against the one tolerance table below,
+for each degree's polynomials as one stack; ``verify_main`` is its stack of
+one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -27,6 +28,8 @@ from .polycircle import (
     normalize_self_inversive,
     parseval_norm,
     polar_factor,
+    stack,
+    unstacked,
 )
 
 TAU_EQ = 1e-8        # relative coefficient tolerance for equality classification
@@ -39,6 +42,10 @@ MOMENT_POLAR_TOL = 1e-8        # x N: polar term against its moment formula
 MOMENT_NORM_TOL = 1e-9         # x N: N = 2M_0 + 2 Re M_1, and M_1 = Gamma
 RATIO_SERIES_TOL = TAU_EXPAND  # x max|a_j|: r q = q* through degree n - 1
 MOMENT_BOUND_TOL = 1e-9        # absolute: |M_k| <= Gamma + tol, 2 <= k <= n-1
+
+# Most entries (rows x n^2) of one stack's Toeplitz matrices of r: bounds the
+# memory of a verification block to a few MiB whatever the instance count.
+_STACK_ENTRIES = 1 << 16
 
 
 def h_fourier(k: int) -> Fraction:
@@ -73,13 +80,23 @@ def h_fourier_quadrature(k: int) -> float:
     return circle_quadrature(integrand, singular_angles=[np.pi])
 
 
+def telescoping_sums(max_n: int):
+    """The exact sums sum_{k=2}^{n-1} 1/(k(k^2-1)) for n = 2..max_n, in turn.
+
+    Yields (n, sum) pairs, one Fraction addition per step.
+    """
+    total = Fraction(0)
+    for n in range(2, max_n + 1):
+        yield n, total
+        total += Fraction(1, n * (n * n - 1))
+
+
 def telescoping_sum(n: int) -> Fraction:
     """Exact rational value of sum_{k=2}^{n-1} 1/(k(k^2-1))."""
     if n < 2:
         raise ValueError("telescoping sum needs n >= 2")
-    total = Fraction(0)
-    for k in range(2, n):
-        total += Fraction(1, k * (k * k - 1))
+    for _, total in telescoping_sums(n):
+        pass
     return total
 
 
@@ -90,29 +107,23 @@ def telescoping_closed_form(n: int) -> Fraction:
     return Fraction(1, 4) - Fraction(1, 2 * n * (n - 1))
 
 
-def polar_term_via_moments(seq: MomentSequence) -> float:
+def polar_term_via_moments(seq: MomentSequence):
     """Moment-formula value 2M_0 + 3 Re M_1 + 4 sum_{k>=2} w_k Re M_k.
 
     The weights are (-1)^k / (k(k^2-1)); for n = 1 this reduces to 2 M_0.
     Outside the simple-zero case the value is advisory only (consult the
-    sequence's ``simple_zeros`` flag).
+    sequence's ``simple_zeros`` flag).  One value per row of a stack.
     """
-    n = seq.degree
-    vals = seq.values
-    total = 2.0 * float(vals[0].real)
-    if n >= 2:
-        total += 3.0 * float(vals[1].real)
-    for k in range(2, n):
-        total += 4.0 * ((-1) ** k / (k * (k * k - 1))) * float(vals[k].real)
-    return total
+    k = np.arange(seq.degree, dtype=float)
+    weights = np.empty(seq.degree)
+    weights[:2] = (2.0, 3.0)[: seq.degree]
+    weights[2:] = 4.0 * ((-1.0) ** k[2:] / (k[2:] * (k[2:] * k[2:] - 1.0)))
+    return unstacked((weights * seq.values.real).sum(axis=-1))
 
 
-def norm_via_moments(seq: MomentSequence) -> float:
-    """Moment identity for the squared norm: N = 2 M_0 + 2 Re M_1."""
-    total = 2.0 * float(seq.values[0].real)
-    if seq.degree >= 2:
-        total += 2.0 * float(seq.values[1].real)
-    return total
+def norm_via_moments(seq: MomentSequence):
+    """Moment identity for the squared norm: N = 2 M_0 + 2 Re M_1, per row."""
+    return unstacked(2.0 * seq.values[..., :2].real.sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -160,24 +171,55 @@ class EntropyReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _classify_extremal(coeffs: np.ndarray, n: int) -> tuple[bool, float]:
-    """Equality-case test: all interior coefficients negligible, |a_0|=|a_n|."""
-    edge = max(abs(coeffs[0]), abs(coeffs[n]))
-    margin = float(np.abs(coeffs[1:n]).max() / edge) if n >= 2 else 0.0
-    balanced = abs(abs(coeffs[0]) - abs(coeffs[n])) < TAU_EQ * edge
-    return bool(margin < TAU_EQ and balanced), margin
+def _classify_extremal(coeffs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Equality-case test per row: interior coefficients negligible, |a_0|=|a_n|."""
+    ends = np.abs(coeffs[..., [0, n]])
+    edge = ends.max(axis=-1)
+    if n >= 2:
+        margin = np.abs(coeffs[..., 1:n]).max(axis=-1) / edge
+    else:
+        margin = np.zeros(edge.shape)
+    balanced = np.abs(ends[..., 0] - ends[..., 1]) < TAU_EQ * edge
+    return (margin < TAU_EQ) & balanced, margin
 
 
 def verify_main(p: CirclePoly) -> EntropyReport:
-    """Full entropy report for one circle polynomial, and its verdict.
+    """Full entropy report for one circle polynomial: ``verify_stack([p])[0]``."""
+    return verify_stack([p])[0]
 
-    Normalizes the input self-inversive, computes every functional, evaluates
-    the four lower bounds (Jensen, polar, main, strengthened) with their
-    gaps, attaches the moment-formula values (advisory outside the
-    simple-zero case), classifies the equality case, and decides every check
-    against the tolerance table: the gaps always, the moment identities, the
-    series identity r q = q* and the bound |M_k| <= Gamma for simple zeros.
+
+def verify_stack(polys) -> list[EntropyReport]:
+    """Full entropy reports for circle polynomials, and their verdicts.
+
+    Per polynomial: normalizes the input self-inversive, computes every
+    functional, evaluates the four lower bounds (Jensen, polar, main,
+    strengthened) with their gaps, attaches the moment-formula values
+    (advisory outside the simple-zero case), classifies the equality case,
+    and decides every check against the tolerance table: the gaps always,
+    the moment identities, the series identity r q = q* and the bound
+    |M_k| <= Gamma for simple zeros.
+
+    The polynomials of one degree are computed together as one stack, in
+    blocks of at most ``_STACK_ENTRIES / n^2`` rows.  Every reduction runs
+    along a row, so a report does not depend on the stack that computed
+    it.  Reports come back in input order.
     """
+    polys = list(polys)
+    by_degree: dict[int, list[int]] = {}
+    for i, p in enumerate(polys):
+        by_degree.setdefault(p.degree, []).append(i)
+    reports: list = [None] * len(polys)
+    for n, members in by_degree.items():
+        rows = max(1, _STACK_ENTRIES // (n * n))
+        for start in range(0, len(members), rows):
+            block = members[start : start + rows]
+            for i, rep in zip(block, _verify_block(stack(polys[i] for i in block))):
+                reports[i] = rep
+    return reports
+
+
+def _verify_block(p: CirclePoly) -> list[EntropyReport]:
+    """``verify_stack`` on one stack of polynomials of a common degree."""
     if (np.abs(np.abs(p.roots) - 1.0) > TAU_UNIMOD).any():
         raise RootsOffCircle("verify_main requires all zeros on the unit circle")
     ps = normalize_self_inversive(p).normalized
@@ -191,10 +233,11 @@ def verify_main(p: CirclePoly) -> EntropyReport:
     entropy = rf.entropy_integral
     polar_term = rf.value
 
-    remainder = 2.0 * gamma / (n * (n - 1)) if n >= 2 else 0.0
-    main_bound = norm * (1.0 + math.log(norm / 2.0))
+    remainder = 2.0 * gamma / (n * (n - 1)) if n >= 2 else np.zeros(norm.shape)
+    log_half_norm = np.log(norm / 2.0)
+    main_bound = norm * (1.0 + log_half_norm)
+    jensen_bound = norm * log_half_norm
     strengthened_bound = main_bound + remainder
-    jensen_bound = norm * math.log(norm / 2.0)
     polar_bound = norm + remainder
 
     seq = moments(d)
@@ -208,58 +251,72 @@ def verify_main(p: CirclePoly) -> EntropyReport:
         "jensen": jensen_term - jensen_bound,
         "polar": polar_term - polar_bound,
     }
-    ok = all(v >= -GAP_TOL for v in gaps.values())
+    ok = np.logical_and.reduce([g >= -GAP_TOL for g in gaps.values()])
 
     # M_1 = Gamma exactly (Parseval), so k = 1 is checked as an identity;
     # the bound |M_k| <= Gamma has room to spare only for k >= 2, and for
     # n <= 2 there is no such k.  A later check's verdict overrides an
     # earlier one's.
-    bound_slack = None
+    simple = d.simple_zeros
+    polar_resid = np.abs(polar_term - moment_polar)
+    norm_resid = np.abs(norm - moment_norm_val)
+    m1_resid = np.abs(seq.values[..., 1] - gamma) if n >= 2 else np.zeros(norm.shape)
+    status = np.where(ok, "ok", "violation:inequality").astype(object)
+    status[simple & ((polar_resid > MOMENT_POLAR_TOL * norm)
+                     | (norm_resid > MOMENT_NORM_TOL * norm)
+                     | (m1_resid > MOMENT_NORM_TOL * norm))] = "violation:moment_identity"
+    status[simple & (seq.ratio_series_residual > RATIO_SERIES_TOL)] = "violation:ratio_series"
+    bound_slack = [None] * len(status)
     if n > 2:
-        bound_slack = float((gamma + MOMENT_BOUND_TOL - np.abs(seq.values[2:])).min())
-    polar_resid = norm_resid = None
-    status = "ok" if ok else "violation:inequality"
-    if d.simple_zeros:
-        polar_resid = abs(polar_term - moment_polar)
-        norm_resid = abs(norm - moment_norm_val)
-        m1_resid = abs(seq.values[1] - gamma) if n >= 2 else 0.0
-        if (polar_resid > MOMENT_POLAR_TOL * norm
-                or norm_resid > MOMENT_NORM_TOL * norm
-                or m1_resid > MOMENT_NORM_TOL * norm):
-            status = "violation:moment_identity"
-        if seq.ratio_series_residual > RATIO_SERIES_TOL:
-            status = "violation:ratio_series"
-        if bound_slack is not None and bound_slack < 0:
-            status = "violation:moment_bound"
+        slack = gamma + MOMENT_BOUND_TOL - np.abs(seq.values[..., 2:]).max(axis=-1)
+        status[simple & (slack < 0)] = "violation:moment_bound"
+        bound_slack = slack.tolist()
 
-    return EntropyReport(
-        degree=n,
-        simple_zeros=d.simple_zeros,
-        norm=norm,
-        entropy=entropy,
-        jensen_term=jensen_term,
-        polar_term=polar_term,
-        gamma=gamma,
-        remainder=remainder,
-        main_bound=main_bound,
-        strengthened_bound=strengthened_bound,
-        jensen_bound=jensen_bound,
-        polar_bound=polar_bound,
-        main_gap=gaps["main"],
-        strengthened_gap=gaps["strengthened"],
-        jensen_gap=gaps["jensen"],
-        polar_gap=gaps["polar"],
-        moment_polar_term=moment_polar,
-        moment_norm=moment_norm_val,
-        moment_values_advisory=not d.simple_zeros,
-        extremal=extremal,
-        equality_margin=margin,
-        routes=dict(rf.routes),
-        inequalities_ok=ok,
-        gap_tolerance=GAP_TOL,
-        moment_polar_resid=polar_resid,
-        moment_norm_resid=norm_resid,
-        ratio_series_resid=seq.ratio_series_residual,
-        moment_bound_slack_min=bound_slack,
-        status=status,
+    # The row projection: one report per instance, in Python scalars.
+    simple = simple.tolist()
+    polar_resid = [v if s else None for v, s in zip(polar_resid.tolist(), simple)]
+    norm_resid = [v if s else None for v, s in zip(norm_resid.tolist(), simple)]
+    columns = zip(
+        simple, norm.tolist(), entropy.tolist(), jensen_term.tolist(),
+        polar_term.tolist(), gamma.tolist(), remainder.tolist(),
+        main_bound.tolist(), strengthened_bound.tolist(), jensen_bound.tolist(),
+        polar_bound.tolist(), *(g.tolist() for g in gaps.values()),
+        moment_polar.tolist(), moment_norm_val.tolist(), extremal.tolist(),
+        margin.tolist(), ok.tolist(), polar_resid, norm_resid,
+        seq.ratio_series_residual.tolist(), bound_slack, status.tolist(),
     )
+    return [
+        EntropyReport(
+            degree=n,
+            simple_zeros=simp,
+            norm=nrm,
+            entropy=ent,
+            jensen_term=jen,
+            polar_term=pol,
+            gamma=gam,
+            remainder=rem,
+            main_bound=mb,
+            strengthened_bound=sb,
+            jensen_bound=jb,
+            polar_bound=pb,
+            main_gap=mg,
+            strengthened_gap=sg,
+            jensen_gap=jg,
+            polar_gap=pg,
+            moment_polar_term=mp,
+            moment_norm=mn,
+            moment_values_advisory=not simp,
+            extremal=ext,
+            equality_margin=mar,
+            routes=dict(rf.routes),
+            inequalities_ok=okv,
+            gap_tolerance=GAP_TOL,
+            moment_polar_resid=pr,
+            moment_norm_resid=nr,
+            ratio_series_resid=rs,
+            moment_bound_slack_min=bs,
+            status=st,
+        )
+        for (simp, nrm, ent, jen, pol, gam, rem, mb, sb, jb, pb, mg, sg, jg, pg,
+             mp, mn, ext, mar, okv, pr, nr, rs, bs, st) in columns
+    ]

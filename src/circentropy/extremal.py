@@ -18,6 +18,7 @@ from .polycircle import (
     gamma_remainder,
     perturb_roots,
     polar_factor,
+    power_sums,
     root_clusters,
 )
 
@@ -30,15 +31,16 @@ MAX_SPLITS = 3   # cluster-splitting re-descents per start
 
 
 def _objective_terms(angles):
-    """The objective with the roots, coefficients, N(p) and E(p) behind it."""
+    """The objective with the roots, coefficients, N(p), E(p) and power sums."""
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     n = angles.size
     roots = np.exp(1j * angles)
     coeffs = expand_from_roots(roots, 1.0)
     norm = float((np.abs(coeffs) ** 2).sum())
     cm = trig_square(coeffs).coefficients[n + 1 :]
-    entropy = _circle_root_pairing(roots, cm)
-    return entropy / norm - math.log(norm), roots, coeffs, norm, entropy
+    sums = power_sums(roots, n)
+    entropy = float(_circle_root_pairing(sums, cm))
+    return entropy / norm - math.log(norm), roots, coeffs, norm, entropy, sums
 
 
 def objective(angles) -> float:
@@ -74,7 +76,7 @@ def objective_and_gradient(angles) -> tuple[float, np.ndarray]:
     dF = dE/N - (E/N^2 + 1/N) dN.  Sums are elementwise, not BLAS, so the
     bits do not depend on the BLAS thread count.
     """
-    value, roots, coeffs, norm, entropy = _objective_terms(angles)
+    value, roots, coeffs, norm, entropy, sums = _objective_terms(angles)
     n = roots.size
     # Row j: the coefficients of p/(z - tau_j), lowest degree first, filled
     # from the top by synthetic division.
@@ -82,8 +84,7 @@ def objective_and_gradient(angles) -> tuple[float, np.ndarray]:
     quot[:, n - 1] = coeffs[n]
     for k in range(n - 1, 0, -1):
         quot[:, k - 1] = coeffs[k] + roots * quot[:, k]
-    m = np.arange(1, n + 1)
-    lam = -(np.conj(roots)[:, None] ** m[None, :]).sum(axis=0) / m
+    lam = -np.conj(sums) / np.arange(1, n + 1)
     # lambda_{-n} .. lambda_n, so that lam_full[n + k - l] = lambda_{k-l}.
     lam_full = np.concatenate([np.conj(lam[::-1]), [0.0], lam])
     conj_a = np.conj(coeffs)

@@ -14,6 +14,7 @@ the two integrals, never as pointwise ratios.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,9 +31,12 @@ from .errors import (
 from .polycircle import (
     TAU_SEP,
     CirclePoly,
+    as_coefficient_stack,
     as_coefficients,
     eval_poly,
     poly_degree,
+    power_sums,
+    unstacked,
 )
 
 # Highest degree the spectral route supports: the range the tests cover.
@@ -59,7 +63,8 @@ class TrigSquare:
     """|A(e^{it})|^2 as a trigonometric polynomial.
 
     ``coefficients`` holds c_{-d}..c_d with c_k = sum_j A_{j+k} conj(A_j),
-    so c_{-k} = conj(c_k) and c_0 = sum |A_j|^2.
+    so c_{-k} = conj(c_k) and c_0 = sum |A_j|^2.  For a stack of A, one row
+    per instance and d the highest degree among the rows.
     """
 
     coefficients: np.ndarray
@@ -69,18 +74,51 @@ class TrigSquare:
         self.coefficients.setflags(write=False)
 
 
+def _stack_degree(arr: np.ndarray) -> int:
+    """Highest degree among the rows of a coefficient stack.
+
+    -1 when some row is the zero polynomial.
+    """
+    if arr.ndim > 1:
+        nonzero = arr != 0
+        if not nonzero.any(axis=-1).all():
+            return -1
+        arr = nonzero.reshape(-1, arr.shape[-1]).any(axis=0)
+    nz = arr.nonzero()[0]
+    return int(nz[-1]) if nz.size else -1
+
+
+@functools.lru_cache(maxsize=None)
+def _lag_window(deg: int) -> np.ndarray:
+    """Index array [k, j] -> k + j, read-only, for lags and terms 0..deg."""
+    lags = np.arange(deg + 1)
+    window = lags[:, None] + lags
+    window.setflags(write=False)
+    return window
+
+
 def trig_square(A) -> TrigSquare:
-    """Autocorrelation of the coefficient vector of A."""
-    arr = as_coefficients(A)
-    deg = poly_degree(arr)
+    """Autocorrelation of the coefficient vector of A, per row of a stack.
+
+    Lag k pairs a_k..a_{k+d} (zero past a_d) with a_0..a_d: one elementwise
+    product of a (d + 1) x (d + 1) window with conj(a), summed along its
+    rows.
+    """
+    arr = as_coefficient_stack(A)
+    deg = _stack_degree(arr)
     if deg < 0:
         raise ZeroPolynomial("|A|^2 undefined for the zero polynomial")
-    a = arr[: deg + 1]
-    c = np.empty(2 * deg + 1, dtype=complex)
-    for k in range(deg + 1):
-        c[deg + k] = np.vdot(a[: deg + 1 - k], a[k:])
-    # c_{-k} = conj(c_k) for k = 0..d; c_0 is conjugated too.
-    c[: deg + 1] = np.conj(c[deg:][::-1])
+    padded = np.zeros(arr.shape[:-1] + (2 * deg + 1,), dtype=complex)
+    padded[..., : deg + 1] = arr[..., : deg + 1]
+    c = np.empty_like(padded)
+    # np.take lays the windows out row-major, so each lag sums along
+    # contiguous memory whatever the stack size.
+    windows = np.take(padded, _lag_window(deg), axis=-1)
+    c[..., deg:] = (windows * np.conj(padded[..., None, : deg + 1])).sum(axis=-1)
+    # c_0 = sum |a_j|^2 is real; a fused multiply-add can leave rounding in
+    # its imaginary part.  c_{-k} = conj(c_k) for k = 1..d.
+    c[..., deg] = c[..., deg].real
+    c[..., :deg] = np.conj(c[..., :deg:-1])
     return TrigSquare(c, deg)
 
 
@@ -108,31 +146,33 @@ def polished_roots(B) -> np.ndarray:
     return roots - np.where(ok, step, 0.0)
 
 
-def _circle_root_pairing(roots, cm) -> float:
-    """-2 Re sum over roots tau and m >= 1 of c_m tau^m / m.
+def _circle_root_pairing(sums, cm) -> np.ndarray:
+    """-2 Re sum_m c_m P_m / m, per row of a stack.
 
+    P_m = sum_tau tau^m are the power sums of the roots (``power_sums``).
     For unimodular tau, log|e^{it} - tau|^2 = -2 Re sum_m (conj(tau) e^{it})^m / m,
     so this pairs log prod|e^{it} - tau|^2 with the autocorrelation tail
     ``cm`` = (c_1, .., c_d) of |A|^2; the series truncates at m = d.
     """
-    m = np.arange(1, cm.size + 1)
-    powers = roots[:, None] ** m[None, :]
-    return -2.0 * float((powers @ (cm / m)).real.sum())
+    m = np.arange(1, cm.shape[-1] + 1)
+    return -2.0 * (sums * (cm / m)).sum(axis=-1).real
 
 
 def _given_roots(b_roots, deg: int) -> np.ndarray:
     """The roots of B given to either route, one per degree of B."""
-    roots = np.asarray(b_roots, dtype=complex)
-    if roots.size != deg:
-        raise ValueError(f"root list has {roots.size} entries, expected {deg}")
+    roots = np.atleast_1d(np.asarray(b_roots, dtype=complex))
+    if roots.shape[-1] != deg:
+        raise ValueError(f"root list has {roots.shape[-1]} entries, expected {deg}")
     return roots
 
 
-def log_pair_spectral(A, B, b_roots=None) -> float:
+def log_pair_spectral(A, B, b_roots=None):
     """Integral of |A|^2 log|B|^2 over dm, by the exact series pairing.
 
     ``A`` is a coefficient vector or its ``trig_square``, so that callers
     pairing the same A against several B build the autocorrelation once.
+    A stack of A and B (and of ``b_roots``), one row per instance, gives one
+    value per row; the rows of B share their degree.
 
     With log B = log B(0) + sum_m l_m z^m on the disk, log|B|^2 on the
     circle is 2 log|B(0)| + 2 Re sum_m l_m e^{imt}, and pairing it against
@@ -152,35 +192,39 @@ def log_pair_spectral(A, B, b_roots=None) -> float:
       use ``log_pair_quadrature`` there.
     """
     ts = A if isinstance(A, TrigSquare) else trig_square(A)
-    arr = as_coefficients(B)
-    deg = poly_degree(arr)
+    arr = as_coefficient_stack(B)
+    deg = _stack_degree(arr)
     if deg < 0:
         raise ZeroPolynomial("log|B| undefined for the zero polynomial")
     d = ts.degree
-    c0 = float(ts.coefficients[d].real)
-    cm = ts.coefficients[d + 1 :]
+    c0 = ts.coefficients[..., d].real
+    cm = ts.coefficients[..., d + 1 :]
     if b_roots is not None:
         roots = _given_roots(b_roots, deg)
+        lead = np.abs(arr[..., deg])
+        if not lead.all():
+            raise ValueError("the rows of B must share their degree")
         mods = np.abs(roots)
         if roots.size and not np.abs(mods - 1.0).max() <= TAU_SEP:
             raise NonUnimodularRoot(
                 f"b_roots must lie on the unit circle (within {TAU_SEP:.0e})"
             )
-        return (c0 * 2.0 * math.log(abs(arr[deg]))
-                + _circle_root_pairing(roots / mods, cm))
+        return unstacked(c0 * 2.0 * np.log(lead)
+                         + _circle_root_pairing(power_sums(roots / mods, d), cm))
     if max(d, deg) > MAX_SERIES_DEGREE:
         raise IllConditioned(
             f"the log series is certified up to degree {MAX_SERIES_DEGREE}, "
             f"got degrees {d} and {deg}; use log_pair_quadrature"
         )
-    if arr[0] == 0:
+    if not arr[..., 0].all():
         raise ZeroConstantTerm("B vanishes at 0, inside the disk")
-    total = c0 * 2.0 * math.log(abs(arr[0]))
+    total = c0 * 2.0 * np.log(np.abs(arr[..., 0]))
     if d == 0 or deg == 0:
-        return total
-    body = arr[: deg + 1]
-    dlog = series_divide(body[1:] * np.arange(1, deg + 1), body, d - 1)
-    return total + 2.0 * float(np.vdot(dlog / np.arange(1, d + 1), cm).real)
+        return unstacked(total)
+    body = arr[..., : deg + 1]
+    dlog = series_divide(body[..., 1:] * np.arange(1, deg + 1), body, d - 1)
+    pairs = np.conj(dlog / np.arange(1, d + 1)) * cm
+    return unstacked(total + 2.0 * pairs.sum(axis=-1).real)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +688,7 @@ def ratio_functional(p: CirclePoly) -> RatioFunctionalValue:
     Dividing the series by h rather than by q keeps the recurrence stable:
     1/h = 1 + q*/q has bounded coefficients, while those of 1/q grow when
     zeros of p cluster.  Raises ``IllConditioned`` above degree
-    ``MAX_SERIES_DEGREE``.
+    ``MAX_SERIES_DEGREE``.  A stack of polynomials gives one value per row.
     """
     n = p.degree
     a = p.coefficients

@@ -6,7 +6,11 @@ with D = z d/dz, and the coefficient functionals built on top of them.
 
 Coefficient vectors are 1-d complex arrays ordered lowest degree first.
 Roots are the primary data; coefficients are expanded once at construction
-and cached on the value.
+and cached on the value.  The functionals the verification reads also take
+a stack: arrays with a leading instance axis, one row per polynomial of a
+common degree (``stack``); a 1-d input is a stack of one.  Every reduction
+runs along the last axis, so a row's value does not depend on the stack
+that carried it.
 """
 
 from __future__ import annotations
@@ -49,6 +53,35 @@ def as_coefficients(values) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("coefficients must form a nonempty 1-d sequence")
     return arr
+
+
+def as_coefficient_stack(values) -> np.ndarray:
+    """Coerce input to a complex array with coefficients along the last axis.
+
+    A 2-d input is a stack, one coefficient vector per row; a 1-d input is
+    a stack of one and keeps its shape.
+    """
+    if (type(values) is np.ndarray and values.ndim and values.shape[-1]
+            and values.dtype == _COMPLEX):
+        return values
+    arr = np.atleast_1d(np.asarray(values, dtype=complex))
+    if arr.shape[-1] == 0:
+        raise ValueError("coefficients must form a nonempty sequence")
+    return arr
+
+
+def power_sums(roots, count: int) -> np.ndarray:
+    """The power sums sum_tau tau^m, m = 1..count, per row of a stack of roots.
+
+    Every power of every root is formed, then summed over the roots.
+    """
+    roots = np.asarray(roots, dtype=complex)
+    return (roots[..., :, None] ** np.arange(1, count + 1)).sum(axis=-2)
+
+
+def unstacked(value):
+    """A result without an instance axis as a Python scalar, a stacked one as is."""
+    return value if value.ndim else value.item()
 
 
 def poly_degree(coeffs) -> int:
@@ -159,7 +192,9 @@ class CirclePoly:
 
     Fields: ``degree`` n >= 1, ``coefficients`` a_0..a_n, certified ``roots``
     tau_1..tau_n with |tau| = 1, and the ``leading`` factor a = a_n != 0.
-    Values are immutable and safe to share between threads.
+    A stack of K polynomials of one degree (``stack``) holds the same fields
+    with a leading instance axis: coefficients (K, n + 1), roots (K, n) and
+    leading (K,).  Values are immutable and safe to share between threads.
     """
 
     degree: int
@@ -181,21 +216,39 @@ class CirclePoly:
         q*/q = 1/h - 1.  Computed once per polynomial, on first use.
         """
         n = self.degree
-        power_sums = (np.conj(self.roots)[:, None] ** np.arange(1, n + 1)).sum(axis=0)
-        h = np.concatenate(([n], power_sums)) / n
+        sums = power_sums(np.conj(self.roots), n)
+        h = np.empty(sums.shape[:-1] + (n + 1,), dtype=complex)
+        h[..., 0] = n
+        h[..., 1:] = sums
+        h /= n
         h.setflags(write=False)
         return h
 
-    def scaled(self, factor: complex) -> "CirclePoly":
-        """The polynomial multiplied by a nonzero constant."""
-        if factor == 0:
+    def scaled(self, factor) -> "CirclePoly":
+        """The polynomial multiplied by a nonzero constant, one per row of a stack."""
+        factor = np.asarray(factor, dtype=complex)
+        if np.count_nonzero(factor) < factor.size:
             raise ZeroLeading("scaling factor must be nonzero")
         return CirclePoly(
             self.degree,
-            factor * self.coefficients,
+            factor[..., None] * self.coefficients,
             self.roots.copy(),
-            complex(factor * self.leading),
+            unstacked(factor * self.leading),
         )
+
+
+def stack(polys) -> CirclePoly:
+    """Circle polynomials of one degree as one CirclePoly with an instance axis."""
+    polys = list(polys)
+    n = polys[0].degree
+    if any(p.degree != n for p in polys):
+        raise ValueError("a stack holds polynomials of one degree")
+    return CirclePoly(
+        n,
+        np.stack([p.coefficients for p in polys]),
+        np.stack([p.roots for p in polys]),
+        np.array([p.leading for p in polys], dtype=complex),
+    )
 
 
 def from_roots(roots, leading=1.0) -> CirclePoly:
@@ -251,37 +304,41 @@ class NormalizationResult:
     normalized: CirclePoly
 
 
-def _reflection_multiplier(coeffs, n: int) -> complex:
-    """Least-squares unimodular lambda with reflect(p) = lambda * p."""
-    arr = as_coefficients(coeffs)
-    refl = reflect(arr, n)
-    lam = complex(np.vdot(arr, refl) / np.vdot(arr, arr))
-    mod = abs(lam)
-    if mod == 0:
+def _reflection_multiplier(coeffs) -> np.ndarray:
+    """Least-squares unimodular lambda with reflect(p) = lambda * p, per row.
+
+    ``coeffs`` holds a_0..a_n along its last axis, n its degree, as a
+    CirclePoly does; the reflection reverses and conjugates them.
+    """
+    arr = as_coefficient_stack(coeffs)
+    refl = np.conj(arr[..., ::-1])
+    # <p, reflect(p)> / <p, p>, normalized: the positive <p, p> drops out.
+    lam = (np.conj(arr) * refl).sum(axis=-1)
+    mod = np.abs(lam)
+    if np.count_nonzero(mod) < mod.size:
         raise InconsistentReflection("reflection is orthogonal to the input")
-    lam /= mod
-    scale = np.abs(arr).max()
-    resid = np.abs(refl - lam * arr).max()
-    if resid > TAU_EXPAND * scale:
+    lam = lam / mod
+    scale = np.abs(arr).max(axis=-1)
+    resid = np.abs(refl - lam[..., None] * arr).max(axis=-1)
+    if (resid > TAU_EXPAND * scale).any():
         raise InconsistentReflection(
-            f"reflection residual {resid / scale:.3e} exceeds {TAU_EXPAND:.0e}; "
-            "roots are off the circle"
+            f"reflection residual {np.max(resid / scale):.3e} exceeds "
+            f"{TAU_EXPAND:.0e}; roots are off the circle"
         )
     return lam
 
 
 def normalize_self_inversive(p: CirclePoly) -> NormalizationResult:
-    """Unimodular eta such that eta * p is self-inversive.
+    """Unimodular eta such that eta * p is self-inversive, per row of a stack.
 
     eta solves eta^2 = lambda where reflect(p) = lambda * p.  Of the two
     square roots the one with nonnegative real part is chosen, ties broken
     toward positive imaginary part.
     """
-    lam = _reflection_multiplier(p.coefficients, p.degree)
-    eta = cmath.sqrt(lam)
-    if eta.real < 0 or (eta.real == 0 and eta.imag < 0):
-        eta = -eta
-    return NormalizationResult(eta, p.scaled(eta))
+    eta = np.sqrt(_reflection_multiplier(p.coefficients))
+    flip = (eta.real < 0) | ((eta.real == 0) & (eta.imag < 0))
+    eta = np.where(flip, -eta, eta)
+    return NormalizationResult(unstacked(eta), p.scaled(eta))
 
 
 @dataclass(frozen=True)
@@ -290,7 +347,8 @@ class PolarDecomposition:
 
     q = p - (1/n)Dp has degree <= n-1 and q_j = ((n-j)/n) a_j; the reflection
     q* = (1/n)Dp has vanishing constant term and qstar_j = (j/n) a_j, so that
-    p = q + q* coefficientwise.
+    p = q + q* coefficientwise.  For a stack, q, qstar and ``simple_zeros``
+    have one row per instance.
     """
 
     parent: CirclePoly
@@ -307,54 +365,60 @@ class PolarDecomposition:
         return self.parent.degree
 
 
-def has_simple_zeros(roots) -> bool:
-    """Whether all pairwise chordal root distances exceed ``TAU_SEP``."""
+def has_simple_zeros(roots):
+    """Whether all pairwise chordal root distances exceed ``TAU_SEP``.
+
+    One flag per row of a stack of root lists.
+    """
     roots = np.asarray(roots, dtype=complex)
-    if roots.size < 2:
-        return True
-    diffs = np.abs(roots[:, None] - roots[None, :])
-    diffs[np.diag_indices(roots.size)] = np.inf
-    return bool(diffs.min() > TAU_SEP)
+    m = roots.shape[-1]
+    if m < 2:
+        return unstacked(np.ones(roots.shape[:-1], dtype=bool))
+    diffs = np.abs(roots[..., :, None] - roots[..., None, :])
+    diffs[..., np.arange(m), np.arange(m)] = np.inf
+    return unstacked(diffs.min(axis=(-2, -1)) > TAU_SEP)
 
 
 def polar_factor(p: CirclePoly) -> PolarDecomposition:
-    """Polar decomposition of a self-inversive CirclePoly.
+    """Polar decomposition of a self-inversive CirclePoly, or of a stack.
 
     Raises ``NotSelfInversive`` when the reflection of p deviates from p by
     more than ``TAU_EXPAND`` relative to the coefficient scale.
     """
     n = p.degree
     a = p.coefficients
-    refl = reflect(a, n)
-    scale = np.abs(a).max()
-    dev = np.abs(refl - a).max()
-    if dev > TAU_EXPAND * scale:
+    scale = np.abs(a).max(axis=-1)
+    dev = np.abs(np.conj(a[..., ::-1]) - a).max(axis=-1)
+    if (dev > TAU_EXPAND * scale).any():
         raise NotSelfInversive(
-            f"reflection deviates by {dev / scale:.3e} relative (> {TAU_EXPAND:.0e})"
+            f"reflection deviates by {np.max(dev / scale):.3e} relative "
+            f"(> {TAU_EXPAND:.0e})"
         )
     j = np.arange(n + 1, dtype=float)
-    q = ((n - j[:n]) / n) * a[:n]
+    q = ((n - j[:n]) / n) * a[..., :n]
     qstar = (j / n) * a
     return PolarDecomposition(p, q, qstar, has_simple_zeros(p.roots))
 
 
-def parseval_norm(p) -> float:
-    """Squared L2 norm on the circle, computed as sum |a_j|^2."""
-    coeffs = p.coefficients if isinstance(p, CirclePoly) else as_coefficients(p)
-    return float((np.abs(coeffs) ** 2).sum())
+def parseval_norm(p):
+    """Squared L2 norm on the circle, computed as sum |a_j|^2.
+
+    ``p`` is a CirclePoly or coefficients; a stack gives one norm per row.
+    """
+    coeffs = p.coefficients if isinstance(p, CirclePoly) else as_coefficient_stack(p)
+    return unstacked((np.abs(coeffs) ** 2).sum(axis=-1))
 
 
-def gamma_remainder(p: CirclePoly) -> float:
+def gamma_remainder(p: CirclePoly):
     """The remainder coefficient sum: sum_{j=1}^{n-1} j(n-j)/n^2 |a_j|^2.
 
     Vanishes exactly on binomials a_0 + a_n z^n; empty (zero) for n = 1.
+    One sum per row of a stack.
     """
     n = p.degree
-    if n < 2:
-        return 0.0
     j = np.arange(1, n, dtype=float)
-    mid = p.coefficients[1:n]
-    return float((j * (n - j) / n**2 * np.abs(mid) ** 2).sum())
+    mid = p.coefficients[..., 1:n]
+    return unstacked((j * (n - j) / n**2 * np.abs(mid) ** 2).sum(axis=-1))
 
 
 def weighted_form_Sn(g, n: int) -> float:
@@ -409,8 +473,7 @@ def perturb_roots(p: CirclePoly, epsilon: float, seed=None) -> CirclePoly:
             f"could not separate roots at epsilon={epsilon:.3e}"
         )
     coeffs = expand_from_roots(rotated, p.leading)
-    lam = _reflection_multiplier(coeffs, n)
-    eta = cmath.sqrt(lam)
+    eta = cmath.sqrt(complex(_reflection_multiplier(coeffs)))
     if abs(eta - 1) > abs(eta + 1):
         eta = -eta
     return CirclePoly(n, eta * coeffs, rotated, eta * p.leading)
