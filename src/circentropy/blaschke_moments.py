@@ -77,11 +77,13 @@ def series_divide(num, den, order: int) -> np.ndarray:
     dd = den.shape[-1] - 1
     # rev[..., dd - i] = den_i, so out_{k-m..k-1} pairs with den_m..den_1.
     rev = den[..., ::-1].copy()
+    den0 = den[..., 0]
     for k in range(order + 1):
         m = min(k, dd)
+        acc = out[..., k]
         if m >= 1:
-            out[..., k] -= (out[..., k - m : k] * rev[..., dd - m : dd]).sum(axis=-1)
-        out[..., k] /= den[..., 0]
+            acc = acc - np.add.reduce(out[..., k - m : k] * rev[..., dd - m : dd], axis=-1)
+        out[..., k] = acc / den0
     return out
 
 

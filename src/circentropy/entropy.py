@@ -266,57 +266,41 @@ def _verify_block(p: CirclePoly) -> list[EntropyReport]:
                      | (norm_resid > MOMENT_NORM_TOL * norm)
                      | (m1_resid > MOMENT_NORM_TOL * norm))] = "violation:moment_identity"
     status[simple & (seq.ratio_series_residual > RATIO_SERIES_TOL)] = "violation:ratio_series"
-    bound_slack = [None] * len(status)
+    bound_slack = np.full(status.shape, None)
     if n > 2:
         slack = gamma + MOMENT_BOUND_TOL - np.abs(seq.values[..., 2:]).max(axis=-1)
         status[simple & (slack < 0)] = "violation:moment_bound"
-        bound_slack = slack.tolist()
+        bound_slack = slack
 
     # The row projection: one report per instance, in Python scalars.
-    simple = simple.tolist()
-    polar_resid = [v if s else None for v, s in zip(polar_resid.tolist(), simple)]
-    norm_resid = [v if s else None for v, s in zip(norm_resid.tolist(), simple)]
-    columns = zip(
-        simple, norm.tolist(), entropy.tolist(), jensen_term.tolist(),
-        polar_term.tolist(), gamma.tolist(), remainder.tolist(),
-        main_bound.tolist(), strengthened_bound.tolist(), jensen_bound.tolist(),
-        polar_bound.tolist(), *(g.tolist() for g in gaps.values()),
-        moment_polar.tolist(), moment_norm_val.tolist(), extremal.tolist(),
-        margin.tolist(), ok.tolist(), polar_resid, norm_resid,
-        seq.ratio_series_residual.tolist(), bound_slack, status.tolist(),
-    )
+    columns = {
+        "simple_zeros": simple,
+        "norm": norm,
+        "entropy": entropy,
+        "jensen_term": jensen_term,
+        "polar_term": polar_term,
+        "gamma": gamma,
+        "remainder": remainder,
+        "main_bound": main_bound,
+        "strengthened_bound": strengthened_bound,
+        "jensen_bound": jensen_bound,
+        "polar_bound": polar_bound,
+        **{key + "_gap": gap for key, gap in gaps.items()},
+        "moment_polar_term": moment_polar,
+        "moment_norm": moment_norm_val,
+        "moment_values_advisory": ~simple,
+        "extremal": extremal,
+        "equality_margin": margin,
+        "inequalities_ok": ok,
+        "moment_polar_resid": np.where(simple, polar_resid, None),
+        "moment_norm_resid": np.where(simple, norm_resid, None),
+        "ratio_series_resid": seq.ratio_series_residual,
+        "moment_bound_slack_min": bound_slack,
+        "status": status,
+    }
+    rows = zip(*(col.tolist() for col in columns.values()))
     return [
-        EntropyReport(
-            degree=n,
-            simple_zeros=simp,
-            norm=nrm,
-            entropy=ent,
-            jensen_term=jen,
-            polar_term=pol,
-            gamma=gam,
-            remainder=rem,
-            main_bound=mb,
-            strengthened_bound=sb,
-            jensen_bound=jb,
-            polar_bound=pb,
-            main_gap=mg,
-            strengthened_gap=sg,
-            jensen_gap=jg,
-            polar_gap=pg,
-            moment_polar_term=mp,
-            moment_norm=mn,
-            moment_values_advisory=not simp,
-            extremal=ext,
-            equality_margin=mar,
-            routes=dict(rf.routes),
-            inequalities_ok=okv,
-            gap_tolerance=GAP_TOL,
-            moment_polar_resid=pr,
-            moment_norm_resid=nr,
-            ratio_series_resid=rs,
-            moment_bound_slack_min=bs,
-            status=st,
-        )
-        for (simp, nrm, ent, jen, pol, gam, rem, mb, sb, jb, pb, mg, sg, jg, pg,
-             mp, mn, ext, mar, okv, pr, nr, rs, bs, st) in columns
+        EntropyReport(degree=n, routes=dict(rf.routes), gap_tolerance=GAP_TOL,
+                      **dict(zip(columns, row)))
+        for row in rows
     ]

@@ -88,7 +88,7 @@ def _stack_degree(arr: np.ndarray) -> int:
     return int(nz[-1]) if nz.size else -1
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _lag_window(deg: int) -> np.ndarray:
     """Index array [k, j] -> k + j, read-only, for lags and terms 0..deg."""
     lags = np.arange(deg + 1)

@@ -40,26 +40,13 @@ TAU_SEP = 1e-8       # chordal separation deciding the simple-zero flag
 _COMPLEX = np.dtype(complex)
 
 
-def as_coefficients(values) -> np.ndarray:
-    """Coerce input to a 1-d complex coefficient array, lowest degree first.
-
-    A nonempty 1-d complex ndarray is returned as it is, which is what
-    ``np.asarray`` would return for it, without the coercion calls.
-    """
-    if (type(values) is np.ndarray and values.ndim == 1 and values.size
-            and values.dtype == _COMPLEX):
-        return values
-    arr = np.atleast_1d(np.asarray(values, dtype=complex))
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("coefficients must form a nonempty 1-d sequence")
-    return arr
-
-
 def as_coefficient_stack(values) -> np.ndarray:
     """Coerce input to a complex array with coefficients along the last axis.
 
     A 2-d input is a stack, one coefficient vector per row; a 1-d input is
-    a stack of one and keeps its shape.
+    a stack of one and keeps its shape.  A nonempty complex ndarray is
+    returned as it is, which is what ``np.asarray`` would return for it,
+    without the coercion calls.
     """
     if (type(values) is np.ndarray and values.ndim and values.shape[-1]
             and values.dtype == _COMPLEX):
@@ -67,6 +54,14 @@ def as_coefficient_stack(values) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(values, dtype=complex))
     if arr.shape[-1] == 0:
         raise ValueError("coefficients must form a nonempty sequence")
+    return arr
+
+
+def as_coefficients(values) -> np.ndarray:
+    """Coerce input to a 1-d complex coefficient array, lowest degree first."""
+    arr = as_coefficient_stack(values)
+    if arr.ndim != 1:
+        raise ValueError("coefficients must form a nonempty 1-d sequence")
     return arr
 
 
