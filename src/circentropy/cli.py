@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from .blaschke_moments import moments
-from .corpus import instance_rng, random_circle_poly
+from .corpus import instance_rng, random_circle_stack
 from .entropy import (
     h_fourier,
     h_fourier_quadrature,
@@ -215,9 +216,9 @@ def cmd_suite(args) -> int:
     max_resid = {"moment_polar": 0.0, "moment_norm": 0.0, "ratio_series": 0.0}
     n_multiple = int(round(MULTIPLE_FRAC * args.count))
     for n in degrees:
-        polys = [random_circle_poly(n, instance_rng(args.seed, n, i),
-                                    multiple=(n >= 2 and i < n_multiple))
-                 for i in range(args.count)]
+        polys = random_circle_stack(
+            n, [instance_rng(args.seed, n, i) for i in range(args.count)],
+            multiple=[n >= 2 and i < n_multiple for i in range(args.count)])
         for i, rep in enumerate(verify_stack(polys)):
             if rep.status != "ok":
                 failures += 1
@@ -400,9 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call to ``main`` and kept: a process that runs many
+# commands in turn builds the argparse tree once, and importing the module
+# builds nothing.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CircEntropyError as exc:  # e.g. off-circle roots, n > MAX_SERIES_DEGREE

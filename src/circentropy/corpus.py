@@ -32,8 +32,43 @@ def random_circle_poly(
     ``multiple`` forces at least one repeated zero (two for n >= 8).
     ``min_gap`` resamples until all distinct root angles are separated by at
     least that much, which keeps grid-based cross-checks meaningful.
-    ``unit_norm`` rescales so that the squared norm is 1.
+    ``unit_norm`` rescales so that the squared norm is 1.  The one-row case
+    of ``random_circle_stack``.
     """
+    return random_circle_stack(n, [rng], multiple, unit_norm, min_gap)[0]
+
+
+def random_circle_stack(
+    n: int,
+    rngs,
+    multiple=False,
+    unit_norm: bool = False,
+    min_gap: float = 0.0,
+) -> CirclePoly:
+    """A stack of random polynomials of degree n, one row per generator.
+
+    Row i takes from ``rngs[i]`` the draws ``random_circle_poly`` takes, in
+    the same order, and equals its result bit for bit.  ``multiple`` is one
+    flag for every row or a sequence of flags, one per row.  The draws run
+    row by row; the expansion, the normalization and the scaling run once
+    over the stack.
+    """
+    rngs = list(rngs)
+    flags = multiple if np.ndim(multiple) else [multiple] * len(rngs)
+    angles = np.empty((len(rngs), n))
+    draws = np.empty((len(rngs), 2))  # modulus and phase of the leading factor
+    for row, (rng, flag) in enumerate(zip(rngs, flags, strict=True)):
+        angles[row] = _draw_angles(n, rng, flag, min_gap)
+        draws[row] = rng.random(), rng.random()
+    leading = (0.5 + 1.5 * draws[:, 0]) * np.exp(2j * np.pi * draws[:, 1])
+    p = normalize_self_inversive(from_angles(angles, leading)).normalized
+    if unit_norm:
+        p = p.scaled(1.0 / np.sqrt(parseval_norm(p)))
+    return p
+
+
+def _draw_angles(n: int, rng: np.random.Generator, multiple, min_gap: float):
+    """The root angles of one ``random_circle_poly`` instance."""
     for _ in range(200):
         angles = rng.uniform(0.0, 2.0 * np.pi, n)
         if multiple and n >= 2:
@@ -51,14 +86,8 @@ def random_circle_poly(
                 )
                 if np.min(gaps) < min_gap:
                     continue
-        break
-    else:
-        raise RuntimeError("could not sample angles satisfying the gap constraint")
-    leading = (0.5 + 1.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
-    p = normalize_self_inversive(from_angles(angles, leading)).normalized
-    if unit_norm:
-        p = p.scaled(1.0 / math.sqrt(parseval_norm(p)))
-    return p
+        return angles
+    raise RuntimeError("could not sample angles satisfying the gap constraint")
 
 
 def random_binomial(n: int, rng: np.random.Generator) -> CirclePoly:

@@ -199,23 +199,31 @@ def verify_stack(polys) -> list[EntropyReport]:
     the moment identities, the series identity r q = q* and the bound
     |M_k| <= Gamma for simple zeros.
 
-    The polynomials of one degree are computed together as one stack, in
+    ``polys`` is a stacked CirclePoly (``stack``), verified as it is, or
+    an iterable of CirclePolys, stacked by degree.  A stack is computed in
     blocks of at most ``_STACK_ENTRIES / n^2`` rows.  Every reduction runs
     along a row, so a report does not depend on the stack that computed
     it.  Reports come back in input order.
     """
+    if isinstance(polys, CirclePoly) and polys.coefficients.ndim == 2:
+        return _verify_rows(polys)
     polys = list(polys)
     by_degree: dict[int, list[int]] = {}
     for i, p in enumerate(polys):
         by_degree.setdefault(p.degree, []).append(i)
     reports: list = [None] * len(polys)
-    for n, members in by_degree.items():
-        rows = max(1, _STACK_ENTRIES // (n * n))
-        for start in range(0, len(members), rows):
-            block = members[start : start + rows]
-            for i, rep in zip(block, _verify_block(stack(polys[i] for i in block))):
-                reports[i] = rep
+    for members in by_degree.values():
+        for i, rep in zip(members, _verify_rows(stack(polys[i] for i in members))):
+            reports[i] = rep
     return reports
+
+
+def _verify_rows(p: CirclePoly) -> list[EntropyReport]:
+    """``verify_stack`` on one stack, block by block."""
+    n = p.degree
+    rows = max(1, _STACK_ENTRIES // (n * n))
+    return [rep for start in range(0, p.coefficients.shape[0], rows)
+            for rep in _verify_block(p[start : start + rows])]
 
 
 def _verify_block(p: CirclePoly) -> list[EntropyReport]:

@@ -6,11 +6,11 @@ with D = z d/dz, and the coefficient functionals built on top of them.
 
 Coefficient vectors are 1-d complex arrays ordered lowest degree first.
 Roots are the primary data; coefficients are expanded once at construction
-and cached on the value.  The functionals the verification reads also take
-a stack: arrays with a leading instance axis, one row per polynomial of a
-common degree (``stack``); a 1-d input is a stack of one.  Every reduction
-runs along the last axis, so a row's value does not depend on the stack
-that carried it.
+and cached on the value.  Construction and the functionals the verification
+reads also take a stack: arrays with a leading instance axis, one row per
+polynomial of a common degree (``stack``); a 1-d input is a stack of one.
+Every reduction runs along the last axis, so a row's value does not depend
+on the stack that carried it.
 """
 
 from __future__ import annotations
@@ -116,40 +116,70 @@ def _leja_order(roots: np.ndarray) -> np.ndarray:
     of log-distances.  Once only repeats of taken roots remain (every sum is
     -inf), they are taken in index order, so the result is a permutation.
     The matrix log|r_i - r_j| is built once, so time and memory are O(m^2).
+    A stack of root lists (K, m) gets one order per row, the order that row
+    gets alone; the rows take their steps together.
     """
-    m = roots.size
+    m = roots.shape[-1]
     if m < 3:
-        return np.arange(m)
+        order = np.arange(m)
+        return order if roots.ndim == 1 else np.broadcast_to(order, roots.shape)
     with np.errstate(divide="ignore"):
-        logdist = np.log(np.abs(roots[None, :] - roots[:, None]))
-    order = np.empty(m, dtype=np.intp)
-    taken = np.zeros(m, dtype=bool)
-    idx = np.abs(roots).argmax()
-    order[0] = idx
-    taken[idx] = True
+        logdist = np.log(np.abs(roots[..., None, :] - roots[..., :, None]))
+    # order[k] holds step k's pick for every row.  A stack reads its rows of
+    # log-distances from the (K m, m) table at base + index.
+    order = np.empty((m,) + roots.shape[:-1], dtype=np.intp)
+    base = 0
+    if roots.ndim > 1:
+        logdist = logdist.reshape(-1, m)
+        base = np.arange(0, logdist.shape[0], m)
+    idx = order[0] = np.abs(roots).argmax(-1)
     # Each added row is -inf on its own diagonal, so a taken root drops out
     # of every later argmax.
-    total = logdist[idx].copy()
+    total = logdist[base + idx].copy()
     for k in range(1, m):
-        idx = total.argmax()
-        if total[idx] == -np.inf:
-            idx = taken.argmin()
-        order[k] = idx
-        taken[idx] = True
-        total += logdist[idx]
-    return order
+        idx = order[k] = total.argmax(-1)
+        total += logdist[base + idx]
+    # Once every sum is -inf, each later step's argmax is index 0.  From its
+    # second 0 on, such a row takes its untaken roots in index order.
+    if (idx == 0).any():
+        steps = order.reshape(m, -1)
+        for row in np.flatnonzero(idx == 0):
+            picks = steps[:, row]
+            zeros = np.flatnonzero(picks == 0)
+            if zeros.size > 1:
+                taken = np.zeros(m, dtype=bool)
+                taken[picks[: zeros[1]]] = True
+                picks[zeros[1]:] = np.flatnonzero(~taken)
+    return order.T
 
 
 def expand_from_roots(roots, leading) -> np.ndarray:
-    """Coefficients of ``leading * prod(z - root)``, lowest degree first."""
+    """Coefficients of ``leading * prod(z - root)``, lowest degree first.
+
+    A stack of root lists (K, m) with K leading factors gives K coefficient
+    rows: each row is Leja-ordered as it is alone, and each step multiplies
+    one factor per row into the whole stack.  A row gets the bits it gets
+    alone.
+    """
     roots = np.asarray(roots, dtype=complex)
-    m = roots.size
-    coeffs = np.zeros(m + 1, dtype=complex)
-    coeffs[m] = leading
-    # After k factors the product fills coeffs[m - k:]; the next factor
-    # (z - tau) extends it by one slot at the low end.
-    for k, tau in enumerate(roots[_leja_order(roots)]):
-        coeffs[m - k - 1 : m] -= tau * coeffs[m - k :]
+    if roots.ndim > 1 and len(roots) == 1:
+        # a stack of one takes the faster steps of one polynomial
+        return expand_from_roots(roots[0], np.ravel(leading)[0])[None]
+    m = roots.shape[-1]
+    if roots.ndim == 1:
+        coeffs = np.zeros(m + 1, dtype=complex)
+        coeffs[m] = leading
+        # After k factors the product fills coeffs[m - k:]; the next factor
+        # (z - tau) extends it by one slot at the low end.
+        for k, tau in enumerate(roots[_leja_order(roots)]):
+            coeffs[m - k - 1 : m] -= tau * coeffs[m - k :]
+        return coeffs
+    coeffs = np.zeros((roots.shape[0], m + 1), dtype=complex)
+    coeffs[:, m] = leading
+    taus = np.take_along_axis(roots, _leja_order(roots), axis=-1)
+    # The same steps, with one column of factors, shape (K, 1), per step.
+    for k, tau in enumerate(taus.T[:, :, None]):
+        coeffs[:, m - k - 1 : m] -= tau * coeffs[:, m - k :]
     return coeffs
 
 
@@ -189,7 +219,8 @@ class CirclePoly:
     tau_1..tau_n with |tau| = 1, and the ``leading`` factor a = a_n != 0.
     A stack of K polynomials of one degree (``stack``) holds the same fields
     with a leading instance axis: coefficients (K, n + 1), roots (K, n) and
-    leading (K,).  Values are immutable and safe to share between threads.
+    leading (K,); ``p[i]`` is its row i.  Values are immutable and safe to
+    share between threads.
     """
 
     degree: int
@@ -231,6 +262,16 @@ class CirclePoly:
             unstacked(factor * self.leading),
         )
 
+    def __getitem__(self, index) -> "CirclePoly":
+        """Row ``index`` of a stack as one polynomial; a slice of rows as a stack."""
+        leading = self.leading[index]
+        return CirclePoly(
+            self.degree,
+            self.coefficients[index],
+            self.roots[index],
+            leading if isinstance(index, slice) else complex(leading),
+        )
+
 
 def stack(polys) -> CirclePoly:
     """Circle polynomials of one degree as one CirclePoly with an instance axis."""
@@ -249,29 +290,30 @@ def stack(polys) -> CirclePoly:
 def from_roots(roots, leading=1.0) -> CirclePoly:
     """Build a CirclePoly from unimodular roots and a nonzero leading factor.
 
+    A stack of root lists (K, n) with K leading factors builds a stack.
     Roots are projected exactly onto the circle by dividing by their modulus;
-    a root whose modulus deviates from 1 by more than ``TAU_UNIMOD``, or is
-    not finite, raises ``NonUnimodularRoot``.
+    a root in any row whose modulus deviates from 1 by more than
+    ``TAU_UNIMOD``, or is not finite, raises ``NonUnimodularRoot``.
     """
-    leading = complex(leading)
-    if leading == 0:
-        raise ZeroLeading("leading coefficient must be nonzero")
     roots = np.atleast_1d(np.asarray(roots, dtype=complex))
-    if roots.size == 0:
+    if roots.shape[-1] == 0:
         raise ValueError("a CirclePoly needs at least one root (degree >= 1)")
+    leading = np.full(roots.shape[:-1], leading, dtype=complex)
+    if np.count_nonzero(leading) < leading.size:
+        raise ZeroLeading("leading coefficient must be nonzero")
     mods = np.abs(roots)
-    worst = np.abs(mods - 1.0).max()
+    worst = np.abs(mods - 1.0).max(initial=0.0)
     if not worst <= TAU_UNIMOD:  # also rejects NaN and infinite roots
         raise NonUnimodularRoot(
             f"root modulus deviates from 1 by {worst:.3e} (> {TAU_UNIMOD:.0e})"
         )
     roots = roots / mods
     coeffs = expand_from_roots(roots, leading)
-    return CirclePoly(roots.size, coeffs, roots, leading)
+    return CirclePoly(roots.shape[-1], coeffs, roots, unstacked(leading))
 
 
 def from_angles(angles, leading=1.0) -> CirclePoly:
-    """Build a CirclePoly with roots ``exp(i * angle)``."""
+    """Build a CirclePoly with roots ``exp(i * angle)``, or a stack of them."""
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     return from_roots(np.exp(1j * angles), leading)
 

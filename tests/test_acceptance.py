@@ -11,7 +11,12 @@ from fractions import Fraction
 import numpy as np
 
 import circentropy as ce
-from circentropy.corpus import instance_rng, random_circle_poly, random_schur_triple
+from circentropy.corpus import (
+    instance_rng,
+    random_circle_poly,
+    random_circle_stack,
+    random_schur_triple,
+)
 from circentropy.entropy import (
     GAP_TOL,
     MOMENT_BOUND_TOL,
@@ -78,17 +83,15 @@ def test_criterion_02_extremal_value():
 
 def test_criterion_03_strengthened_inequality():
     # also tracks the sharp polar estimate with remainder on the same corpus;
-    # each degree's 500 instances are evaluated as one stack
+    # each degree's 500 instances are built and evaluated as one stack
     start = time.perf_counter()
     failures = 0
     min_gap = math.inf
     min_polar_gap = math.inf
     for n in range(1, 21):
-        p = ce.stack(
-            random_circle_poly(n, instance_rng(101, n, i),
-                               multiple=(n >= 2 and i < 50), unit_norm=True)
-            for i in range(500)
-        )
+        p = random_circle_stack(
+            n, [instance_rng(101, n, i) for i in range(500)],
+            multiple=[n >= 2 and i < 50 for i in range(500)], unit_norm=True)
         rf = ce.ratio_functional(p)
         norm = ce.parseval_norm(p)
         remainder = (2.0 * ce.gamma_remainder(p) / (n * (n - 1))
@@ -111,13 +114,9 @@ def test_criterion_03_strengthened_inequality():
 
 def _moment_corpus():
     # 1000 simple-zero instances of degrees 1..16, one stack per degree
-    by_degree = {}
-    for idx in range(1000):
-        n = idx % 16 + 1
-        rng = instance_rng(102, n, idx)
-        by_degree.setdefault(n, []).append(random_circle_poly(n, rng, unit_norm=True))
-    for n, polys in by_degree.items():
-        yield n, ce.stack(polys)
+    for n in range(1, 17):
+        rngs = [instance_rng(102, n, idx) for idx in range(n - 1, 1000, 16)]
+        yield n, random_circle_stack(n, rngs, unit_norm=True)
 
 
 def test_criterion_04_moment_formula_identity():

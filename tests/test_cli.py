@@ -86,6 +86,38 @@ def test_cold_import_skips_optimizer_and_mpmath():
     assert proc.stdout.strip() == "[]"
 
 
+def test_in_process_commands_match_separate_runs(capsys):
+    # main keeps one parser for the process; each command in a run of them,
+    # usage errors among them, gives the bytes and exit code of a process
+    # of its own.
+    commands = [
+        ("suite", "--degrees", "1..5", "--count", "4", "--seed", "3",
+         "--format", "csv"),
+        ("verify", "--binomial", "n=5"),
+        ("verify", "--angles", "[1,"),
+        ("search", "--n", "3", "--restarts", "2", "--seed", "1"),
+        ("verify",),
+        ("suite", "--degrees", "2,7", "--count", "3", "--seed", "9"),
+        ("verify", "--angles", "[0.3, 2.0, 4.0]", "--leading", "2-1i"),
+    ]
+    in_process = []
+    for argv in commands:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(circentropy.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv, result in zip(commands, in_process):
+        proc = subprocess.run([sys.executable, "-m", "circentropy", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == result, argv
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 2, 0, 0]
+
+
 def test_verify_highprec_rerun(capsys):
     code, out = run_cli(capsys, "verify", "--angles", "[0.0, 0.0]",
                         "--precision", "120")

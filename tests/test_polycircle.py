@@ -112,12 +112,19 @@ def _leja_oracle_cases():
 
 def test_leja_order_matches_greedy_reference_bit_for_bit():
     leading = 1.3 - 0.2j
+    by_size = {}
     for roots in _leja_oracle_cases():
         order = _leja_order(roots)
         assert np.array_equal(order, _leja_order_reference(roots)), roots.size
         got = expand_from_roots(roots, leading)
         want = _expand_reference(roots, leading)
         assert np.array_equal(got, want), roots.size
+        by_size.setdefault(roots.size, []).append(roots)
+    # a stack of the cases of one size gets each row's order
+    for m, cases in by_size.items():
+        order = _leja_order(np.stack(cases))
+        for row, roots in zip(order, cases):
+            assert np.array_equal(row, _leja_order_reference(roots)), m
         assert got.tobytes() == want.tobytes(), roots.size
 
 

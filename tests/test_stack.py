@@ -4,8 +4,8 @@ Each kernel that runs over a stack (one row per polynomial) is compared with
 an inline per-instance loop through np.vdot, np.dot or np.convolve, the way
 the values were computed one polynomial at a time.  The sums run in another
 order, so they agree to rounding, within one tolerance relative to N.  A
-report must not depend on the stack that computed it: that holds bit for
-bit.
+report must not depend on the stack that computed it, and neither must a
+constructed instance: those hold bit for bit.
 """
 
 import json
@@ -15,8 +15,14 @@ import pytest
 
 import circentropy as ce
 from circentropy.blaschke_moments import series_divide
-from circentropy.corpus import instance_rng, random_circle_poly
+from circentropy.corpus import (
+    _draw_angles,
+    instance_rng,
+    random_circle_poly,
+    random_circle_stack,
+)
 from circentropy.entropy import _STACK_ENTRIES
+from circentropy.polycircle import TAU_UNIMOD, expand_from_roots
 
 ORACLE_TOL = 1e-13          # x N: stacked kernel against its per-instance loop
 DEGREES = (1, 2, 3, 20, 128)
@@ -148,3 +154,93 @@ def test_stack_input_checks():
         ce.trig_square([[1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ce.ZeroConstantTerm):
         series_divide(1.0, [[1.0, 1.0], [0.0, 1.0]], 3)
+
+
+def _same_bits(p, q):
+    return (p.degree == q.degree
+            and p.coefficients.tobytes() == q.coefficients.tobytes()
+            and p.roots.tobytes() == q.roots.tobytes()
+            and complex(p.leading) == complex(q.leading))
+
+
+def _one_at_a_time(n, rng, multiple, unit_norm):
+    # The construction of one polynomial from 1-d arrays, draw for draw.
+    angles = _draw_angles(n, rng, multiple, 0.0)
+    leading = (0.5 + 1.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
+    p = ce.normalize_self_inversive(ce.from_angles(angles, leading)).normalized
+    if unit_norm:
+        p = p.scaled(1.0 / np.sqrt(ce.parseval_norm(p)))
+    return p
+
+
+@pytest.mark.parametrize("unit_norm", [False, True])
+def test_stacked_construction_matches_each_instance_bit_for_bit(unit_norm):
+    for seed in (40, 41):
+        for n in DEGREES:
+            flags = [n >= 2 and i % 3 == 0 for i in range(COUNT)]
+            rngs = [instance_rng(seed, n, i) for i in range(COUNT)]
+            p = random_circle_stack(n, rngs, multiple=flags, unit_norm=unit_norm)
+            assert p.coefficients.shape == (COUNT, n + 1)
+            assert p.roots.shape == (COUNT, n) and p.leading.shape == (COUNT,)
+            for i, flag in enumerate(flags):
+                alone = random_circle_poly(n, instance_rng(seed, n, i),
+                                           multiple=flag, unit_norm=unit_norm)
+                assert alone.coefficients.shape == (n + 1,)
+                assert _same_bits(p[i], alone), (seed, n, i)
+                ref = _one_at_a_time(n, instance_rng(seed, n, i), flag, unit_norm)
+                assert _same_bits(p[i], ref), (seed, n, i)
+            # one flag for every row
+            same = random_circle_stack(
+                n, [instance_rng(seed, n, i) for i in range(COUNT)],
+                multiple=n >= 2, unit_norm=unit_norm)
+            alone = random_circle_poly(n, instance_rng(seed, n, 1),
+                                       multiple=n >= 2, unit_norm=unit_norm)
+            assert _same_bits(same[1], alone)
+
+
+def test_stacked_expansion_matches_one_row_at_a_time():
+    rng = instance_rng(42)
+    for m in (1, 2, 3, 5, 20, 128):
+        roots = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, m)))
+        # an all-equal row, whose Leja order falls back to index order once
+        # every distance sum is -inf, next to rows of distinct roots
+        roots[2] = roots[2, 0]
+        leading = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        got = expand_from_roots(roots, leading)
+        assert got.shape == (4, m + 1)
+        for i in range(4):
+            want = expand_from_roots(roots[i], leading[i])
+            assert got[i].tobytes() == want.tobytes(), (m, i)
+        stacked = ce.from_roots(roots, leading)
+        for i in range(4):
+            assert _same_bits(stacked[i], ce.from_roots(roots[i], leading[i])), (m, i)
+
+
+@pytest.mark.parametrize("bad", [1.0 + 10 * TAU_UNIMOD, np.nan, np.inf])
+def test_stacked_construction_checks_every_row(bad):
+    roots = np.exp(1j * instance_rng(43).uniform(0, 2 * np.pi, (5, 6)))
+    ce.from_roots(roots, np.ones(5))
+    roots[3, 4] *= bad
+    with pytest.raises(ce.NonUnimodularRoot):
+        ce.from_roots(roots, np.ones(5))
+    angles = np.angle(roots[[0, 1, 2, 4]])
+    angles[2, 1] = np.nan
+    with pytest.raises(ce.NonUnimodularRoot):
+        ce.from_angles(angles, np.ones(4))
+    with pytest.raises(ce.ZeroLeading):
+        ce.from_roots(np.exp(1j * np.ones((2, 3))), [1.0, 0.0])
+
+
+def test_verify_stack_takes_a_stack_as_it_is():
+    # More rows than one verification block at n = 128: the stack is cut in
+    # blocks, and every report equals the one from a list of polynomials.
+    for n in (3, 128):
+        count = 2 + _STACK_ENTRIES // (n * n) if n == 128 else 7
+        p = random_circle_stack(n, [instance_rng(44, n, i) for i in range(count)],
+                                multiple=[i % 2 == 0 for i in range(count)])
+        reports = ce.verify_stack(p)
+        listed = ce.verify_stack([p[i] for i in range(count)])
+        assert len(reports) == count
+        assert [json.dumps(r.to_dict()) for r in reports] == [
+            json.dumps(r.to_dict()) for r in listed]
+        assert ce.verify_stack(p[:0]) == []
