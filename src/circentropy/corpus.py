@@ -35,26 +35,26 @@ def random_circle_poly(
     ``unit_norm`` rescales so that the squared norm is 1.  The one-row case
     of ``random_circle_stack``.
     """
-    return random_circle_stack(n, [rng], multiple, unit_norm, min_gap)[0]
+    return random_circle_stack(n, [rng], [multiple], unit_norm, min_gap)[0]
 
 
 def random_circle_stack(
     n: int,
     rngs,
-    multiple=False,
+    multiple=None,
     unit_norm: bool = False,
     min_gap: float = 0.0,
 ) -> CirclePoly:
     """A stack of random polynomials of degree n, one row per generator.
 
     Row i takes from ``rngs[i]`` the draws ``random_circle_poly`` takes, in
-    the same order, and equals its result bit for bit.  ``multiple`` is one
-    flag for every row or a sequence of flags, one per row.  The draws run
-    row by row; the expansion, the normalization and the scaling run once
-    over the stack.
+    the same order, and equals its result bit for bit.  ``multiple`` holds
+    one flag per row, or is None for all False.  The draws run row by row;
+    the expansion, the normalization and the scaling run once over the
+    stack.
     """
     rngs = list(rngs)
-    flags = multiple if np.ndim(multiple) else [multiple] * len(rngs)
+    flags = [False] * len(rngs) if multiple is None else multiple
     angles = np.empty((len(rngs), n))
     draws = np.empty((len(rngs), 2))  # modulus and phase of the leading factor
     for row, (rng, flag) in enumerate(zip(rngs, flags, strict=True)):

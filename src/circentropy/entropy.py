@@ -23,6 +23,7 @@ from .log_integrals import circle_quadrature, ratio_functional
 from .polycircle import (
     TAU_EXPAND,
     TAU_UNIMOD,
+    _STACK_ENTRIES,
     CirclePoly,
     gamma_remainder,
     normalize_self_inversive,
@@ -42,10 +43,6 @@ MOMENT_POLAR_TOL = 1e-8        # x N: polar term against its moment formula
 MOMENT_NORM_TOL = 1e-9         # x N: N = 2M_0 + 2 Re M_1, and M_1 = Gamma
 RATIO_SERIES_TOL = TAU_EXPAND  # x max|a_j|: r q = q* through degree n - 1
 MOMENT_BOUND_TOL = 1e-9        # absolute: |M_k| <= Gamma + tol, 2 <= k <= n-1
-
-# Most entries (rows x n^2) of one stack's Toeplitz matrices of r: bounds the
-# memory of a verification block to a few MiB whatever the instance count.
-_STACK_ENTRIES = 1 << 16
 
 
 def h_fourier(k: int) -> Fraction:

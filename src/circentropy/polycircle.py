@@ -37,6 +37,11 @@ TAU_UNIMOD = 1e-12   # allowed deviation of |root| from 1 on input
 TAU_EXPAND = 1e-10   # relative coefficient tolerance, against max |a_j|
 TAU_SEP = 1e-8       # chordal separation deciding the simple-zero flag
 
+# Most entries (rows x n^2) of one stack's n x n tables, the Leja
+# log-distances here and the Toeplitz matrices of r in the verification:
+# bounds the memory of a block to a few MiB whatever the instance count.
+_STACK_ENTRIES = 1 << 16
+
 _COMPLEX = np.dtype(complex)
 
 
@@ -117,12 +122,17 @@ def _leja_order(roots: np.ndarray) -> np.ndarray:
     -inf), they are taken in index order, so the result is a permutation.
     The matrix log|r_i - r_j| is built once, so time and memory are O(m^2).
     A stack of root lists (K, m) gets one order per row, the order that row
-    gets alone; the rows take their steps together.
+    gets alone; the rows take their steps together, in blocks of at most
+    ``_STACK_ENTRIES / m^2`` rows.
     """
     m = roots.shape[-1]
     if m < 3:
         order = np.arange(m)
         return order if roots.ndim == 1 else np.broadcast_to(order, roots.shape)
+    if roots.ndim > 1 and len(roots) * m * m > _STACK_ENTRIES:
+        rows = max(1, _STACK_ENTRIES // (m * m))
+        return np.concatenate([_leja_order(roots[start : start + rows])
+                               for start in range(0, len(roots), rows)])
     with np.errstate(divide="ignore"):
         logdist = np.log(np.abs(roots[..., None, :] - roots[..., :, None]))
     # order[k] holds step k's pick for every row.  A stack reads its rows of
@@ -162,9 +172,6 @@ def expand_from_roots(roots, leading) -> np.ndarray:
     alone.
     """
     roots = np.asarray(roots, dtype=complex)
-    if roots.ndim > 1 and len(roots) == 1:
-        # a stack of one takes the faster steps of one polynomial
-        return expand_from_roots(roots[0], np.ravel(leading)[0])[None]
     m = roots.shape[-1]
     if roots.ndim == 1:
         coeffs = np.zeros(m + 1, dtype=complex)

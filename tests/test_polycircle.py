@@ -119,13 +119,13 @@ def test_leja_order_matches_greedy_reference_bit_for_bit():
         got = expand_from_roots(roots, leading)
         want = _expand_reference(roots, leading)
         assert np.array_equal(got, want), roots.size
+        assert got.tobytes() == want.tobytes(), roots.size
         by_size.setdefault(roots.size, []).append(roots)
     # a stack of the cases of one size gets each row's order
     for m, cases in by_size.items():
         order = _leja_order(np.stack(cases))
         for row, roots in zip(order, cases):
             assert np.array_equal(row, _leja_order_reference(roots)), m
-        assert got.tobytes() == want.tobytes(), roots.size
 
 
 def test_reflect_examples():

@@ -9,6 +9,7 @@ constructed instance: those hold bit for bit.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,7 @@ from circentropy.corpus import (
     random_circle_poly,
     random_circle_stack,
 )
-from circentropy.entropy import _STACK_ENTRIES
-from circentropy.polycircle import TAU_UNIMOD, expand_from_roots
+from circentropy.polycircle import _STACK_ENTRIES, TAU_UNIMOD, expand_from_roots
 
 ORACLE_TOL = 1e-13          # x N: stacked kernel against its per-instance loop
 DEGREES = (1, 2, 3, 20, 128)
@@ -189,13 +189,24 @@ def test_stacked_construction_matches_each_instance_bit_for_bit(unit_norm):
                 assert _same_bits(p[i], alone), (seed, n, i)
                 ref = _one_at_a_time(n, instance_rng(seed, n, i), flag, unit_norm)
                 assert _same_bits(p[i], ref), (seed, n, i)
-            # one flag for every row
-            same = random_circle_stack(
-                n, [instance_rng(seed, n, i) for i in range(COUNT)],
-                multiple=n >= 2, unit_norm=unit_norm)
-            alone = random_circle_poly(n, instance_rng(seed, n, 1),
-                                       multiple=n >= 2, unit_norm=unit_norm)
-            assert _same_bits(same[1], alone)
+
+
+def test_stacked_construction_memory_is_bounded_by_blocks():
+    # The Leja order of a stack runs in blocks of _STACK_ENTRIES / n^2 rows:
+    # at n = 128, 4 rows and about 2 MiB of log-distances per block, where
+    # the whole (40, 128, 128) table would take about 20 MiB.  The rows are
+    # the ones built one at a time, past the block edges too.
+    n, count = 128, 40
+    rngs = [instance_rng(45, n, i) for i in range(count)]
+    tracemalloc.start()
+    try:
+        p = random_circle_stack(n, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    for i in range(count):
+        assert _same_bits(p[i], random_circle_poly(n, instance_rng(45, n, i))), i
 
 
 def test_stacked_expansion_matches_one_row_at_a_time():
