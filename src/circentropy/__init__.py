@@ -26,6 +26,7 @@ from .entropy import (
     polar_term_via_moments,
     telescoping_closed_form,
     telescoping_sum,
+    verify_columns,
     verify_main,
     verify_stack,
 )

@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -27,8 +28,8 @@ from .entropy import (
     h_fourier_quadrature,
     telescoping_closed_form,
     telescoping_sums,
+    verify_columns,
     verify_main,
-    verify_stack,
 )
 from .errors import CircEntropyError, RootsOffCircle
 from .extremal import coalescence_experiment, minimize
@@ -153,8 +154,7 @@ def _csv_payload(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -182,7 +182,8 @@ def cmd_verify(args) -> int:
     return 0 if report.status == "ok" else 1
 
 
-# After n and index, each column is the EntropyReport field of that name.
+# After n and index, each column is the ``verify_columns`` column, and so the
+# EntropyReport field, of that name.
 SUITE_HEADER = [
     "n", "index", "norm", "entropy", "jensen_term", "polar_term", "gamma",
     "main_gap", "strengthened_gap", "jensen_gap", "polar_gap",
@@ -203,9 +204,15 @@ def _parse_degree_range(spec: str) -> list[int]:
     return degrees
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def cmd_suite(args) -> int:
     try:
         degrees = _parse_degree_range(args.degrees)
+        _check_seed(args.seed)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -219,20 +226,23 @@ def cmd_suite(args) -> int:
         polys = random_circle_stack(
             n, [instance_rng(args.seed, n, i) for i in range(args.count)],
             multiple=[n >= 2 and i < n_multiple for i in range(args.count)])
-        for i, rep in enumerate(verify_stack(polys)):
-            if rep.status != "ok":
-                failures += 1
-            for key in min_gaps:
-                min_gaps[key] = min(min_gaps[key], getattr(rep, key + "_gap"))
-            if rep.simple_zeros:
-                # relative to N, as the checks they summarize are
-                for key in ("moment_polar", "moment_norm"):
-                    max_resid[key] = max(max_resid[key],
-                                         getattr(rep, key + "_resid") / rep.norm)
-                max_resid["ratio_series"] = max(max_resid["ratio_series"],
-                                                rep.ratio_series_resid)
-            # csv writes a None field as an empty cell
-            rows.append([n, i] + [getattr(rep, col) for col in SUITE_HEADER[2:]])
+        cols = verify_columns(polys)
+        failures += sum(status != "ok" for status in cols["status"])
+        # min and max run through the rows in order, as a loop over the
+        # rows would: a NaN is kept only where it comes first.
+        for key in min_gaps:
+            min_gaps[key] = min([min_gaps[key], *cols[key + "_gap"]])
+        simple = cols["simple_zeros"]
+        # relative to N, as the checks they summarize are
+        for key in ("moment_polar", "moment_norm"):
+            relative = (resid / norm for resid, norm in
+                        compress(zip(cols[key + "_resid"], cols["norm"]), simple))
+            max_resid[key] = max([max_resid[key], *relative])
+        max_resid["ratio_series"] = max(
+            [max_resid["ratio_series"], *compress(cols["ratio_series_resid"], simple)])
+        # csv writes a None field as an empty cell
+        rows += zip(repeat(n), range(args.count),
+                    *(cols[col] for col in SUITE_HEADER[2:]))
     summary = {
         "degrees": degrees,
         "count": args.count,
@@ -308,6 +318,7 @@ def cmd_coalesce(args) -> int:
     try:
         p = _parse_poly(args)
         schedule = parse_schedule(args.schedule)
+        _check_seed(args.seed)
     except (TypeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -13,11 +13,22 @@ def instance_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Generator seeded deterministically from a master seed and an index key.
 
     The per-instance derivation makes corpus runs reproducible regardless of
-    scheduling or chunking.
+    scheduling or chunking.  The generator is
+    ``default_rng(SeedSequence([master_seed, *key]))``, with the entropy
+    given as the ``uint32`` words numpy would build from that list: each
+    value split into little-endian 32-bit words, 0 as one word.  A negative
+    value raises ValueError.
     """
+    words = []
+    for value in (master_seed, *key):
+        value = int(value)
+        if value < 0:
+            raise ValueError(f"seed values must be non-negative, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=[int(master_seed), *(int(k) for k in key)])
-    )
+        np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 def random_circle_poly(

@@ -7,7 +7,8 @@ every lower bound with its gap, the moment-formula cross values, and the
 equality-case classification against the binomial family c(omega + z^n).
 ``verify_stack`` decides every check against the one tolerance table below,
 for each degree's polynomials as one stack; ``verify_main`` is its stack of
-one.
+one, and ``verify_columns`` gives a stack's values by field, without the
+report objects.
 """
 
 from __future__ import annotations
@@ -197,34 +198,49 @@ def verify_stack(polys) -> list[EntropyReport]:
     |M_k| <= Gamma for simple zeros.
 
     ``polys`` is a stacked CirclePoly (``stack``), verified as it is, or
-    an iterable of CirclePolys, stacked by degree.  A stack is computed in
-    blocks of at most ``_STACK_ENTRIES / n^2`` rows.  Every reduction runs
-    along a row, so a report does not depend on the stack that computed
-    it.  Reports come back in input order.
+    an iterable of CirclePolys, stacked by degree.  Each stack's
+    ``verify_columns`` become one report per row.  Reports come back in
+    input order.
     """
     if isinstance(polys, CirclePoly) and polys.coefficients.ndim == 2:
-        return _verify_rows(polys)
+        return _reports(polys)
     polys = list(polys)
     by_degree: dict[int, list[int]] = {}
     for i, p in enumerate(polys):
         by_degree.setdefault(p.degree, []).append(i)
     reports: list = [None] * len(polys)
     for members in by_degree.values():
-        for i, rep in zip(members, _verify_rows(stack(polys[i] for i in members))):
+        for i, rep in zip(members, _reports(stack(polys[i] for i in members))):
             reports[i] = rep
     return reports
 
 
-def _verify_rows(p: CirclePoly) -> list[EntropyReport]:
-    """``verify_stack`` on one stack, block by block."""
-    n = p.degree
-    rows = max(1, _STACK_ENTRIES // (n * n))
-    return [rep for start in range(0, p.coefficients.shape[0], rows)
-            for rep in _verify_block(p[start : start + rows])]
+def _reports(p: CirclePoly) -> list[EntropyReport]:
+    """``verify_stack`` on one stack: its columns, one report per row."""
+    # The columns are in field order, so a row is the report's arguments.
+    return [EntropyReport(*row) for row in zip(*verify_columns(p).values())]
 
 
-def _verify_block(p: CirclePoly) -> list[EntropyReport]:
-    """``verify_stack`` on one stack of polynomials of a common degree."""
+def verify_columns(p: CirclePoly) -> dict[str, list]:
+    """The report fields of a stack of one degree, one column per field.
+
+    These are ``verify_stack``'s values without a report object per row.
+    Keys are the ``EntropyReport`` field names in field order; each value
+    is a list of Python scalars, one per row, in row order.  The stack is
+    computed in blocks of at most ``_STACK_ENTRIES / n^2`` rows.  Every
+    reduction runs along a row, so a row's values do not depend on the
+    stack that computed them.
+    """
+    columns: dict[str, list] = {f.name: [] for f in fields(EntropyReport)}
+    rows = max(1, _STACK_ENTRIES // (p.degree * p.degree))
+    for start in range(0, p.coefficients.shape[0], rows):
+        for name, values in _verify_block(p[start : start + rows]).items():
+            columns[name] += values
+    return columns
+
+
+def _verify_block(p: CirclePoly) -> dict[str, list]:
+    """``verify_columns`` on one block of polynomials of a common degree."""
     if (np.abs(np.abs(p.roots) - 1.0) > TAU_UNIMOD).any():
         raise RootsOffCircle("verify_main requires all zeros on the unit circle")
     ps = normalize_self_inversive(p).normalized
@@ -277,7 +293,6 @@ def _verify_block(p: CirclePoly) -> list[EntropyReport]:
         status[simple & (slack < 0)] = "violation:moment_bound"
         bound_slack = slack
 
-    # The row projection: one report per instance, in Python scalars.
     columns = {
         "simple_zeros": simple,
         "norm": norm,
@@ -303,9 +318,8 @@ def _verify_block(p: CirclePoly) -> list[EntropyReport]:
         "moment_bound_slack_min": bound_slack,
         "status": status,
     }
-    rows = zip(*(col.tolist() for col in columns.values()))
-    return [
-        EntropyReport(degree=n, routes=dict(rf.routes), gap_tolerance=GAP_TOL,
-                      **dict(zip(columns, row)))
-        for row in rows
-    ]
+    # The rows of a block share its routes dict.
+    rows = norm.shape[0]
+    return {"degree": [n] * rows, "routes": [rf.routes] * rows,
+            "gap_tolerance": [GAP_TOL] * rows,
+            **{name: col.tolist() for name, col in columns.items()}}

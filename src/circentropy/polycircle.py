@@ -123,14 +123,14 @@ def _leja_order(roots: np.ndarray) -> np.ndarray:
     The matrix log|r_i - r_j| is built once, so time and memory are O(m^2).
     A stack of root lists (K, m) gets one order per row, the order that row
     gets alone; the rows take their steps together, in blocks of at most
-    ``_STACK_ENTRIES / m^2`` rows.
+    ``_STACK_ENTRIES / m^2`` rows, or of one row for m > 256.
     """
     m = roots.shape[-1]
     if m < 3:
         order = np.arange(m)
         return order if roots.ndim == 1 else np.broadcast_to(order, roots.shape)
-    if roots.ndim > 1 and len(roots) * m * m > _STACK_ENTRIES:
-        rows = max(1, _STACK_ENTRIES // (m * m))
+    rows = max(1, _STACK_ENTRIES // (m * m))
+    if roots.ndim > 1 and len(roots) > rows:
         return np.concatenate([_leja_order(roots[start : start + rows])
                                for start in range(0, len(roots), rows)])
     with np.errstate(divide="ignore"):

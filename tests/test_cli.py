@@ -3,15 +3,19 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import circentropy
 from circentropy import entropy, extremal
-from circentropy.cli import main, parse_schedule
+from circentropy.cli import MULTIPLE_FRAC, SUITE_HEADER, main, parse_schedule
+from circentropy.corpus import random_circle_stack
+from circentropy.log_integrals import MAX_SERIES_DEGREE
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +172,68 @@ def test_suite_full_degree_range(capsys):
     assert summary["min_gaps"]["main"] > -1e-9
 
 
+def _suite_from_reports(degrees, count, seed):
+    # The reference: the suite's CSV and summary built from one EntropyReport
+    # per row, each cell read with getattr, and each instance seeded from
+    # the int list [seed, n, index].
+    rows, failures = [], 0
+    min_gaps = {key: math.inf for key in ("main", "strengthened", "jensen", "polar")}
+    max_resid = {"moment_polar": 0.0, "moment_norm": 0.0, "ratio_series": 0.0}
+    n_multiple = int(round(MULTIPLE_FRAC * count))
+    for n in degrees:
+        rngs = [np.random.default_rng(np.random.SeedSequence([seed, n, i]))
+                for i in range(count)]
+        polys = random_circle_stack(
+            n, rngs, multiple=[n >= 2 and i < n_multiple for i in range(count)])
+        for i, rep in enumerate(circentropy.verify_stack(polys)):
+            failures += rep.status != "ok"
+            for key in min_gaps:
+                min_gaps[key] = min(min_gaps[key], getattr(rep, key + "_gap"))
+            if rep.simple_zeros:
+                for key in ("moment_polar", "moment_norm"):
+                    max_resid[key] = max(max_resid[key],
+                                         getattr(rep, key + "_resid") / rep.norm)
+                max_resid["ratio_series"] = max(max_resid["ratio_series"],
+                                                rep.ratio_series_resid)
+            rows.append([n, i] + [getattr(rep, col) for col in SUITE_HEADER[2:]])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SUITE_HEADER)
+    for row in rows:
+        writer.writerow(row)
+    summary = {"degrees": list(degrees), "count": count, "seed": seed,
+               "instances": len(rows), "failures": failures,
+               "min_gaps": min_gaps, "max_residuals": max_resid}
+    return buf.getvalue(), json.dumps(summary, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("seed", [42, 2**32 + 7])
+def test_suite_payloads_match_the_report_rows(capsys, seed):
+    want_csv, want_json = _suite_from_reports(range(1, 21), 10, seed)
+    args = ("suite", "--degrees", "1..20", "--count", "10", "--seed", str(seed))
+    assert run_cli(capsys, *args, "--format", "csv") == (0, want_csv)
+    assert run_cli(capsys, *args) == (0, want_json)
+    # None fields are blank cells: the moment residuals of the multiple-zero
+    # rows, and the bound slack for n <= 2
+    rows = list(csv.DictReader(io.StringIO(want_csv)))
+    multiple = [row for row in rows if row["simple_zeros"] == "False"]
+    assert len(multiple) == 19
+    assert all(row["moment_polar_resid"] == row["moment_norm_resid"] == ""
+               for row in multiple)
+    assert sum(row["moment_bound_slack_min"] == "" for row in rows) == 20
+
+
+def test_suite_above_the_degree_limit_is_invalid_input(capsys):
+    # Construction at n = 300 returns, and the verification refuses the
+    # degree: exit 3 with the IllConditioned message, no payload.
+    code = main(["suite", "--degrees", "300..300", "--count", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"certified up to degree {MAX_SERIES_DEGREE}" in captured.err
+
+
 def test_verify_and_suite_share_one_verdict(capsys, monkeypatch):
     # A negative tolerance fails the moment-norm identity on every
     # simple-zero instance; verify and the suite read the same verdict.
@@ -231,6 +297,8 @@ def test_coalesce_command(capsys):
     ("suite", "--degrees", "3,-1"),
     ("search", "--n", "0"),
     ("search", "--n", "3", "--restarts", "0"),
+    ("suite", "--seed", "-1"),
+    ("coalesce", "--angles", "[0.3,0.3,2,5]", "--seed", "-1"),
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     # exit 1 means an inequality violated or a search not converged

@@ -22,7 +22,12 @@ from circentropy.corpus import (
     random_circle_poly,
     random_circle_stack,
 )
-from circentropy.polycircle import _STACK_ENTRIES, TAU_UNIMOD, expand_from_roots
+from circentropy.polycircle import (
+    _STACK_ENTRIES,
+    TAU_UNIMOD,
+    _leja_order,
+    expand_from_roots,
+)
 
 ORACLE_TOL = 1e-13          # x N: stacked kernel against its per-instance loop
 DEGREES = (1, 2, 3, 20, 128)
@@ -207,6 +212,27 @@ def test_stacked_construction_memory_is_bounded_by_blocks():
     assert peak < 4 * 2**20, peak
     for i in range(count):
         assert _same_bits(p[i], random_circle_poly(n, instance_rng(45, n, i))), i
+
+
+@pytest.mark.parametrize("n", [256, 257, 300])
+def test_construction_above_one_row_per_block(n):
+    # From n = 256 on, a Leja block holds one row, and above it one row is
+    # over the block limit: a stack is ordered row by row, a one-row block
+    # as it is.  Each row gets the order it gets alone.
+    rng = instance_rng(46, n)
+    roots = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, n)))
+    roots[1, 5:9] = roots[1, 4]
+    order = _leja_order(roots)
+    for i in range(3):
+        alone = _leja_order(roots[i])
+        assert sorted(alone) == list(range(n))
+        assert order[i].tobytes() == alone.tobytes(), i
+        assert _leja_order(roots[i : i + 1])[0].tobytes() == alone.tobytes(), i
+    p = random_circle_stack(n, [instance_rng(46, n, i) for i in range(2)])
+    for i in range(2):
+        ref = _one_at_a_time(n, instance_rng(46, n, i), False, False)
+        assert _same_bits(p[i], ref), i
+        assert _same_bits(random_circle_poly(n, instance_rng(46, n, i)), ref), i
 
 
 def test_stacked_expansion_matches_one_row_at_a_time():
