@@ -56,7 +56,6 @@ from .extremal import (
 )
 from .log_integrals import (
     RatioFunctionalValue,
-    TrigSquare,
     circle_quadrature,
     log_pair_quadrature,
     log_pair_spectral,

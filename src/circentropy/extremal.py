@@ -37,7 +37,7 @@ def _objective_terms(angles):
     roots = np.exp(1j * angles)
     coeffs = expand_from_roots(roots, 1.0)
     norm = float((np.abs(coeffs) ** 2).sum())
-    cm = trig_square(coeffs).coefficients[n + 1 :]
+    cm = trig_square(coeffs)[1:]
     sums = power_sums(roots, n)
     entropy = float(_circle_root_pairing(sums, cm))
     return entropy / norm - math.log(norm), roots, coeffs, norm, entropy, sums

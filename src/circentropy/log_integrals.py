@@ -58,36 +58,6 @@ _S_LADDER = np.arange(10.0, _S_CUT)
 _U_LADDER = np.array([math.exp(-s) for s in _S_LADDER])
 
 
-@dataclass(frozen=True)
-class TrigSquare:
-    """|A(e^{it})|^2 as a trigonometric polynomial.
-
-    ``coefficients`` holds c_{-d}..c_d with c_k = sum_j A_{j+k} conj(A_j),
-    so c_{-k} = conj(c_k) and c_0 = sum |A_j|^2.  For a stack of A, one row
-    per instance and d the highest degree among the rows.
-    """
-
-    coefficients: np.ndarray
-    degree: int
-
-    def __post_init__(self):
-        self.coefficients.setflags(write=False)
-
-
-def _stack_degree(arr: np.ndarray) -> int:
-    """Highest degree among the rows of a coefficient stack.
-
-    -1 when some row is the zero polynomial.
-    """
-    if arr.ndim > 1:
-        nonzero = arr != 0
-        if not nonzero.any(axis=-1).all():
-            return -1
-        arr = nonzero.reshape(-1, arr.shape[-1]).any(axis=0)
-    nz = arr.nonzero()[0]
-    return int(nz[-1]) if nz.size else -1
-
-
 @functools.lru_cache(maxsize=128)
 def _lag_window(deg: int) -> np.ndarray:
     """Index array [k, j] -> k + j, read-only, for lags and terms 0..deg."""
@@ -97,29 +67,28 @@ def _lag_window(deg: int) -> np.ndarray:
     return window
 
 
-def trig_square(A) -> TrigSquare:
-    """Autocorrelation of the coefficient vector of A, per row of a stack.
+def trig_square(A) -> np.ndarray:
+    """Autocorrelation c_0..c_d of the coefficients of A, per row of a stack.
 
-    Lag k pairs a_k..a_{k+d} (zero past a_d) with a_0..a_d: one elementwise
-    product of a (d + 1) x (d + 1) window with conj(a), summed along its
-    rows.
+    c_k = sum_j a_{j+k} conj(a_j), with d the highest degree among the rows,
+    so that |A(e^{it})|^2 = sum_{|k| <= d} c_k e^{ikt} with c_{-k} =
+    conj(c_k), and c_0 = sum |a_j|^2 is real.  Lag k pairs a_k..a_{k+d}
+    (zero past a_d) with a_0..a_d: one elementwise product of a
+    (d + 1) x (d + 1) window with conj(a), summed along its rows.
     """
     arr = as_coefficient_stack(A)
-    deg = _stack_degree(arr)
+    deg = poly_degree(arr)
     if deg < 0:
         raise ZeroPolynomial("|A|^2 undefined for the zero polynomial")
     padded = np.zeros(arr.shape[:-1] + (2 * deg + 1,), dtype=complex)
     padded[..., : deg + 1] = arr[..., : deg + 1]
-    c = np.empty_like(padded)
     # np.take lays the windows out row-major, so each lag sums along
     # contiguous memory whatever the stack size.
     windows = np.take(padded, _lag_window(deg), axis=-1)
-    c[..., deg:] = (windows * np.conj(padded[..., None, : deg + 1])).sum(axis=-1)
-    # c_0 = sum |a_j|^2 is real; a fused multiply-add can leave rounding in
-    # its imaginary part.  c_{-k} = conj(c_k) for k = 1..d.
-    c[..., deg] = c[..., deg].real
-    c[..., :deg] = np.conj(c[..., :deg:-1])
-    return TrigSquare(c, deg)
+    c = (windows * np.conj(padded[..., None, : deg + 1])).sum(axis=-1)
+    # A fused multiply-add can leave rounding in the imaginary part of c_0.
+    c[..., 0] = c[..., 0].real
+    return c
 
 
 def polished_roots(B) -> np.ndarray:
@@ -169,8 +138,6 @@ def _given_roots(b_roots, deg: int) -> np.ndarray:
 def log_pair_spectral(A, B, b_roots=None):
     """Integral of |A|^2 log|B|^2 over dm, by the exact series pairing.
 
-    ``A`` is a coefficient vector or its ``trig_square``, so that callers
-    pairing the same A against several B build the autocorrelation once.
     A stack of A and B (and of ``b_roots``), one row per instance, gives one
     value per row; the rows of B share their degree.
 
@@ -191,14 +158,21 @@ def log_pair_spectral(A, B, b_roots=None):
       ``IllConditioned`` when deg A or deg B exceeds ``MAX_SERIES_DEGREE``;
       use ``log_pair_quadrature`` there.
     """
-    ts = A if isinstance(A, TrigSquare) else trig_square(A)
+    return _pair_lags(trig_square(A), B, b_roots)
+
+
+def _pair_lags(c, B, b_roots=None):
+    """``log_pair_spectral`` of the A whose lags are ``c = trig_square(A)``.
+
+    Pairing one A against several B builds its lags once.
+    """
     arr = as_coefficient_stack(B)
-    deg = _stack_degree(arr)
+    deg = poly_degree(arr)
     if deg < 0:
         raise ZeroPolynomial("log|B| undefined for the zero polynomial")
-    d = ts.degree
-    c0 = ts.coefficients[..., d].real
-    cm = ts.coefficients[..., d + 1 :]
+    d = c.shape[-1] - 1
+    c0 = c[..., 0].real
+    cm = c[..., 1:]
     if b_roots is not None:
         roots = _given_roots(b_roots, deg)
         lead = np.abs(arr[..., deg])
@@ -692,9 +666,9 @@ def ratio_functional(p: CirclePoly) -> RatioFunctionalValue:
     """
     n = p.degree
     a = p.coefficients
-    ts = trig_square(a)
-    entropy_integral = log_pair_spectral(ts, a, b_roots=p.roots)
-    value = -log_pair_spectral(ts, p.h_series)
+    c = trig_square(a)
+    entropy_integral = _pair_lags(c, a, b_roots=p.roots)
+    value = -_pair_lags(c, p.h_series)
     return RatioFunctionalValue(
         value, entropy_integral, entropy_integral - value,
         {"entropy": "spectral", "jensen": "spectral"},

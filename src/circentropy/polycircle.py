@@ -85,8 +85,17 @@ def unstacked(value):
 
 
 def poly_degree(coeffs) -> int:
-    """Index of the highest nonzero coefficient, -1 for the zero polynomial."""
-    arr = as_coefficients(coeffs)
+    """Index of the highest nonzero coefficient, -1 for the zero polynomial.
+
+    For a stack, the highest degree among its rows, and -1 when some row is
+    the zero polynomial.
+    """
+    arr = as_coefficient_stack(coeffs)
+    if arr.ndim > 1:
+        nonzero = arr != 0
+        if not nonzero.any(axis=-1).all():
+            return -1
+        arr = nonzero.reshape(-1, arr.shape[-1]).any(axis=0)
     nz = np.nonzero(arr)[0]
     return int(nz[-1]) if nz.size else -1
 

@@ -29,16 +29,61 @@ from circentropy.log_integrals import (
 from circentropy.polycircle import eval_poly
 
 
+def _trig_square_reference(A):
+    """The autocorrelation as it was first computed: c_{-d}..c_d, and d.
+
+    The same window product and row sum, into the middle of an array whose
+    negative half mirrors the positive one.
+    """
+    arr = np.atleast_1d(np.asarray(A, dtype=complex))
+    nonzero = arr != 0
+    if arr.ndim > 1 and not nonzero.any(axis=-1).all():
+        raise ce.ZeroPolynomial("a zero row")
+    nz = nonzero.reshape(-1, arr.shape[-1]).any(axis=0).nonzero()[0]
+    if not nz.size:
+        raise ce.ZeroPolynomial("the zero polynomial")
+    deg = int(nz[-1])
+    padded = np.zeros(arr.shape[:-1] + (2 * deg + 1,), dtype=complex)
+    padded[..., : deg + 1] = arr[..., : deg + 1]
+    c = np.empty_like(padded)
+    lags = np.arange(deg + 1)
+    windows = np.take(padded, lags[:, None] + lags, axis=-1)
+    c[..., deg:] = (windows * np.conj(padded[..., None, : deg + 1])).sum(axis=-1)
+    c[..., deg] = c[..., deg].real
+    c[..., :deg] = np.conj(c[..., :deg:-1])
+    return c, deg
+
+
+def test_trig_square_matches_reference_bit_for_bit():
+    rng = instance_rng(32)
+    for n in (0, 1, 2, 7, 20, 64, 128):
+        a = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        want, deg = _trig_square_reference(a)
+        assert deg == n
+        assert ce.trig_square(a).tobytes() == want[deg:].tobytes(), n
+        # trailing zeros lower the degree and the lag count
+        padded = np.concatenate((a, np.zeros(3)))
+        assert ce.trig_square(padded).tobytes() == want[deg:].tobytes(), n
+        # a stack whose rows have lower degree than the stack
+        rows = rng.standard_normal((4, n + 1)) + 1j * rng.standard_normal((4, n + 1))
+        for i in range(1, 4):
+            rows[i, n + 1 - min(i, n):] = 0.0
+        want, deg = _trig_square_reference(rows)
+        got = ce.trig_square(rows)
+        assert got.shape == (4, deg + 1)
+        assert got.tobytes() == np.ascontiguousarray(want[:, deg:]).tobytes(), n
+    stack = [random_circle_poly(128, instance_rng(33, i)).coefficients for i in range(3)]
+    want, deg = _trig_square_reference(stack)
+    assert ce.trig_square(stack).tobytes() == np.ascontiguousarray(want[:, deg:]).tobytes()
+
+
 def test_trig_square_examples():
-    ts = ce.trig_square([1.0, 1.0])
-    assert np.allclose(ts.coefficients, [1, 2, 1])
-    ts = ce.trig_square([1.0, -2.0, 1.0])
-    assert np.allclose(ts.coefficients, [1, -4, 6, -4, 1])
-    ts = ce.trig_square([0, 0, 0, 1.0])  # z^3
-    assert ts.degree == 3
-    assert ts.coefficients.size == 2 * 3 + 1  # nothing stored beyond |k| = 3
-    assert ts.coefficients[3] == 1.0
-    assert all(ts.coefficients[3 + k] == 0 for k in (1, 2, 3))
+    assert np.allclose(ce.trig_square([1.0, 1.0]), [2, 1])
+    assert np.allclose(ce.trig_square([1.0, -2.0, 1.0]), [6, -4, 1])
+    c = ce.trig_square([0, 0, 0, 1.0])  # z^3
+    assert c.size == 3 + 1  # nothing stored beyond lag 3
+    assert c[0] == 1.0
+    assert all(c[k] == 0 for k in (1, 2, 3))
     with pytest.raises(ce.ZeroPolynomial):
         ce.trig_square([0.0, 0.0])
 
@@ -46,14 +91,16 @@ def test_trig_square_examples():
 def test_trig_square_hermitian_and_pointwise():
     rng = instance_rng(30)
     a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    ts = ce.trig_square(a)
-    c = ts.coefficients
-    assert np.max(np.abs(c - np.conj(c[::-1]))) == 0.0
-    assert abs(c[ts.degree] - ce.parseval_norm(a)) < 1e-12
+    c = ce.trig_square(a)
+    deg = c.size - 1
+    assert c[0].imag == 0.0
+    assert abs(c[0] - ce.parseval_norm(a)) < 1e-12
+    # |A|^2 takes the lags -d..d, with c_{-k} = conj(c_k).
+    full = np.concatenate((np.conj(c[:0:-1]), c))
     t = np.arange(1024) * (2 * np.pi / 1024)
     direct = np.abs(eval_poly(a, np.exp(1j * t))) ** 2
-    k = np.arange(-ts.degree, ts.degree + 1)
-    series = np.real(np.exp(1j * np.outer(t, k)) @ c)
+    k = np.arange(-deg, deg + 1)
+    series = np.real(np.exp(1j * np.outer(t, k)) @ full)
     assert np.max(np.abs(series - direct)) < 1e-10 * np.max(direct)
 
 
