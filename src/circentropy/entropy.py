@@ -38,12 +38,13 @@ TAU_EQ = 1e-8        # relative coefficient tolerance for equality classificatio
 
 # The tolerance table: every check ``verify_main`` decides reads it.  "x N"
 # entries scale with the squared norm N, "x max|a_j|" with the largest
-# coefficient; the others are absolute.
-GAP_TOL = 1e-9                 # absolute: every inequality gap >= -GAP_TOL
+# coefficient.  Under p -> c p every gap, Gamma and M_k scale by |c|^2, as
+# N does.
+GAP_TOL = 1e-9                 # x N: every inequality gap >= -GAP_TOL N
 MOMENT_POLAR_TOL = 1e-8        # x N: polar term against its moment formula
 MOMENT_NORM_TOL = 1e-9         # x N: N = 2M_0 + 2 Re M_1, and M_1 = Gamma
 RATIO_SERIES_TOL = TAU_EXPAND  # x max|a_j|: r q = q* through degree n - 1
-MOMENT_BOUND_TOL = 1e-9        # absolute: |M_k| <= Gamma + tol, 2 <= k <= n-1
+MOMENT_BOUND_TOL = 1e-9        # x N: |M_k| <= Gamma + tol, 2 <= k <= n-1
 
 
 def h_fourier(k: int) -> Fraction:
@@ -272,7 +273,8 @@ def _verify_block(p: CirclePoly) -> dict[str, list]:
         "jensen": jensen_term - jensen_bound,
         "polar": polar_term - polar_bound,
     }
-    ok = np.logical_and.reduce([g >= -GAP_TOL for g in gaps.values()])
+    gap_tol = GAP_TOL * norm
+    ok = np.logical_and.reduce([g >= -gap_tol for g in gaps.values()])
 
     # M_1 = Gamma exactly (Parseval), so k = 1 is checked as an identity;
     # the bound |M_k| <= Gamma has room to spare only for k >= 2, and for
@@ -289,7 +291,8 @@ def _verify_block(p: CirclePoly) -> dict[str, list]:
     status[simple & (seq.ratio_series_residual > RATIO_SERIES_TOL)] = "violation:ratio_series"
     bound_slack = np.full(status.shape, None)
     if n > 2:
-        slack = gamma + MOMENT_BOUND_TOL - np.abs(seq.values[..., 2:]).max(axis=-1)
+        slack = (gamma + MOMENT_BOUND_TOL * norm
+                 - np.abs(seq.values[..., 2:]).max(axis=-1))
         status[simple & (slack < 0)] = "violation:moment_bound"
         bound_slack = slack
 
@@ -312,6 +315,7 @@ def _verify_block(p: CirclePoly) -> dict[str, list]:
         "extremal": extremal,
         "equality_margin": margin,
         "inequalities_ok": ok,
+        "gap_tolerance": gap_tol,
         "moment_polar_resid": np.where(simple, polar_resid, None),
         "moment_norm_resid": np.where(simple, norm_resid, None),
         "ratio_series_resid": seq.ratio_series_residual,
@@ -321,5 +325,4 @@ def _verify_block(p: CirclePoly) -> dict[str, list]:
     # The rows of a block share its routes dict.
     rows = norm.shape[0]
     return {"degree": [n] * rows, "routes": [rf.routes] * rows,
-            "gap_tolerance": [GAP_TOL] * rows,
             **{name: col.tolist() for name, col in columns.items()}}

@@ -9,6 +9,7 @@ import pytest
 
 import circentropy as ce
 from circentropy.corpus import instance_rng, random_binomial, random_circle_poly
+from circentropy.entropy import GAP_TOL
 from circentropy.polycircle import eval_poly, polar_factor
 
 
@@ -109,6 +110,21 @@ def test_verify_main_extremal_family():
     assert abs(rep.strengthened_gap) < 1e-9
     assert rep.extremal
     assert rep.inequalities_ok
+
+
+@pytest.mark.parametrize("leading", [1e4, 1e6])
+def test_scaled_binomials_are_ok(leading):
+    # z^n + omega times a large leading coefficient: equality cases whose
+    # gaps round at about eps N, so only a tolerance relative to N holds.
+    polys = []
+    for n in (2, 20, 64, 128):
+        for omega in (1.0, 1j, 0.6 + 0.8j):
+            angles = (np.angle(-omega) + 2 * np.pi * np.arange(n)) / n
+            polys.append(ce.from_angles(angles, leading))
+    for p, rep in zip(polys, ce.verify_stack(polys)):
+        assert rep.extremal, p.degree
+        assert rep.status == "ok", (p.degree, p.coefficients[0])
+        assert rep.gap_tolerance == GAP_TOL * rep.norm
 
 
 def test_verify_main_double_zero():

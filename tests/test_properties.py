@@ -115,3 +115,27 @@ def test_off_circle_input_is_rejected(n, seed, log_excess, outside):
     near = roots.copy()
     near[-1] *= 1.0 + sign * 0.5 * TAU_UNIMOD
     assert np.all(np.abs(np.abs(ce.from_roots(near).roots) - 1.0) <= 1e-15)
+
+
+@settings(deadline=None, max_examples=25, derandomize=True)
+@given(n=st.integers(1, 128), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-6.0, 6.0), binomial=st.booleans())
+@example(n=20, seed=0, log_scale=4.0, binomial=True)
+@example(n=128, seed=1, log_scale=6.0, binomial=True)
+def test_verdicts_are_invariant_under_scaling(n, seed, log_scale, binomial):
+    # p -> c p multiplies N and every gap by |c|^2, so each status, and
+    # every gap relative to N, stays as it was; binomials have gaps of
+    # rounding size.
+    rng = np.random.default_rng(seed)
+    if binomial:
+        angles = (2 * np.pi * rng.random() + 2 * np.pi * np.arange(n)) / n
+    else:
+        angles = rng.uniform(0, 2 * np.pi, n)
+    p = ce.from_angles(angles, np.exp(2j * np.pi * rng.random()))
+    c = 10.0 ** log_scale * np.exp(2j * np.pi * rng.random())
+    before, after = ce.verify_stack([p, p.scaled(c)])
+    assert after.status == before.status == "ok"
+    assert after.inequalities_ok and after.extremal == before.extremal
+    for name in ("main_gap", "strengthened_gap", "jensen_gap", "polar_gap"):
+        relative = getattr(after, name) / after.norm
+        assert abs(relative - getattr(before, name) / before.norm) <= 1e-12, name
