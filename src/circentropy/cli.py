@@ -204,15 +204,16 @@ def _parse_degree_range(spec: str) -> list[int]:
     return degrees
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+def _check_nonnegative(flag: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{flag} must be a non-negative integer, got {value}")
 
 
 def cmd_suite(args) -> int:
     try:
         degrees = _parse_degree_range(args.degrees)
-        _check_seed(args.seed)
+        _check_nonnegative("--seed", args.seed)
+        _check_nonnegative("--count", args.count)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -318,7 +319,7 @@ def cmd_coalesce(args) -> int:
     try:
         p = _parse_poly(args)
         schedule = parse_schedule(args.schedule)
-        _check_seed(args.seed)
+        _check_nonnegative("--seed", args.seed)
     except (TypeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -299,6 +299,7 @@ def test_coalesce_command(capsys):
     ("search", "--n", "3", "--restarts", "0"),
     ("suite", "--seed", "-1"),
     ("coalesce", "--angles", "[0.3,0.3,2,5]", "--seed", "-1"),
+    ("suite", "--degrees", "1..3", "--count", "-2"),
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     # exit 1 means an inequality violated or a search not converged
