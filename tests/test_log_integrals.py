@@ -30,10 +30,10 @@ from circentropy.polycircle import eval_poly
 
 
 def _trig_square_reference(A):
-    """The autocorrelation as it was first computed: c_{-d}..c_d, and d.
+    """Reference autocorrelation in the mirrored layout: c_{-d}..c_d, and d.
 
-    The same window product and row sum, into the middle of an array whose
-    negative half mirrors the positive one.
+    The same window product and row sum, written into the middle of an
+    array whose negative half mirrors the positive one.
     """
     arr = np.atleast_1d(np.asarray(A, dtype=complex))
     nonzero = arr != 0
