@@ -290,6 +290,7 @@ def cmd_fourier_h(args) -> int:
 
 def cmd_search(args) -> int:
     try:
+        _check_nonnegative("--seed", args.seed)
         result = minimize(args.n, restarts=args.restarts, seed=args.seed)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -29,6 +29,114 @@ GRAD_TOL = 1e-6
 CLUSTER_TOL = 1e-6
 MAX_SPLITS = 3   # cluster-splitting re-descents per start
 
+# The descent engine: it stops at a gradient max-norm of DESCENT_GTOL; the
+# line search asks for sufficient decrease (C1) and strong curvature (C2),
+# and gives up after LINE_SEARCH_EVALS trial points.
+DESCENT_GTOL = 1e-9
+C1, C2 = 1e-4, 0.9
+LINE_SEARCH_EVALS = 20
+_EPS = np.finfo(float).eps
+
+
+def _dot(a, b) -> float:
+    # An elementwise product summed along the row, not BLAS, so the bits do
+    # not depend on the BLAS thread count.
+    return float((a * b).sum())
+
+
+def _cubic_step(lo, hi) -> float:
+    """The minimizer of the cubic with the values and slopes at the bracket
+    ends ``lo`` and ``hi``, each (step, value, slope) (Nocedal & Wright,
+    eq. 3.59), or the bracket's midpoint when that minimizer is not well
+    inside the bracket."""
+    (a, fa, da), (b, fb, db) = lo, hi
+    mid = 0.5 * (a + b)
+    try:
+        d1 = da + db - 3.0 * (fa - fb) / (a - b)
+        d2 = math.copysign(math.sqrt(d1 * d1 - da * db), b - a)
+        step = b - (b - a) * (db + d2 - d1) / (db - da + 2.0 * d2)
+    except (ValueError, ZeroDivisionError):
+        return mid
+    # False for a NaN too.
+    return step if abs(step - mid) <= 0.4 * abs(b - a) else mid
+
+
+def _line_search(fg, x, p, f0, d0, step):
+    """A step along the descent direction p from x meeting the strong Wolfe
+    conditions (Nocedal & Wright, Numerical Optimization, Alg. 3.5 and 3.6).
+
+    ``f0`` and ``d0 < 0`` are the value and slope at x, and ``step`` the
+    first trial.  Steps double until they bracket an acceptable one; the
+    bracket then shrinks to the minimizer of the cubic through its ends'
+    values and slopes, or to its midpoint when that minimizer is not
+    well inside.  Returns ``(x, f, g)`` at the accepted step.  It gives up
+    when the bracket is too short for a decrease along it to show above
+    the rounding of f, or after ``LINE_SEARCH_EVALS`` trials, and then
+    returns the lowest step with sufficient decrease, or None when there
+    is none.
+    """
+    lo = (0.0, f0, d0)   # step, value, slope: sufficient decrease, lowest
+    hi = None            # the other end of the bracket, once there is one
+    best = None
+    for _ in range(LINE_SEARCH_EVALS):
+        x_new = x + step * p
+        f, g = fg(x_new)
+        d = _dot(g, p)
+        if f > f0 + C1 * step * d0 or f >= lo[1]:
+            hi = (step, f, d)
+            if abs(step - lo[0]) * d0 >= -_EPS * abs(f0):
+                return best
+        elif abs(d) <= -C2 * d0:
+            return x_new, f, g
+        else:
+            if hi is None and d >= 0 or hi is not None and d * (hi[0] - lo[0]) >= 0:
+                hi = lo
+            lo, best = (step, f, d), (x_new, f, g)
+        step = 2.0 * step if hi is None else _cubic_step(lo, hi)
+    return best
+
+
+def _descend(fg, x0):
+    """BFGS from x0 on the function whose value and gradient ``fg`` returns.
+
+    Updates an inverse-Hessian estimate, starting from the identity, along
+    strong-Wolfe steps (``_line_search``).  The first trial step is scipy's
+    rule, 1.01 times the step that repeats the last decrease along a
+    linear model, at most 1; the first of all moves x by about 1.  Stops
+    when the gradient max-norm is at most ``DESCENT_GTOL``, after
+    ``200 * len(x0)`` iterations, or when the line search finds no
+    decrease, which is where rounding stops the descent.  Returns the last
+    accepted ``(x, f, g)``, never above the start.  Every sum is
+    elementwise, so the path does not depend on the BLAS thread count.
+    """
+    x = np.asarray(x0, dtype=float)
+    f, g = fg(x)
+    h = np.eye(x.size)
+    f_prev = f + math.sqrt(_dot(g, g)) / 2.0
+    for _ in range(200 * x.size):
+        if np.abs(g).max() <= DESCENT_GTOL:
+            break
+        p = -(h * g).sum(axis=1)
+        d0 = _dot(g, p)
+        if not d0 < 0.0:
+            break
+        step = min(1.0, 1.01 * 2.0 * (f - f_prev) / d0)
+        found = _line_search(fg, x, p, f, d0, step if step > 0.0 else 1.0)
+        if found is None:
+            break
+        x_new, f_new, g_new = found
+        s, y = x_new - x, g_new - g
+        x, f_prev, f, g = x_new, f, f_new, g_new
+        sy = _dot(s, y)
+        if sy > 0.0:
+            # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, expanded;
+            # the inverse-Hessian estimate stays symmetric positive definite.
+            rho = 1.0 / sy
+            hy = (h * y).sum(axis=1)
+            h = (h - rho * (s[:, None] * hy + hy[:, None] * s)
+                 + (rho * rho * _dot(y, hy) + rho) * (s[:, None] * s))
+    return x, f, g
+
 
 def _objective_terms(angles):
     """The objective with the roots, coefficients, N(p), E(p) and power sums."""
@@ -181,9 +289,10 @@ def _split_clusters(angles) -> np.ndarray | None:
 def minimize(n: int, restarts: int = 8, seed: int = 0) -> ExtremalResult:
     """Gradient search for the entropy minimum at degree n.
 
-    Runs BFGS on the n-1 free angles (the first angle is gauge-fixed at 0)
-    with the exact gradient of ``objective_and_gradient``, from
-    low-discrepancy and uniform random starts, deterministic under the seed.
+    Runs BFGS (``_descend``) on the n-1 free angles (the first angle is
+    gauge-fixed at 0) with the exact gradient of ``objective_and_gradient``,
+    from low-discrepancy and uniform random starts, deterministic under the
+    seed.
     When a descent ends with a multiple zero, the cluster is split
     (``_split_clusters``) and the start descends again, at most
     ``MAX_SPLITS`` times.  The result is the best endpoint of all descents;
@@ -221,10 +330,6 @@ def minimize(n: int, restarts: int = 8, seed: int = 0) -> ExtremalResult:
             trace=[],
         )
 
-    # Imported here: scipy.optimize is most of a cold ``import circentropy``,
-    # and only the search needs it.
-    from scipy.optimize import minimize as scipy_minimize
-
     rng = np.random.default_rng(seed)
     best = None
     trace = []
@@ -232,33 +337,32 @@ def minimize(n: int, restarts: int = 8, seed: int = 0) -> ExtremalResult:
         before = state["count"]
         x, splits, pattern = x0, 0, None
         while True:
-            res = scipy_minimize(tracked, x, jac=True, method="BFGS",
-                                 options={"gtol": 1e-9})
-            if best is None or res.fun < best.fun:
+            res = _descend(tracked, x)
+            if best is None or res[1] < best[1]:
                 best = res
-            endpoint = np.concatenate([[0.0], res.x])
+            endpoint = np.concatenate([[0.0], res[0]])
             if pattern is None:
                 pattern = _multiplicities(endpoint)
             split = _split_clusters(endpoint) if splits < MAX_SPLITS else None
             if split is None:
                 break
             x, splits = split[1:], splits + 1
-        grad_norm = float(np.abs(res.jac).max())
+        grad_norm = float(np.abs(res[2]).max())
         trace.append(
-            {"restart": k, "fun": float(res.fun), "grad_norm": grad_norm,
+            {"restart": k, "fun": float(res[1]), "grad_norm": grad_norm,
              "converged": grad_norm <= GRAD_TOL,
              "evaluations": state["count"] - before, "splits": splits,
              "pattern": pattern}
         )
-    angles = np.mod(np.concatenate([[0.0], best.x]), 2 * np.pi)
-    achieved = float(best.fun)
+    best_x, achieved, best_grad = best
+    angles = np.mod(np.concatenate([[0.0], best_x]), 2 * np.pi)
     return ExtremalResult(
         n=n,
         angles=angles,
         achieved=achieved,
         gap=achieved - (1.0 - math.log(2.0)),
         angle_gap_deviation=angle_gap_deviation(angles),
-        converged=float(np.abs(best.jac).max()) <= GRAD_TOL,
+        converged=float(np.abs(best_grad).max()) <= GRAD_TOL,
         restarts=restarts,
         evaluations=state["count"],
         min_objective_seen=state["min_seen"],

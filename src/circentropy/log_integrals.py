@@ -208,7 +208,7 @@ def _pair_lags(c, B, b_roots=None):
 # QUADPACK qk21 (Piessens et al., 1983): the nonnegative nodes of the
 # 21-point Kronrod rule on [-1, 1], descending, their Kronrod weights, and
 # the weights of the embedded 10-point Gauss rule at the odd-numbered ones.
-# Written out so that scipy need not load.
+# Written out: the package does not depend on scipy.
 _XGK = (
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,

@@ -78,13 +78,13 @@ def test_verify_degree_limit(capsys):
 
 
 def test_cold_import_skips_optimizer_and_mpmath():
-    # search and verify --precision import these themselves; a cold start of
-    # every other command should not pay for them.
+    # verify --precision imports mpmath itself; a cold start of every other
+    # command should not pay for it.  No command loads scipy.
     src = os.path.dirname(os.path.dirname(os.path.abspath(circentropy.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, circentropy, circentropy.cli; "
-            "print([m for m in ('scipy.optimize', 'mpmath') if m in sys.modules])")
+            "print([m for m in ('scipy', 'mpmath') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
@@ -299,13 +299,18 @@ def test_coalesce_command(capsys):
     ("search", "--n", "3", "--restarts", "0"),
     ("suite", "--seed", "-1"),
     ("coalesce", "--angles", "[0.3,0.3,2,5]", "--seed", "-1"),
+    ("search", "--n", "3", "--seed", "-1"),
     ("suite", "--degrees", "1..3", "--count", "-2"),
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     # exit 1 means an inequality violated or a search not converged
     code = main(list(argv))
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "--seed" in argv:
+        # every command names the flag, as suite does
+        assert "--seed must be a non-negative integer, got -1" in err
 
 
 @pytest.mark.parametrize("command", ["verify", "moments", "coalesce"])

@@ -1,6 +1,9 @@
 """Tests for the entropy objective, the angle search, and coalescence tables."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import circentropy as ce
 from circentropy import extremal
 from circentropy.corpus import instance_rng, random_circle_poly
 from circentropy.extremal import (
+    _descend,
     _split_clusters,
     angle_gap_deviation,
     objective_and_gradient,
@@ -152,17 +156,15 @@ def test_simple_zero_endpoints_are_binomial(monkeypatch):
     # Census of the conjecture that the only local minimum with all zeros
     # simple is the binomial: every descent that ends with simple zeros
     # ends at 1 - log 2.
-    import scipy.optimize
-
     endpoints = []
-    real = scipy.optimize.minimize
+    real = extremal._descend
 
-    def spy(*args, **kwargs):
-        res = real(*args, **kwargs)
-        endpoints.append(np.concatenate([[0.0], res.x]))
-        return res
+    def spy(fg, x0):
+        x, f, g = real(fg, x0)
+        endpoints.append(np.concatenate([[0.0], x]))
+        return x, f, g
 
-    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    monkeypatch.setattr(extremal, "_descend", spy)
     for n in range(3, 11):
         ce.minimize(n, restarts=12, seed=300 + n)
         simple = [angles for angles in endpoints
@@ -171,6 +173,118 @@ def test_simple_zero_endpoints_are_binomial(monkeypatch):
         for angles in simple:
             assert ce.objective(angles) - TARGET <= 1e-6, (n, angles)
         endpoints.clear()
+
+
+def _quadratic(n, seed):
+    """0.5 (x - c)^T A (x - c) with A symmetric, eigenvalues in [1, 10]."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * np.linspace(1.0, 10.0, n)) @ q.T
+    a = (a + a.T) / 2
+    c = rng.standard_normal(n)
+
+    def fg(x):
+        grad = (a * (x - c)).sum(axis=1)
+        return 0.5 * float(((x - c) * grad).sum()), grad
+
+    return fg, c
+
+
+def _rosenbrock(x):
+    u, v = x
+    value = (1.0 - u) ** 2 + 100.0 * (v - u * u) ** 2
+    grad = np.array([-2.0 * (1.0 - u) - 400.0 * u * (v - u * u),
+                     200.0 * (v - u * u)])
+    return value, grad
+
+
+def test_descend_reaches_the_minimizer_of_a_convex_quadratic():
+    fg, c = _quadratic(7, 60)
+    x, f, g = _descend(fg, np.zeros(7))
+    assert np.abs(x - c).max() <= 1e-10
+    assert f == fg(x)[0] and np.array_equal(g, fg(x)[1])
+
+
+def test_descend_reaches_the_rosenbrock_minimum():
+    x, f, g = _descend(_rosenbrock, np.array([-1.2, 1.0]))
+    assert np.abs(x - 1.0).max() <= 1e-6
+    assert f <= 1e-12
+
+
+def test_line_search_meets_the_strong_wolfe_conditions():
+    calls = []
+
+    def counted(fg):
+        def wrapped(x):
+            calls.append(x)
+            return fg(x)
+        return wrapped
+
+    # On a quadratic the cubic through a bracket's ends is exact: a first
+    # trial past the minimizer is followed by the minimizer itself.
+    x, f, g = extremal._line_search(counted(lambda x: ((x[0] - 1.0) ** 2, 2.0 * (x - 1.0))),
+                                    np.zeros(1), np.ones(1), 1.0, -2.0, 4.0)
+    assert x[0] == 1.0 and f == 0.0 and len(calls) == 2
+    # From first trials far too short or too long, along random descent
+    # directions, the accepted step has sufficient decrease and strong
+    # curvature.
+    rng = np.random.default_rng(61)
+    x0 = np.array([-1.2, 1.0])
+    f0, g0 = _rosenbrock(x0)
+    for _ in range(20):
+        p = -g0 / np.abs(g0).max() + 0.3 * rng.standard_normal(2)
+        d0 = float((g0 * p).sum())
+        if d0 >= 0:
+            continue
+        for first in (1e-6, 10.0):
+            calls.clear()
+            x, f, g = extremal._line_search(counted(_rosenbrock), x0, p, f0, d0, first)
+            step = (x - x0)[0] / p[0]
+            assert f <= f0 + extremal.C1 * step * d0
+            assert abs(float((g * p).sum())) <= -extremal.C2 * d0
+            assert len(calls) <= extremal.LINE_SEARCH_EVALS
+
+
+def test_descend_stops_where_no_decrease_is_possible():
+    # A constant: the gradient vanishes, so the start is returned.
+    x0 = np.array([0.3, -2.0])
+    x, f, _ = _descend(lambda x: (1.0, np.zeros(2)), x0)
+    assert np.array_equal(x, x0) and f == 1.0
+    # A gradient above the tolerance, but the value moves by 1e-8 on 1e9,
+    # below its rounding: no step shows a decrease, and the descent ends at
+    # the start without raising.
+    calls = []
+
+    def blocked(x):
+        calls.append(x)
+        return 1e9 + 1e-8 * float((x * x).sum()), 2e-8 * x
+
+    x, f, _ = _descend(blocked, x0)
+    assert f <= blocked(x0)[0]
+    assert np.array_equal(x, x0)
+    assert len(calls) <= 3
+
+
+def test_descend_evaluates_each_point_once():
+    calls = []
+
+    def counted(x):
+        calls.append(tuple(x))
+        return _rosenbrock(x)
+
+    _descend(counted, np.array([-1.2, 1.0]))
+    assert len(set(calls)) == len(calls) > 1
+
+
+def test_search_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ce.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, circentropy as ce; ce.minimize(3, restarts=1); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_minimize_degree_one_immediate():
