@@ -99,12 +99,15 @@ class MomentSequence:
     """
 
     values: np.ndarray
-    degree: int
     simple_zeros: bool
     ratio_series_residual: float
 
     def __post_init__(self):
         self.values.setflags(write=False)
+
+    @property
+    def degree(self) -> int:
+        return self.values.shape[-1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -149,7 +152,7 @@ def moments(d: PolarDecomposition) -> MomentSequence:
     for k in range(1, n):
         f = rq if k == 1 else _apply(t_r, f)
         vals[..., k] = (conj_q * f).sum(axis=-1)
-    return MomentSequence(vals, n, d.simple_zeros, unstacked(resid))
+    return MomentSequence(vals, d.simple_zeros, unstacked(resid))
 
 
 def blaschke_series(zeros, gamma, order: int) -> np.ndarray:

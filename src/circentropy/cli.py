@@ -160,6 +160,11 @@ def _csv_payload(header: list[str], rows: list[list]) -> str:
 
 def cmd_verify(args) -> int:
     try:
+        # A rerun checks in extended precision: at least a double's 53 bits.
+        if args.precision != "double" and not (
+                args.precision.isdecimal() and int(args.precision) >= 53):
+            raise ValueError(f"--precision must be 'double' or a bit count of "
+                             f"at least 53, got {args.precision!r}")
         p = _parse_poly(args)
     except (TypeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -167,17 +172,9 @@ def cmd_verify(args) -> int:
     report = verify_main(p)
     data = report.to_dict()
     if args.precision != "double":
-        try:
-            bits = int(args.precision)
-        except ValueError:
-            sys.stderr.write(
-                f"error: --precision must be 'double' or a bit count, "
-                f"got {args.precision!r}\n"
-            )
-            return 2
         from . import highprec  # mpmath loads only for a --precision rerun
 
-        data["highprec"] = highprec.entropy_report_mp(p, bits=bits)
+        data["highprec"] = highprec.entropy_report_mp(p, bits=int(args.precision))
     _emit(json.dumps(data, indent=2), args.out)
     return 0 if report.status == "ok" else 1
 
@@ -267,6 +264,11 @@ def cmd_suite(args) -> int:
 
 
 def cmd_fourier_h(args) -> int:
+    try:
+        _check_nonnegative("--max-k", args.max_k)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     rows = []
     worst = 0.0
     for k in range(args.max_k + 1):
@@ -350,6 +352,11 @@ def cmd_moments(args) -> int:
 
 
 def cmd_telescoping(args) -> int:
+    try:
+        _check_nonnegative("--max-n", args.max_n)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     bad = [n for n, total in telescoping_sums(args.max_n)
            if total != telescoping_closed_form(n)]
     _emit(json.dumps({"max_n": args.max_n, "failures": bad}, indent=2), args.out)
@@ -366,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="full entropy report for one polynomial")
     _add_poly_arguments(p_verify)
     p_verify.add_argument("--precision", default="double",
-                          help="'double' or a mantissa bit count for a rerun")
+                          help="'double' or a mantissa bit count >= 53 for a rerun")
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=cmd_verify)
 

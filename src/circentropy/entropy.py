@@ -6,7 +6,7 @@ int |p|^2 log|q|^2 dm and the polar quotient functional, the remainder sum,
 every lower bound with its gap, the moment-formula cross values, and the
 equality-case classification against the binomial family c(omega + z^n).
 ``verify_stack`` decides every check against the one tolerance table below,
-for each degree's polynomials as one stack; ``verify_main`` is its stack of
+for a stack of polynomials of one degree; ``verify_main`` is its stack of
 one, and ``verify_columns`` gives a stack's values by field, without the
 report objects.
 """
@@ -183,14 +183,14 @@ def _classify_extremal(coeffs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
 
 
 def verify_main(p: CirclePoly) -> EntropyReport:
-    """Full entropy report for one circle polynomial: ``verify_stack([p])[0]``."""
-    return verify_stack([p])[0]
+    """Full entropy report for one circle polynomial: ``verify_stack(stack([p]))[0]``."""
+    return verify_stack(stack([p]))[0]
 
 
-def verify_stack(polys) -> list[EntropyReport]:
-    """Full entropy reports for circle polynomials, and their verdicts.
+def verify_stack(p: CirclePoly) -> list[EntropyReport]:
+    """Full entropy reports for a stack of circle polynomials, and their verdicts.
 
-    Per polynomial: normalizes the input self-inversive, computes every
+    Per row: normalizes the input self-inversive, computes every
     functional, evaluates the four lower bounds (Jensen, polar, main,
     strengthened) with their gaps, attaches the moment-formula values
     (advisory outside the simple-zero case), classifies the equality case,
@@ -198,26 +198,9 @@ def verify_stack(polys) -> list[EntropyReport]:
     the moment identities, the series identity r q = q* and the bound
     |M_k| <= Gamma for simple zeros.
 
-    ``polys`` is a stacked CirclePoly (``stack``), verified as it is, or
-    an iterable of CirclePolys, stacked by degree.  Each stack's
-    ``verify_columns`` become one report per row.  Reports come back in
-    input order.
+    ``p`` is a stacked CirclePoly (``stack``); its ``verify_columns``
+    become one report per row, in row order.
     """
-    if isinstance(polys, CirclePoly) and polys.coefficients.ndim == 2:
-        return _reports(polys)
-    polys = list(polys)
-    by_degree: dict[int, list[int]] = {}
-    for i, p in enumerate(polys):
-        by_degree.setdefault(p.degree, []).append(i)
-    reports: list = [None] * len(polys)
-    for members in by_degree.values():
-        for i, rep in zip(members, _reports(stack(polys[i] for i in members))):
-            reports[i] = rep
-    return reports
-
-
-def _reports(p: CirclePoly) -> list[EntropyReport]:
-    """``verify_stack`` on one stack: its columns, one report per row."""
     # The columns are in field order, so a row is the report's arguments.
     return [EntropyReport(*row) for row in zip(*verify_columns(p).values())]
 

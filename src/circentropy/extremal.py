@@ -5,7 +5,7 @@ and coalescence convergence experiments along root-perturbation schedules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -138,19 +138,6 @@ def _descend(fg, x0):
     return x, f, g
 
 
-def _objective_terms(angles):
-    """The objective with the roots, coefficients, N(p), E(p) and power sums."""
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    n = angles.size
-    roots = np.exp(1j * angles)
-    coeffs = expand_from_roots(roots, 1.0)
-    norm = float((np.abs(coeffs) ** 2).sum())
-    cm = trig_square(coeffs)[1:]
-    sums = power_sums(roots, n)
-    entropy = float(_circle_root_pairing(sums, cm))
-    return entropy / norm - math.log(norm), roots, coeffs, norm, entropy, sums
-
-
 def objective(angles) -> float:
     """Entropy of the norm-normalized polynomial with zeros at the angles.
 
@@ -160,11 +147,11 @@ def objective(angles) -> float:
     1 - log 2.  Evaluated by the spectral route directly from the angles, so
     it stays well defined when angles collide.
     """
-    return _objective_terms(angles)[0]
+    return objective_and_gradient(angles)[0]
 
 
 def objective_and_gradient(angles) -> tuple[float, np.ndarray]:
-    """``objective(angles)``, bit for bit, and its exact angle gradient.
+    """The objective at the angles (``objective``) and its exact angle gradient.
 
     Moving one zero moves p by dp/dtheta_j = w_j = -i tau_j p/(z - tau_j),
     a polynomial of degree n - 1 whose coefficients come from synthetic
@@ -184,8 +171,14 @@ def objective_and_gradient(angles) -> tuple[float, np.ndarray]:
     dF = dE/N - (E/N^2 + 1/N) dN.  Sums are elementwise, not BLAS, so the
     bits do not depend on the BLAS thread count.
     """
-    value, roots, coeffs, norm, entropy, sums = _objective_terms(angles)
-    n = roots.size
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    n = angles.size
+    roots = np.exp(1j * angles)
+    coeffs = expand_from_roots(roots, 1.0)
+    norm = float((np.abs(coeffs) ** 2).sum())
+    sums = power_sums(roots, n)
+    entropy = float(_circle_root_pairing(sums, trig_square(coeffs)[1:]))
+    value = entropy / norm - math.log(norm)
     # Row j: the coefficients of p/(z - tau_j), lowest degree first, filled
     # from the top by synthetic division.
     quot = np.empty((n, n), dtype=complex)
@@ -221,18 +214,9 @@ class ExtremalResult:
     trace: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "angles": [float(a) for a in self.angles],
-            "achieved": self.achieved,
-            "gap": self.gap,
-            "angle_gap_deviation": self.angle_gap_deviation,
-            "converged": self.converged,
-            "restarts": self.restarts,
-            "evaluations": self.evaluations,
-            "min_objective_seen": self.min_objective_seen,
-            "trace": self.trace,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["angles"] = self.angles.tolist()
+        return data
 
 
 def angle_gap_deviation(angles) -> float:
@@ -395,10 +379,7 @@ class CoalescenceTable:
     limits: dict
     final_max_deviation: float
 
-    CSV_FIELDS = (
-        "epsilon", "entropy", "jensen", "polar", "gamma", "moment_polar",
-        "dev_entropy", "dev_jensen", "dev_polar", "dev_gamma", "dev_moment",
-    )
+    CSV_FIELDS = tuple(f.name for f in fields(CoalescenceRow))
 
     def to_csv_rows(self) -> list[list]:
         return [[getattr(row, f) for f in self.CSV_FIELDS] for row in self.rows]

@@ -61,12 +61,10 @@ def entropy_values_mp(p: CirclePoly, bits: int = 200) -> dict:
         jensen = mp.quad(make_integrand(qcoeffs), splits) / (2 * mp.pi)
         with mp.workprec(bits):
             return {
-                "norm": +norm.real if hasattr(norm, "real") else +norm,
-                "entropy": +entropy.real if hasattr(entropy, "real") else +entropy,
-                "jensen_term": +jensen.real if hasattr(jensen, "real") else +jensen,
-                "polar_term": +((entropy - jensen).real
-                                if hasattr(entropy - jensen, "real")
-                                else entropy - jensen),
+                "norm": +norm,
+                "entropy": +entropy,
+                "jensen_term": +jensen,
+                "polar_term": entropy - jensen,
             }
 
 

@@ -231,22 +231,28 @@ def root_clusters(roots, tol: float = TAU_SEP):
 class CirclePoly:
     """A degree-n polynomial with every zero on the unit circle.
 
-    Fields: ``degree`` n >= 1, ``coefficients`` a_0..a_n, certified ``roots``
-    tau_1..tau_n with |tau| = 1, and the ``leading`` factor a = a_n != 0.
-    A stack of K polynomials of one degree (``stack``) holds the same fields
-    with a leading instance axis: coefficients (K, n + 1), roots (K, n) and
-    leading (K,); ``p[i]`` is its row i.  Values are immutable and safe to
-    share between threads.
+    Two fields: ``coefficients`` a_0..a_n, and certified ``roots``
+    tau_1..tau_n with |tau| = 1.  The ``degree`` n >= 1 and the ``leading``
+    factor a = a_n != 0 are read from them.  A stack of K polynomials of one
+    degree (``stack``) holds the same fields with a leading instance axis:
+    coefficients (K, n + 1) and roots (K, n), so leading is (K,); ``p[i]``
+    is its row i.  Values are immutable and safe to share between threads.
     """
 
-    degree: int
     coefficients: np.ndarray
     roots: np.ndarray
-    leading: complex
 
     def __post_init__(self):
         self.coefficients.setflags(write=False)
         self.roots.setflags(write=False)
+
+    @property
+    def degree(self) -> int:
+        return self.roots.shape[-1]
+
+    @property
+    def leading(self):
+        return unstacked(self.coefficients[..., -1])
 
     @cached_property
     def h_series(self) -> np.ndarray:
@@ -271,22 +277,11 @@ class CirclePoly:
         factor = np.asarray(factor, dtype=complex)
         if np.count_nonzero(factor) < factor.size:
             raise ZeroLeading("scaling factor must be nonzero")
-        return CirclePoly(
-            self.degree,
-            factor[..., None] * self.coefficients,
-            self.roots.copy(),
-            unstacked(factor * self.leading),
-        )
+        return CirclePoly(factor[..., None] * self.coefficients, self.roots.copy())
 
     def __getitem__(self, index) -> "CirclePoly":
         """Row ``index`` of a stack as one polynomial; a slice of rows as a stack."""
-        leading = self.leading[index]
-        return CirclePoly(
-            self.degree,
-            self.coefficients[index],
-            self.roots[index],
-            leading if isinstance(index, slice) else complex(leading),
-        )
+        return CirclePoly(self.coefficients[index], self.roots[index])
 
 
 def stack(polys) -> CirclePoly:
@@ -295,12 +290,8 @@ def stack(polys) -> CirclePoly:
     n = polys[0].degree
     if any(p.degree != n for p in polys):
         raise ValueError("a stack holds polynomials of one degree")
-    return CirclePoly(
-        n,
-        np.stack([p.coefficients for p in polys]),
-        np.stack([p.roots for p in polys]),
-        np.array([p.leading for p in polys], dtype=complex),
-    )
+    return CirclePoly(np.stack([p.coefficients for p in polys]),
+                      np.stack([p.roots for p in polys]))
 
 
 def from_roots(roots, leading=1.0) -> CirclePoly:
@@ -324,8 +315,7 @@ def from_roots(roots, leading=1.0) -> CirclePoly:
             f"root modulus deviates from 1 by {worst:.3e} (> {TAU_UNIMOD:.0e})"
         )
     roots = roots / mods
-    coeffs = expand_from_roots(roots, leading)
-    return CirclePoly(roots.shape[-1], coeffs, roots, unstacked(leading))
+    return CirclePoly(expand_from_roots(roots, leading), roots)
 
 
 def from_angles(angles, leading=1.0) -> CirclePoly:
@@ -529,7 +519,7 @@ def perturb_roots(p: CirclePoly, epsilon: float, seed=None) -> CirclePoly:
     eta = cmath.sqrt(complex(_reflection_multiplier(coeffs)))
     if abs(eta - 1) > abs(eta + 1):
         eta = -eta
-    return CirclePoly(n, eta * coeffs, rotated, eta * p.leading)
+    return CirclePoly(eta * coeffs, rotated)
 
 
 def coefficients_from_json(data) -> np.ndarray:

@@ -90,7 +90,7 @@ def test_ratio_series_residual_detects_roots_that_disagree():
     # degree must show.
     p = random_circle_poly(6, instance_rng(29, 6))
     other = random_circle_poly(6, instance_rng(29, 6, 1))
-    bad = ce.CirclePoly(6, p.coefficients.copy(), other.roots.copy(), p.leading)
+    bad = ce.CirclePoly(p.coefficients.copy(), other.roots.copy())
     assert ce.moments(polar_factor(p)).ratio_series_residual < 1e-13
     assert ce.moments(polar_factor(bad)).ratio_series_residual > TAU_EXPAND
     assert ce.verify_main(bad).status == "violation:ratio_series"

@@ -301,16 +301,28 @@ def test_coalesce_command(capsys):
     ("coalesce", "--angles", "[0.3,0.3,2,5]", "--seed", "-1"),
     ("search", "--n", "3", "--seed", "-1"),
     ("suite", "--degrees", "1..3", "--count", "-2"),
+    ("fourier-h", "--max-k", "-1"),
+    ("telescoping", "--max-n", "-1"),
+    # checked before the polynomial is parsed or verified
+    ("verify", "--binomial", "n=6", "--precision", "1"),
+    ("verify", "--binomial", "n=6", "--precision", "-8"),
+    ("verify", "--binomial", "n=6", "--precision", "52"),
+    ("verify", "--coeffs", "[[1,0],[3,0]]", "--precision", "abc"),
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     # exit 1 means an inequality violated or a search not converged
     code = main(list(argv))
     assert code == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert err.startswith("error: ")
     if "--seed" in argv:
         # every command names the flag, as suite does
         assert "--seed must be a non-negative integer, got -1" in err
+    for flag in ("--max-k", "--max-n", "--precision"):
+        if flag in argv:
+            assert f"error: {flag} must be " in err
 
 
 @pytest.mark.parametrize("command", ["verify", "moments", "coalesce"])

@@ -116,15 +116,15 @@ def test_verify_main_extremal_family():
 def test_scaled_binomials_are_ok(leading):
     # z^n + omega times a large leading coefficient: equality cases whose
     # gaps round at about eps N, so only a tolerance relative to N holds.
-    polys = []
     for n in (2, 20, 64, 128):
+        polys = []
         for omega in (1.0, 1j, 0.6 + 0.8j):
             angles = (np.angle(-omega) + 2 * np.pi * np.arange(n)) / n
             polys.append(ce.from_angles(angles, leading))
-    for p, rep in zip(polys, ce.verify_stack(polys)):
-        assert rep.extremal, p.degree
-        assert rep.status == "ok", (p.degree, p.coefficients[0])
-        assert rep.gap_tolerance == GAP_TOL * rep.norm
+        for p, rep in zip(polys, ce.verify_stack(ce.stack(polys))):
+            assert rep.extremal, p.degree
+            assert rep.status == "ok", (p.degree, p.coefficients[0])
+            assert rep.gap_tolerance == GAP_TOL * rep.norm
 
 
 def test_verify_main_double_zero():
@@ -209,7 +209,6 @@ def test_report_round_trips_to_json():
 
 def test_verify_main_rejects_off_circle():
     good = ce.from_roots([1.0, -1.0])
-    bad = ce.CirclePoly(2, good.coefficients.copy(),
-                        np.array([1.1, -1.0 + 0j]), 1.0 + 0j)
+    bad = ce.CirclePoly(good.coefficients.copy(), np.array([1.1, -1.0 + 0j]))
     with pytest.raises(ce.RootsOffCircle):
         ce.verify_main(bad)

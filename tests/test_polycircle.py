@@ -326,10 +326,8 @@ def test_unimodular_invariance():
 def test_inconsistent_reflection_detects_off_circle_input():
     # coefficients of (z-2)(z+1) are not a unimodular multiple of their
     # reflection; a hand-built value with such coefficients must be rejected
-    bad = ce.CirclePoly(
-        2, np.array([-2.0, -1.0, 1.0], dtype=complex),
-        np.array([1.0, -1.0], dtype=complex), 1.0 + 0j,
-    )
+    bad = ce.CirclePoly(np.array([-2.0, -1.0, 1.0], dtype=complex),
+                        np.array([1.0, -1.0], dtype=complex))
     with pytest.raises(ce.InconsistentReflection):
         ce.normalize_self_inversive(bad)
 

@@ -133,7 +133,7 @@ def test_verdicts_are_invariant_under_scaling(n, seed, log_scale, binomial):
         angles = rng.uniform(0, 2 * np.pi, n)
     p = ce.from_angles(angles, np.exp(2j * np.pi * rng.random()))
     c = 10.0 ** log_scale * np.exp(2j * np.pi * rng.random())
-    before, after = ce.verify_stack([p, p.scaled(c)])
+    before, after = ce.verify_stack(ce.stack([p, p.scaled(c)]))
     assert after.status == before.status == "ok"
     assert after.inequalities_ok and after.extremal == before.extremal
     for name in ("main_gap", "strengthened_gap", "jensen_gap", "polar_gap"):

@@ -127,23 +127,26 @@ def test_moments_match_convolution_per_instance():
 
 
 def test_a_report_does_not_depend_on_its_stack():
-    # Mixed degrees, multiple zeros, a stack of one, and at n = 128 more rows
-    # than one verification block holds.
-    polys = []
+    # Several degrees, one stack each, multiple zeros, a stack of one, and
+    # at n = 128 more rows than one verification block holds.
+    by_degree = {}
     for n in (1, 2, 3, 7, 20, 128):
         count = 2 + _STACK_ENTRIES // (n * n) if n == 128 else 5
-        polys += [random_circle_poly(n, instance_rng(41, n, i),
-                                     multiple=(n >= 2 and i % 2 == 0))
-                  for i in range(count)]
-    polys.append(ce.from_roots([1.0, 1.0]))
-    stacked = ce.verify_stack(polys)
+        by_degree[n] = [random_circle_poly(n, instance_rng(41, n, i),
+                                           multiple=(n >= 2 and i % 2 == 0))
+                        for i in range(count)]
+    by_degree[2].append(ce.from_roots([1.0, 1.0]))
+    polys = [poly for group in by_degree.values() for poly in group]
+    stacked = [rep for group in by_degree.values()
+               for rep in ce.verify_stack(ce.stack(group))]
     assert [rep.degree for rep in stacked] == [poly.degree for poly in polys]
     assert not all(rep.simple_zeros for rep in stacked)
     for poly, rep in zip(polys, stacked):
         alone = json.dumps(ce.verify_main(poly).to_dict())
         assert json.dumps(rep.to_dict()) == alone, poly.degree
     # a stack's rows in another order give the same reports
-    again = ce.verify_stack(polys[::-1])[::-1]
+    again = [rep for group in by_degree.values()
+             for rep in ce.verify_stack(ce.stack(group[::-1]))[::-1]]
     assert [r.to_dict() for r in again] == [r.to_dict() for r in stacked]
 
 
@@ -290,13 +293,13 @@ def test_stacked_construction_checks_every_row(bad):
 
 def test_verify_stack_takes_a_stack_as_it_is():
     # More rows than one verification block at n = 128: the stack is cut in
-    # blocks, and every report equals the one from a list of polynomials.
+    # blocks, and every report equals the one verify_main gives its row.
     for n in (3, 128):
         count = 2 + _STACK_ENTRIES // (n * n) if n == 128 else 7
         p = random_circle_stack(n, [instance_rng(44, n, i) for i in range(count)],
                                 multiple=[i % 2 == 0 for i in range(count)])
         reports = ce.verify_stack(p)
-        listed = ce.verify_stack([p[i] for i in range(count)])
+        listed = [ce.verify_main(p[i]) for i in range(count)]
         assert len(reports) == count
         assert [json.dumps(r.to_dict()) for r in reports] == [
             json.dumps(r.to_dict()) for r in listed]
