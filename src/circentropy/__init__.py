@@ -33,7 +33,6 @@ from .entropy import (
 from .errors import (
     BudgetExceeded,
     CircEntropyError,
-    DegreeOverflow,
     IllConditioned,
     InconsistentReflection,
     NonUnimodularRoot,
@@ -64,7 +63,6 @@ from .log_integrals import (
 )
 from .polycircle import (
     CirclePoly,
-    NormalizationResult,
     PolarDecomposition,
     coefficients_from_json,
     eval_poly,
@@ -77,7 +75,6 @@ from .polycircle import (
     partial_energy_Al,
     perturb_roots,
     polar_factor,
-    reflect,
     stack,
     weighted_form_Sn,
 )

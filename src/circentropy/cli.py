@@ -32,7 +32,7 @@ from .entropy import (
     verify_main,
 )
 from .errors import CircEntropyError, RootsOffCircle
-from .extremal import coalescence_experiment, minimize
+from .extremal import checked_schedule, coalescence_experiment, minimize
 from .log_integrals import polished_roots
 from .polycircle import (
     CirclePoly,
@@ -321,7 +321,7 @@ def parse_schedule(spec: str) -> list[float]:
 def cmd_coalesce(args) -> int:
     try:
         p = _parse_poly(args)
-        schedule = parse_schedule(args.schedule)
+        schedule = checked_schedule(parse_schedule(args.schedule))
         _check_nonnegative("--seed", args.seed)
     except (TypeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -345,7 +345,7 @@ def cmd_moments(args) -> int:
     except (TypeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    d = polar_factor(normalize_self_inversive(p).normalized)
+    d = polar_factor(normalize_self_inversive(p))
     seq = moments(d)
     _emit(json.dumps(seq.to_json_dict(), indent=2), args.out)
     return 0

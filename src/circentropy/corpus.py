@@ -72,7 +72,7 @@ def random_circle_stack(
         angles[row] = _draw_angles(n, rng, flag, min_gap)
         draws[row] = rng.random(), rng.random()
     leading = (0.5 + 1.5 * draws[:, 0]) * np.exp(2j * np.pi * draws[:, 1])
-    p = normalize_self_inversive(from_angles(angles, leading)).normalized
+    p = normalize_self_inversive(from_angles(angles, leading))
     if unit_norm:
         p = p.scaled(1.0 / np.sqrt(parseval_norm(p)))
     return p

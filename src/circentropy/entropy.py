@@ -227,7 +227,7 @@ def _verify_block(p: CirclePoly) -> dict[str, list]:
     """``verify_columns`` on one block of polynomials of a common degree."""
     if (np.abs(np.abs(p.roots) - 1.0) > TAU_UNIMOD).any():
         raise RootsOffCircle("verify_main requires all zeros on the unit circle")
-    ps = normalize_self_inversive(p).normalized
+    ps = normalize_self_inversive(p)
     n = ps.degree
     d = polar_factor(ps)
 

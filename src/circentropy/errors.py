@@ -10,11 +10,7 @@ class NonUnimodularRoot(CircEntropyError):
 
 
 class ZeroLeading(CircEntropyError):
-    """The leading coefficient of a polynomial is zero."""
-
-
-class DegreeOverflow(CircEntropyError):
-    """A coefficient vector has higher degree than the reflection allows."""
+    """The leading coefficient of a polynomial is zero or not finite."""
 
 
 class NotSelfInversive(CircEntropyError):
@@ -45,7 +41,7 @@ class ZeroPolynomial(CircEntropyError):
 
 
 class IllConditioned(CircEntropyError):
-    """The input lies outside the degree range where a route is exact."""
+    """The input lies outside the degree or scale range where a route is exact."""
 
 
 class BudgetExceeded(CircEntropyError):

@@ -385,6 +385,18 @@ class CoalescenceTable:
         return [[getattr(row, f) for f in self.CSV_FIELDS] for row in self.rows]
 
 
+def checked_schedule(schedule) -> list[float]:
+    """A nonempty, finite, positive, strictly decreasing schedule as floats."""
+    schedule = [float(e) for e in schedule]
+    # Each size is below inf and above the next one, the last above 0; a
+    # NaN fails every comparison.
+    if not schedule or not all(
+            math.inf > a > b for a, b in zip(schedule, schedule[1:] + [0.0])):
+        raise ValueError("schedule must be nonempty, finite, positive and "
+                         "strictly decreasing")
+    return schedule
+
+
 def coalescence_experiment(p: CirclePoly, schedule, seed: int = 0) -> CoalescenceTable:
     """Track every functional along perturbed copies of p as epsilon -> 0.
 
@@ -394,14 +406,9 @@ def coalescence_experiment(p: CirclePoly, schedule, seed: int = 0) -> Coalescenc
     values computed directly on p through the difference form (which is the
     limit of the simple-zero values).
     """
-    schedule = [float(e) for e in schedule]
-    if not schedule:
-        raise ValueError("schedule must be nonempty")
-    if any(e <= 0 for e in schedule) or any(
-        b >= a for a, b in zip(schedule, schedule[1:])
-    ):
-        raise ValueError("schedule must be strictly decreasing and positive")
-
+    schedule = checked_schedule(schedule)
+    # Built first: their normalization rejects an overflowing p before any work.
+    perturbed = [perturb_roots(p, eps, seed=seed) for eps in schedule]
     rf = ratio_functional(p)
     limits = {
         "entropy": rf.entropy_integral,
@@ -410,8 +417,7 @@ def coalescence_experiment(p: CirclePoly, schedule, seed: int = 0) -> Coalescenc
         "gamma": gamma_remainder(p),
     }
     rows = []
-    for eps in schedule:
-        pe = perturb_roots(p, eps, seed=seed)
+    for eps, pe in zip(schedule, perturbed):
         rfe = ratio_functional(pe)
         gam = gamma_remainder(pe)
         seq = moments(polar_factor(pe))

@@ -1,8 +1,8 @@
 """Polynomials with all zeros on the unit circle.
 
-Construction from roots, reflection relative to a fixed degree, the
-self-inversive normalization, the polar-derivative factor q = p - (1/n)Dp
-with D = z d/dz, and the coefficient functionals built on top of them.
+Construction from roots, the self-inversive normalization, the
+polar-derivative factor q = p - (1/n)Dp with D = z d/dz, and the
+coefficient functionals built on top of them.
 
 Coefficient vectors are 1-d complex arrays ordered lowest degree first.
 Roots are the primary data; coefficients are expanded once at construction
@@ -15,14 +15,13 @@ on the stack that carried it.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (
-    DegreeOverflow,
+    IllConditioned,
     InconsistentReflection,
     NonUnimodularRoot,
     NotSelfInversive,
@@ -297,7 +296,8 @@ def stack(polys) -> CirclePoly:
 def from_roots(roots, leading=1.0) -> CirclePoly:
     """Build a CirclePoly from unimodular roots and a nonzero leading factor.
 
-    A stack of root lists (K, n) with K leading factors builds a stack.
+    A stack of root lists (K, n) with K leading factors builds a stack.  A
+    leading factor that is zero or not finite raises ``ZeroLeading``.
     Roots are projected exactly onto the circle by dividing by their modulus;
     a root in any row whose modulus deviates from 1 by more than
     ``TAU_UNIMOD``, or is not finite, raises ``NonUnimodularRoot``.
@@ -306,8 +306,8 @@ def from_roots(roots, leading=1.0) -> CirclePoly:
     if roots.shape[-1] == 0:
         raise ValueError("a CirclePoly needs at least one root (degree >= 1)")
     leading = np.full(roots.shape[:-1], leading, dtype=complex)
-    if np.count_nonzero(leading) < leading.size:
-        raise ZeroLeading("leading coefficient must be nonzero")
+    if not np.isfinite(leading).all() or np.count_nonzero(leading) < leading.size:
+        raise ZeroLeading("leading coefficient must be finite and nonzero")
     mods = np.abs(roots)
     worst = np.abs(mods - 1.0).max(initial=0.0)
     if not worst <= TAU_UNIMOD:  # also rejects NaN and infinite roots
@@ -324,64 +324,37 @@ def from_angles(angles, leading=1.0) -> CirclePoly:
     return from_roots(np.exp(1j * angles), leading)
 
 
-def reflect(coeffs, n: int) -> np.ndarray:
-    """Reflection relative to degree ``n``: output_j = conj(input_{n-j}).
+def normalize_self_inversive(p: CirclePoly) -> CirclePoly:
+    """The self-inversive eta * p, with one unimodular eta per row of a stack.
 
-    An involution on coefficient vectors of degree <= n; raises
-    ``DegreeOverflow`` when the input degree exceeds ``n``.
+    The reflection of a_0..a_n is conj(a_{n-j}), j = 0..n.  On a circle
+    polynomial it is lambda * p, lambda unimodular (taken by least squares),
+    and eta^2 = lambda: eta is the square root with Re eta > 0, or with
+    Im eta > 0 when Re eta = 0, so the one nearest 1.  Raises
+    ``InconsistentReflection`` when p is no such multiple (roots off the
+    circle), and ``IllConditioned`` when the squared coefficients overflow.
     """
-    arr = as_coefficients(coeffs)
-    deg = poly_degree(arr)
-    if deg > n:
-        raise DegreeOverflow(f"degree {deg} exceeds reflection degree {n}")
-    padded = np.zeros(n + 1, dtype=complex)
-    padded[: min(arr.size, n + 1)] = arr[: n + 1]
-    return np.conj(padded[::-1])
-
-
-@dataclass(frozen=True)
-class NormalizationResult:
-    """A unimodular factor eta together with the self-inversive eta * p."""
-
-    eta: complex
-    normalized: CirclePoly
-
-
-def _reflection_multiplier(coeffs) -> np.ndarray:
-    """Least-squares unimodular lambda with reflect(p) = lambda * p, per row.
-
-    ``coeffs`` holds a_0..a_n along its last axis, n its degree, as a
-    CirclePoly does; the reflection reverses and conjugates them.
-    """
-    arr = as_coefficient_stack(coeffs)
+    arr = p.coefficients
     refl = np.conj(arr[..., ::-1])
-    # <p, reflect(p)> / <p, p>, normalized: the positive <p, p> drops out.
-    lam = (np.conj(arr) * refl).sum(axis=-1)
+    # <p, refl> / <p, p>, normalized: the positive <p, p> drops out.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = (np.conj(arr) * refl).sum(axis=-1)
     mod = np.abs(lam)
+    if not np.isfinite(mod).all():
+        raise IllConditioned("the squared coefficients overflow a double")
     if np.count_nonzero(mod) < mod.size:
         raise InconsistentReflection("reflection is orthogonal to the input")
     lam = lam / mod
     scale = np.abs(arr).max(axis=-1)
     resid = np.abs(refl - lam[..., None] * arr).max(axis=-1)
-    if (resid > TAU_EXPAND * scale).any():
+    if not (resid <= TAU_EXPAND * scale).all():  # also rejects NaN
         raise InconsistentReflection(
             f"reflection residual {np.max(resid / scale):.3e} exceeds "
             f"{TAU_EXPAND:.0e}; roots are off the circle"
         )
-    return lam
-
-
-def normalize_self_inversive(p: CirclePoly) -> NormalizationResult:
-    """Unimodular eta such that eta * p is self-inversive, per row of a stack.
-
-    eta solves eta^2 = lambda where reflect(p) = lambda * p.  Of the two
-    square roots the one with nonnegative real part is chosen, ties broken
-    toward positive imaginary part.
-    """
-    eta = np.sqrt(_reflection_multiplier(p.coefficients))
+    eta = np.sqrt(lam)
     flip = (eta.real < 0) | ((eta.real == 0) & (eta.imag < 0))
-    eta = np.where(flip, -eta, eta)
-    return NormalizationResult(unstacked(eta), p.scaled(eta))
+    return p.scaled(np.where(flip, -eta, eta))
 
 
 @dataclass(frozen=True)
@@ -413,13 +386,16 @@ def has_simple_zeros(roots):
 
     One flag per row of a stack of root lists.
     """
+    return unstacked(_min_chord(roots) > TAU_SEP)
+
+
+def _min_chord(roots):
+    """The least distance between two roots, per row of a stack; inf for one root."""
     roots = np.asarray(roots, dtype=complex)
     m = roots.shape[-1]
-    if m < 2:
-        return unstacked(np.ones(roots.shape[:-1], dtype=bool))
     diffs = np.abs(roots[..., :, None] - roots[..., None, :])
     diffs[..., np.arange(m), np.arange(m)] = np.inf
-    return unstacked(diffs.min(axis=(-2, -1)) > TAU_SEP)
+    return diffs.min(axis=(-2, -1))
 
 
 def polar_factor(p: CirclePoly) -> PolarDecomposition:
@@ -432,7 +408,7 @@ def polar_factor(p: CirclePoly) -> PolarDecomposition:
     a = p.coefficients
     scale = np.abs(a).max(axis=-1)
     dev = np.abs(np.conj(a[..., ::-1]) - a).max(axis=-1)
-    if (dev > TAU_EXPAND * scale).any():
+    if not (dev <= TAU_EXPAND * scale).all():  # also rejects NaN
         raise NotSelfInversive(
             f"reflection deviates by {np.max(dev / scale):.3e} relative "
             f"(> {TAU_EXPAND:.0e})"
@@ -491,11 +467,11 @@ def perturb_roots(p: CirclePoly, epsilon: float, seed=None) -> CirclePoly:
     """Split the roots of a self-inversive p into pairwise distinct ones.
 
     Root j is rotated by epsilon * j / n (magnitudes <= epsilon), and the
-    result is renormalized self-inversive choosing the square root of the
-    reflection multiplier nearest 1, so the output converges to p
-    coefficientwise as epsilon -> 0.  Falls back to seeded jitter if the
-    deterministic schedule produces a collision; ``SeparationFailure`` after
-    that is essentially unreachable for epsilon > 0.
+    result is renormalized by ``normalize_self_inversive``, whose eta is the
+    square root nearest 1, so the output converges to p coefficientwise as
+    epsilon -> 0.  Falls back to seeded jitter if the deterministic schedule
+    produces a collision; ``SeparationFailure`` after that is essentially
+    unreachable for epsilon > 0.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -504,22 +480,15 @@ def perturb_roots(p: CirclePoly, epsilon: float, seed=None) -> CirclePoly:
     offsets = epsilon * np.arange(1, n + 1) / n
     for _ in range(8):
         rotated = p.roots * np.exp(1j * offsets)
-        if n < 2:
-            break
-        diffs = np.abs(rotated[:, None] - rotated[None, :])
-        diffs[np.diag_indices(n)] = np.inf
-        if np.min(diffs) > 0:
+        if _min_chord(rotated) > 0:
             break
         offsets = epsilon * (np.arange(1, n + 1) - 0.5 * rng.random(n)) / n
     else:
         raise SeparationFailure(
             f"could not separate roots at epsilon={epsilon:.3e}"
         )
-    coeffs = expand_from_roots(rotated, p.leading)
-    eta = cmath.sqrt(complex(_reflection_multiplier(coeffs)))
-    if abs(eta - 1) > abs(eta + 1):
-        eta = -eta
-    return CirclePoly(eta * coeffs, rotated)
+    return normalize_self_inversive(
+        CirclePoly(expand_from_roots(rotated, p.leading), rotated))
 
 
 def coefficients_from_json(data) -> np.ndarray:

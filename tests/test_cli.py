@@ -308,6 +308,11 @@ def test_coalesce_command(capsys):
     ("verify", "--binomial", "n=6", "--precision", "-8"),
     ("verify", "--binomial", "n=6", "--precision", "52"),
     ("verify", "--coeffs", "[[1,0],[3,0]]", "--precision", "abc"),
+    # a schedule must be finite, positive and strictly decreasing
+    ("coalesce", "--angles", "[0.0, 0.0]", "--schedule", "0.1,0.2"),
+    ("coalesce", "--angles", "[0.0, 0.0]", "--schedule", "-0.1"),
+    ("coalesce", "--angles", "[0.0, 0.0]", "--schedule", "nan"),
+    ("coalesce", "--angles", "[0.0, 0.0]", "--schedule", "inf"),
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     # exit 1 means an inequality violated or a search not converged
@@ -323,6 +328,8 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     for flag in ("--max-k", "--max-n", "--precision"):
         if flag in argv:
             assert f"error: {flag} must be " in err
+    if "--schedule" in argv:
+        assert err.startswith("error: schedule must be ")
 
 
 @pytest.mark.parametrize("command", ["verify", "moments", "coalesce"])
@@ -337,6 +344,11 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     (("--angles", "null"), 2),
     (("--angles", '"x"'), 2),
     (("--angles", "[true]"), 2),          # a boolean is not a real number
+    # a leading factor that is not finite, or squared coefficients that
+    # overflow a double: 1e150 still passes (test_entropy.py)
+    (("--binomial", "n=4", "leading=nan"), 3),
+    (("--binomial", "n=4", "leading=1e160"), 3),
+    (("--angles", "[0.1,2.0,3.0]", "--leading", "1e200"), 3),
 ])
 def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
     # text that does not parse is a usage error (2); a parsed polynomial

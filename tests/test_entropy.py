@@ -112,7 +112,7 @@ def test_verify_main_extremal_family():
     assert rep.inequalities_ok
 
 
-@pytest.mark.parametrize("leading", [1e4, 1e6])
+@pytest.mark.parametrize("leading", [1e4, 1e6, 1e150])
 def test_scaled_binomials_are_ok(leading):
     # z^n + omega times a large leading coefficient: equality cases whose
     # gaps round at about eps N, so only a tolerance relative to N holds.

@@ -63,7 +63,7 @@ def test_objective_gauge_invariances():
     p = ce.from_angles(angles, 1.0)
     scaled = ce.from_angles(angles, 17.3 * np.exp(0.2j))
     for poly in (p, scaled):
-        rf = ce.ratio_functional(ce.normalize_self_inversive(poly).normalized)
+        rf = ce.ratio_functional(ce.normalize_self_inversive(poly))
         norm = ce.parseval_norm(poly)
         assert abs(rf.entropy_integral / norm - math.log(norm) - base) < 1e-10
 
@@ -71,7 +71,7 @@ def test_objective_gauge_invariances():
 def test_objective_agrees_with_ratio_functional():
     rng = instance_rng(51)
     angles = rng.uniform(0, 2 * np.pi, 5)
-    p = ce.normalize_self_inversive(ce.from_angles(angles)).normalized
+    p = ce.normalize_self_inversive(ce.from_angles(angles))
     rf = ce.ratio_functional(p)
     norm = ce.parseval_norm(p)
     assert abs(ce.objective(angles) - (rf.entropy_integral / norm - math.log(norm))) < 1e-11
@@ -339,7 +339,7 @@ def test_coalescence_double_zero_limits():
 
 
 def test_coalescence_triple_zero_converges():
-    p = ce.normalize_self_inversive(ce.from_roots([1j, 1j, 1j])).normalized
+    p = ce.normalize_self_inversive(ce.from_roots([1j, 1j, 1j]))
     table = ce.coalescence_experiment(p, [2.0**-k for k in range(1, 21)])
     assert table.final_max_deviation < 1e-4
 

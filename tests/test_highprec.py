@@ -21,7 +21,7 @@ def test_highprec_matches_double_on_random_instance():
     rng = np.random.default_rng(60)
     p = ce.normalize_self_inversive(
         ce.from_angles(rng.uniform(0, 2 * np.pi, 5))
-    ).normalized
+    )
     rf = ce.ratio_functional(p)
     vals = entropy_values_mp(p, bits=150)
     assert abs(rf.entropy_integral - float(vals["entropy"])) < 1e-11

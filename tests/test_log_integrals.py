@@ -191,11 +191,11 @@ def test_jensen_term_matches_mpmath_reference():
     # Suite instance (n=20, index 92, seed 42), where roots of q found by the
     # companion matrix drifted by 1.7e-7 N.  Frozen from highprec at 120 bits:
     #   p = random_circle_poly(20, instance_rng(42, 20, 92))
-    #   ps = ce.normalize_self_inversive(p).normalized
+    #   ps = ce.normalize_self_inversive(p)
     #   entropy_values_mp(ps, bits=120)["jensen_term"]
     reference = 1877893431.41319991340869390634
     p = random_circle_poly(20, instance_rng(42, 20, 92))
-    ps = ce.normalize_self_inversive(p).normalized
+    ps = ce.normalize_self_inversive(p)
     rf = ce.ratio_functional(ps)
     assert abs(rf.jensen_integral - reference) < 1e-12 * ce.parseval_norm(ps)
 
@@ -221,7 +221,7 @@ def test_rotation_invariance():
         )
         assert abs(base_e - rot_e) < 1e-9
     q = ce.polar_factor(p).q
-    qr = ce.polar_factor(ce.normalize_self_inversive(rotated).normalized).q
+    qr = ce.polar_factor(ce.normalize_self_inversive(rotated)).q
     assert abs(
         ce.log_pair_spectral(p.coefficients, q)
         - ce.log_pair_spectral(rotated.coefficients, qr)
@@ -260,7 +260,7 @@ def test_log_continuity_along_coalescence():
     # perturbed values converge to the difference-form values on p itself
     p = ce.normalize_self_inversive(
         ce.from_roots([1.0, 1.0, np.exp(2j), np.exp(2j), np.exp(4.5j)])
-    ).normalized
+    )
     rf = ce.ratio_functional(p)
     prev_e = prev_j = np.inf
     for k in (2, 6, 10, 14, 20):
@@ -276,7 +276,7 @@ def test_log_continuity_along_coalescence():
 
 def test_finiteness_at_maximal_multiplicity():
     for n in (2, 5, 8):
-        p = ce.normalize_self_inversive(ce.from_roots([np.exp(0.4j)] * n)).normalized
+        p = ce.normalize_self_inversive(ce.from_roots([np.exp(0.4j)] * n))
         rf = ce.ratio_functional(p)
         assert math.isfinite(rf.value)
         assert math.isfinite(rf.entropy_integral)
@@ -452,7 +452,7 @@ def test_quadrature_matches_unblocked_reference_bit_for_bit(monkeypatch):
 
     checked = {"groups": 0, "short": 0, "closed": 0}
     for p, a, roots in _quadrature_oracle_cases():
-        q = ce.polar_factor(ce.normalize_self_inversive(p).normalized).q
+        q = ce.polar_factor(ce.normalize_self_inversive(p)).q
         calls = ((a, a, roots), (a, q, None))
         if p.degree < 128:
             calls += ((a, a, None),)
@@ -550,7 +550,7 @@ def test_log_distance_kernel_agrees_with_the_direct_sine_form(monkeypatch):
 
     monkeypatch.setattr(log_integrals, "circle_quadrature", quadrature_spy)
     for p, a, roots in _quadrature_oracle_cases():
-        q = ce.polar_factor(ce.normalize_self_inversive(p).normalized).q
+        q = ce.polar_factor(ce.normalize_self_inversive(p)).q
         calls = ((a, a, roots), (a, q, None))
         if p.degree < 128:
             calls += ((a, a, None),)
@@ -594,7 +594,7 @@ def test_kronrod_quadrature_is_as_accurate_as_it_estimates(monkeypatch):
     # n = 1, the wrapped cluster, repeated roots, the pair 1e-5 apart and
     # the zero of q 2.5e-7 off the circle
     for p, a, roots in list(_quadrature_oracle_cases())[:5]:
-        q = ce.polar_factor(ce.normalize_self_inversive(p).normalized).q
+        q = ce.polar_factor(ce.normalize_self_inversive(p)).q
         for B, r in ((a, roots), (q, None), (a, None)):
             ce.log_pair_quadrature(a, B, b_roots=r)
     for k in (0, 1, 2, 50):

@@ -1,5 +1,6 @@
 """Tests for construction, reflection, normalization, and the polar factor."""
 
+import cmath
 import math
 
 import numpy as np
@@ -128,34 +129,18 @@ def test_leja_order_matches_greedy_reference_bit_for_bit():
             assert np.array_equal(row, _leja_order_reference(roots)), m
 
 
-def test_reflect_examples():
-    assert np.allclose(ce.reflect([1, -1], 2), [0, -1, 1])
-    f = np.array([-1j, 0, 1j])  # i(z^2 - 1)
-    assert np.allclose(ce.reflect(f, 2), f)
-    assert np.allclose(ce.reflect([1], 0), [1])
-
-
-def test_reflect_involution_and_overflow():
-    rng = instance_rng(2)
-    for n in (1, 3, 7):
-        f = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-        assert np.array_equal(ce.reflect(ce.reflect(f, n), n), f)
-    with pytest.raises(ce.DegreeOverflow):
-        ce.reflect([1, 2, 3], 1)
-
-
 def test_normalize_self_inversive_branch():
     # p = z^2 - 1 has lambda = -1; the convention picks eta = i
     p = ce.from_roots([1.0, -1.0])
     res = ce.normalize_self_inversive(p)
-    assert abs(res.eta - 1j) < 1e-15
-    assert np.max(np.abs(res.normalized.coefficients - np.array([-1j, 0, 1j]))) < 1e-15
+    assert np.max(np.abs(res.coefficients - np.array([-1j, 0, 1j]))) < 1e-15
 
 
 def test_normalize_already_self_inversive():
+    # z + 1 is self-inversive: eta = 1
     p = ce.from_roots([-1.0])
     res = ce.normalize_self_inversive(p)
-    assert abs(res.eta - 1.0) < 1e-15
+    assert np.max(np.abs(res.coefficients - p.coefficients)) < 1e-15
 
 
 def test_normalize_preserves_moduli():
@@ -166,8 +151,8 @@ def test_normalize_preserves_moduli():
     angles = (np.angle(-omega) + 2 * np.pi * np.arange(n)) / n
     p = ce.from_angles(angles, 0.7 * np.exp(0.3j))
     res = ce.normalize_self_inversive(p)
-    assert np.allclose(np.abs(res.normalized.coefficients), np.abs(p.coefficients))
-    ce.polar_factor(res.normalized)  # NotSelfInversive unless within TAU_EXPAND
+    assert np.allclose(np.abs(res.coefficients), np.abs(p.coefficients))
+    ce.polar_factor(res)  # NotSelfInversive unless within TAU_EXPAND
 
 
 def test_normalized_coefficients_conjugate_symmetric():
@@ -205,8 +190,9 @@ def test_polar_factor_identity_and_reflection():
         total += d.qstar
         scale = np.max(np.abs(p.coefficients))
         assert np.max(np.abs(total - p.coefficients)) < 1e-10 * scale
-        # qstar is the degree-n reflection of q
-        assert np.max(np.abs(ce.reflect(d.q, n) - d.qstar)) < 1e-10 * scale
+        # qstar is the degree-n reflection of q: conj(q_{n-j}), q_n = 0
+        reflected = np.conj(np.append(d.q, 0)[::-1])
+        assert np.max(np.abs(reflected - d.qstar)) < 1e-10 * scale
         assert abs(d.q[0] - p.coefficients[0]) == 0.0
 
 
@@ -284,6 +270,47 @@ def test_perturb_roots_keeps_simple_inputs_simple():
     assert ce.polar_factor(pe).simple_zeros
     with pytest.raises(ValueError):
         ce.perturb_roots(p, 0.0)
+
+
+def _perturb_roots_reference(p, epsilon, seed):
+    # The rule perturb_roots had with a normalization of its own: the
+    # least-squares multiplier lambda, cmath.sqrt, and the square root
+    # nearest 1.  perturb_roots must give its bits.
+    n = p.degree
+    rng = np.random.default_rng(seed)
+    offsets = epsilon * np.arange(1, n + 1) / n
+    for _ in range(8):
+        rotated = p.roots * np.exp(1j * offsets)
+        if n < 2:
+            break
+        diffs = np.abs(rotated[:, None] - rotated[None, :])
+        diffs[np.diag_indices(n)] = np.inf
+        if np.min(diffs) > 0:
+            break
+        offsets = epsilon * (np.arange(1, n + 1) - 0.5 * rng.random(n)) / n
+    coeffs = expand_from_roots(rotated, p.leading)
+    lam = (np.conj(coeffs) * np.conj(coeffs[::-1])).sum(axis=-1)
+    eta = cmath.sqrt(complex(lam / np.abs(lam)))
+    if abs(eta - 1) > abs(eta + 1):
+        eta = -eta
+    return eta * coeffs, rotated
+
+
+def test_perturb_roots_matches_reference_bit_for_bit():
+    # criterion 10's instances over its whole schedule, and a triple zero
+    schedule = [2.0**-k for k in range(1, 21)]
+    cases = []
+    for i in range(20):
+        rng = instance_rng(104, i)
+        n = int(rng.integers(2, 9))
+        cases.append((random_circle_poly(n, rng, multiple=True, unit_norm=True), i))
+    cases.append((ce.normalize_self_inversive(ce.from_roots([1j, 1j, 1j])), 0))
+    for p, seed in cases:
+        for eps in schedule:
+            pe = ce.perturb_roots(p, eps, seed=seed)
+            coeffs, roots = _perturb_roots_reference(p, eps, seed)
+            assert pe.coefficients.tobytes() == coeffs.tobytes(), (seed, eps)
+            assert pe.roots.tobytes() == roots.tobytes(), (seed, eps)
 
 
 def test_zero_freeness_of_polar_factor():

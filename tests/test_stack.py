@@ -39,7 +39,7 @@ def _stack(n):
     polys = [
         ce.normalize_self_inversive(
             random_circle_poly(n, instance_rng(40, n, i), multiple=(n >= 2 and i == 0))
-        ).normalized
+        )
         for i in range(COUNT)
     ]
     return polys, ce.stack(polys)
@@ -195,7 +195,7 @@ def _one_at_a_time(n, rng, multiple, unit_norm):
     # The construction of one polynomial from 1-d arrays, draw for draw.
     angles = _draw_angles(n, rng, multiple, 0.0)
     leading = (0.5 + 1.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
-    p = ce.normalize_self_inversive(ce.from_angles(angles, leading)).normalized
+    p = ce.normalize_self_inversive(ce.from_angles(angles, leading))
     if unit_norm:
         p = p.scaled(1.0 / np.sqrt(ce.parseval_norm(p)))
     return p
@@ -287,8 +287,9 @@ def test_stacked_construction_checks_every_row(bad):
     angles[2, 1] = np.nan
     with pytest.raises(ce.NonUnimodularRoot):
         ce.from_angles(angles, np.ones(4))
-    with pytest.raises(ce.ZeroLeading):
-        ce.from_roots(np.exp(1j * np.ones((2, 3))), [1.0, 0.0])
+    for leading in ([1.0, 0.0], [1.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(ce.ZeroLeading):
+            ce.from_roots(np.exp(1j * np.ones((2, 3))), leading)
 
 
 def test_verify_stack_takes_a_stack_as_it_is():
