@@ -50,7 +50,6 @@ from .extremal import (
     angle_gap_deviation,
     coalescence_experiment,
     minimize,
-    objective,
     objective_and_gradient,
 )
 from .log_integrals import (

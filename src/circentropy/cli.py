@@ -312,8 +312,10 @@ def parse_schedule(spec: str) -> list[float]:
     match = _SCHEDULE_RE.fullmatch(spec)
     if match:
         hi, lo = int(match.group(1)), int(match.group(2))
-        if lo > hi:
-            raise ValueError(f"schedule exponents must descend: {spec!r}")
+        # 2^e is a finite, positive double exactly for -1074 <= e <= 1023.
+        if not 1023 >= hi >= lo >= -1074:
+            raise ValueError(f"schedule must be 2^hi..2^lo with 1023 >= hi >= lo "
+                             f">= -1074, got {spec!r}")
         return [2.0**e for e in range(hi, lo - 1, -1)]
     return [float(tok) for tok in spec.split(",")]
 

@@ -61,7 +61,7 @@ def _cubic_step(lo, hi) -> float:
     return step if abs(step - mid) <= 0.4 * abs(b - a) else mid
 
 
-def _line_search(fg, x, p, f0, d0, step):
+def _line_search(x, p, f0, d0, step):
     """A step along the descent direction p from x meeting the strong Wolfe
     conditions (Nocedal & Wright, Numerical Optimization, Alg. 3.5 and 3.6).
 
@@ -73,14 +73,14 @@ def _line_search(fg, x, p, f0, d0, step):
     when the bracket is too short for a decrease along it to show above
     the rounding of f, or after ``LINE_SEARCH_EVALS`` trials, and then
     returns the lowest step with sufficient decrease, or None when there
-    is none.
+    is none.  It yields its trial points, as ``_descend`` does.
     """
     lo = (0.0, f0, d0)   # step, value, slope: sufficient decrease, lowest
     hi = None            # the other end of the bracket, once there is one
     best = None
     for _ in range(LINE_SEARCH_EVALS):
         x_new = x + step * p
-        f, g = fg(x_new)
+        f, g = yield x_new
         d = _dot(g, p)
         if f > f0 + C1 * step * d0 or f >= lo[1]:
             hi = (step, f, d)
@@ -96,8 +96,9 @@ def _line_search(fg, x, p, f0, d0, step):
     return best
 
 
-def _descend(fg, x0):
-    """BFGS from x0 on the function whose value and gradient ``fg`` returns.
+def _descend(x0):
+    """BFGS from x0, a generator: it yields each point it needs and is sent
+    back the value and gradient there, so any source of both can drive it.
 
     Updates an inverse-Hessian estimate, starting from the identity, along
     strong-Wolfe steps (``_line_search``).  The first trial step is scipy's
@@ -110,7 +111,7 @@ def _descend(fg, x0):
     elementwise, so the path does not depend on the BLAS thread count.
     """
     x = np.asarray(x0, dtype=float)
-    f, g = fg(x)
+    f, g = yield x
     h = np.eye(x.size)
     f_prev = f + math.sqrt(_dot(g, g)) / 2.0
     for _ in range(200 * x.size):
@@ -121,7 +122,7 @@ def _descend(fg, x0):
         if not d0 < 0.0:
             break
         step = min(1.0, 1.01 * 2.0 * (f - f_prev) / d0)
-        found = _line_search(fg, x, p, f, d0, step if step > 0.0 else 1.0)
+        found = yield from _line_search(x, p, f, d0, step if step > 0.0 else 1.0)
         if found is None:
             break
         x_new, f_new, g_new = found
@@ -138,20 +139,17 @@ def _descend(fg, x0):
     return x, f, g
 
 
-def objective(angles) -> float:
-    """Entropy of the norm-normalized polynomial with zeros at the angles.
+def objective_and_gradient(angles):
+    """The search's objective at the angles and its exact angle gradient.
 
-    For p = prod (z - e^{i theta}) and phat = p / sqrt(N(p)) this returns
-    E(phat) = E(p)/N - log N, which is invariant under global scaling of p
-    and under a uniform rotation of all angles, and is bounded below by
-    1 - log 2.  Evaluated by the spectral route directly from the angles, so
-    it stays well defined when angles collide.
-    """
-    return objective_and_gradient(angles)[0]
-
-
-def objective_and_gradient(angles) -> tuple[float, np.ndarray]:
-    """The objective at the angles (``objective``) and its exact angle gradient.
+    The objective is E(phat) = E(p)/N - log N, the entropy of the
+    norm-normalized phat = p / sqrt(N(p)) for p = prod (z - e^{i theta}).
+    It is invariant under global scaling of p and under a uniform rotation
+    of all angles, and is bounded below by 1 - log 2.  Evaluated by the
+    spectral route directly from the angles, so it stays well defined when
+    angles collide.  An (R, n) stack of angle sets gives R values and an
+    (R, n) gradient, each row the bits it has alone; n angles give a float
+    and an n-vector.
 
     Moving one zero moves p by dp/dtheta_j = w_j = -i tau_j p/(z - tau_j),
     a polynomial of degree n - 1 whose coefficients come from synthetic
@@ -171,31 +169,35 @@ def objective_and_gradient(angles) -> tuple[float, np.ndarray]:
     dF = dE/N - (E/N^2 + 1/N) dN.  Sums are elementwise, not BLAS, so the
     bits do not depend on the BLAS thread count.
     """
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    n = angles.size
-    roots = np.exp(1j * angles)
+    angles = np.asarray(angles, dtype=float)
+    roots = np.exp(1j * np.atleast_2d(angles))
+    n = roots.shape[-1]
     coeffs = expand_from_roots(roots, 1.0)
-    norm = float((np.abs(coeffs) ** 2).sum())
+    norms = (np.abs(coeffs) ** 2).sum(axis=-1).tolist()
     sums = power_sums(roots, n)
-    entropy = float(_circle_root_pairing(sums, trig_square(coeffs)[1:]))
-    value = entropy / norm - math.log(norm)
-    # Row j: the coefficients of p/(z - tau_j), lowest degree first, filled
-    # from the top by synthetic division.
-    quot = np.empty((n, n), dtype=complex)
-    quot[:, n - 1] = coeffs[n]
+    entropies = _circle_root_pairing(sums, trig_square(coeffs)[:, 1:]).tolist()
+    # Python floats per row: libm's log and pow, as a row alone takes them.
+    values = [e / norm - math.log(norm) for e, norm in zip(entropies, norms)]
+    weights = [e / norm**2 + 1.0 / norm for e, norm in zip(entropies, norms)]
+    # Row j of a stack's block: the coefficients of p/(z - tau_j), lowest
+    # degree first, filled from the top by synthetic division.
+    quot = np.empty(roots.shape + (n,), dtype=complex)
+    quot[..., n - 1] = coeffs[:, n, None]
     for k in range(n - 1, 0, -1):
-        quot[:, k - 1] = coeffs[k] + roots * quot[:, k]
+        quot[..., k - 1] = coeffs[:, k, None] + roots * quot[..., k]
     lam = -np.conj(sums) / np.arange(1, n + 1)
     # lambda_{-n} .. lambda_n, so that lam_full[n + k - l] = lambda_{k-l}.
-    lam_full = np.concatenate([np.conj(lam[::-1]), [0.0], lam])
-    conj_a = np.conj(coeffs)
-    pairs = lam_full[np.arange(n, 0, -1)[:, None] + np.arange(n + 1)]
-    g = (pairs * conj_a).sum(axis=1)
+    lam_full = np.hstack([np.conj(lam[:, ::-1]), np.zeros((len(lam), 1)), lam])
+    conj_a = np.conj(coeffs)[:, None, :]
+    pairs = lam_full[:, np.arange(n, 0, -1)[:, None] + np.arange(n + 1)]
+    g = (pairs * conj_a).sum(axis=-1)
     rot = -1j * roots
-    d_norm = 2.0 * (rot * (quot * conj_a[:n]).sum(axis=1)).real
-    d_entropy = 2.0 * (rot * (quot * g).sum(axis=1)).real + d_norm
-    grad = d_entropy / norm - (entropy / norm**2 + 1.0 / norm) * d_norm
-    return value, grad
+    d_norm = 2.0 * (rot * (quot * conj_a[..., :n]).sum(axis=-1)).real
+    d_entropy = 2.0 * (rot * (quot * g[:, None, :]).sum(axis=-1)).real + d_norm
+    grad = d_entropy / np.array(norms)[:, None] - np.array(weights)[:, None] * d_norm
+    if angles.ndim < 2:
+        return values[0], grad[0]
+    return np.array(values), grad
 
 
 @dataclass(frozen=True)
@@ -232,17 +234,14 @@ def angle_gap_deviation(angles) -> float:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _starts(n: int, restarts: int, rng) -> list[np.ndarray]:
+def _starts(n: int, restarts: int, rng):
     """Gauge-fixed starting angle sets: low-discrepancy plus uniform random."""
-    out = []
     for k in range(restarts):
         if k % 2 == 0:
             offset = rng.random()
-            pts = 2 * np.pi * np.mod(offset + _GOLDEN * np.arange(1, n), 1.0)
+            yield 2 * np.pi * np.mod(offset + _GOLDEN * np.arange(1, n), 1.0)
         else:
-            pts = rng.uniform(0.0, 2 * np.pi, n - 1)
-        out.append(pts)
-    return out
+            yield rng.uniform(0.0, 2 * np.pi, n - 1)
 
 
 def _multiplicities(angles) -> list[int]:
@@ -270,6 +269,22 @@ def _split_clusters(angles) -> np.ndarray | None:
     return pts - pts[0]
 
 
+def _start(x0):
+    """One start, a generator like ``_descend``: it descends from x0 and,
+    while the endpoint has a multiple zero, from the split endpoint
+    (``_split_clusters``), at most ``MAX_SPLITS`` times.  Returns every
+    descent's ``(x, f, g)`` and the multiplicity pattern of the first one.
+    """
+    endpoints = [(yield from _descend(x0))]
+    pattern = _multiplicities(np.concatenate([[0.0], endpoints[0][0]]))
+    while len(endpoints) <= MAX_SPLITS:
+        split = _split_clusters(np.concatenate([[0.0], endpoints[-1][0]]))
+        if split is None:
+            break
+        endpoints.append((yield from _descend(split[1:])))
+    return endpoints, pattern
+
+
 def minimize(n: int, restarts: int = 8, seed: int = 0) -> ExtremalResult:
     """Gradient search for the entropy minimum at degree n.
 
@@ -279,8 +294,10 @@ def minimize(n: int, restarts: int = 8, seed: int = 0) -> ExtremalResult:
     seed.
     When a descent ends with a multiple zero, the cluster is split
     (``_split_clusters``) and the start descends again, at most
-    ``MAX_SPLITS`` times.  The result is the best endpoint of all descents;
-    it is ``converged`` when its gradient max-norm is at most ``GRAD_TOL``.
+    ``MAX_SPLITS`` times (``_start``).  The starts advance in lockstep, one
+    stacked evaluation per round.  The result is the best endpoint of all
+    descents, the first on a tie; it is ``converged`` when its gradient
+    max-norm is at most ``GRAD_TOL``.
     The result records the running minimum of every objective value the
     search computed, line-search points included, which live-checks the
     lower bound across the whole search trajectory.  Each start leaves one
@@ -290,54 +307,41 @@ def minimize(n: int, restarts: int = 8, seed: int = 0) -> ExtremalResult:
     """
     if n < 1 or restarts < 1:
         raise ValueError("need n >= 1 and restarts >= 1")
-    state = {"count": 0, "min_seen": math.inf}
-
-    def tracked(x):
-        val, grad = objective_and_gradient(np.concatenate([[0.0], x]))
-        state["count"] += 1
-        if val < state["min_seen"]:
-            state["min_seen"] = val
-        return val, grad[1:]
-
     if n == 1:
-        val, _ = objective_and_gradient([0.0])
-        return ExtremalResult(
-            n=1,
-            angles=np.zeros(1),
-            achieved=val,
-            gap=val - (1.0 - math.log(2.0)),
-            angle_gap_deviation=0.0,
-            converged=True,
-            restarts=0,
-            evaluations=1,
-            min_objective_seen=val,
-            trace=[],
-        )
-
-    rng = np.random.default_rng(seed)
-    best = None
-    trace = []
-    for k, x0 in enumerate(_starts(n, restarts, rng)):
-        before = state["count"]
-        x, splits, pattern = x0, 0, None
-        while True:
-            res = _descend(tracked, x)
-            if best is None or res[1] < best[1]:
-                best = res
-            endpoint = np.concatenate([[0.0], res[0]])
-            if pattern is None:
-                pattern = _multiplicities(endpoint)
-            split = _split_clusters(endpoint) if splits < MAX_SPLITS else None
-            if split is None:
-                break
-            x, splits = split[1:], splits + 1
-        grad_norm = float(np.abs(res[2]).max())
-        trace.append(
-            {"restart": k, "fun": float(res[1]), "grad_norm": grad_norm,
-             "converged": grad_norm <= GRAD_TOL,
-             "evaluations": state["count"] - before, "splits": splits,
-             "pattern": pattern}
-        )
+        # No angle is free: one evaluation at the gauge angle 0 is the search.
+        val, grad = objective_and_gradient([0.0])
+        best, counts, min_seen = (grad[1:], val, grad[1:]), [1], val
+        restarts, trace = 0, []
+    else:
+        rng = np.random.default_rng(seed)
+        starts = [_start(x0) for x0 in _starts(n, restarts, rng)]
+        pending = {k: next(start) for k, start in enumerate(starts)}
+        counts, outcomes, min_seen = [0] * restarts, [None] * restarts, math.inf
+        while pending:
+            # One stack per round, the gauge-fixed first angle 0 in every row.
+            values, grads = objective_and_gradient(
+                np.insert(np.array(list(pending.values())), 0, 0.0, axis=1))
+            for k, val, grad in zip(list(pending), values.tolist(), grads):
+                counts[k] += 1
+                min_seen = min(min_seen, val)
+                try:
+                    pending[k] = starts[k].send((val, grad[1:]))
+                except StopIteration as done:
+                    outcomes[k] = done.value
+                    del pending[k]
+        # The first of the least endpoints, in the order of starts and descents.
+        best = min((res for endpoints, _ in outcomes for res in endpoints),
+                   key=lambda res: res[1])
+        trace = []
+        for k, (endpoints, pattern) in enumerate(outcomes):
+            _, fun, grad = endpoints[-1]
+            grad_norm = float(np.abs(grad).max())
+            trace.append(
+                {"restart": k, "fun": float(fun), "grad_norm": grad_norm,
+                 "converged": grad_norm <= GRAD_TOL,
+                 "evaluations": counts[k], "splits": len(endpoints) - 1,
+                 "pattern": pattern}
+            )
     best_x, achieved, best_grad = best
     angles = np.mod(np.concatenate([[0.0], best_x]), 2 * np.pi)
     return ExtremalResult(
@@ -346,10 +350,10 @@ def minimize(n: int, restarts: int = 8, seed: int = 0) -> ExtremalResult:
         achieved=achieved,
         gap=achieved - (1.0 - math.log(2.0)),
         angle_gap_deviation=angle_gap_deviation(angles),
-        converged=float(np.abs(best_grad).max()) <= GRAD_TOL,
+        converged=float(np.abs(best_grad).max(initial=0.0)) <= GRAD_TOL,
         restarts=restarts,
-        evaluations=state["count"],
-        min_objective_seen=state["min_seen"],
+        evaluations=sum(counts),
+        min_objective_seen=min_seen,
         trace=trace,
     )
 

@@ -129,27 +129,25 @@ def _leja_order(roots: np.ndarray) -> np.ndarray:
     of log-distances.  Once only repeats of taken roots remain (every sum is
     -inf), they are taken in index order, so the result is a permutation.
     The matrix log|r_i - r_j| is built once, so time and memory are O(m^2).
-    A stack of root lists (K, m) gets one order per row, the order that row
-    gets alone; the rows take their steps together, in blocks of at most
-    ``_STACK_ENTRIES / m^2`` rows, or of one row for m > 256.
+    It takes a stack of root lists (K, m), ``roots[None]`` for one list, and
+    gives each row the order it gets alone; the rows take their steps
+    together, in blocks of at most ``_STACK_ENTRIES / m^2`` rows, or of one
+    row for m > 256.
     """
     m = roots.shape[-1]
     if m < 3:
-        order = np.arange(m)
-        return order if roots.ndim == 1 else np.broadcast_to(order, roots.shape)
+        return np.broadcast_to(np.arange(m), roots.shape)
     rows = max(1, _STACK_ENTRIES // (m * m))
-    if roots.ndim > 1 and len(roots) > rows:
+    if len(roots) > rows:
         return np.concatenate([_leja_order(roots[start : start + rows])
                                for start in range(0, len(roots), rows)])
     with np.errstate(divide="ignore"):
-        logdist = np.log(np.abs(roots[..., None, :] - roots[..., :, None]))
-    # order[k] holds step k's pick for every row.  A stack reads its rows of
-    # log-distances from the (K m, m) table at base + index.
-    order = np.empty((m,) + roots.shape[:-1], dtype=np.intp)
-    base = 0
-    if roots.ndim > 1:
-        logdist = logdist.reshape(-1, m)
-        base = np.arange(0, logdist.shape[0], m)
+        logdist = np.log(np.abs(roots[:, None, :] - roots[:, :, None]))
+    # order[k] holds step k's pick for every row.  The stack reads its rows
+    # of log-distances from the (K m, m) table at base + index.
+    order = np.empty((m, len(roots)), dtype=np.intp)
+    logdist = logdist.reshape(-1, m)
+    base = np.arange(0, logdist.shape[0], m)
     idx = order[0] = np.abs(roots).argmax(-1)
     # Each added row is -inf on its own diagonal, so a taken root drops out
     # of every later argmax.
@@ -160,9 +158,8 @@ def _leja_order(roots: np.ndarray) -> np.ndarray:
     # Once every sum is -inf, each later step's argmax is index 0.  From its
     # second 0 on, such a row takes its untaken roots in index order.
     if (idx == 0).any():
-        steps = order.reshape(m, -1)
         for row in np.flatnonzero(idx == 0):
-            picks = steps[:, row]
+            picks = order[:, row]
             zeros = np.flatnonzero(picks == 0)
             if zeros.size > 1:
                 taken = np.zeros(m, dtype=bool)
@@ -177,25 +174,20 @@ def expand_from_roots(roots, leading) -> np.ndarray:
     A stack of root lists (K, m) with K leading factors gives K coefficient
     rows: each row is Leja-ordered as it is alone, and each step multiplies
     one factor per row into the whole stack.  A row gets the bits it gets
-    alone.
+    alone.  One root list is expanded as a stack of one.
     """
     roots = np.asarray(roots, dtype=complex)
-    m = roots.shape[-1]
-    if roots.ndim == 1:
-        coeffs = np.zeros(m + 1, dtype=complex)
-        coeffs[m] = leading
-        # After k factors the product fills coeffs[m - k:]; the next factor
-        # (z - tau) extends it by one slot at the low end.
-        for k, tau in enumerate(roots[_leja_order(roots)]):
-            coeffs[m - k - 1 : m] -= tau * coeffs[m - k :]
-        return coeffs
-    coeffs = np.zeros((roots.shape[0], m + 1), dtype=complex)
+    rows = np.atleast_2d(roots)
+    m = rows.shape[-1]
+    coeffs = np.zeros((len(rows), m + 1), dtype=complex)
     coeffs[:, m] = leading
-    taus = np.take_along_axis(roots, _leja_order(roots), axis=-1)
-    # The same steps, with one column of factors, shape (K, 1), per step.
+    taus = np.take_along_axis(rows, _leja_order(rows), axis=-1)
+    # After k factors the product fills coeffs[:, m - k:]; the next factors
+    # (z - tau), one column of them, shape (K, 1), extend it by one slot at
+    # the low end.
     for k, tau in enumerate(taus.T[:, :, None]):
         coeffs[:, m - k - 1 : m] -= tau * coeffs[:, m - k :]
-    return coeffs
+    return coeffs if roots.ndim > 1 else coeffs[0]
 
 
 def root_clusters(roots, tol: float = TAU_SEP):
@@ -470,11 +462,14 @@ def perturb_roots(p: CirclePoly, epsilon: float, seed=None) -> CirclePoly:
     result is renormalized by ``normalize_self_inversive``, whose eta is the
     square root nearest 1, so the output converges to p coefficientwise as
     epsilon -> 0.  Falls back to seeded jitter if the deterministic schedule
-    produces a collision; ``SeparationFailure`` after that is essentially
-    unreachable for epsilon > 0.
+    produces a collision, and raises ``SeparationFailure`` when eight tries
+    collide.  That happens once the rotations fall below the rounding of the
+    roots, about 2^-53: the zeros at angles 0.7, 0.7 and 2.0 with seed 0
+    fail at epsilon = 2^-54.  An epsilon that is not finite and positive
+    raises ValueError.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     n = p.degree
     rng = np.random.default_rng(seed)
     offsets = epsilon * np.arange(1, n + 1) / n

@@ -313,6 +313,8 @@ def test_coalesce_command(capsys):
     ("coalesce", "--angles", "[0.0, 0.0]", "--schedule", "-0.1"),
     ("coalesce", "--angles", "[0.0, 0.0]", "--schedule", "nan"),
     ("coalesce", "--angles", "[0.0, 0.0]", "--schedule", "inf"),
+    # 2^2000 overflows a double
+    ("coalesce", "--angles", "[0.0, 0.0]", "--schedule", "2^2000..2^1999"),
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     # exit 1 means an inequality violated or a search not converged
@@ -358,6 +360,17 @@ def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
     assert code == expected
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_coalesce_rotations_below_rounding_are_invalid_input(capsys):
+    # At epsilon = 2^-54 every rotation of the double zero rounds back onto
+    # the roots, and so do the seeded jitters: SeparationFailure (exit 3).
+    code = main(["coalesce", "--angles", "[0.7, 0.7, 2.0]",
+                 "--schedule", "2^-52..2^-56"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: could not separate roots at epsilon=5.551e-17\n"
 
 
 def test_coalesce_empty_schedule_is_usage_error(capsys):

@@ -14,12 +14,57 @@ from circentropy.corpus import instance_rng, random_circle_poly
 from circentropy.extremal import (
     _descend,
     _split_clusters,
+    _start,
+    _starts,
     angle_gap_deviation,
     objective_and_gradient,
 )
-from circentropy.polycircle import root_clusters
+from circentropy.log_integrals import _circle_root_pairing, trig_square
+from circentropy.polycircle import expand_from_roots, power_sums, root_clusters
 
 TARGET = 1.0 - math.log(2.0)
+
+
+def _objective(angles):
+    return objective_and_gradient(angles)[0]
+
+
+def _drive(gen, fg):
+    """Run one search generator alone: answer each point it yields with
+    ``fg`` at that point, and return what the generator returns."""
+    try:
+        point = next(gen)
+        while True:
+            point = gen.send(fg(point))
+    except StopIteration as done:
+        return done.value
+
+
+def _objective_and_gradient_reference(angles):
+    # The value and gradient of one angle set, computed without a stack
+    # axis; each row of a stack must reproduce its bits.
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    n = angles.size
+    roots = np.exp(1j * angles)
+    coeffs = expand_from_roots(roots, 1.0)
+    norm = float((np.abs(coeffs) ** 2).sum())
+    sums = power_sums(roots, n)
+    entropy = float(_circle_root_pairing(sums, trig_square(coeffs)[1:]))
+    value = entropy / norm - math.log(norm)
+    quot = np.empty((n, n), dtype=complex)
+    quot[:, n - 1] = coeffs[n]
+    for k in range(n - 1, 0, -1):
+        quot[:, k - 1] = coeffs[k] + roots * quot[:, k]
+    lam = -np.conj(sums) / np.arange(1, n + 1)
+    lam_full = np.concatenate([np.conj(lam[::-1]), [0.0], lam])
+    conj_a = np.conj(coeffs)
+    pairs = lam_full[np.arange(n, 0, -1)[:, None] + np.arange(n + 1)]
+    g = (pairs * conj_a).sum(axis=1)
+    rot = -1j * roots
+    d_norm = 2.0 * (rot * (quot * conj_a[:n]).sum(axis=1)).real
+    d_entropy = 2.0 * (rot * (quot * g).sum(axis=1)).real + d_norm
+    grad = d_entropy / norm - (entropy / norm**2 + 1.0 / norm) * d_norm
+    return value, grad
 
 
 def _collided_angle_sets(n, rng):
@@ -40,16 +85,16 @@ def _collided_angle_sets(n, rng):
 def test_objective_equally_spaced_is_extremal():
     for n in (2, 4, 9):
         angles = 2 * np.pi * np.arange(n) / n + 0.3
-        assert abs(ce.objective(angles) - (1.0 - math.log(2.0))) < 1e-12
+        assert abs(_objective(angles) - (1.0 - math.log(2.0))) < 1e-12
 
 
 def test_objective_degree_one():
-    assert abs(ce.objective([1.234]) - (1.0 - math.log(2.0))) < 1e-14
+    assert abs(_objective([1.234]) - (1.0 - math.log(2.0))) < 1e-14
 
 
 def test_objective_double_angle():
     # (z - e^{i theta})^2 has E = 14, N = 6 => E(phat) = 14/6 - log 6
-    val = ce.objective([0.7, 0.7])
+    val = _objective([0.7, 0.7])
     assert abs(val - (14.0 / 6.0 - math.log(6.0))) < 1e-12
     assert val > 1.0 - math.log(2.0)
 
@@ -57,8 +102,8 @@ def test_objective_double_angle():
 def test_objective_gauge_invariances():
     rng = instance_rng(50)
     angles = rng.uniform(0, 2 * np.pi, 6)
-    base = ce.objective(angles)
-    assert abs(ce.objective(angles + 1.234) - base) < 1e-10
+    base = _objective(angles)
+    assert abs(_objective(angles + 1.234) - base) < 1e-10
     # scale invariance of the underlying normalized entropy
     p = ce.from_angles(angles, 1.0)
     scaled = ce.from_angles(angles, 17.3 * np.exp(0.2j))
@@ -74,7 +119,7 @@ def test_objective_agrees_with_ratio_functional():
     p = ce.normalize_self_inversive(ce.from_angles(angles))
     rf = ce.ratio_functional(p)
     norm = ce.parseval_norm(p)
-    assert abs(ce.objective(angles) - (rf.entropy_integral / norm - math.log(norm))) < 1e-11
+    assert abs(_objective(angles) - (rf.entropy_integral / norm - math.log(norm))) < 1e-11
 
 
 def test_gradient_matches_central_differences():
@@ -87,7 +132,7 @@ def test_gradient_matches_central_differences():
             for j in range(n):
                 step = np.zeros(n)
                 step[j] = h
-                fd[j] = (ce.objective(angles + step) - ce.objective(angles - step)) / (2 * h)
+                fd[j] = (_objective(angles + step) - _objective(angles - step)) / (2 * h)
             # Where every zero coalesces (n = 2 double, n = 3 triple) the
             # gradient vanishes by rotation invariance; the floor covers the
             # rounding of the differences there.
@@ -96,13 +141,71 @@ def test_gradient_matches_central_differences():
 
 
 def test_objective_and_gradient_value_is_objective_bit_for_bit():
+    # One angle set is the stack of one: a float and an n-vector, with the
+    # bits of the stack's row.
     rng = instance_rng(54)
     for n in (1, 2, 5, 8, 12):
         for angles in _collided_angle_sets(n, rng):
             value, grad = objective_and_gradient(angles)
-            assert value == ce.objective(angles)
-            assert grad.shape == (n,)
-    assert objective_and_gradient([0.7, 0.7])[0] == ce.objective([0.7, 0.7])
+            values, grads = objective_and_gradient(angles[None])
+            assert type(value) is float and grad.shape == (n,)
+            assert values.shape == (1,) and grads.shape == (1, n)
+            assert np.float64(value).tobytes() == values.tobytes()
+            assert grad.tobytes() == grads[0].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 12, 32])
+def test_stacked_objective_matches_the_one_set_reference_bit_for_bit(n):
+    rng = instance_rng(55, n)
+    for rows in (1, 8, 100):
+        angles = rng.uniform(0, 2 * np.pi, (rows, n))
+        # collided rows among the random ones: a double and a triple zero
+        for i, angle_set in enumerate(_collided_angle_sets(n, rng)[1:]):
+            angles[(3 * i + 1) % rows] = angle_set
+        values, grads = objective_and_gradient(angles)
+        assert values.shape == (rows,) and grads.shape == (rows, n)
+        for i in range(rows):
+            value, grad = _objective_and_gradient_reference(angles[i])
+            assert np.float64(value).tobytes() == values[i].tobytes(), (n, rows, i)
+            assert grad.tobytes() == grads[i].tobytes(), (n, rows, i)
+
+
+@pytest.mark.parametrize("n, restarts, seed", [(8, 8, 2), (8, 32, 0), (5, 4, 7),
+                                               (12, 8, 3)])
+def test_lockstep_search_matches_starts_run_one_at_a_time(n, restarts, seed):
+    # Each start driven alone, one angle set per call, and the result put
+    # together as the search defines it: the first least endpoint of all
+    # starts and descents, and every start's trace entry.
+    outcomes, seen = [], []
+
+    def fg(x):
+        value, grad = objective_and_gradient(np.concatenate([[0.0], x]))
+        seen.append(value)
+        return value, grad[1:]
+
+    for x0 in _starts(n, restarts, np.random.default_rng(seed)):
+        before = len(seen)
+        endpoints, pattern = _drive(_start(x0), fg)
+        outcomes.append((endpoints, pattern, len(seen) - before))
+    best, trace = None, []
+    for k, (endpoints, pattern, evaluations) in enumerate(outcomes):
+        for res in endpoints:
+            if best is None or res[1] < best[1]:
+                best = res
+        grad_norm = float(np.abs(endpoints[-1][2]).max())
+        trace.append({"restart": k, "fun": float(endpoints[-1][1]),
+                      "grad_norm": grad_norm,
+                      "converged": grad_norm <= extremal.GRAD_TOL,
+                      "evaluations": evaluations, "splits": len(endpoints) - 1,
+                      "pattern": pattern})
+    angles = np.mod(np.concatenate([[0.0], best[0]]), 2 * np.pi)
+    want = {"n": n, "angles": angles.tolist(), "achieved": best[1],
+            "gap": best[1] - TARGET,
+            "angle_gap_deviation": angle_gap_deviation(angles),
+            "converged": float(np.abs(best[2]).max()) <= extremal.GRAD_TOL,
+            "restarts": restarts, "evaluations": len(seen),
+            "min_objective_seen": min(seen), "trace": trace}
+    assert ce.minimize(n, restarts, seed).to_dict() == want
 
 
 def test_split_clusters_separates_a_double_zero():
@@ -126,9 +229,9 @@ def test_min_objective_seen_is_the_minimum_of_every_value(monkeypatch):
     real = extremal.objective_and_gradient
 
     def spy(angles):
-        value, grad = real(angles)
-        seen.append(value)
-        return value, grad
+        values, grads = real(angles)
+        seen.extend(np.atleast_1d(values).tolist())
+        return values, grads
 
     monkeypatch.setattr(extremal, "objective_and_gradient", spy)
     res = ce.minimize(6, restarts=4, seed=11)
@@ -159,8 +262,8 @@ def test_simple_zero_endpoints_are_binomial(monkeypatch):
     endpoints = []
     real = extremal._descend
 
-    def spy(fg, x0):
-        x, f, g = real(fg, x0)
+    def spy(x0):
+        x, f, g = yield from real(x0)
         endpoints.append(np.concatenate([[0.0], x]))
         return x, f, g
 
@@ -171,7 +274,7 @@ def test_simple_zero_endpoints_are_binomial(monkeypatch):
                   if len(root_clusters(np.exp(1j * angles), extremal.CLUSTER_TOL)) == n]
         assert len(endpoints) >= 12 and simple
         for angles in simple:
-            assert ce.objective(angles) - TARGET <= 1e-6, (n, angles)
+            assert _objective(angles) - TARGET <= 1e-6, (n, angles)
         endpoints.clear()
 
 
@@ -200,13 +303,13 @@ def _rosenbrock(x):
 
 def test_descend_reaches_the_minimizer_of_a_convex_quadratic():
     fg, c = _quadratic(7, 60)
-    x, f, g = _descend(fg, np.zeros(7))
+    x, f, g = _drive(_descend(np.zeros(7)), fg)
     assert np.abs(x - c).max() <= 1e-10
     assert f == fg(x)[0] and np.array_equal(g, fg(x)[1])
 
 
 def test_descend_reaches_the_rosenbrock_minimum():
-    x, f, g = _descend(_rosenbrock, np.array([-1.2, 1.0]))
+    x, f, g = _drive(_descend(np.array([-1.2, 1.0])), _rosenbrock)
     assert np.abs(x - 1.0).max() <= 1e-6
     assert f <= 1e-12
 
@@ -222,8 +325,8 @@ def test_line_search_meets_the_strong_wolfe_conditions():
 
     # On a quadratic the cubic through a bracket's ends is exact: a first
     # trial past the minimizer is followed by the minimizer itself.
-    x, f, g = extremal._line_search(counted(lambda x: ((x[0] - 1.0) ** 2, 2.0 * (x - 1.0))),
-                                    np.zeros(1), np.ones(1), 1.0, -2.0, 4.0)
+    x, f, g = _drive(extremal._line_search(np.zeros(1), np.ones(1), 1.0, -2.0, 4.0),
+                     counted(lambda x: ((x[0] - 1.0) ** 2, 2.0 * (x - 1.0))))
     assert x[0] == 1.0 and f == 0.0 and len(calls) == 2
     # From first trials far too short or too long, along random descent
     # directions, the accepted step has sufficient decrease and strong
@@ -238,7 +341,8 @@ def test_line_search_meets_the_strong_wolfe_conditions():
             continue
         for first in (1e-6, 10.0):
             calls.clear()
-            x, f, g = extremal._line_search(counted(_rosenbrock), x0, p, f0, d0, first)
+            x, f, g = _drive(extremal._line_search(x0, p, f0, d0, first),
+                             counted(_rosenbrock))
             step = (x - x0)[0] / p[0]
             assert f <= f0 + extremal.C1 * step * d0
             assert abs(float((g * p).sum())) <= -extremal.C2 * d0
@@ -248,7 +352,7 @@ def test_line_search_meets_the_strong_wolfe_conditions():
 def test_descend_stops_where_no_decrease_is_possible():
     # A constant: the gradient vanishes, so the start is returned.
     x0 = np.array([0.3, -2.0])
-    x, f, _ = _descend(lambda x: (1.0, np.zeros(2)), x0)
+    x, f, _ = _drive(_descend(x0), lambda x: (1.0, np.zeros(2)))
     assert np.array_equal(x, x0) and f == 1.0
     # A gradient above the tolerance, but the value moves by 1e-8 on 1e9,
     # below its rounding: no step shows a decrease, and the descent ends at
@@ -259,7 +363,7 @@ def test_descend_stops_where_no_decrease_is_possible():
         calls.append(x)
         return 1e9 + 1e-8 * float((x * x).sum()), 2e-8 * x
 
-    x, f, _ = _descend(blocked, x0)
+    x, f, _ = _drive(_descend(x0), blocked)
     assert f <= blocked(x0)[0]
     assert np.array_equal(x, x0)
     assert len(calls) <= 3
@@ -272,7 +376,7 @@ def test_descend_evaluates_each_point_once():
         calls.append(tuple(x))
         return _rosenbrock(x)
 
-    _descend(counted, np.array([-1.2, 1.0]))
+    _drive(_descend(np.array([-1.2, 1.0])), counted)
     assert len(set(calls)) == len(calls) > 1
 
 

@@ -115,7 +115,7 @@ def test_leja_order_matches_greedy_reference_bit_for_bit():
     leading = 1.3 - 0.2j
     by_size = {}
     for roots in _leja_oracle_cases():
-        order = _leja_order(roots)
+        order = _leja_order(roots[None])[0]
         assert np.array_equal(order, _leja_order_reference(roots)), roots.size
         got = expand_from_roots(roots, leading)
         want = _expand_reference(roots, leading)
@@ -268,8 +268,12 @@ def test_perturb_roots_keeps_simple_inputs_simple():
     p = random_circle_poly(6, instance_rng(8, 6))
     pe = ce.perturb_roots(p, 1e-5)
     assert ce.polar_factor(pe).simple_zeros
-    with pytest.raises(ValueError):
-        ce.perturb_roots(p, 0.0)
+    # an epsilon that is not finite and positive is refused before any
+    # rotation is tried: no RuntimeWarning, no SeparationFailure
+    for epsilon in (0.0, -1.0, np.nan, np.inf):
+        for q in (p, ce.from_roots([1.0, 1.0])):
+            with pytest.raises(ValueError, match="finite and positive"):
+                ce.perturb_roots(q, epsilon)
 
 
 def _perturb_roots_reference(p, epsilon, seed):
