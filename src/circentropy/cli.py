@@ -80,18 +80,27 @@ def _poly_from_coefficients(coeffs: np.ndarray) -> CirclePoly:
 
     Roots are located numerically, required to sit within ``INPUT_ROOT_TOL``
     of the circle, snapped into multiplicity clusters, and re-expanded; a
-    mismatch with the input coefficients is treated as an input error.
+    mismatch with the input coefficients is treated as an input error.  An
+    m-fold zero leaves the companion matrix as an m-gon of radius about
+    eps^(1/m) around it, which the Newton polish only scatters, while the
+    centroid of those eigenvalues keeps the zero to rounding.  So a cluster
+    around a root off the circle (``_off_circle_clusters``) stands for its
+    centroid, and that is what must be near the circle.
     """
     deg = poly_degree(coeffs)
     if deg < 1:
         raise RootsOffCircle("input polynomial must have degree >= 1")
     body = coeffs[: deg + 1]
     roots = polished_roots(body)
-    off = np.max(np.abs(np.abs(roots) - 1.0)) if roots.size else 0.0
-    if off > INPUT_ROOT_TOL:
-        raise RootsOffCircle(
-            f"a root sits {off:.3e} away from the unit circle (> {INPUT_ROOT_TOL:.0e})"
-        )
+    if np.abs(np.abs(roots) - 1.0).max() > INPUT_ROOT_TOL:
+        # The eigenvalues that polished_roots polished, in the same order.
+        companion = np.roots(body[::-1])
+        for group in _off_circle_clusters(companion):
+            roots[group] = companion[group].mean()
+        off = np.abs(np.abs(roots) - 1.0).max()
+        if off > INPUT_ROOT_TOL:
+            raise RootsOffCircle(f"a root sits {off:.3e} away from the unit circle "
+                                 f"(> {INPUT_ROOT_TOL:.0e})")
     snapped = []
     for center, mult in root_clusters(roots, tol=1e-7):
         snapped.extend([center] * mult)
@@ -102,6 +111,30 @@ def _poly_from_coefficients(coeffs: np.ndarray) -> CirclePoly:
             "re-expansion from circle roots does not reproduce the input coefficients"
         )
     return p
+
+
+def _off_circle_clusters(roots: np.ndarray):
+    """The clusters of roots around each root more than ``INPUT_ROOT_TOL`` off
+    the circle, as boolean masks.
+
+    Two roots are linked when their distance is at most three times the
+    larger of their distances from the circle, and a cluster is the set of
+    roots linked to such a root through a chain of links.  Each vertex of
+    an m-gon of radius rho around a point of the circle is linked to a
+    neighbour, which lies 2 rho sin(pi/m) away while one of the two sits at
+    least rho sin(pi/m) off the circle.
+    """
+    off = np.abs(np.abs(roots) - 1.0)
+    link = np.abs(roots[:, None] - roots) <= 3.0 * np.maximum(off[:, None], off)
+    taken = np.zeros(roots.size, dtype=bool)
+    for seed in np.flatnonzero(off > INPUT_ROOT_TOL):
+        if taken[seed]:
+            continue
+        group = link[seed]
+        while (grown := link[group].any(axis=0)).sum() > group.sum():
+            group = grown
+        taken |= group
+        yield group
 
 
 def _add_poly_arguments(parser: argparse.ArgumentParser) -> None:

@@ -13,6 +13,7 @@ from .blaschke_moments import moments
 from .entropy import polar_term_via_moments
 from .log_integrals import _circle_root_pairing, ratio_functional, trig_square
 from .polycircle import (
+    _STACK_ENTRIES,
     CirclePoly,
     expand_from_roots,
     gamma_remainder,
@@ -20,6 +21,7 @@ from .polycircle import (
     polar_factor,
     power_sums,
     root_clusters,
+    stack,
 )
 
 # The search's tolerances: a descent endpoint counts as converged when its
@@ -167,11 +169,22 @@ def objective_and_gradient(angles):
     sum_m c_{j,m} lambda_{-m} = sum_l w_{j,l} g_l with
     g_l = sum_k conj(a_k) lambda_{k-l}, one vector for every j.  Finally
     dF = dE/N - (E/N^2 + 1/N) dN.  Sums are elementwise, not BLAS, so the
-    bits do not depend on the BLAS thread count.
+    bits do not depend on the BLAS thread count.  A stack is evaluated in
+    blocks of at most ``_STACK_ENTRIES / n^2`` rows, which bounds the
+    memory of its (rows, n, n) tables.
     """
     angles = np.asarray(angles, dtype=float)
-    roots = np.exp(1j * np.atleast_2d(angles))
-    n = roots.shape[-1]
+    if angles.ndim < 2:
+        values, grad = objective_and_gradient(angles[None])
+        return float(values[0]), grad[0]
+    n = angles.shape[-1]
+    rows = max(1, _STACK_ENTRIES // (n * n))
+    if len(angles) > rows:
+        blocks = [objective_and_gradient(angles[start : start + rows])
+                  for start in range(0, len(angles), rows)]
+        return (np.concatenate([values for values, _ in blocks]),
+                np.concatenate([grad for _, grad in blocks]))
+    roots = np.exp(1j * angles)
     coeffs = expand_from_roots(roots, 1.0)
     norms = (np.abs(coeffs) ** 2).sum(axis=-1).tolist()
     sums = power_sums(roots, n)
@@ -195,8 +208,6 @@ def objective_and_gradient(angles):
     d_norm = 2.0 * (rot * (quot * conj_a[..., :n]).sum(axis=-1)).real
     d_entropy = 2.0 * (rot * (quot * g[:, None, :]).sum(axis=-1)).real + d_norm
     grad = d_entropy / np.array(norms)[:, None] - np.array(weights)[:, None] * d_norm
-    if angles.ndim < 2:
-        return values[0], grad[0]
     return np.array(values), grad
 
 
@@ -408,11 +419,13 @@ def coalescence_experiment(p: CirclePoly, schedule, seed: int = 0) -> Coalescenc
     split into simple ones, and E, the Jensen term, the polar functional, the
     remainder sum, and the moment-formula value are compared against the
     values computed directly on p through the difference form (which is the
-    limit of the simple-zero values).
+    limit of the simple-zero values).  The perturbed copies are one stack,
+    evaluated in blocks of at most ``_STACK_ENTRIES / n^2`` rows; each row
+    has the values it has alone.
     """
     schedule = checked_schedule(schedule)
     # Built first: their normalization rejects an overflowing p before any work.
-    perturbed = [perturb_roots(p, eps, seed=seed) for eps in schedule]
+    perturbed = stack([perturb_roots(p, eps, seed=seed) for eps in schedule])
     rf = ratio_functional(p)
     limits = {
         "entropy": rf.entropy_integral,
@@ -420,23 +433,28 @@ def coalescence_experiment(p: CirclePoly, schedule, seed: int = 0) -> Coalescenc
         "polar": rf.value,
         "gamma": gamma_remainder(p),
     }
+    columns = []
+    size = max(1, _STACK_ENTRIES // (p.degree * p.degree))
+    for start in range(0, len(schedule), size):
+        block = perturbed[start : start + size]
+        rfe = ratio_functional(block)
+        columns.append(np.stack([rfe.entropy_integral, rfe.jensen_integral, rfe.value,
+                                 gamma_remainder(block),
+                                 polar_term_via_moments(moments(polar_factor(block)))]))
     rows = []
-    for eps, pe in zip(schedule, perturbed):
-        rfe = ratio_functional(pe)
-        gam = gamma_remainder(pe)
-        seq = moments(polar_factor(pe))
-        mom = polar_term_via_moments(seq)
+    for eps, (entropy, jensen, polar, gam, mom) in zip(
+            schedule, np.concatenate(columns, axis=1).T.tolist()):
         rows.append(
             CoalescenceRow(
                 epsilon=eps,
-                entropy=rfe.entropy_integral,
-                jensen=rfe.jensen_integral,
-                polar=rfe.value,
+                entropy=entropy,
+                jensen=jensen,
+                polar=polar,
                 gamma=gam,
                 moment_polar=mom,
-                dev_entropy=abs(rfe.entropy_integral - limits["entropy"]),
-                dev_jensen=abs(rfe.jensen_integral - limits["jensen"]),
-                dev_polar=abs(rfe.value - limits["polar"]),
+                dev_entropy=abs(entropy - limits["entropy"]),
+                dev_jensen=abs(jensen - limits["jensen"]),
+                dev_polar=abs(polar - limits["polar"]),
                 dev_gamma=abs(gam - limits["gamma"]),
                 dev_moment=abs(mom - limits["polar"]),
             )

@@ -51,8 +51,10 @@ _TOLERANCE = 1e-9    # quadrature accuracy target, times max(1, |scale|)
 _WINDOW = 1e-2       # width of the substitution window around a singular angle
 _MAX_DEPTH = 40      # most panel doublings of any one quadrature piece
 _LOG_FLOOR = 1e-64   # clamps squared distances so log never returns -inf
-_BLOCK = 1024        # integrand nodes per (factors x nodes) log-distance block
+_GROUP = 8           # circle-zero factors multiplied per logarithm
+_BLOCK = 1024        # integrand nodes per (groups x nodes) log-distance block
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # Tail cuts tried in turn, and the half-widths e^{-s} they leave.
 _S_LADDER = np.arange(10.0, _S_CUT)
 _U_LADDER = np.array([math.exp(-s) for s in _S_LADDER])
@@ -447,43 +449,63 @@ def _kronrod_sum(f, window_pieces, arc_pieces, tol: float, max_depth: int):
 
 
 def _log_distance_sum(t: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """sum_j log max(4 sin^2((t - angles_j)/2), _LOG_FLOOR) at every t.
+    """sum_j log |e^{it} - e^{i angles_j}|^2 at every t.
 
-    Each sine comes from sin((t - a)/2) = sin(t/2) cos(a/2) - cos(t/2) sin(a/2):
-    two sines per node and two per angle, and two products and a
-    difference per (angle, node) element.  Near a zero this errs by
-    O(eps/|t - a|) relative to the distance, as the direct sin((t - a)/2)
-    does, since the node t is itself rounded; at t == a exactly the
-    products are equal and the term is log _LOG_FLOOR.
+    The factors z - tau_j, with z = e^{it} and tau_j = e^{i angles_j} from
+    the same np.exp, so that t == a_j gives an exact 0, are multiplied
+    ``_GROUP`` at a time, angles j, j + 1, .. in order, and each group takes
+    one log|product|^2.  Every factor is at most 2, so no product
+    overflows.  At a node where some group's |product|^2 falls below the
+    smallest normal double (an exact zero factor at t == a_j, or eight
+    factors of about 5e-20 each), the sum is taken factor by factor
+    instead: sum_j log max(|z - tau_j|^2, _LOG_FLOOR).  Near a zero a
+    factor errs by O(eps/|t - a|) relative to the distance, as the chord
+    2 sin((t - a)/2) does, since the node t is itself rounded.
 
-    Evaluated on (angles x nodes) blocks of ``_BLOCK`` nodes in two reused
-    buffers, so memory is O(len(angles) * _BLOCK) rather than
-    O(len(angles) * len(t)).  Each block sums its rows in order, as one
+    Evaluated on (groups x nodes) blocks of ``_BLOCK`` nodes in reused
+    buffers, so memory is O(len(angles) / _GROUP * _BLOCK) rather than
+    O(len(angles) * len(t)).  Each block sums its groups in order, as one
     full matrix would.  A remainder shorter than a block joins the last
     block: numpy sums a one-column matrix pairwise, which rounds
     differently.
     """
-    half_a = 0.5 * angles
-    # Twice the half-angle sines, so that d is the chord 2 sin((t - a)/2)
-    # itself; scaling by 2 is exact.
-    sin_a, cos_a = 2.0 * np.sin(half_a)[:, None], 2.0 * np.cos(half_a)[:, None]
+    taus = np.exp(1j * angles)
+    # Row g of a block holds the product of the factors of angles
+    # _GROUP g .. _GROUP g + _GROUP - 1; position k of every group is
+    # taus[k::_GROUP], and only the last group can be short.
+    slots = [taus[k::_GROUP, None] for k in range(min(_GROUP, taus.size))]
+    groups = slots[0].shape[0]
     out = np.empty(t.size)
-    size = angles.size * min(t.size, 2 * _BLOCK - 1)
-    buf, buf2 = np.empty(size), np.empty(size)
+    size = groups * min(t.size, 2 * _BLOCK - 1)
+    prod_buf = np.empty(size, dtype=complex)
+    factor_buf = np.empty(size, dtype=complex)
     lo = 0
     while lo < t.size:
         hi = t.size if t.size - lo < 2 * _BLOCK else lo + _BLOCK
         width = hi - lo
-        d = buf[: angles.size * width].reshape(angles.size, width)
-        e = buf2[: angles.size * width].reshape(angles.size, width)
-        half_t = 0.5 * t[None, lo:hi]
-        np.multiply(np.sin(half_t), cos_a, out=d)
-        np.multiply(np.cos(half_t), sin_a, out=e)
-        np.subtract(d, e, out=d)
-        np.square(d, out=d)
-        np.maximum(d, _LOG_FLOOR, out=d)
-        np.log(d, out=d)
-        np.sum(d, axis=0, out=out[lo:hi])
+        prod = prod_buf[: groups * width].reshape(groups, width)
+        factor = factor_buf[: groups * width].reshape(groups, width)
+        z = np.exp(1j * t[lo:hi])
+        np.subtract(z, slots[0], out=prod)
+        for tau in slots[1:]:
+            rows = tau.shape[0]
+            np.subtract(z, tau, out=factor[:rows])
+            np.multiply(prod[:rows], factor[:rows], out=prod[:rows])
+        # |product|^2, in the memory of the spent factors: two float halves
+        sq, im2 = factor_buf.view(float)[: 2 * groups * width].reshape(2, groups, width)
+        np.multiply(prod.real, prod.real, out=sq)
+        np.multiply(prod.imag, prod.imag, out=im2)
+        np.add(sq, im2, out=sq)
+        low = np.flatnonzero((sq < _TINY).any(axis=0))
+        np.maximum(sq, _TINY, out=sq)
+        np.log(sq, out=sq)
+        np.sum(sq, axis=0, out=out[lo:hi])
+        if low.size:
+            # One row per node, so that its sum does not depend on how many
+            # nodes take this path.
+            diff = z[low, None] - taus
+            d2 = diff.real * diff.real + diff.imag * diff.imag
+            out[lo + low] = np.log(np.maximum(d2, _LOG_FLOOR)).sum(axis=1)
         lo = hi
     return out
 
@@ -533,12 +555,15 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
 
     Circle zeros of B are located (from ``b_roots``, deg B of them, when
     supplied, otherwise from the companion matrix without certification),
-    deflated out of B, and their log factors evaluated through
-    2|sin((t - angle)/2)|, which stays accurate arbitrarily close to the
-    singularity.  A found root within
+    deflated out of B, and their log factors evaluated as products of
+    e^{it} - tau, eight to a logarithm (``_log_distance_sum``), which stay
+    accurate arbitrarily close to the singularity.  A found root within
     ``TAU_SEP`` of the circle counts as a circle zero only when B vanishes at
     its projection to the circle as well as at the root, to rounding;
     otherwise deflating there would drop a remainder the integrand can see.
+    When A and B are the same coefficients, as in the entropy term, |A|^2
+    is taken as exp(log|B|^2), so with all zeros of B given the integrand
+    evaluates no polynomial.
     Windows around each circle zero, and around each zero less than
     ``_WINDOW`` off the circle, are integrated under the exponential
     substitution; the integrand follows x log x = 0 at common zeros of A and
@@ -591,14 +616,20 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
         1.0, 2.0 * abs(math.log(max(abs(body[deg]), 1e-300)))
     )
 
+    # The entropy term pairs B with itself: there |A|^2 = exp(log|B|^2).
+    same = np.array_equal(a_arr, b_arr)
+
     def integrand(t):
         t = np.asarray(t, dtype=float)
-        z = np.exp(1j * t)
-        a2 = np.abs(eval_poly(a_arr, z)) ** 2
-        b2 = np.abs(eval_poly(deflated, z)) ** 2
-        logb = np.log(np.maximum(b2, _LOG_FLOOR))
+        if deflated.size > 1 or not same:
+            z = np.exp(1j * t)
+        if deflated.size > 1:
+            logb = np.log(np.maximum(np.abs(eval_poly(deflated, z)) ** 2, _LOG_FLOOR))
+        else:
+            logb = np.full(t.shape, math.log(max(abs(deflated[0]) ** 2, _LOG_FLOOR)))
         if factors.size:
             logb += _log_distance_sum(t, factors)
+        a2 = np.exp(logb) if same else np.abs(eval_poly(a_arr, z)) ** 2
         return np.where(a2 > 0, a2 * logb, 0.0)
 
     # The substitution tail beyond u0 = e^{-s} contributes at most

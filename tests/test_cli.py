@@ -351,15 +351,23 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     (("--binomial", "n=4", "leading=nan"), 3),
     (("--binomial", "n=4", "leading=1e160"), 3),
     (("--angles", "[0.1,2.0,3.0]", "--leading", "1e200"), 3),
+    # (z - 1)^3 (z + 1) and (z - i)^4 (z + 1): companion roots of a zero of
+    # multiplicity m spread about eps^(1/m) off the circle, their centroid not
+    (("--coeffs", "[[-1,0],[2,0],[0,0],[-2,0],[1,0]]"), 0),
+    (("--coeffs", "[[1,0],[1,4],[-6,4],[-6,-4],[1,-4],[1,0]]"), 0),
 ])
 def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
     # text that does not parse is a usage error (2); a parsed polynomial
-    # that is not a circle polynomial is invalid input (3)
+    # that is not a circle polynomial is invalid input (3), and one that is
+    # runs (0)
     code = main([command, *poly_args])
     captured = capsys.readouterr()
     assert code == expected
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    if expected == 0:
+        assert captured.out and captured.err == ""
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 def test_coalesce_rotations_below_rounding_are_invalid_input(capsys):

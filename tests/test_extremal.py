@@ -154,14 +154,44 @@ def test_objective_and_gradient_value_is_objective_bit_for_bit():
             assert grad.tobytes() == grads[0].tobytes()
 
 
+# Angle sets whose norm N has a numpy log that differs from libm's
+# math.log(N) in the last bit on an AVX-512 Xeon (numpy 2.4), enough to move
+# the objective's value: a row that took numpy's vectorized log would not
+# have the bits it has alone.
+_LOG_SENSITIVE = {
+    5: [["0x1.5838bd365b6dap+2", "0x1.1e7e733594d8dp+1", "0x1.42aa400f660e3p+2",
+         "0x1.5f80370c3725ep+1", "0x1.635d737a579acp+2"],
+        ["0x1.77159143b1e7bp+1", "0x1.814177a4c1e6dp+2", "0x1.dbeb427b4384ap-2",
+         "0x1.88faec1ac28b1p+2", "0x1.1a383e80ef737p+1"]],
+    8: [["0x1.9405d16552ba2p+1", "0x1.1a2affa9fedb3p+2", "0x1.b884f319c7b66p-2",
+         "0x1.2b17c20d83750p-2", "0x1.f7f441f2a905dp+1", "0x1.afe62fdf97ca7p+1",
+         "0x1.4b28638d66cd2p+1", "0x1.070afdf0fcf94p+2"],
+        ["0x1.71057981d2674p+2", "0x1.32da2be2a0eb6p+1", "0x1.ee66e68eedc92p+1",
+         "0x1.ec2cb435a0b95p+1", "0x1.c9ae489aafd89p+1", "0x1.2c7a0ba897592p-1",
+         "0x1.6b8879ab099b1p+2", "0x1.8316d9b3f7506p+2"]],
+    12: [["0x1.782dcf4ae8dc0p+2", "0x1.d0df713a5f9bep+1", "0x1.3f7c0ad7df019p+2",
+          "0x1.085a1a0c2b294p+0", "0x1.9058b5a54795ap+2", "0x1.56e1e6f843b01p+2",
+          "0x1.4435d2a441da4p+2", "0x1.8d06665cea434p+1", "0x1.5290fdd969453p+1",
+          "0x1.e8ff12f886402p-1", "0x1.8778a3c0f4fe3p+2", "0x1.2fc1fa3d2d3d1p+1"],
+         ["0x1.350822181f870p+1", "0x1.2de9bac93ac2cp+2", "0x1.4efa5cd3ada87p+2",
+          "0x1.089f8e103a886p+1", "0x1.ad00d65a5c581p+1", "0x1.04de1041cb5e6p+2",
+          "0x1.09774899d5d0cp+2", "0x1.8d2dd83b64141p+2", "0x1.39732d6556f30p+2",
+          "0x1.b829b2371cdeap-1", "0x1.539fc546c08fep+2", "0x1.0b1a145a4b5fep+1"]],
+}
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 12, 32])
 def test_stacked_objective_matches_the_one_set_reference_bit_for_bit(n):
     rng = instance_rng(55, n)
+    sensitive = [[float.fromhex(x) for x in row] for row in _LOG_SENSITIVE.get(n, [])]
     for rows in (1, 8, 100):
         angles = rng.uniform(0, 2 * np.pi, (rows, n))
         # collided rows among the random ones: a double and a triple zero
         for i, angle_set in enumerate(_collided_angle_sets(n, rng)[1:]):
             angles[(3 * i + 1) % rows] = angle_set
+        # and, last, the sets where numpy's log differs from libm's
+        if sensitive:
+            angles[-len(sensitive):] = sensitive[-rows:]
         values, grads = objective_and_gradient(angles)
         assert values.shape == (rows,) and grads.shape == (rows, n)
         for i in range(rows):
@@ -454,6 +484,33 @@ def test_coalescence_flat_for_simple_zeros():
     for row in table.rows:
         assert row.dev_entropy < 1e-2 * max(1.0, abs(table.limits["entropy"]))
         assert row.dev_entropy < 10 * row.epsilon * ce.parseval_norm(p)
+
+
+def _coalescence_values_reference(p, schedule, seed):
+    # One perturbed copy at a time, as the table was built before it was
+    # one stack: entropy, Jensen, polar, gamma and moment-formula values.
+    for eps in schedule:
+        pe = ce.perturb_roots(p, eps, seed=seed)
+        rf = ce.ratio_functional(pe)
+        yield (rf.entropy_integral, rf.jensen_integral, rf.value,
+               ce.gamma_remainder(pe),
+               ce.polar_term_via_moments(ce.moments(ce.polar_factor(pe))))
+
+
+@pytest.mark.parametrize("angles, seed", [
+    ([0.3, 0.3, 2.0, 5.0], 3),
+    ([1.0, 1.0, 1.0, 4.0, 4.0], 0),
+    # n = 64: blocks of 16 rows, so the 20 rows of the schedule take two
+    (list(np.repeat(instance_rng(53).uniform(0, 2 * np.pi, 32), 2)), 1),
+])
+def test_coalescence_rows_match_one_copy_at_a_time(angles, seed):
+    p = ce.from_angles(angles)
+    schedule = [2.0**-k for k in range(1, 21)]
+    table = ce.coalescence_experiment(p, schedule, seed=seed)
+    for row, want in zip(table.rows, _coalescence_values_reference(p, schedule, seed),
+                         strict=True):
+        got = (row.entropy, row.jensen, row.polar, row.gamma, row.moment_polar)
+        assert [v.hex() for v in got] == [v.hex() for v in want], row.epsilon
 
 
 def test_coalescence_schedule_validation():

@@ -22,6 +22,7 @@ from circentropy.corpus import (
     random_circle_poly,
     random_circle_stack,
 )
+from circentropy.extremal import objective_and_gradient
 from circentropy.polycircle import (
     _STACK_ENTRIES,
     TAU_UNIMOD,
@@ -235,6 +236,24 @@ def test_stacked_construction_memory_is_bounded_by_blocks():
     assert peak < 4 * 2**20, peak
     for i in range(count):
         assert _same_bits(p[i], random_circle_poly(n, instance_rng(45, n, i))), i
+
+
+def test_stacked_objective_memory_is_bounded_by_blocks():
+    # The search's objective builds (rows, n, n) tables.  At n = 128 a block
+    # holds 4 rows; all 40 rows at once took a 31 MiB peak.  Every row keeps
+    # the bits it has alone, past the block edges too.
+    angles = instance_rng(47, 128).uniform(0, 2 * np.pi, (40, 128))
+    tracemalloc.start()
+    try:
+        values, grads = objective_and_gradient(angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
+    for row, value, grad in zip(angles, values, grads):
+        alone, alone_grad = objective_and_gradient(row)
+        assert value.tobytes() == np.float64(alone).tobytes()
+        assert grad.tobytes() == alone_grad.tobytes()
 
 
 @pytest.mark.parametrize("n", [256, 257, 300])
