@@ -36,17 +36,14 @@ def random_circle_poly(
     rng: np.random.Generator,
     multiple: bool = False,
     unit_norm: bool = False,
-    min_gap: float = 0.0,
 ) -> CirclePoly:
     """Random self-inversive polynomial of degree n with circle zeros.
 
     ``multiple`` forces at least one repeated zero (two for n >= 8).
-    ``min_gap`` resamples until all distinct root angles are separated by at
-    least that much, which keeps grid-based cross-checks meaningful.
     ``unit_norm`` rescales so that the squared norm is 1.  The one-row case
     of ``random_circle_stack``.
     """
-    return random_circle_stack(n, [rng], [multiple], unit_norm, min_gap)[0]
+    return random_circle_stack(n, [rng], [multiple], unit_norm)[0]
 
 
 def random_circle_stack(
@@ -54,7 +51,6 @@ def random_circle_stack(
     rngs,
     multiple=None,
     unit_norm: bool = False,
-    min_gap: float = 0.0,
 ) -> CirclePoly:
     """A stack of random polynomials of degree n, one row per generator.
 
@@ -69,7 +65,7 @@ def random_circle_stack(
     angles = np.empty((len(rngs), n))
     draws = np.empty((len(rngs), 2))  # modulus and phase of the leading factor
     for row, (rng, flag) in enumerate(zip(rngs, flags, strict=True)):
-        angles[row] = _draw_angles(n, rng, flag, min_gap)
+        angles[row] = _draw_angles(n, rng, flag)
         draws[row] = rng.random(), rng.random()
     leading = (0.5 + 1.5 * draws[:, 0]) * np.exp(2j * np.pi * draws[:, 1])
     p = normalize_self_inversive(from_angles(angles, leading))
@@ -78,27 +74,17 @@ def random_circle_stack(
     return p
 
 
-def _draw_angles(n: int, rng: np.random.Generator, multiple, min_gap: float):
+def _draw_angles(n: int, rng: np.random.Generator, multiple):
     """The root angles of one ``random_circle_poly`` instance."""
-    for _ in range(200):
-        angles = rng.uniform(0.0, 2.0 * np.pi, n)
-        if multiple and n >= 2:
-            j = int(rng.integers(0, n - 1))
-            angles[j + 1] = angles[j]
-            if n >= 8 and rng.random() < 0.5:
-                k = int(rng.integers(0, n - 1))
-                if k != j:
-                    angles[k + 1] = angles[k]
-        if min_gap > 0.0:
-            distinct = np.unique(np.sort(np.mod(angles, 2 * np.pi)))
-            if distinct.size > 1:
-                gaps = np.diff(
-                    np.concatenate([distinct, [distinct[0] + 2 * np.pi]])
-                )
-                if np.min(gaps) < min_gap:
-                    continue
-        return angles
-    raise RuntimeError("could not sample angles satisfying the gap constraint")
+    angles = rng.uniform(0.0, 2.0 * np.pi, n)
+    if multiple and n >= 2:
+        j = int(rng.integers(0, n - 1))
+        angles[j + 1] = angles[j]
+        if n >= 8 and rng.random() < 0.5:
+            k = int(rng.integers(0, n - 1))
+            if k != j:
+                angles[k + 1] = angles[k]
+    return angles
 
 
 def random_binomial(n: int, rng: np.random.Generator) -> CirclePoly:

@@ -242,60 +242,6 @@ _G10_WEIGHTS[19:10:-2] = _WG
 _KG_WEIGHTS = _K21_WEIGHTS - _G10_WEIGHTS
 
 
-def _merge_windows(angles, halfwidth: float):
-    """Merge windows around the given angles into disjoint circular clusters.
-
-    Returns a list of ``(start, end, centers)`` with start < end and the
-    cluster centers sorted ascending; intervals may extend beyond [0, 2pi)
-    to represent wrap-around.
-    """
-    centers = np.sort(np.mod(np.asarray(angles, dtype=float), 2 * np.pi))
-    clusters: list[list[float]] = [[centers[0]]]
-    for c in centers[1:]:
-        if c - halfwidth <= clusters[-1][-1] + halfwidth:
-            clusters[-1].append(c)
-        else:
-            clusters.append([c])
-    # wrap-around merge of the last cluster into the first
-    if len(clusters) > 1 and clusters[0][0] + 2 * np.pi - halfwidth <= clusters[-1][-1] + halfwidth:
-        first = [c + 2 * np.pi for c in clusters.pop(0)]
-        clusters[-1].extend(first)
-    out = []
-    for group in clusters:
-        out.append((group[0] - halfwidth, group[-1] + halfwidth, group))
-    return out
-
-
-def _window_pieces(start: float, end: float, centers, s_cuts, closed):
-    """Substitution pieces and closing arcs for a merged window of angles.
-
-    Each sub-arc between a center and the nearest breakpoint maps to the
-    s-interval [-log span, s_cut] under t = center + sign * e^{-s}, with
-    ``s_cuts`` the tail cut of each center.  Where ``closed`` is set, f is
-    analytic around the center, and the arc |t - center| < e^{-s_cut} that the
-    substitution leaves out, clipped to the breakpoints, is returned as an
-    arc piece ``(a, b)`` instead of being dropped.
-    """
-    pts = [start]
-    for left, right in zip(centers[:-1], centers[1:]):
-        pts.append(0.5 * (left + right))
-    pts.append(end)
-    pieces = []
-    arcs = []
-    for i, (c, s_cut, close) in enumerate(zip(centers, s_cuts, closed)):
-        for edge, sign in ((pts[i], -1.0), (pts[i + 1], 1.0)):
-            span = abs(edge - c)
-            if span <= 0:
-                continue
-            s0 = -math.log(span)
-            if s0 < s_cut:
-                pieces.append((c, sign, s0, s_cut))
-        if close:
-            u = math.exp(-s_cut)
-            arcs.append((max(pts[i], c - u), min(pts[i + 1], c + u)))
-    return pieces, arcs
-
-
 def _kronrod_panels(lo, hi, panels):
     """Kronrod nodes and half-widths on ``panels[i]`` equal panels of [lo[i], hi[i]].
 
@@ -364,8 +310,13 @@ def circle_quadrature(f, singular_angles=(), scale: float = 1.0,
     center.  Where the flag is false the caller certifies the mass beyond
     the cut, which is dropped; where it is true f is analytic within
     10 e^{-cut} of the center, and the arc within e^{-cut} becomes one arc
-    piece.  Raises ``BudgetExceeded`` when a piece would need more than
-    ``_MAX_DEPTH`` doublings.
+    piece.
+
+    Angles within 1e-12 of each other, also across 2pi, are one center.
+    Overlapping windows split at the midpoints between their centers, and a
+    run of them across 2pi continues past it.  Raises ``ValueError`` when
+    the windows cover the whole circle, and ``BudgetExceeded`` when a piece
+    would need more than ``_MAX_DEPTH`` doublings.
     """
     tol = _TOLERANCE * max(1.0, abs(scale))
     angles = np.asarray(singular_angles, dtype=float)
@@ -376,38 +327,50 @@ def circle_quadrature(f, singular_angles=(), scale: float = 1.0,
         angles = np.sort(np.mod(angles, 2 * np.pi))
         keep = np.concatenate(([True], np.diff(angles) > 1e-12))
         if keep.sum() > 1 and (angles[keep][-1] - angles[keep][0]) >= 2 * np.pi - 1e-12:
-            keep_idx = np.nonzero(keep)[0]
-            keep[keep_idx[-1]] = False
-        angles = angles[keep]
-
-        clusters = _merge_windows(angles, _WINDOW / 2.0)
-        if sum(end - start for start, end, _ in clusters) >= 2 * np.pi:
+            keep[np.flatnonzero(keep)[-1]] = False
+        # Sorted again: np.mod(-1e-20, 2pi) is 2pi, which this takes to 0.
+        centers = np.sort(np.mod(angles[keep], 2 * np.pi))
+        hw = _WINDOW / 2.0
+        # A run is a chain of overlapping windows; first marks where one starts.
+        first = np.concatenate(([True], centers[1:] - hw > centers[:-1] + hw))
+        runs = np.flatnonzero(first)
+        if runs.size > 1 and centers[0] + 2 * np.pi - hw <= centers[-1] + hw:
+            # The first run overlaps the last across 2pi and continues it.
+            k = runs[1]
+            centers = np.concatenate((centers[k:], centers[:k] + 2 * np.pi))
+            first = np.concatenate((first[k:], np.zeros(k, dtype=bool)))
+        last = np.append(first[1:], True)
+        # Window sides: the midpoint with a neighbour in the run, else c -/+ hw.
+        mid = 0.5 * (centers[:-1] + centers[1:])
+        left = np.where(first, centers - hw, np.append(0.0, mid))
+        right = np.where(last, centers + hw, np.append(mid, 0.0))
+        starts, ends = left[first], right[last]
+        if sum((ends - starts).tolist()) >= 2 * np.pi:
             raise ValueError(
-                f"the windows of {angles.size} singular angles, {_WINDOW:g} wide "
+                f"the windows of {centers.size} singular angles, {_WINDOW:g} wide "
                 "each, cover the whole circle"
             )
-        centers = np.array([c for _, _, group in clusters for c in group])
         if s_cut_of is None:
             s_cuts, closed = [_S_CUT] * centers.size, [False] * centers.size
         else:
             s_cuts, closed = s_cut_of(centers)
             s_cuts = [min(_S_CUT, s) for s in s_cuts]
+        # Each side of a center maps to the s-interval [-log span, s_cut]
+        # under t = center -/+ e^{-s}.  A closed center's arc within e^{-s_cut},
+        # clipped to its window, is an arc piece of its own.
         closing = []
-        used = 0
-        for start, end, group in clusters:
-            k = slice(used, used + len(group))
-            used += len(group)
-            pieces, inner = _window_pieces(start, end, group, s_cuts[k], closed[k])
-            window_pieces.extend(pieces)
-            closing.extend(inner)
-        arcs = []
-        for idx, (_, end, _) in enumerate(clusters):
-            nxt_start = clusters[(idx + 1) % len(clusters)][0]
-            if idx + 1 == len(clusters):
-                nxt_start += 2 * np.pi
-            if nxt_start - end > 1e-12:
-                arcs.append((end, nxt_start))
-        arcs.extend(closing)
+        for c, lo, hi, s_cut, close in zip(centers.tolist(), left.tolist(),
+                                           right.tolist(), s_cuts, closed):
+            for edge, sign in ((lo, -1.0), (hi, 1.0)):
+                s0 = -math.log(abs(edge - c))
+                if s0 < s_cut:
+                    window_pieces.append((c, sign, s0, s_cut))
+            if close:
+                u = math.exp(-s_cut)
+                closing.append((max(lo, c - u), min(hi, c + u)))
+        # The arcs between runs, the last one's to the first start past 2pi.
+        nxt = np.append(starts[1:], starts[0] + 2 * np.pi)
+        arcs = [(a, b) for a, b in zip(ends.tolist(), nxt.tolist()) if b - a > 1e-12] + closing
     arc_pieces = [(a, b, max(1, int(math.ceil((b - a) / 0.15)))) for a, b in arcs]
     return _kronrod_sum(f, window_pieces, arc_pieces, tol, _MAX_DEPTH)[0]
 
@@ -584,12 +547,7 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
     if deg < 0:
         raise ZeroPolynomial("log|B| undefined for the zero polynomial")
     body = b_arr[: deg + 1]
-    if b_roots is None and deg > 0:
-        roots = polished_roots(body)
-    elif b_roots is not None:
-        roots = _given_roots(b_roots, deg)
-    else:
-        roots = np.zeros(0, dtype=complex)
+    roots = polished_roots(body) if b_roots is None else _given_roots(b_roots, deg)
 
     mods = np.abs(roots)
     off = np.abs(mods - 1.0)

@@ -143,10 +143,10 @@ def test_moments_keep_their_digits_where_zeros_cluster():
     assert abs(polar - ce.polar_term_via_moments(seq)) <= 1e-13 * norm
 
 
-def test_moments_match_quadrature():
+def test_moments_match_quadrature(separated):
     for n in (3, 9, 15, 20):
         for i in range(5):
-            p = random_circle_poly(n, instance_rng(24, n, i), min_gap=0.05,
+            p = random_circle_poly(n, separated(instance_rng(24, n, i), n),
                                    unit_norm=True)
             d = polar_factor(p)
             seq = ce.moments(d)

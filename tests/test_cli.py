@@ -315,6 +315,9 @@ def test_coalesce_command(capsys):
     ("coalesce", "--angles", "[0.0, 0.0]", "--schedule", "inf"),
     # 2^2000 overflows a double
     ("coalesce", "--angles", "[0.0, 0.0]", "--schedule", "2^2000..2^1999"),
+    # binomial parameters: an unknown name, and an omega of modulus 0
+    ("verify", "--binomial", "n=4", "foo=1"),
+    ("verify", "--binomial", "n=4", "omega=0"),
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     # exit 1 means an inequality violated or a search not converged
@@ -355,6 +358,10 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     # multiplicity m spread about eps^(1/m) off the circle, their centroid not
     (("--coeffs", "[[-1,0],[2,0],[0,0],[-2,0],[1,0]]"), 0),
     (("--coeffs", "[[1,0],[1,4],[-6,4],[-6,-4],[1,-4],[1,0]]"), 0),
+    (("--coeffs", "[[5,0]]"), 3),         # degree 0
+    # z^20 - (1 + 9e-7)^20: its roots lie within INPUT_ROOT_TOL of the
+    # circle, but their re-expansion misses the input coefficients
+    (("--coeffs", json.dumps([[-(1 + 9e-7) ** 20, 0]] + [[0, 0]] * 19 + [[1, 0]])), 3),
 ])
 def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
     # text that does not parse is a usage error (2); a parsed polynomial

@@ -92,14 +92,14 @@ def _mu_mass(p):
     return ce.circle_quadrature(ratio)
 
 
-def test_mu_mass():
+def test_mu_mass(separated):
     n = 5
     p = ce.from_angles((np.pi + 2 * np.pi * np.arange(n)) / n)
     assert abs(_mu_mass(p) - 2.0) < 1e-10
     assert abs(_mu_mass(ce.from_roots([1, -1], 1j)) - 2.0) < 1e-10
     for i in range(10):
         n = int(instance_rng(41, i).integers(2, 13))
-        p = random_circle_poly(n, instance_rng(41, i), min_gap=0.05)
+        p = random_circle_poly(n, separated(instance_rng(41, i), n))
         assert abs(_mu_mass(p) - 2.0) < 1e-8
 
 

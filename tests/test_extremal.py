@@ -399,6 +399,30 @@ def test_descend_stops_where_no_decrease_is_possible():
     assert len(calls) <= 3
 
 
+def test_search_exits_at_its_limits():
+    # The cubic's minimizer is the square root of a negative number, or
+    # divides by a zero-length bracket: the bracket's midpoint instead.
+    assert extremal._cubic_step((0.0, 0.0, 5.0), (1.0, 10 / 3, 5.0)) == 0.5
+    assert extremal._cubic_step((1.0, 0.0, -1.0), (1.0, 0.0, -1.0)) == 1.0
+    # f(x) = -x decreases without end: the steps double through all the
+    # trials, and the last, 2^19, is the best.
+    calls = []
+
+    def falling(x):
+        calls.append(x)
+        return -float(x[0]), -np.ones(1)
+
+    x, f, _ = _drive(extremal._line_search(np.zeros(1), np.ones(1), 0.0, -1.0, 1.0),
+                     falling)
+    assert x[0] == 524288.0 and f == -524288.0
+    assert len(calls) == extremal.LINE_SEARCH_EVALS
+    # A NaN gradient gives no descent direction: one evaluation, at the start.
+    calls.clear()
+    x0 = np.array([0.5, 1.5])
+    x, f, _ = _drive(_descend(x0), lambda x: calls.append(x) or (1.0, np.full(2, np.nan)))
+    assert np.array_equal(x, x0) and f == 1.0 and len(calls) == 1
+
+
 def test_descend_evaluates_each_point_once():
     calls = []
 

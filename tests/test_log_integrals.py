@@ -22,6 +22,7 @@ from circentropy.log_integrals import (
     _LOG_FLOOR,
     _BLOCK,
     _S_CUT,
+    _WINDOW,
     MAX_SERIES_DEGREE,
     _kronrod_nodes,
     polished_roots,
@@ -309,6 +310,62 @@ def _kronrod_nodes_reference(window_pieces, arc_pieces, levels):
     return np.concatenate(pts), np.concatenate(wts), np.array(counts)
 
 
+def _layout_reference(singular_angles, s_cut_of=None):
+    # The window and arc pieces of circle_quadrature as cluster records,
+    # (start, end, centers) per chain of overlapping windows, each split at
+    # its midpoints; the one-pass layout must reproduce their bytes.
+    halfwidth = _WINDOW / 2.0
+    angles = np.sort(np.mod(np.asarray(singular_angles, dtype=float), 2 * np.pi))
+    keep = np.concatenate(([True], np.diff(angles) > 1e-12))
+    if keep.sum() > 1 and (angles[keep][-1] - angles[keep][0]) >= 2 * np.pi - 1e-12:
+        keep[np.nonzero(keep)[0][-1]] = False
+    angles = np.sort(np.mod(angles[keep], 2 * np.pi))
+    clusters = [[angles[0]]]
+    for c in angles[1:]:
+        if c - halfwidth <= clusters[-1][-1] + halfwidth:
+            clusters[-1].append(c)
+        else:
+            clusters.append([c])
+    if (len(clusters) > 1
+            and clusters[0][0] + 2 * np.pi - halfwidth <= clusters[-1][-1] + halfwidth):
+        clusters[-1].extend(c + 2 * np.pi for c in clusters.pop(0))
+    clusters = [(g[0] - halfwidth, g[-1] + halfwidth, g) for g in clusters]
+    if sum(end - start for start, end, _ in clusters) >= 2 * np.pi:
+        raise ValueError(f"the windows of {angles.size} singular angles, {_WINDOW:g} wide "
+                         "each, cover the whole circle")
+    centers = np.array([c for _, _, group in clusters for c in group])
+    if s_cut_of is None:
+        s_cuts, closed = [_S_CUT] * centers.size, [False] * centers.size
+    else:
+        s_cuts, closed = s_cut_of(centers)
+        s_cuts = [min(_S_CUT, s) for s in s_cuts]
+    pieces, closing, arcs = [], [], []
+    used = 0
+    for start, end, group in clusters:
+        pts = [start] + [0.5 * (a + b) for a, b in zip(group[:-1], group[1:])] + [end]
+        for i, c in enumerate(group):
+            s_cut = s_cuts[used + i]
+            for edge, sign in ((pts[i], -1.0), (pts[i + 1], 1.0)):
+                span = abs(edge - c)
+                if span <= 0:
+                    continue
+                s0 = -math.log(span)
+                if s0 < s_cut:
+                    pieces.append((c, sign, s0, s_cut))
+            if closed[used + i]:
+                u = math.exp(-s_cut)
+                closing.append((max(pts[i], c - u), min(pts[i + 1], c + u)))
+        used += len(group)
+    for idx, (_, end, _) in enumerate(clusters):
+        nxt_start = clusters[(idx + 1) % len(clusters)][0]
+        if idx + 1 == len(clusters):
+            nxt_start += 2 * np.pi
+        if nxt_start - end > 1e-12:
+            arcs.append((end, nxt_start))
+    arcs.extend(closing)
+    return pieces, [(a, b, max(1, int(math.ceil((b - a) / 0.15)))) for a, b in arcs]
+
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -401,28 +458,25 @@ def _quadrature_oracle_cases():
 
 
 def _spy_tail_cuts(m, checked):
-    # The tail cuts and closing flags of every window group must be those of
-    # the original evaluation, one center at a time.  ``checked`` counts the
-    # groups, the cuts shorter than _S_CUT and the closed centers.
+    # The tail cuts and closing flags of every window center must be those
+    # of the original evaluation, one center at a time.  ``checked`` counts
+    # the centers, the cuts shorter than _S_CUT and the closed centers.
     quadrature = log_integrals.circle_quadrature
-    window_pieces = log_integrals._window_pieces
-    seen = {}
 
     def quadrature_spy(f, singular_angles=(), scale=1.0, s_cut_of=None):
-        seen["s_cut_of"] = s_cut_of
-        return quadrature(f, singular_angles, scale=scale, s_cut_of=s_cut_of)
+        def s_cut_spy(centers):
+            cuts, closed = s_cut_of(centers)
+            want = [s_cut_of(np.array([c])) for c in centers]
+            assert [min(_S_CUT, cut) for cut in cuts] == [min(_S_CUT, cut[0]) for cut, _ in want]
+            assert list(closed) == [bool(flag[0]) for _, flag in want]
+            checked["centers"] += len(centers)
+            checked["short"] += sum(cut < _S_CUT for cut in cuts)
+            checked["closed"] += sum(closed)
+            return cuts, closed
 
-    def window_pieces_spy(start, end, group, cuts, closed):
-        want = [seen["s_cut_of"](np.array([c])) for c in group]
-        assert list(cuts) == [min(_S_CUT, cut[0]) for cut, _ in want]
-        assert list(closed) == [bool(flag[0]) for _, flag in want]
-        checked["groups"] += 1
-        checked["short"] += sum(cut < _S_CUT for cut in cuts)
-        checked["closed"] += sum(closed)
-        return window_pieces(start, end, group, cuts, closed)
+        return quadrature(f, singular_angles, scale=scale, s_cut_of=s_cut_spy)
 
     m.setattr(log_integrals, "circle_quadrature", quadrature_spy)
-    m.setattr(log_integrals, "_window_pieces", window_pieces_spy)
 
 
 def test_quadrature_matches_unblocked_reference_bit_for_bit(monkeypatch):
@@ -462,7 +516,7 @@ def test_quadrature_matches_unblocked_reference_bit_for_bit(monkeypatch):
         got = log_integrals._log_distance_sum(t, angles)
         assert got.tobytes() == _log_distance_sum_reference(t, angles).tobytes(), size
 
-    checked = {"groups": 0, "short": 0, "closed": 0}
+    checked = {"centers": 0, "short": 0, "closed": 0}
     for p, a, roots in _quadrature_oracle_cases():
         q = ce.polar_factor(ce.normalize_self_inversive(p)).q
         calls = ((a, a, roots), (a, q, None))
@@ -477,8 +531,87 @@ def test_quadrature_matches_unblocked_reference_bit_for_bit(monkeypatch):
             m.setattr(log_integrals, "eval_poly", _horner_reference)
             want = [ce.log_pair_quadrature(A, B, b_roots=r) for A, B, r in calls]
         assert [v.hex() for v in got] == [v.hex() for v in want], p.degree
-    assert checked["groups"] > 20 and checked["short"] > 0, checked
+    assert checked["centers"] > 20 and checked["short"] > 0, checked
     assert checked["closed"] > 0, checked
+
+
+def _layout_angle_sets(rng, count):
+    # Edge sets, then chains of angles 1e-13 to 2e-2 apart, many around
+    # 0/2pi, some shifted by 2pi either way; repeated angles, near-repeats
+    # within 1e-12 (also across 2pi) and -1e-20 (np.mod takes it to 2pi).
+    # Then sets whose windows cover the circle, or nearly.
+    two_pi = 2 * np.pi
+    yield np.array([-1e-20])
+    yield np.array([-1e-20, 0.0, 3.0])
+    yield np.array([1e-13, two_pi - 1e-13, 2.0])
+    yield np.array([two_pi - 2e-12, -1e-20, 3.0])
+    # Windows that touch to the last bits, next to each other and across 2pi.
+    for a in rng.uniform(0, _WINDOW, 20):
+        for b in (a + _WINDOW, a + two_pi - _WINDOW):
+            for k in range(-3, 4):
+                yield np.array([a, b + k * np.spacing(b), 3.0])
+    for _ in range(count):
+        size, extra, shift = rng.integers(0, 5, 3)
+        c = rng.uniform(0, two_pi, size + 1)
+        c[rng.random(size + 1) < 0.4] = rng.uniform(-0.02, 0.02)
+        gaps = 10.0 ** rng.uniform(-13, math.log10(2e-2), (size + 1, 5))
+        gaps[:, rng.integers(0, 6):] = np.inf  # a chain of 1 to 6 angles
+        angles = (c[:, None] + np.concatenate((np.zeros((size + 1, 1)),
+                                               np.cumsum(gaps, axis=1)), axis=1))
+        angles = angles[np.isfinite(angles)]
+        near = angles[rng.integers(0, angles.size)] + rng.uniform(-1e-12, 1e-12)
+        angles = np.append(angles, (angles[0], near, near + two_pi, -1e-20)[extra:extra + 1])
+        angles[rng.integers(0, angles.size)] += two_pi * (shift % 3 - 1)
+        yield angles
+    for n in (628, 629, 650, 699, 700):
+        yield rng.uniform(0, 1) + two_pi * np.arange(n) / n
+
+
+def _layout_cuts(centers):
+    # Tail cuts from 10 to 40, past _S_CUT at the top, and closed centers,
+    # as functions of the center alone.
+    frac = np.mod(centers * 1e6, 1.0)
+    return 10.0 + 30.0 * frac, frac < 0.3
+
+
+def test_window_layout_matches_the_cluster_reference_bit_for_bit(monkeypatch):
+    laid = []
+    monkeypatch.setattr(log_integrals, "_kronrod_sum",
+                        lambda f, windows, arcs, tol, depth: laid.append((windows, arcs))
+                        or (0.0, 0.0))
+
+    def bits(layout):
+        return [np.array(pieces, dtype=float).tobytes() for pieces in layout]
+
+    # Every set with tail cuts and closed centers, every fourth also without.
+    covered = 0
+    for i, angles in enumerate(_layout_angle_sets(instance_rng(47), 10_000)):
+        for s_cut_of in (_layout_cuts, None)[: 1 + (i % 4 == 0)]:
+            try:
+                want = _layout_reference(angles, s_cut_of)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=str(err)):
+                    ce.circle_quadrature(np.cos, angles, s_cut_of=s_cut_of)
+                covered += 1
+                continue
+            ce.circle_quadrature(np.cos, angles, s_cut_of=s_cut_of)
+            assert bits(laid.pop()) == bits(want), [a.hex() for a in angles]
+    assert covered > 0
+
+
+def test_angles_within_1e_12_across_2pi_are_one_center():
+    # log|e^{it} - 1|^2 + log|e^{it} - e^{3i}|^2 has mean 0.
+    def f(t):
+        return log_integrals._log_distance_sum(t, np.array([0.0, 3.0]))
+
+    value = ce.circle_quadrature(f, [0.0, 3.0])
+    assert ce.circle_quadrature(f, [0.0, 2 * np.pi - 5e-13, 3.0]).hex() == value.hex()
+    assert abs(value) < 1e-8
+
+
+def test_windows_covering_the_circle_raise():
+    with pytest.raises(ValueError, match="cover the whole circle"):
+        ce.circle_quadrature(np.cos, 2 * np.pi * np.arange(700) / 700)
 
 
 def test_log_distance_kernel_against_mpmath():
@@ -706,23 +839,31 @@ def _off_circle_case():
 
 
 def _spy_windows(m):
-    # Records the scale of each quadrature, and each window group's cuts,
-    # closing flags and closing arcs.
+    # Records the scale of each quadrature, and each window center's tail
+    # cut, closing flag, substitution pieces and the arc pieces around it:
+    # its closing arc, as no arc between windows reaches a center.
     quadrature = log_integrals.circle_quadrature
-    window_pieces = log_integrals._window_pieces
-    seen = {"scale": [], "groups": []}
+    kronrod_sum = log_integrals._kronrod_sum
+    seen = {"scale": [], "centers": []}
 
     def quadrature_spy(f, singular_angles=(), scale=1.0, s_cut_of=None):
-        seen["scale"].append(scale)
-        return quadrature(f, singular_angles, scale=scale, s_cut_of=s_cut_of)
+        def s_cut_spy(centers):
+            cuts, closed = s_cut_of(centers)
+            seen["cuts"] = centers, [min(_S_CUT, cut) for cut in cuts], list(closed)
+            return cuts, closed
 
-    def window_pieces_spy(start, end, group, cuts, closed):
-        pieces, arcs = window_pieces(start, end, group, cuts, closed)
-        seen["groups"].append((list(group), list(cuts), list(closed), pieces, arcs))
-        return pieces, arcs
+        seen["scale"].append(scale)
+        return quadrature(f, singular_angles, scale=scale, s_cut_of=s_cut_spy)
+
+    def kronrod_spy(f, window_pieces, arc_pieces, tol, max_depth):
+        for c, cut, closed in zip(*seen.pop("cuts")):
+            pieces = [piece for piece in window_pieces if piece[0] == c]
+            arcs = [(a, b) for a, b, _ in arc_pieces if a < c < b]
+            seen["centers"].append((c, cut, closed, pieces, arcs))
+        return kronrod_sum(f, window_pieces, arc_pieces, tol, max_depth)
 
     m.setattr(log_integrals, "circle_quadrature", quadrature_spy)
-    m.setattr(log_integrals, "_window_pieces", window_pieces_spy)
+    m.setattr(log_integrals, "_kronrod_sum", kronrod_spy)
     return seen
 
 
@@ -737,13 +878,13 @@ def test_zero_off_the_circle_stops_at_a_tenth_of_its_distance(monkeypatch, d):
     b = np.poly(np.concatenate(([(1 + d) * np.exp(1.3j)], others)))[::-1]
     seen = _spy_windows(monkeypatch)
     value = ce.log_pair_quadrature(a, b)
-    (scale,), ((group, cuts, closed, pieces, arcs),) = seen["scale"], seen["groups"]
-    assert len(group) == 1 and closed == [True]
-    assert abs(cuts[0] + math.log(d / 10)) <= 1e-6
-    assert {s_cut for _, _, _, s_cut in pieces} == {cuts[0]}
+    (scale,), ((c, cut, closed, pieces, arcs),) = seen["scale"], seen["centers"]
+    assert closed
+    assert abs(cut + math.log(d / 10)) <= 1e-6
+    assert {s_cut for _, _, _, s_cut in pieces} == {cut}
     (lo, hi), = arcs
-    assert abs(lo - (group[0] - d / 10)) <= 1e-6 * d
-    assert abs(hi - (group[0] + d / 10)) <= 1e-6 * d
+    assert abs(lo - (c - d / 10)) <= 1e-6 * d
+    assert abs(hi - (c + d / 10)) <= 1e-6 * d
     assert abs(value - ce.log_pair_spectral(a, b)) <= 1e-9 * max(1.0, scale)
 
 
@@ -758,10 +899,10 @@ def test_circle_zero_merged_with_a_zero_off_it_stays_singular(monkeypatch, shift
     b = np.poly(roots)[::-1]
     seen = _spy_windows(monkeypatch)
     value = ce.log_pair_quadrature(a, b, b_roots=roots)
-    (scale,), groups = seen["scale"], seen["groups"]
-    merged = [g for g in groups if any(abs(c - 1.3) < 1e-11 for c in g[0])]
-    (group, cuts, closed, pieces, arcs), = merged
-    assert len(group) == 1 and closed == [False] and arcs == []
+    (scale,), centers = seen["scale"], seen["centers"]
+    merged = [center for center in centers if abs(center[0] - 1.3) < _WINDOW]
+    (c, cut, closed, pieces, arcs), = merged
+    assert not closed and arcs == []
     assert abs(value - ce.log_pair_spectral(a, b)) <= 1e-9 * max(1.0, scale)
 
 

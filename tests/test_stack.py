@@ -194,7 +194,7 @@ def _same_bits(p, q):
 
 def _one_at_a_time(n, rng, multiple, unit_norm):
     # The construction of one polynomial from 1-d arrays, draw for draw.
-    angles = _draw_angles(n, rng, multiple, 0.0)
+    angles = _draw_angles(n, rng, multiple)
     leading = (0.5 + 1.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
     p = ce.normalize_self_inversive(ce.from_angles(angles, leading))
     if unit_norm:
