@@ -31,12 +31,13 @@ from .entropy import (
     verify_columns,
     verify_main,
 )
-from .errors import CircEntropyError, RootsOffCircle
+from .errors import CircEntropyError, RootsOffCircle, ZeroPolynomial
 from .extremal import checked_schedule, coalescence_experiment, minimize
-from .log_integrals import polished_roots
 from .polycircle import (
     CirclePoly,
+    as_coefficients,
     coefficients_from_json,
+    eval_poly,
     from_angles,
     from_roots,
     normalize_self_inversive,
@@ -73,6 +74,30 @@ def _binomial_poly(tokens: list[str]) -> CirclePoly:
     leading = _parse_complex(params.get("leading", "1"))
     angles = (np.angle(-omega) + 2 * np.pi * np.arange(n)) / n
     return from_angles(angles, leading)
+
+
+def polished_roots(B) -> np.ndarray:
+    """Companion-matrix roots of B, each polished by one Newton step.
+
+    Trailing zero coefficients lower the degree and give no roots.  Only
+    coefficient input parsing needs it: the payload bytes and the cluster
+    rule of ``_poly_from_coefficients`` rest on the companion eigenvalues.
+    """
+    arr = as_coefficients(B)
+    deg = poly_degree(arr)
+    if deg < 0:
+        raise ZeroPolynomial("the zero polynomial has no root set")
+    if deg == 0:
+        return np.zeros(0, dtype=complex)
+    body = arr[: deg + 1]
+    roots = np.roots(body[::-1])
+    dcoeffs = body[1:] * np.arange(1, deg + 1)
+    bv = eval_poly(body, roots)
+    dv = eval_poly(dcoeffs, roots)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(dv != 0, bv / dv, 0.0)
+    ok = np.isfinite(step) & (np.abs(step) < 0.1 * (1.0 + np.abs(roots)))
+    return roots - np.where(ok, step, 0.0)
 
 
 def _poly_from_coefficients(coeffs: np.ndarray) -> CirclePoly:

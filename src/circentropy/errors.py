@@ -45,7 +45,7 @@ class IllConditioned(CircEntropyError):
 
 
 class BudgetExceeded(CircEntropyError):
-    """Adaptive quadrature hit the refinement depth limit before converging."""
+    """Adaptive quadrature reached its node budget before converging."""
 
 
 class RootsOffCircle(CircEntropyError):

@@ -49,7 +49,8 @@ MAX_SERIES_DEGREE = 128
 _S_CUT = 37.0        # window substitutions stop at |t - angle| = e^{-37}
 _TOLERANCE = 1e-9    # quadrature accuracy target, times max(1, |scale|)
 _WINDOW = 1e-2       # width of the substitution window around a singular angle
-_MAX_DEPTH = 40      # most panel doublings of any one quadrature piece
+_MAX_NODES = 2 ** 22  # most integrand nodes of one quadrature, all rounds
+_SWEEPS = 60         # most Aberth-Ehrlich sweeps when finding the zeros of B
 _LOG_FLOOR = 1e-64   # clamps squared distances so log never returns -inf
 _GROUP = 8           # circle-zero factors multiplied per logarithm
 _BLOCK = 1024        # integrand nodes per (groups x nodes) log-distance block
@@ -91,30 +92,6 @@ def trig_square(A) -> np.ndarray:
     # A fused multiply-add can leave rounding in the imaginary part of c_0.
     c[..., 0] = c[..., 0].real
     return c
-
-
-def polished_roots(B) -> np.ndarray:
-    """Companion-matrix roots of B, each polished by one Newton step.
-
-    Trailing zero coefficients lower the degree and give no roots.  Only
-    coefficient input parsing and quadrature window placement need roots
-    that are not given; the spectral pairing never finds roots.
-    """
-    arr = as_coefficients(B)
-    deg = poly_degree(arr)
-    if deg < 0:
-        raise ZeroPolynomial("the zero polynomial has no root set")
-    if deg == 0:
-        return np.zeros(0, dtype=complex)
-    body = arr[: deg + 1]
-    roots = np.roots(body[::-1])
-    dcoeffs = body[1:] * np.arange(1, deg + 1)
-    bv = eval_poly(body, roots)
-    dv = eval_poly(dcoeffs, roots)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(dv != 0, bv / dv, 0.0)
-    ok = np.isfinite(step) & (np.abs(step) < 0.1 * (1.0 + np.abs(roots)))
-    return roots - np.where(ok, step, 0.0)
 
 
 def _circle_root_pairing(sums, cm) -> np.ndarray:
@@ -315,8 +292,8 @@ def circle_quadrature(f, singular_angles=(), scale: float = 1.0,
     Angles within 1e-12 of each other, also across 2pi, are one center.
     Overlapping windows split at the midpoints between their centers, and a
     run of them across 2pi continues past it.  Raises ``ValueError`` when
-    the windows cover the whole circle, and ``BudgetExceeded`` when a piece
-    would need more than ``_MAX_DEPTH`` doublings.
+    the windows cover the whole circle, and ``BudgetExceeded`` when the
+    rounds would evaluate f on more than ``_MAX_NODES`` nodes in all.
     """
     tol = _TOLERANCE * max(1.0, abs(scale))
     angles = np.asarray(singular_angles, dtype=float)
@@ -372,15 +349,18 @@ def circle_quadrature(f, singular_angles=(), scale: float = 1.0,
         nxt = np.append(starts[1:], starts[0] + 2 * np.pi)
         arcs = [(a, b) for a, b in zip(ends.tolist(), nxt.tolist()) if b - a > 1e-12] + closing
     arc_pieces = [(a, b, max(1, int(math.ceil((b - a) / 0.15)))) for a, b in arcs]
-    return _kronrod_sum(f, window_pieces, arc_pieces, tol, _MAX_DEPTH)[0]
+    return _kronrod_sum(f, window_pieces, arc_pieces, tol)[0]
 
 
-def _kronrod_sum(f, window_pieces, arc_pieces, tol: float, max_depth: int):
+def _kronrod_sum(f, window_pieces, arc_pieces, tol: float):
     """The rounds of ``circle_quadrature``: (mean, error estimate).
 
     Each round evaluates f once, on every panel of the pieces still
-    refining.  The weighted sums are numpy reductions, not np.dot: BLAS
-    ddot rounds differently with the number of BLAS threads.
+    refining.  ``BudgetExceeded`` is raised, before f is called, when the
+    nodes of all rounds so far would exceed ``_MAX_NODES``; that bounds
+    both the time and the memory of one call.  The weighted sums are numpy
+    reductions, not np.dot: BLAS ddot rounds differently with the number
+    of BLAS threads.
     """
     n_win = len(window_pieces)
     pieces = n_win + len(arc_pieces)
@@ -389,11 +369,17 @@ def _kronrod_sum(f, window_pieces, arc_pieces, tol: float, max_depth: int):
     value = np.zeros(pieces)
     est = np.zeros(pieces)
     todo = np.arange(pieces)
+    nodes = 0
     while True:
         pts, wts, panels = _kronrod_nodes(
             [window_pieces[i] for i in todo[todo < n_win]],
             [arc_pieces[i - n_win] for i in todo[todo >= n_win]],
             levels[todo])
+        nodes += pts.size
+        if nodes > _MAX_NODES:
+            raise BudgetExceeded(
+                f"panel refinement did not reach {tol:.2e} within {_MAX_NODES} nodes"
+            )
         g = f(pts.ravel()).reshape(pts.shape) * wts
         starts = np.cumsum(panels) - panels
         value[todo] = np.add.reduceat((g * _K21_WEIGHTS).sum(axis=1), starts)
@@ -405,10 +391,6 @@ def _kronrod_sum(f, window_pieces, arc_pieces, tol: float, max_depth: int):
         if todo.size == 0:  # the sum exceeds the bound only by rounding
             todo = np.array([np.argmax(est)])
         levels[todo] += 1
-        if levels[todo].max() > max_depth:
-            raise BudgetExceeded(
-                f"panel refinement did not reach {tol:.2e} within depth {max_depth}"
-            )
 
 
 def _log_distance_sum(t: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -473,6 +455,60 @@ def _log_distance_sum(t: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return out
 
 
+def _aberth_roots(body: np.ndarray) -> np.ndarray:
+    """The zeros of b_0 + b_1 z + .. + b_n z^n, b_n != 0, by Aberth-Ehrlich
+    sweeps (Bini and Fiorentino 2000), uncertified.
+
+    Zero roots split off exactly.  The others start on one circle of radius
+    |b_0/b_n|^(1/n) (clamped to e^{+-700}, so that every start is finite),
+    at angles 2 pi k / n + 0.7, and each sweep moves every approximation z
+    that has not stopped to z - 1/(B'/B - sum 1/(z - z_j)), the sum over
+    the other approximations; B'(z) = 0 gives a finite step.  B and B' are
+    sums over the powers of z at |z| <= 1, and of w = 1/z, in the reversed
+    polynomial R(w) = w^n B(z), at |z| > 1, where B'/B = w (n - w R'/R): no
+    power overflows.  An approximation stops once |B(z)| <= 8 (n + 1) eps
+    sum |b_k z^k|, a backward error at rounding level; one still moving
+    after ``_SWEEPS`` sweeps, or whose step is not finite, stays where it
+    is.  The sums are numpy reductions, not BLAS.
+    """
+    low = int(np.flatnonzero(body)[0])
+    b = body[low:]
+    n = b.size - 1
+    if n == 0:
+        return np.zeros(low, dtype=complex)
+    log_r = (math.log(abs(b[0])) - math.log(abs(b[n]))) / n
+    z = math.exp(min(max(log_r, -700.0), 700.0)) * np.exp(
+        1j * (2 * np.pi / n * np.arange(n) + 0.7))
+    # The coefficients against powers of z (row 0) and of 1/z (row 1).
+    coef = np.stack((b, b[::-1]))
+    dcoef = coef[:, 1:] * np.arange(1, n + 1)
+    tol = 8.0 * (n + 1) * _EPS
+    active = np.arange(n)
+    with np.errstate(all="ignore"):
+        for _ in range(_SWEEPS):
+            za = z[active]
+            outer = np.abs(za) > 1.0
+            x = np.where(outer, 1.0 / za, za)
+            rows = outer.astype(np.intp)
+            powers = np.repeat(x[:, None], n + 1, axis=1)
+            powers[:, 0] = 1.0
+            np.multiply.accumulate(powers, axis=1, out=powers)
+            terms = powers * coef[rows]
+            v = terms.sum(axis=1)
+            moving = np.abs(v) > tol * np.abs(terms).sum(axis=1)
+            if not moving.any():
+                break
+            dlog = (powers[:, :-1] * dcoef[rows]).sum(axis=1) / v
+            dlog = np.where(outer, x * (n - x * dlog), dlog)
+            diff = za[:, None] - z
+            diff[np.arange(active.size), active] = np.inf
+            moved = za - 1.0 / (dlog - (1.0 / diff).sum(axis=1))
+            moving &= np.isfinite(moved)
+            active = active[moving]
+            z[active] = moved[moving]
+    return np.concatenate((np.zeros(low, dtype=complex), z))
+
+
 def _deflate_root(coeffs: np.ndarray, rho: complex) -> np.ndarray:
     """Quotient of a coefficient vector by (z - rho), remainder discarded."""
     rev = coeffs[::-1]
@@ -517,7 +553,7 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
     """Integral of |A|^2 log|B|^2 over dm by adaptive circle quadrature.
 
     Circle zeros of B are located (from ``b_roots``, deg B of them, when
-    supplied, otherwise from the companion matrix without certification),
+    supplied, otherwise by the Aberth-Ehrlich sweeps of ``_aberth_roots``),
     deflated out of B, and their log factors evaluated as products of
     e^{it} - tau, eight to a logarithm (``_log_distance_sum``), which stay
     accurate arbitrarily close to the singularity.  A found root within
@@ -540,14 +576,23 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
     distance from the circle), unless a circle zero is nearer; the arc
     within d/10 of the center, where log|B|^2 is analytic, is one Kronrod
     panel.
+
+    Found roots are not certified: they are zeros of a B perturbed at
+    rounding level, and when B has zeros on the circle the value can miss
+    the integral by more than the tolerance, with no error raised.  Give
+    ``b_roots`` there.  Raises ``ValueError`` when A or
+    B holds a NaN or an infinity, and ``BudgetExceeded`` as
+    ``circle_quadrature`` does.
     """
     a_arr = as_coefficients(A)
     b_arr = as_coefficients(B)
+    if not (np.isfinite(a_arr).all() and np.isfinite(b_arr).all()):
+        raise ValueError("the coefficients of A and B must be finite")
     deg = poly_degree(b_arr)
     if deg < 0:
         raise ZeroPolynomial("log|B| undefined for the zero polynomial")
     body = b_arr[: deg + 1]
-    roots = polished_roots(body) if b_roots is None else _given_roots(b_roots, deg)
+    roots = _aberth_roots(body) if b_roots is None else _given_roots(b_roots, deg)
 
     mods = np.abs(roots)
     off = np.abs(mods - 1.0)

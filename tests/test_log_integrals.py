@@ -25,9 +25,9 @@ from circentropy.log_integrals import (
     _WINDOW,
     MAX_SERIES_DEGREE,
     _kronrod_nodes,
-    polished_roots,
 )
-from circentropy.polycircle import eval_poly
+from circentropy.cli import polished_roots
+from circentropy.polycircle import eval_poly, poly_degree
 
 
 def _trig_square_reference(A):
@@ -577,7 +577,7 @@ def _layout_cuts(centers):
 def test_window_layout_matches_the_cluster_reference_bit_for_bit(monkeypatch):
     laid = []
     monkeypatch.setattr(log_integrals, "_kronrod_sum",
-                        lambda f, windows, arcs, tol, depth: laid.append((windows, arcs))
+                        lambda f, windows, arcs, tol: laid.append((windows, arcs))
                         or (0.0, 0.0))
 
     def bits(layout):
@@ -716,8 +716,8 @@ def test_kronrod_quadrature_is_as_accurate_as_it_estimates(monkeypatch):
     kronrod_sum = log_integrals._kronrod_sum
     checked = []
 
-    def kronrod_spy(f, window_pieces, arc_pieces, tol, max_depth):
-        value, estimate = kronrod_sum(f, window_pieces, arc_pieces, tol, max_depth)
+    def kronrod_spy(f, window_pieces, arc_pieces, tol):
+        value, estimate = kronrod_sum(f, window_pieces, arc_pieces, tol)
         pts, wts = _gl16_level_nodes(window_pieces, arc_pieces, 5)
         fv = f(pts)
         reference = float((fv * wts).sum()) / (2 * np.pi)
@@ -760,9 +760,9 @@ def test_zero_just_off_the_circle_is_windowed(monkeypatch):
     kronrod_sum = log_integrals._kronrod_sum
     calls = []
 
-    def kronrod_spy(f, window_pieces, arc_pieces, tol, max_depth):
+    def kronrod_spy(f, window_pieces, arc_pieces, tol):
         calls.append((len(window_pieces), tol))
-        return kronrod_sum(f, window_pieces, arc_pieces, tol, max_depth)
+        return kronrod_sum(f, window_pieces, arc_pieces, tol)
 
     monkeypatch.setattr(log_integrals, "_kronrod_sum", kronrod_spy)
     jensen = ce.log_pair_quadrature(p.coefficients, ce.polar_factor(p).q)
@@ -855,12 +855,12 @@ def _spy_windows(m):
         seen["scale"].append(scale)
         return quadrature(f, singular_angles, scale=scale, s_cut_of=s_cut_spy)
 
-    def kronrod_spy(f, window_pieces, arc_pieces, tol, max_depth):
+    def kronrod_spy(f, window_pieces, arc_pieces, tol):
         for c, cut, closed in zip(*seen.pop("cuts")):
             pieces = [piece for piece in window_pieces if piece[0] == c]
             arcs = [(a, b) for a, b, _ in arc_pieces if a < c < b]
             seen["centers"].append((c, cut, closed, pieces, arcs))
-        return kronrod_sum(f, window_pieces, arc_pieces, tol, max_depth)
+        return kronrod_sum(f, window_pieces, arc_pieces, tol)
 
     m.setattr(log_integrals, "circle_quadrature", quadrature_spy)
     m.setattr(log_integrals, "_kronrod_sum", kronrod_spy)
@@ -962,7 +962,118 @@ def test_quadrature_bits_do_not_depend_on_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-def test_budget_exceeded():
+def test_budget_exceeded(monkeypatch):
+    # A budget of the nodes of 42, 84 and 168 panels: the fourth round would
+    # pass it, so the call raises before evaluating f there.
+    monkeypatch.setattr(log_integrals, "_MAX_NODES", 21 * 42 * (1 + 2 + 4))
+    sizes = []
+
+    def f(t):
+        sizes.append(t.size)
+        return np.abs(np.cos(t))
+
     with pytest.raises(ce.BudgetExceeded):
-        log_integrals._kronrod_sum(lambda t: np.abs(np.cos(t)), [],
-                                   [(0.0, 2 * np.pi, 42)], 1e-30, 2)
+        log_integrals._kronrod_sum(f, [], [(0.0, 2 * np.pi, 42)], 1e-30)
+    assert sizes == [21 * 42, 21 * 84, 21 * 168]
+
+
+def test_quadrature_memory_is_bounded():
+    # log|1 - e^{it}|^2 without a window at its zero: doubling the panels of
+    # the whole circle never resolves the singularity to 1e-9, and without a
+    # budget the rounds grew until memory ran out.
+    sizes = []
+
+    def f(t):
+        sizes.append(t.size)
+        return np.log(np.maximum(np.abs(1.0 - np.exp(1j * t)) ** 2, 1e-300))
+
+    with pytest.raises(ce.BudgetExceeded):
+        ce.circle_quadrature(f)
+    assert 0 < sum(sizes) <= log_integrals._MAX_NODES < 2 * sum(sizes)
+
+
+@pytest.mark.parametrize("A, B", [
+    ([1.0, np.nan], [1.0, 2.0]),
+    ([1.0], [1.0, np.inf]),
+    ([1.0], [2.0, np.nan]),
+    ([1.0], [1.0, 1.0, np.inf]),
+], ids=["nan-in-A", "inf-in-B", "nan-in-B", "inf-on-top-of-B"])
+def test_quadrature_refuses_non_finite_coefficients(A, B):
+    with pytest.raises(ValueError, match="finite"):
+        ce.log_pair_quadrature(A, B)
+
+
+def _meets_stop_bound(b, roots):
+    """Whether |B(z)| <= 8 (n + 1) eps sum |b_k| |z|^k at every root, with B
+    summed over the powers of z, or of 1/z in the reversed polynomial, as
+    ``_aberth_roots`` sums it."""
+    n = b.size - 1
+    outer = np.abs(roots) > 1.0
+    x = np.where(outer, 1.0 / roots, roots)
+    coef = np.where(outer[:, None], b[::-1], b)
+    powers = np.repeat(x[:, None], n + 1, axis=1)
+    powers[:, 0] = 1.0
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    value = np.abs((powers * coef).sum(axis=1))
+    return value <= 8.0 * (n + 1) * np.finfo(float).eps * (np.abs(powers * coef)).sum(axis=1)
+
+
+@pytest.mark.parametrize("n, index", [(16, 0), (16, 1), (32, 0), (32, 1), (64, 0),
+                                      (64, 1), (128, 0), (128, 4)])
+def test_found_roots_of_q_meet_the_stop_bound(n, index):
+    # The polar factors q of the crosscheck benchmark's instances.  At
+    # n = 128, index 4, q_0 is 7e-13.
+    p = random_circle_poly(n, instance_rng(2401, n, index), unit_norm=True)
+    q = ce.polar_factor(p).q
+    body = q[: poly_degree(q) + 1]
+    roots = log_integrals._aberth_roots(body)
+    assert roots.shape == (body.size - 1,)
+    assert np.all(np.isfinite(roots))
+    assert np.all(_meets_stop_bound(body, roots))
+
+
+def _assert_same_roots(found, want, tol):
+    # A found root within tol of each wanted one, a different one for each.
+    dist = np.abs(found[:, None] - want)
+    assert found.shape == want.shape
+    assert np.unique(dist.argmin(axis=0)).size == want.size
+    assert np.all(dist.min(axis=0) <= tol)
+
+
+def test_found_roots_match_the_companion_roots_when_well_conditioned():
+    rng = instance_rng(31)
+    for n in (1, 7, 16):
+        b = np.zeros(n + 1, dtype=complex)
+        b[0], b[n] = -(1.5 ** n), 1.0  # zeros 1.5 e^{2 pi i k / n}
+        _assert_same_roots(log_integrals._aberth_roots(b), polished_roots(b), 1e-12)
+    gaussian = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    _assert_same_roots(log_integrals._aberth_roots(gaussian), polished_roots(gaussian),
+                       1e-12)
+
+
+def test_found_roots_at_the_edges():
+    roots = log_integrals._aberth_roots
+    assert roots(np.array([3.0 + 0j])).size == 0
+    _assert_same_roots(roots(np.array([3.0, 2.0 + 0j])), np.array([-1.5 + 0j]), 1e-15)
+    # z^2 (z - 2): the two zero roots split off exactly.
+    found = roots(np.array([0.0, 0.0, -2.0, 1.0 + 0j]))
+    assert np.count_nonzero(found == 0) == 2
+    _assert_same_roots(found[found != 0], np.array([2.0 + 0j]), 1e-15)
+    # (z - 1e-3)(z - 1e3): roots six orders of magnitude either side of 1.
+    found = roots(np.array([1.0, -(1e3 + 1e-3), 1.0 + 0j]))
+    _assert_same_roots(found, np.array([1e-3, 1e3 + 0j]), 1e-15 * np.array([1.0, 1e3]))
+    # 1e300 + 1e-300 z: its root, -1e600, is no double, and the start circle
+    # |b_0/b_1| overflows too; the approximation stays finite.
+    assert np.all(np.isfinite(roots(np.array([1e300, 1e-300 + 0j]))))
+    # (z - 1e3)(z^109 - 1): the 110th power of 1e3 overflows; powers of
+    # 1/z do not.
+    b = np.convolve([-1e3, 1.0], np.concatenate(([-1.0], np.zeros(108), [1.0])))
+    _assert_same_roots(roots(b.astype(complex)),
+                       np.append(np.exp(2j * np.pi * np.arange(109) / 109), 1e3), 1e-12)
+    # (z - 1)^2 (z + 1): a double zero on the circle, uncertified but close.
+    b = np.array([1.0, -1.0, -1.0, 1.0 + 0j])
+    found = roots(b)
+    assert np.all(np.isfinite(found))
+    assert np.all(_meets_stop_bound(b, found))
+    assert abs(ce.log_pair_quadrature(b, b)
+               - ce.log_pair_spectral(b, b, b_roots=[1.0, 1.0, -1.0])) <= 1e-8
