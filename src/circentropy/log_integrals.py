@@ -107,11 +107,20 @@ def _circle_root_pairing(sums, cm) -> np.ndarray:
 
 
 def _given_roots(b_roots, deg: int) -> np.ndarray:
-    """The roots of B given to either route, one per degree of B."""
+    """The roots of B given to either route, projected onto the unit circle.
+
+    There must be one per degree of B, each within ``TAU_SEP`` of the circle
+    (``NonUnimodularRoot`` otherwise, a NaN root included).
+    """
     roots = np.atleast_1d(np.asarray(b_roots, dtype=complex))
     if roots.shape[-1] != deg:
         raise ValueError(f"root list has {roots.shape[-1]} entries, expected {deg}")
-    return roots
+    mods = np.abs(roots)
+    if roots.size and not np.abs(mods - 1.0).max() <= TAU_SEP:
+        raise NonUnimodularRoot(
+            f"b_roots must lie on the unit circle (within {TAU_SEP:.0e})"
+        )
+    return roots / mods
 
 
 def log_pair_spectral(A, B, b_roots=None):
@@ -136,8 +145,14 @@ def log_pair_spectral(A, B, b_roots=None):
       clustered near the circle cost digits.  This route raises
       ``IllConditioned`` when deg A or deg B exceeds ``MAX_SERIES_DEGREE``;
       use ``log_pair_quadrature`` there.
+
+    Raises ``ValueError`` when A or B holds a NaN or an infinity.
     """
-    return _pair_lags(trig_square(A), B, b_roots)
+    a_arr = as_coefficient_stack(A)
+    b_arr = as_coefficient_stack(B)
+    if not (np.isfinite(a_arr).all() and np.isfinite(b_arr).all()):
+        raise ValueError("the coefficients of A and B must be finite")
+    return _pair_lags(trig_square(a_arr), b_arr, b_roots)
 
 
 def _pair_lags(c, B, b_roots=None):
@@ -153,17 +168,12 @@ def _pair_lags(c, B, b_roots=None):
     c0 = c[..., 0].real
     cm = c[..., 1:]
     if b_roots is not None:
-        roots = _given_roots(b_roots, deg)
+        taus = _given_roots(b_roots, deg)
         lead = np.abs(arr[..., deg])
         if not lead.all():
             raise ValueError("the rows of B must share their degree")
-        mods = np.abs(roots)
-        if roots.size and not np.abs(mods - 1.0).max() <= TAU_SEP:
-            raise NonUnimodularRoot(
-                f"b_roots must lie on the unit circle (within {TAU_SEP:.0e})"
-            )
         return unstacked(c0 * 2.0 * np.log(lead)
-                         + _circle_root_pairing(power_sums(roots / mods, d), cm))
+                         + _circle_root_pairing(power_sums(taus, d), cm))
     if max(d, deg) > MAX_SERIES_DEGREE:
         raise IllConditioned(
             f"the log series is certified up to degree {MAX_SERIES_DEGREE}, "
@@ -509,17 +519,6 @@ def _aberth_roots(body: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros(low, dtype=complex), z))
 
 
-def _deflate_root(coeffs: np.ndarray, rho: complex) -> np.ndarray:
-    """Quotient of a coefficient vector by (z - rho), remainder discarded."""
-    rev = coeffs[::-1]
-    out = np.empty(rev.size - 1, dtype=complex)
-    acc = rev[0]
-    for k in range(rev.size - 1):
-        out[k] = acc
-        acc = rev[k + 1] + rho * acc
-    return out[::-1]
-
-
 def _tail_amplitudes(A, centers) -> np.ndarray:
     """Bounds on |A(e^{it})| over |t - c| <= e^{-s}, one row per center c
     and one column per s of ``_S_LADDER``.
@@ -552,37 +551,33 @@ def _tail_amplitudes(A, centers) -> np.ndarray:
 def log_pair_quadrature(A, B, b_roots=None) -> float:
     """Integral of |A|^2 log|B|^2 over dm by adaptive circle quadrature.
 
-    Circle zeros of B are located (from ``b_roots``, deg B of them, when
-    supplied, otherwise by the Aberth-Ehrlich sweeps of ``_aberth_roots``),
-    deflated out of B, and their log factors evaluated as products of
-    e^{it} - tau, eight to a logarithm (``_log_distance_sum``), which stay
-    accurate arbitrarily close to the singularity.  A found root within
-    ``TAU_SEP`` of the circle counts as a circle zero only when B vanishes at
-    its projection to the circle as well as at the root, to rounding;
-    otherwise deflating there would drop a remainder the integrand can see.
-    When A and B are the same coefficients, as in the entropy term, |A|^2
-    is taken as exp(log|B|^2), so with all zeros of B given the integrand
-    evaluates no polynomial.
-    Windows around each circle zero, and around each zero less than
-    ``_WINDOW`` off the circle, are integrated under the exponential
-    substitution; the integrand follows x log x = 0 at common zeros of A and
-    B.  With no such zero the whole circle is one arc piece of
-    ``circle_quadrature``.
+    With ``b_roots``, the deg B zeros of B on the unit circle
+    (``NonUnimodularRoot`` otherwise), B = b_n prod (z - tau): the log
+    factors are evaluated as products of e^{it} - tau, eight to a logarithm
+    (``_log_distance_sum``), which stay accurate arbitrarily close to the
+    singularity.  When A and B are the same coefficients, as in the entropy
+    term, |A|^2 is taken as exp(log|B|^2), so the integrand evaluates no
+    polynomial.  Each circle zero is the center of a window integrated under
+    the exponential substitution, which stops at the first s = 10, 11, ..
+    where the mass beyond it is certified below its share of the tolerance;
+    the integrand follows x log x = 0 at common zeros of A and B.
 
-    The substitution around a circle zero stops at the first s = 10, 11, ..
-    where the mass beyond it is certified below its share of the tolerance.
-    Around a zero off the circle it stops at s = -log(d/10), d the distance
-    from the center e^{ic} to the nearest zero of B (for a lone zero, its
-    distance from the circle), unless a circle zero is nearer; the arc
-    within d/10 of the center, where log|B|^2 is analytic, is one Kronrod
-    panel.
-
+    Without ``b_roots``, B is evaluated whole by Horner's rule, and the zeros
+    found by the Aberth-Ehrlich sweeps of ``_aberth_roots`` only place
+    windows: one around each found zero less than ``_WINDOW`` off the
+    circle.  Its substitution stops at s = -log(d/10), d the distance from
+    the center e^{ic} to the nearest found zero (for a lone zero, its
+    distance from the circle), and the arc within d/10 of the center, where
+    log|B|^2 is analytic if the zeros are right, is one Kronrod panel.  With
+    no such zero the whole circle is one arc piece of ``circle_quadrature``.
     Found roots are not certified: they are zeros of a B perturbed at
-    rounding level, and when B has zeros on the circle the value can miss
-    the integral by more than the tolerance, with no error raised.  Give
-    ``b_roots`` there.  Raises ``ValueError`` when A or
-    B holds a NaN or an infinity, and ``BudgetExceeded`` as
-    ``circle_quadrature`` does.
+    rounding level.  Where B has zeros on the circle and A does not vanish
+    there, the value can miss the integral by more than the tolerance, with
+    no error raised, or the call exhausts its node budget.  Give
+    ``b_roots`` there.
+
+    Raises ``ValueError`` when A or B holds a NaN or an infinity, and
+    ``BudgetExceeded`` as ``circle_quadrature`` does.
     """
     a_arr = as_coefficients(A)
     b_arr = as_coefficients(B)
@@ -592,28 +587,16 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
     if deg < 0:
         raise ZeroPolynomial("log|B| undefined for the zero polynomial")
     body = b_arr[: deg + 1]
-    roots = _aberth_roots(body) if b_roots is None else _given_roots(b_roots, deg)
-
-    mods = np.abs(roots)
-    off = np.abs(mods - 1.0)
-    on = off <= TAU_SEP
-    if b_roots is None and on.any():
-        # B at tau within 4 times B at the root, plus Horner's rounding.
-        noise = 8.0 * (deg + 1) * _EPS * float(np.sum(np.abs(body)))
-        found = roots[on]
-        residual = np.abs(eval_poly(body, found / mods[on]))
-        on[on] = residual <= 4.0 * np.abs(eval_poly(body, found)) + noise
-    taus = roots[on] / mods[on]
-    near = roots[~on & (off < _WINDOW)]
-    factors = np.angle(taus)
-    window_angles = np.concatenate((factors, np.angle(near)))
-    if taus.size == deg:
-        # Synthetic division never changes the top coefficient.
-        deflated = body[deg:]
+    if b_roots is None:
+        taus = np.empty(0)
+        found = _aberth_roots(body)
+        window_zeros = found[np.abs(np.abs(found) - 1.0) < _WINDOW]
+        rest = body
     else:
-        deflated = body
-        for tau in taus:
-            deflated = _deflate_root(deflated, tau)
+        taus = window_zeros = _given_roots(b_roots, deg)
+        rest = body[deg:]
+    factors = np.angle(taus)
+    window_angles = np.angle(window_zeros)
 
     scale = float(np.sum(np.abs(a_arr) ** 2)) * max(
         1.0, 2.0 * abs(math.log(max(abs(body[deg]), 1e-300)))
@@ -624,12 +607,12 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
 
     def integrand(t):
         t = np.asarray(t, dtype=float)
-        if deflated.size > 1 or not same:
+        if rest.size > 1 or not same:
             z = np.exp(1j * t)
-        if deflated.size > 1:
-            logb = np.log(np.maximum(np.abs(eval_poly(deflated, z)) ** 2, _LOG_FLOOR))
+        if rest.size > 1:
+            logb = np.log(np.maximum(np.abs(eval_poly(rest, z)) ** 2, _LOG_FLOOR))
         else:
-            logb = np.full(t.shape, math.log(max(abs(deflated[0]) ** 2, _LOG_FLOOR)))
+            logb = np.full(t.shape, math.log(max(abs(rest[0]) ** 2, _LOG_FLOOR)))
         if factors.size:
             logb += _log_distance_sum(t, factors)
         a2 = np.exp(logb) if same else np.abs(eval_poly(a_arr, z)) ** 2
@@ -641,21 +624,16 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
     # stops the tail far earlier than the generic cutoff.
     budget = _TOLERANCE * max(1.0, scale) / (8.0 * max(1, window_angles.size))
     weight = 2.0 * _U_LADDER * (2.0 * deg * (_S_LADDER + 2.0) + 160.0)
-    window_zeros = np.concatenate((taus, near))
 
     def s_cut_of(centers: np.ndarray):
-        # Distances to the nearest zero on the circle and off it.
-        dist = np.abs(np.exp(1j * centers)[:, None] - window_zeros)
-        r_on = dist[:, :taus.size].min(axis=1, initial=np.inf)
-        r_off = dist[:, taus.size:].min(axis=1, initial=np.inf)
-        closed = r_off <= r_on
-        cuts = -np.log(r_off / 10.0)
-        singular = ~closed
-        if singular.any():
-            ok = _tail_amplitudes(a_arr, centers[singular]) ** 2 * weight <= budget
-            cuts[singular] = np.where(ok.any(axis=1), _S_LADDER[ok.argmax(axis=1)],
-                                      _S_CUT)
-        return cuts, closed
+        if b_roots is None:
+            # The floor keeps the cut finite at a found zero on the circle.
+            d = np.abs(np.exp(1j * centers)[:, None] - window_zeros).min(
+                axis=1, initial=np.inf)
+            return -np.log(np.maximum(d, _TINY) / 10.0), np.ones(centers.size, dtype=bool)
+        ok = _tail_amplitudes(a_arr, centers) ** 2 * weight <= budget
+        return (np.where(ok.any(axis=1), _S_LADDER[ok.argmax(axis=1)], _S_CUT),
+                np.zeros(centers.size, dtype=bool))
 
     return circle_quadrature(integrand, window_angles, scale=scale,
                              s_cut_of=s_cut_of)
