@@ -31,8 +31,9 @@ from .entropy import (
     verify_columns,
     verify_main,
 )
-from .errors import CircEntropyError, RootsOffCircle, ZeroPolynomial
+from .errors import CircEntropyError, IllConditioned, RootsOffCircle, ZeroPolynomial
 from .extremal import checked_schedule, coalescence_experiment, minimize
+from .log_integrals import MAX_SERIES_DEGREE
 from .polycircle import (
     CirclePoly,
     as_coefficients,
@@ -51,7 +52,8 @@ MULTIPLE_FRAC = 0.1     # share of each degree's suite instances with a multiple
 
 
 def _parse_complex(text: str) -> complex:
-    return complex(text.replace("i", "j"))
+    # An i between no other letters is the imaginary unit j; the i of inf is not.
+    return complex(re.sub(r"(?<![a-z])i(?![a-z])", "j", text))
 
 
 def _binomial_poly(tokens: list[str]) -> CirclePoly:
@@ -79,9 +81,9 @@ def _binomial_poly(tokens: list[str]) -> CirclePoly:
 def polished_roots(B) -> np.ndarray:
     """Companion-matrix roots of B, each polished by one Newton step.
 
-    Trailing zero coefficients lower the degree and give no roots.  Only
-    coefficient input parsing needs it: the payload bytes and the cluster
-    rule of ``_poly_from_coefficients`` rest on the companion eigenvalues.
+    Trailing zero coefficients lower the degree and give no roots.
+    ``_poly_from_coefficients`` polishes the same eigenvalues by the same
+    step, and keeps them for its cluster rule.
     """
     arr = as_coefficients(B)
     deg = poly_degree(arr)
@@ -90,8 +92,13 @@ def polished_roots(B) -> np.ndarray:
     if deg == 0:
         return np.zeros(0, dtype=complex)
     body = arr[: deg + 1]
-    roots = np.roots(body[::-1])
-    dcoeffs = body[1:] * np.arange(1, deg + 1)
+    return _newton_step(body, np.roots(body[::-1]))
+
+
+def _newton_step(body: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The roots of B = body, each moved by one Newton step where the step is
+    finite and shorter than a tenth of 1 + |root|."""
+    dcoeffs = body[1:] * np.arange(1, body.size)
     bv = eval_poly(body, roots)
     dv = eval_poly(dcoeffs, roots)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -110,16 +117,18 @@ def _poly_from_coefficients(coeffs: np.ndarray) -> CirclePoly:
     eps^(1/m) around it, which the Newton polish only scatters, while the
     centroid of those eigenvalues keeps the zero to rounding.  So a cluster
     around a root off the circle (``_off_circle_clusters``) stands for its
-    centroid, and that is what must be near the circle.
+    centroid, and that is what must be near the circle.  A coefficient that
+    is not finite is refused before any eigensolve.
     """
+    if not np.isfinite(coeffs).all():
+        raise RootsOffCircle("input coefficients must be finite")
     deg = poly_degree(coeffs)
     if deg < 1:
         raise RootsOffCircle("input polynomial must have degree >= 1")
     body = coeffs[: deg + 1]
-    roots = polished_roots(body)
+    companion = np.roots(body[::-1])
+    roots = _newton_step(body, companion)
     if np.abs(np.abs(roots) - 1.0).max() > INPUT_ROOT_TOL:
-        # The eigenvalues that polished_roots polished, in the same order.
-        companion = np.roots(body[::-1])
         for group in _off_circle_clusters(companion):
             roots[group] = companion[group].mean()
         off = np.abs(np.abs(roots) - 1.0).max()
@@ -272,6 +281,9 @@ def cmd_suite(args) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    if max(degrees) > MAX_SERIES_DEGREE:  # before any instance is built
+        raise IllConditioned(f"the log series is certified up to degree "
+                             f"{MAX_SERIES_DEGREE}, got degree {max(degrees)}")
     rows = []
     failures = 0
     min_gaps = {"main": math.inf, "strengthened": math.inf,

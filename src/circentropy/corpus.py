@@ -95,20 +95,19 @@ def random_binomial(n: int, rng: np.random.Generator) -> CirclePoly:
     return from_angles(angles, zeta / math.sqrt(2.0))
 
 
-def random_schur_triple(rng: np.random.Generator, max_zeros: int = 3,
-                        max_n: int = 10, max_f_degree: int = 12):
+def random_schur_triple(rng: np.random.Generator):
     """Random (phi, f, n) input for the weighted contraction check.
 
-    phi is a Blaschke product with up to ``max_zeros`` zeros drawn inside the
-    disk of radius 0.95 and a unimodular constant; f is a random polynomial
-    with vanishing constant coefficient.
+    n is drawn from 2..10; phi is a Blaschke product with up to 3 zeros drawn
+    inside the disk of radius 0.95 and a unimodular constant; f is a random
+    polynomial of degree 1..12 with vanishing constant coefficient.
     """
-    n = int(rng.integers(2, max_n + 1))
-    count = int(rng.integers(0, max_zeros + 1))
+    n = int(rng.integers(2, 11))
+    count = int(rng.integers(0, 4))
     radii = 0.95 * np.sqrt(rng.random(count))
     zeros = radii * np.exp(2j * np.pi * rng.random(count))
     gamma = np.exp(2j * np.pi * rng.random())
-    deg = int(rng.integers(1, max_f_degree + 1))
+    deg = int(rng.integers(1, 13))
     f = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
     f[0] = 0.0
     if not np.any(f):

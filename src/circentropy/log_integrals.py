@@ -417,44 +417,31 @@ def _log_distance_sum(t: np.ndarray, angles: np.ndarray) -> np.ndarray:
     factor errs by O(eps/|t - a|) relative to the distance, as the chord
     2 sin((t - a)/2) does, since the node t is itself rounded.
 
-    Evaluated on (groups x nodes) blocks of ``_BLOCK`` nodes in reused
-    buffers, so memory is O(len(angles) / _GROUP * _BLOCK) rather than
-    O(len(angles) * len(t)).  Each block sums its groups in order, as one
-    full matrix would.  A remainder shorter than a block joins the last
-    block: numpy sums a one-column matrix pairwise, which rounds
-    differently.
+    Evaluated on (groups x nodes) blocks of ``_BLOCK`` nodes, so memory is
+    O(len(angles) / _GROUP * _BLOCK) rather than O(len(angles) * len(t)).
+    Each block sums its groups in order, as one full matrix would.  A
+    remainder shorter than a block joins the last block: numpy sums a
+    one-column matrix pairwise, which rounds differently.
     """
     taus = np.exp(1j * angles)
     # Row g of a block holds the product of the factors of angles
     # _GROUP g .. _GROUP g + _GROUP - 1; position k of every group is
     # taus[k::_GROUP], and only the last group can be short.
     slots = [taus[k::_GROUP, None] for k in range(min(_GROUP, taus.size))]
-    groups = slots[0].shape[0]
     out = np.empty(t.size)
-    size = groups * min(t.size, 2 * _BLOCK - 1)
-    prod_buf = np.empty(size, dtype=complex)
-    factor_buf = np.empty(size, dtype=complex)
     lo = 0
     while lo < t.size:
         hi = t.size if t.size - lo < 2 * _BLOCK else lo + _BLOCK
-        width = hi - lo
-        prod = prod_buf[: groups * width].reshape(groups, width)
-        factor = factor_buf[: groups * width].reshape(groups, width)
         z = np.exp(1j * t[lo:hi])
-        np.subtract(z, slots[0], out=prod)
+        prod = z - slots[0]
         for tau in slots[1:]:
-            rows = tau.shape[0]
-            np.subtract(z, tau, out=factor[:rows])
-            np.multiply(prod[:rows], factor[:rows], out=prod[:rows])
-        # |product|^2, in the memory of the spent factors: two float halves
-        sq, im2 = factor_buf.view(float)[: 2 * groups * width].reshape(2, groups, width)
-        np.multiply(prod.real, prod.real, out=sq)
-        np.multiply(prod.imag, prod.imag, out=im2)
-        np.add(sq, im2, out=sq)
+            prod[: tau.shape[0]] *= z - tau
+        # A spent matrix is freed at once: no two blocks' are held together.
+        sq = prod.real * prod.real + prod.imag * prod.imag
+        del prod
         low = np.flatnonzero((sq < _TINY).any(axis=0))
-        np.maximum(sq, _TINY, out=sq)
-        np.log(sq, out=sq)
-        np.sum(sq, axis=0, out=out[lo:hi])
+        out[lo:hi] = np.log(np.maximum(sq, _TINY)).sum(axis=0)
+        del sq
         if low.size:
             # One row per node, so that its sum does not depend on how many
             # nodes take this path.

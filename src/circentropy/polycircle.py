@@ -41,20 +41,14 @@ TAU_SEP = 1e-8       # chordal separation deciding the simple-zero flag
 # bounds the memory of a block to a few MiB whatever the instance count.
 _STACK_ENTRIES = 1 << 16
 
-_COMPLEX = np.dtype(complex)
-
 
 def as_coefficient_stack(values) -> np.ndarray:
     """Coerce input to a complex array with coefficients along the last axis.
 
     A 2-d input is a stack, one coefficient vector per row; a 1-d input is
     a stack of one and keeps its shape.  A nonempty complex ndarray is
-    returned as it is, which is what ``np.asarray`` would return for it,
-    without the coercion calls.
+    returned as it is.
     """
-    if (type(values) is np.ndarray and values.ndim and values.shape[-1]
-            and values.dtype == _COMPLEX):
-        return values
     arr = np.atleast_1d(np.asarray(values, dtype=complex))
     if arr.shape[-1] == 0:
         raise ValueError("coefficients must form a nonempty sequence")
@@ -190,7 +184,7 @@ def expand_from_roots(roots, leading) -> np.ndarray:
     return coeffs if roots.ndim > 1 else coeffs[0]
 
 
-def root_clusters(roots, tol: float = TAU_SEP):
+def root_clusters(roots, tol: float):
     """Group roots whose pairwise chordal distance is within ``tol``.
 
     Returns a list of ``(center, multiplicity)`` pairs with the center

@@ -234,6 +234,19 @@ def test_suite_above_the_degree_limit_is_invalid_input(capsys):
     assert f"certified up to degree {MAX_SERIES_DEGREE}" in captured.err
 
 
+def test_suite_checks_the_degree_limit_before_building_instances(capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr("circentropy.cli.random_circle_stack", build)
+    code = main(["suite", "--degrees", "1..129", "--count", "20"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"certified up to degree {MAX_SERIES_DEGREE}" in captured.err
+
+
 def test_verify_and_suite_share_one_verdict(capsys, monkeypatch):
     # A negative tolerance fails the moment-norm identity on every
     # simple-zero instance; verify and the suite read the same verdict.
@@ -362,6 +375,14 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     # z^20 - (1 + 9e-7)^20: its roots lie within INPUT_ROOT_TOL of the
     # circle, but their re-expansion misses the input coefficients
     (("--coeffs", json.dumps([[-(1 + 9e-7) ** 20, 0]] + [[0, 0]] * 19 + [[1, 0]])), 3),
+    # a coefficient that is not finite is refused before any eigensolve
+    (("--coeffs", "[[NaN,0],[1,0]]"), 3),
+    (("--coeffs", "[[1,0],[NaN,0]]"), 3),
+    (("--coeffs", "[[1,0],[0,0],[Infinity,0]]"), 3),
+    # inf parses as a number, not as "jnf", and is refused as nan is
+    (("--binomial", "n=4", "leading=inf"), 3),
+    (("--angles", "[0.1,2.0,3.0]", "--leading", "inf"), 3),
+    (("--binomial", "n=4", "omega=inf"), 3),
 ])
 def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
     # text that does not parse is a usage error (2); a parsed polynomial
