@@ -31,7 +31,13 @@ from .entropy import (
     verify_columns,
     verify_main,
 )
-from .errors import CircEntropyError, IllConditioned, RootsOffCircle, ZeroPolynomial
+from .errors import (
+    CircEntropyError,
+    IllConditioned,
+    NonUnimodularRoot,
+    RootsOffCircle,
+    ZeroPolynomial,
+)
 from .extremal import checked_schedule, coalescence_experiment, minimize
 from .log_integrals import MAX_SERIES_DEGREE
 from .polycircle import (
@@ -72,6 +78,9 @@ def _binomial_poly(tokens: list[str]) -> CirclePoly:
     omega = _parse_complex(params.get("omega", "1"))
     if omega == 0:
         raise ValueError("omega must be unimodular, got 0")
+    if not np.isfinite(omega):
+        # inf/inf would give NaN root angles, blamed on a root
+        raise NonUnimodularRoot(f"omega must be finite, got {params['omega']!r}")
     omega /= abs(omega)
     leading = _parse_complex(params.get("leading", "1"))
     angles = (np.angle(-omega) + 2 * np.pi * np.arange(n)) / n

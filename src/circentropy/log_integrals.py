@@ -47,6 +47,15 @@ from .polycircle import (
 # instances (and within 2e-12 at n = 512).
 MAX_SERIES_DEGREE = 128
 _S_CUT = 37.0        # window substitutions stop at |t - angle| = e^{-37}
+# A window piece whose cut lies below this starts as one Kronrod panel.  A
+# node c +/- e^{-s} can round onto its center c only where e^{-s} is below
+# about 1.5 spacing(c).  Every center lies below 8 (2pi plus a window past
+# it), where spacing(c) <= 2^-50, so that takes s > -log(1.5 * 2^-50) =
+# 34.25.  A piece cut short of that has no node the log-distance kernel
+# floors, and the K21 - G10 estimate refines it as it does arcs.  A piece
+# that reaches it, a full-length window (_S_CUT) among them, keeps panels
+# at most 2.5 wide in s, which hold each floored node's weight below 1e-15.
+_ONE_PANEL_CUT = 34.0
 _TOLERANCE = 1e-9    # quadrature accuracy target, times max(1, |scale|)
 _WINDOW = 1e-2       # width of the substitution window around a singular angle
 _MAX_NODES = 2 ** 22  # most integrand nodes of one quadrature, all rounds
@@ -255,15 +264,19 @@ def _kronrod_nodes(window_pieces, arc_pieces, levels):
 
     Window pieces ``(center, sign, s0, s_cut)`` come first, then arc pieces
     ``(a, b, base panels)``; ``levels`` holds one doubling count per piece,
-    in the same order.  Window pieces have max(2, ceil((s_cut - s0) / 2.5))
-    base panels in s.  Returns the nodes and the weights dt/dx times the
-    panel half-width, one row of 21 per panel, and the panel count of each
-    piece.
+    in the same order.  A window piece whose cut is below ``_ONE_PANEL_CUT``
+    (34) has one base panel in s; one that reaches it has
+    ceil((s_cut - s0) / 2.5), at least 3, as s0 <= -log 5e-13 for centers
+    more than 1e-12 apart.  Only beyond s = 34.25 can a node round onto a
+    center below 8, where the log-distance kernel floors it, and there
+    panels 2.5 wide keep the weight of such a node below 1e-15.  Returns
+    the nodes and the weights dt/dx times the panel half-width, one row of
+    21 per panel, and the panel count of each piece.
     """
     c, sign, s0, s_cut = np.array(window_pieces, dtype=float).reshape(-1, 4).T
     a, b, p0 = np.array(arc_pieces, dtype=float).reshape(-1, 3).T
-    panels = np.concatenate((np.maximum(2, np.ceil((s_cut - s0) / 2.5).astype(int)),
-                             p0.astype(int))) << levels
+    win = np.where(s_cut < _ONE_PANEL_CUT, 1, np.ceil((s_cut - s0) / 2.5).astype(int))
+    panels = np.concatenate((win, p0.astype(int))) << levels
     win_panels = panels[: c.size]
     s, half = _kronrod_panels(s0, s_cut, win_panels)
     u = np.exp(-s)
@@ -283,9 +296,13 @@ def circle_quadrature(f, singular_angles=(), scale: float = 1.0,
     integrated under the substitution t = angle +/- e^{-s}, which resolves
     logarithmic singularities; the complement arcs are pieces of their own,
     and with no singular angles the whole circle is one arc.  Every piece is
-    cut into equal panels, each integrated by the 21-point Gauss-Kronrod
-    rule (QUADPACK qk21), and |K21 - G10|, its difference from the embedded
-    10-point Gauss rule, estimates the panel's error.  Each round calls f
+    cut into equal panels: an arc into panels at most 0.15 wide, a window
+    side cut short of s = ``_ONE_PANEL_CUT`` (34) into one panel in s, and
+    one that reaches it into panels at most 2.5 wide, since only past
+    s = 34.25 can a node round onto its center (see ``_kronrod_nodes``).
+    Each panel is integrated by the 21-point Gauss-Kronrod rule (QUADPACK
+    qk21), and |K21 - G10|, its difference from the embedded 10-point Gauss
+    rule, estimates the panel's error.  Each round calls f
     once, on the panels of the pieces still refining.  The Kronrod sum is
     returned once the estimates of all pieces sum to at most the tolerance,
     ``_TOLERANCE`` * max(1, |scale|); until then, every piece whose estimate

@@ -224,8 +224,8 @@ def test_suite_payloads_match_the_report_rows(capsys, seed):
 
 
 def test_suite_above_the_degree_limit_is_invalid_input(capsys):
-    # Construction at n = 300 returns, and the verification refuses the
-    # degree: exit 3 with the IllConditioned message, no payload.
+    # The suite refuses the degree before it builds any instance: exit 3
+    # with the IllConditioned message, no payload.
     code = main(["suite", "--degrees", "300..300", "--count", "1"])
     captured = capsys.readouterr()
     assert code == 3
@@ -383,6 +383,7 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     (("--binomial", "n=4", "leading=inf"), 3),
     (("--angles", "[0.1,2.0,3.0]", "--leading", "inf"), 3),
     (("--binomial", "n=4", "omega=inf"), 3),
+    (("--binomial", "n=4", "omega=nan"), 3),
 ])
 def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
     # text that does not parse is a usage error (2); a parsed polynomial
@@ -396,6 +397,16 @@ def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
     else:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("omega", ["inf", "nan", "-inf"])
+def test_binomial_omega_that_is_not_finite_is_named(capsys, omega):
+    # The message names omega, not the NaN root angles it would give.
+    code = main(["verify", "--binomial", "n=4", f"omega={omega}"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: omega must be finite, got '{omega}'\n"
 
 
 def test_coalesce_rotations_below_rounding_are_invalid_input(capsys):

@@ -21,6 +21,7 @@ from circentropy.log_integrals import (
     _KG_WEIGHTS,
     _LOG_FLOOR,
     _BLOCK,
+    _ONE_PANEL_CUT,
     _S_CUT,
     _WINDOW,
     MAX_SERIES_DEGREE,
@@ -296,7 +297,8 @@ def _kronrod_nodes_reference(window_pieces, arc_pieces, levels):
     wts = []
     counts = []
     for (c, sign, s0, s_cut), level in zip(window_pieces, levels):
-        panels = max(2, int(math.ceil((s_cut - s0) / 2.5))) * 2**int(level)
+        base = 1 if s_cut < _ONE_PANEL_CUT else int(math.ceil((s_cut - s0) / 2.5))
+        panels = base * 2**int(level)
         edges = np.linspace(s0, s_cut, panels + 1)
         half = (s_cut - s0) / (2.0 * panels)
         mids = 0.5 * (edges[:-1] + edges[1:])
@@ -685,6 +687,52 @@ def test_log_distance_floor_only_at_negligible_weight():
             assert np.all(np.abs(t_row[hit] - c) <= np.spacing(c))
             assert np.all(w_row[hit] <= 1e-15)
     assert floored > 0
+
+
+def test_short_window_pieces_start_as_one_panel_with_no_floored_node():
+    # Below _ONE_PANEL_CUT no node of a window piece rounds onto its center,
+    # for centers up to 2pi + 0.1 (wrapped windows) and starts s0 from the
+    # window edge, -log 0.005, to -log 5e-13, the least half-gap between two
+    # distinct centers.  Full-length windows keep their 13 panels.
+    rng = instance_rng(49)
+    centers = np.concatenate((rng.uniform(0, 2 * np.pi + 0.1, 60),
+                              [0.0, 1e-3, np.pi, 2 * np.pi, 2 * np.pi + 0.1]))
+    below = np.nextafter(_ONE_PANEL_CUT, 0.0)
+    windows = []
+    for c in centers:
+        s0 = rng.uniform(-math.log(0.005), -math.log(5e-13), 4)
+        s0[0], s0[1] = -math.log(0.005), -math.log(5e-13)
+        for start in s0:
+            for s_cut in (rng.uniform(start, _ONE_PANEL_CUT), below):
+                windows.append((float(c), float(rng.choice([-1.0, 1.0])), start, s_cut))
+    t, _, panels = _kronrod_nodes(windows, [], np.zeros(len(windows), dtype=int))
+    assert (panels == 1).all()
+    for (c, _, _, _), t_row in zip(windows, t):
+        assert (log_integrals._log_distance_sum(t_row, np.array([c]))
+                > math.log(_LOG_FLOOR)).all(), c
+    full = [(c, sign, -math.log(0.005), _S_CUT) for c in centers for sign in (-1.0, 1.0)]
+    _, _, panels = _kronrod_nodes(full, [], np.zeros(len(full), dtype=int))
+    assert (panels == 13).all()
+
+
+def test_clustered_zeros_agree_with_the_spectral_route():
+    # Clusters of 2 to 4 zeros spaced 1e-2, 1e-4 and 1e-6, at n = 8..64:
+    # both quadratures lie within 1e-9 max(1, sum |a_j|^2) of the spectral
+    # values; 4.1e-11 measured.
+    rng = instance_rng(48)
+    for n in (8, 16, 32, 64):
+        for gap in (1e-2, 1e-4, 1e-6):
+            for k in range(4):
+                angles = rng.uniform(0, 2 * np.pi, n)
+                angles[: 2 + k % 3] = angles[0] + gap * np.arange(2 + k % 3)
+                p = ce.normalize_self_inversive(ce.from_angles(angles))
+                a = p.coefficients
+                rf = ce.ratio_functional(p)
+                tol = 1e-9 * max(1.0, float(np.sum(np.abs(a) ** 2)))
+                entropy = ce.log_pair_quadrature(a, a, b_roots=p.roots)
+                jensen = ce.log_pair_quadrature(a, ce.polar_factor(p).q)
+                assert abs(entropy - rf.entropy_integral) <= tol, (n, gap, k)
+                assert abs(jensen - rf.jensen_integral) <= tol, (n, gap, k)
 
 
 def test_log_distance_kernel_agrees_with_the_direct_sine_form(monkeypatch):
