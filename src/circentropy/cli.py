@@ -326,7 +326,9 @@ def cmd_suite(args) -> int:
         "seed": args.seed,
         "instances": len(rows),
         "failures": failures,
-        "min_gaps": min_gaps,
+        # JSON has no Infinity: a gap that no instance reached is null.
+        "min_gaps": {key: None if gap == math.inf else gap
+                     for key, gap in min_gaps.items()},
         "max_residuals": max_resid,
     }
     csv_payload = _csv_payload(SUITE_HEADER, rows)

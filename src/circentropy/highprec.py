@@ -1,10 +1,9 @@
 """Extended-precision reruns of the entropy functionals via mpmath.
 
 Treats the stored root angles and leading coefficient of a CirclePoly as
-exact, recomputes the norm exactly, and reevaluates the entropy and Jensen
-integrals by high-precision quadrature split at the root angles (where the
-integrands have their logarithmic singularities).  Intended as an
-independent recheck of the double-precision values, not as a fast path.
+exact and reruns the finite algebra of the spectral route on them.  It
+shares the double-precision route's formulas but neither its code nor its
+rounding, so it is an independent referee for the double-precision values.
 """
 
 from __future__ import annotations
@@ -26,49 +25,49 @@ def _expand_mp(roots, leading):
     return coeffs
 
 
-def _eval_mp(coeffs, z):
-    acc = mp.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+def entropy_values_mp(p: CirclePoly, bits: int) -> dict:
+    """Norm, entropy, Jensen term and polar functional at ``bits`` precision.
 
-
-def entropy_values_mp(p: CirclePoly, bits: int = 200) -> dict:
-    """Norm, entropy, Jensen term, and polar functional at ``bits`` precision."""
-    with mp.workprec(bits + 40):
+    With the autocorrelation c_m = sum_j a_{j+m} conj(a_j) and the power
+    sums P_m = sum_tau tau^m of the roots, E = 2N log|a_n| - 2 Re sum_m
+    c_m P_m / m.  The polar term is -2 Re sum_m c_m conj(d_{m-1}) / m for
+    the series d = h'/h of h = q/p, h_k = conj(P_k)/n (h_0 = 1), and the
+    Jensen term is E minus it; m runs over 1..n.  The algebra runs at
+    ``bits + 40 + n`` bits: the expansion's partial products, taken in angle
+    order, have coefficients up to 2^n, and as many bits can cancel.  Each
+    value is rounded once to ``bits``.
+    """
+    n = p.degree
+    with mp.workprec(bits + 40 + n):
         angles = sorted(float(a) % (2 * np.pi) for a in np.angle(p.roots))
         roots = [mp.exp(1j * mp.mpf(a)) for a in angles]
         lead = mp.mpc(complex(p.leading))
         coeffs = _expand_mp(roots, lead)
-        n = p.degree
         norm = mp.fsum([abs(c) ** 2 for c in coeffs])
-        qcoeffs = [c * mp.mpf(n - j) / n for j, c in enumerate(coeffs[:n])]
-        splits = [mp.mpf(0)] + [mp.mpf(a) for a in angles] + [2 * mp.pi]
-
-        def make_integrand(bcoeffs):
-            def f(t):
-                z = mp.exp(1j * t)
-                a2 = abs(_eval_mp(coeffs, z)) ** 2
-                if a2 == 0:
-                    return mp.mpf(0)
-                b2 = abs(_eval_mp(bcoeffs, z)) ** 2
-                if b2 == 0:
-                    return mp.mpf(0)
-                return a2 * mp.log(b2)
-            return f
-
-        entropy = mp.quad(make_integrand(coeffs), splits) / (2 * mp.pi)
-        jensen = mp.quad(make_integrand(qcoeffs), splits) / (2 * mp.pi)
+        lags = [mp.fdot(coeffs[m:], map(mp.conj, coeffs)) for m in range(1, n + 1)]
+        sums = [mp.mpc(0)] * n  # P_1..P_n
+        for tau in roots:
+            power = mp.mpc(1)
+            for m in range(n):
+                power *= tau
+                sums[m] += power
+        h = [mp.conj(s) / n for s in sums]  # h_1..h_n; h_0 = 1
+        d = []
+        for k in range(n):
+            d.append((k + 1) * h[k] - mp.fdot(h[:k], reversed(d)))
+        entropy = 2 * norm * mp.log(abs(lead)) - 2 * mp.re(
+            mp.fdot(lags, [s / m for m, s in enumerate(sums, 1)]))
+        polar = -2 * mp.re(mp.fdot(lags, [mp.conj(x) / m for m, x in enumerate(d, 1)]))
         with mp.workprec(bits):
             return {
                 "norm": +norm,
                 "entropy": +entropy,
-                "jensen_term": +jensen,
-                "polar_term": entropy - jensen,
+                "jensen_term": entropy - polar,
+                "polar_term": +polar,
             }
 
 
-def entropy_report_mp(p: CirclePoly, bits: int = 200) -> dict:
+def entropy_report_mp(p: CirclePoly, bits: int) -> dict:
     """JSON-ready string rendering of :func:`entropy_values_mp`."""
     vals = entropy_values_mp(p, bits=bits)
     return {"bits": bits, **{k: mp.nstr(v, int(bits * 0.3)) for k, v in vals.items()}}

@@ -160,6 +160,25 @@ def test_suite_deterministic_and_green(capsys, tmp_path):
         assert max(relative) < 1e-12
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_suite_without_instances_writes_strict_json(capsys, tmp_path):
+    # With --count 0 no instance reaches a gap: each minimum is null, on
+    # stdout and in --out, where Infinity would not be JSON (RFC 8259).
+    base = tmp_path / "empty"
+    code, out = run_cli(capsys, "suite", "--degrees", "3..3", "--count", "0",
+                        "--out", str(base))
+    assert code == 0
+    for text in (out, base.with_suffix(".json").read_text()):
+        summary = json.loads(text, parse_constant=_reject_constant)
+        assert summary["instances"] == summary["failures"] == 0
+        assert summary["min_gaps"] == dict.fromkeys(
+            ("main", "strengthened", "jensen", "polar"))
+    assert base.with_suffix(".csv").read_text() == ",".join(SUITE_HEADER) + "\n"
+
+
 def test_suite_full_degree_range(capsys):
     # degrees 1..12, 100 instances each, seed 42: zero failures and a
     # strictly positive minimum main-inequality gap (up to rounding)

@@ -196,7 +196,9 @@ def test_route_agreement_random_sample():
 
 def test_jensen_term_matches_mpmath_reference():
     # Suite instance (n=20, index 92, seed 42), where roots of q found by the
-    # companion matrix drifted by 1.7e-7 N.  Frozen from highprec at 120 bits:
+    # companion matrix drifted by 1.7e-7 N.  Frozen from highprec at 120 bits
+    # when it integrated with mp.quad, a method independent of both routes;
+    # highprec's exact pairing now reproduces it within 2.5e-26 N:
     #   p = random_circle_poly(20, instance_rng(42, 20, 92))
     #   ps = ce.normalize_self_inversive(p)
     #   entropy_values_mp(ps, bits=120)["jensen_term"]
