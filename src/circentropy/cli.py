@@ -217,10 +217,21 @@ def _parse_poly(args) -> CirclePoly:
     return _poly_from_coefficients(coeffs)
 
 
+class _Unwritable(Exception):
+    """An ``--out`` path that cannot be written (exit 2, in ``main``)."""
+
+
+def _write(path: str, payload: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def _emit(payload: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(payload)
+        _write(out_path, payload)
     sys.stdout.write(payload)
     if not payload.endswith("\n"):
         sys.stdout.write("\n")
@@ -333,10 +344,8 @@ def cmd_suite(args) -> int:
     }
     csv_payload = _csv_payload(SUITE_HEADER, rows)
     if args.out:
-        with open(args.out + ".csv", "w") as fh:
-            fh.write(csv_payload)
-        with open(args.out + ".json", "w") as fh:
-            fh.write(json.dumps(summary, indent=2))
+        _write(args.out + ".csv", csv_payload)
+        _write(args.out + ".json", json.dumps(summary, indent=2))
     if args.format == "csv":
         sys.stdout.write(csv_payload)
     else:
@@ -517,6 +526,9 @@ def main(argv=None) -> int:
     except CircEntropyError as exc:  # e.g. off-circle roots, n > MAX_SERIES_DEGREE
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except _Unwritable as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

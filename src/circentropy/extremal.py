@@ -4,6 +4,7 @@ and coalescence convergence experiments along root-perturbation schedules.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .blaschke_moments import moments
 from .entropy import polar_term_via_moments
-from .log_integrals import _circle_root_pairing, ratio_functional, trig_square
+from .log_integrals import _circle_root_pairing, _lags, ratio_functional
 from .polycircle import (
     _STACK_ENTRIES,
     CirclePoly,
@@ -42,8 +43,9 @@ _EPS = np.finfo(float).eps
 
 def _dot(a, b) -> float:
     # An elementwise product summed along the row, not BLAS, so the bits do
-    # not depend on the BLAS thread count.
-    return float((a * b).sum())
+    # not depend on the BLAS thread count.  np.add.reduce is the reduction
+    # ndarray.sum wraps, without its Python-level frame.
+    return float(np.add.reduce(a * b))
 
 
 def _cubic_step(lo, hi) -> float:
@@ -117,9 +119,9 @@ def _descend(x0):
     h = np.eye(x.size)
     f_prev = f + math.sqrt(_dot(g, g)) / 2.0
     for _ in range(200 * x.size):
-        if np.abs(g).max() <= DESCENT_GTOL:
+        if np.maximum.reduce(np.abs(g)) <= DESCENT_GTOL:
             break
-        p = -(h * g).sum(axis=1)
+        p = -np.add.reduce(h * g, axis=1)
         d0 = _dot(g, p)
         if not d0 < 0.0:
             break
@@ -135,10 +137,19 @@ def _descend(x0):
             # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, expanded;
             # the inverse-Hessian estimate stays symmetric positive definite.
             rho = 1.0 / sy
-            hy = (h * y).sum(axis=1)
+            hy = np.add.reduce(h * y, axis=1)
             h = (h - rho * (s[:, None] * hy + hy[:, None] * s)
                  + (rho * rho * _dot(y, hy) + rho) * (s[:, None] * s))
     return x, f, g
+
+
+@functools.lru_cache(maxsize=128)
+def _pair_index(n: int) -> np.ndarray:
+    """Index array [l, k] -> n - l + k, read-only, for l = 0..n-1 and k = 0..n:
+    where lambda_{k-l} sits in the objective's lambda_{-n} .. lambda_n."""
+    index = np.arange(n, 0, -1)[:, None] + np.arange(n + 1)
+    index.setflags(write=False)
+    return index
 
 
 def objective_and_gradient(angles):
@@ -186,9 +197,10 @@ def objective_and_gradient(angles):
                 np.concatenate([grad for _, grad in blocks]))
     roots = np.exp(1j * angles)
     coeffs = expand_from_roots(roots, 1.0)
-    norms = (np.abs(coeffs) ** 2).sum(axis=-1).tolist()
+    norms = np.add.reduce(np.abs(coeffs) ** 2, axis=-1).tolist()
     sums = power_sums(roots, n)
-    entropies = _circle_root_pairing(sums, trig_square(coeffs)[:, 1:]).tolist()
+    # p is monic of degree n, so its lags need no degree discovery.
+    entropies = _circle_root_pairing(sums, _lags(coeffs, n)[:, 1:]).tolist()
     # Python floats per row: libm's log and pow, as a row alone takes them.
     values = [e / norm - math.log(norm) for e, norm in zip(entropies, norms)]
     weights = [e / norm**2 + 1.0 / norm for e, norm in zip(entropies, norms)]
@@ -198,15 +210,17 @@ def objective_and_gradient(angles):
     quot[..., n - 1] = coeffs[:, n, None]
     for k in range(n - 1, 0, -1):
         quot[..., k - 1] = coeffs[:, k, None] + roots * quot[..., k]
-    lam = -np.conj(sums) / np.arange(1, n + 1)
     # lambda_{-n} .. lambda_n, so that lam_full[n + k - l] = lambda_{k-l}.
-    lam_full = np.hstack([np.conj(lam[:, ::-1]), np.zeros((len(lam), 1)), lam])
+    lam_full = np.empty((len(sums), 2 * n + 1), dtype=complex)
+    lam = lam_full[:, n + 1 :]
+    np.divide(-np.conj(sums), np.arange(1, n + 1), out=lam)
+    lam_full[:, n] = 0.0
+    np.conj(lam[:, ::-1], out=lam_full[:, :n])
     conj_a = np.conj(coeffs)[:, None, :]
-    pairs = lam_full[:, np.arange(n, 0, -1)[:, None] + np.arange(n + 1)]
-    g = (pairs * conj_a).sum(axis=-1)
+    g = np.add.reduce(lam_full[:, _pair_index(n)] * conj_a, axis=-1)
     rot = -1j * roots
-    d_norm = 2.0 * (rot * (quot * conj_a[..., :n]).sum(axis=-1)).real
-    d_entropy = 2.0 * (rot * (quot * g[:, None, :]).sum(axis=-1)).real + d_norm
+    d_norm = 2.0 * (rot * np.add.reduce(quot * conj_a[..., :n], axis=-1)).real
+    d_entropy = 2.0 * (rot * np.add.reduce(quot * g[:, None, :], axis=-1)).real + d_norm
     grad = d_entropy / np.array(norms)[:, None] - np.array(weights)[:, None] * d_norm
     return np.array(values), grad
 
@@ -328,10 +342,12 @@ def minimize(n: int, restarts: int = 8, seed: int = 0) -> ExtremalResult:
         starts = [_start(x0) for x0 in _starts(n, restarts, rng)]
         pending = {k: next(start) for k, start in enumerate(starts)}
         counts, outcomes, min_seen = [0] * restarts, [None] * restarts, math.inf
+        # One stack per round, the gauge-fixed first angle 0 in every row.
+        block = np.zeros((restarts, n))
         while pending:
-            # One stack per round, the gauge-fixed first angle 0 in every row.
-            values, grads = objective_and_gradient(
-                np.insert(np.array(list(pending.values())), 0, 0.0, axis=1))
+            rows = block[: len(pending)]
+            rows[:, 1:] = list(pending.values())
+            values, grads = objective_and_gradient(rows)
             for k, val, grad in zip(list(pending), values.tolist(), grads):
                 counts[k] += 1
                 min_seen = min(min_seen, val)

@@ -4,6 +4,8 @@ Treats the stored root angles and leading coefficient of a CirclePoly as
 exact and reruns the finite algebra of the spectral route on them.  It
 shares the double-precision route's formulas but neither its code nor its
 rounding, so it is an independent referee for the double-precision values.
+The Jensen term is the difference E - polar, so its accuracy is absolute,
+about max(1, N) 2^-(bits + 40 + n), not relative to its own size.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ def entropy_values_mp(p: CirclePoly, bits: int) -> dict:
     ``bits + 40 + n`` bits: the expansion's partial products, taken in angle
     order, have coefficients up to 2^n, and as many bits can cancel.  Each
     value is rounded once to ``bits``.
+
+    The Jensen term is computed as E - polar, both of size about N, so its
+    error is absolute, about max(1, N) 2^-(bits + 40 + n), and a tiny term
+    keeps few or none of its digits: for the binomial z^3 + 1 at 60 bits
+    it is 0.0, where 260 bits give 1.58e-31.
     """
     n = p.degree
     with mp.workprec(bits + 40 + n):

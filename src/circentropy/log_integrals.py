@@ -92,12 +92,17 @@ def trig_square(A) -> np.ndarray:
     deg = poly_degree(arr)
     if deg < 0:
         raise ZeroPolynomial("|A|^2 undefined for the zero polynomial")
+    return _lags(arr, deg)
+
+
+def _lags(arr, deg: int) -> np.ndarray:
+    """``trig_square`` of a complex stack ``arr`` whose highest degree is ``deg``."""
     padded = np.zeros(arr.shape[:-1] + (2 * deg + 1,), dtype=complex)
     padded[..., : deg + 1] = arr[..., : deg + 1]
-    # np.take lays the windows out row-major, so each lag sums along
+    # take lays the windows out row-major, so each lag sums along
     # contiguous memory whatever the stack size.
-    windows = np.take(padded, _lag_window(deg), axis=-1)
-    c = (windows * np.conj(padded[..., None, : deg + 1])).sum(axis=-1)
+    windows = padded.take(_lag_window(deg), axis=-1)
+    c = np.add.reduce(windows * np.conj(padded[..., None, : deg + 1]), axis=-1)
     # A fused multiply-add can leave rounding in the imaginary part of c_0.
     c[..., 0] = c[..., 0].real
     return c
@@ -112,7 +117,7 @@ def _circle_root_pairing(sums, cm) -> np.ndarray:
     ``cm`` = (c_1, .., c_d) of |A|^2; the series truncates at m = d.
     """
     m = np.arange(1, cm.shape[-1] + 1)
-    return -2.0 * (sums * (cm / m)).sum(axis=-1).real
+    return -2.0 * np.add.reduce(sums * (cm / m), axis=-1).real
 
 
 def _given_roots(b_roots, deg: int) -> np.ndarray:

@@ -69,7 +69,7 @@ def power_sums(roots, count: int) -> np.ndarray:
     Every power of every root is formed, then summed over the roots.
     """
     roots = np.asarray(roots, dtype=complex)
-    return (roots[..., :, None] ** np.arange(1, count + 1)).sum(axis=-2)
+    return np.add.reduce(roots[..., :, None] ** np.arange(1, count + 1), axis=-2)
 
 
 def unstacked(value):
@@ -171,11 +171,11 @@ def expand_from_roots(roots, leading) -> np.ndarray:
     alone.  One root list is expanded as a stack of one.
     """
     roots = np.asarray(roots, dtype=complex)
-    rows = np.atleast_2d(roots)
+    rows = roots if roots.ndim > 1 else roots.reshape(1, -1)
     m = rows.shape[-1]
     coeffs = np.zeros((len(rows), m + 1), dtype=complex)
     coeffs[:, m] = leading
-    taus = np.take_along_axis(rows, _leja_order(rows), axis=-1)
+    taus = rows[np.arange(len(rows))[:, None], _leja_order(rows)]
     # After k factors the product fills coeffs[:, m - k:]; the next factors
     # (z - tau), one column of them, shape (K, 1), extend it by one slot at
     # the low end.

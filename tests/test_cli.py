@@ -369,6 +369,27 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
         assert err.startswith("error: schedule must be ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--binomial", "n=3"),
+    ("suite", "--degrees", "1..2", "--count", "1"),
+    ("fourier-h", "--max-k", "2"),
+    ("search", "--n", "3", "--restarts", "1"),
+    ("coalesce", "--angles", "[0.3, 0.3, 2.0, 5.0]", "--schedule", "2^-1..2^-2"),
+    ("moments", "--angles", "[0.3, 1.3]"),
+    ("telescoping", "--max-n", "3"),
+])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    # An --out in a missing directory is not a failed check (exit 1).
+    out = tmp_path / "missing" / "result"
+    code = main([*argv, "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    written = f"{out}.csv" if argv[0] == "suite" else str(out)
+    assert captured.err == (f"error: cannot write {written!r}: "
+                            f"No such file or directory\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "moments", "coalesce"])
 @pytest.mark.parametrize("poly_args, expected", [
     (("--angles", "[1,"), 2),             # not JSON

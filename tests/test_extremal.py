@@ -19,8 +19,8 @@ from circentropy.extremal import (
     angle_gap_deviation,
     objective_and_gradient,
 )
-from circentropy.log_integrals import _circle_root_pairing, trig_square
-from circentropy.polycircle import expand_from_roots, power_sums, root_clusters
+from circentropy.polycircle import root_clusters
+from test_polycircle import _expand_reference
 
 TARGET = 1.0 - math.log(2.0)
 
@@ -42,14 +42,20 @@ def _drive(gen, fg):
 
 def _objective_and_gradient_reference(angles):
     # The value and gradient of one angle set, computed without a stack
-    # axis; each row of a stack must reproduce its bits.
+    # axis and without the package's helpers, in the objective's order;
+    # each row of a stack must reproduce its bits.
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     n = angles.size
     roots = np.exp(1j * angles)
-    coeffs = expand_from_roots(roots, 1.0)
+    coeffs = _expand_reference(roots, 1.0)
     norm = float((np.abs(coeffs) ** 2).sum())
-    sums = power_sums(roots, n)
-    entropy = float(_circle_root_pairing(sums, trig_square(coeffs)[1:]))
+    # P_m = sum_tau tau^m, m = 1..n
+    sums = (roots[:, None] ** np.arange(1, n + 1)).sum(axis=0)
+    # c_m = sum_j a_{j+m} conj(a_j), m = 1..n
+    padded = np.concatenate([coeffs, np.zeros(n, dtype=complex)])
+    lags = np.array([(padded[m : m + n + 1] * np.conj(coeffs)).sum()
+                     for m in range(1, n + 1)])
+    entropy = float(-2.0 * (sums * (lags / np.arange(1, n + 1))).sum().real)
     value = entropy / norm - math.log(norm)
     quot = np.empty((n, n), dtype=complex)
     quot[:, n - 1] = coeffs[n]
@@ -443,6 +449,18 @@ def test_search_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_search_rounds_call_no_numpy_convenience_wrappers(monkeypatch):
+    # At n = 8 a round costs its count of Python-level numpy calls, so the
+    # round path calls the ufuncs and indexing these wrappers stand for.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy convenience wrapper on the round path")
+
+    for name in ("insert", "hstack", "take_along_axis", "atleast_2d"):
+        monkeypatch.setattr(np, name, refuse)
+    res = ce.minimize(8, restarts=2, seed=0)
+    assert res.evaluations > 0
 
 
 def test_minimize_degree_one_immediate():
