@@ -5,6 +5,7 @@ the moment sequence M_k = <r^k q, q>, and the weighted Schur contraction check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +32,15 @@ def _fit(a: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=128)
+def _toeplitz_index(size: int) -> np.ndarray:
+    """Index array [i, j] -> (size - 1) + i - j, read-only."""
+    idx = np.arange(size)
+    index = (size - 1) + idx[:, None] - idx
+    index.setflags(write=False)
+    return index
+
+
 def _toeplitz(a, size: int) -> np.ndarray:
     """Lower-triangular Toeplitz matrices T[i, j] = a_{i-j}, one per row of a.
 
@@ -38,10 +48,9 @@ def _toeplitz(a, size: int) -> np.ndarray:
     """
     padded = np.zeros(a.shape[:-1] + (2 * size - 1,), dtype=complex)
     padded[..., size - 1 :] = _fit(a, size)
-    idx = np.arange(size)
     # Row-major, unlike padded[..., index]: every row of T b then sums along
     # contiguous memory, in the same order whatever the stack size.
-    return np.take(padded, (size - 1) + idx[:, None] - idx, axis=-1)
+    return np.take(padded, _toeplitz_index(size), axis=-1)
 
 
 def _apply(T: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -125,20 +134,22 @@ def moments(d: PolarDecomposition) -> MomentSequence:
     Toeplitz matrix of r, for all rows of a stack at once.
 
     The Blaschke quotient is r = q*/q = 1/h - 1, with h = q/p the series of
-    the roots that the Jensen term uses (``CirclePoly.h_series``).  1/h =
-    1 + r has bounded coefficients, so the division keeps its digits when
-    zeros cluster, where dividing q* by q loses them.  h_0 = 1 exactly, so
-    r_0 = 0 exactly.  Each M_k pairs the Taylor coefficients of r^k q of
-    degrees 0..n-1 against those of q, so r is expanded only through degree
-    n - 1.  The first product r q also gives the ``ratio_series_residual``
-    against q*.  Inputs without simple zeros are accepted (q(0) != 0 keeps
-    the series well defined) but the sequence then sits outside the moment
-    identity's hypotheses; consumers should consult ``simple_zeros``.
+    the roots that the Jensen term uses (``CirclePoly.h_series``); 1/h is
+    the second row of the one division by h that the Jensen term shares
+    (``CirclePoly.h_quotients``).  1/h = 1 + r has bounded coefficients,
+    so the division keeps its digits when zeros cluster, where dividing q*
+    by q loses them.  h_0 = 1 exactly, so r_0 = 0 exactly.  Each M_k pairs
+    the Taylor coefficients of r^k q of degrees 0..n-1 against those of q,
+    so r is expanded only through degree n - 1.  The first product r q
+    also gives the ``ratio_series_residual`` against q*.  Inputs without
+    simple zeros are accepted (q(0) != 0 keeps the series well defined) but
+    the sequence then sits outside the moment identity's hypotheses;
+    consumers should consult ``simple_zeros``.
     """
     n = d.degree
     p = d.parent
     q = d.q
-    r = series_divide(1.0, p.h_series, n - 1)
+    r = p.h_quotients[..., 1, :].copy()
     r[..., 0] = 0.0
     # One Toeplitz matrix of r serves every product r^k q.
     t_r = _toeplitz(r, n)
@@ -147,11 +158,13 @@ def moments(d: PolarDecomposition) -> MomentSequence:
              / np.abs(p.coefficients).max(axis=-1))
     conj_q = np.conj(q)
     vals = np.empty(q.shape, dtype=complex)
-    vals[..., 0] = (conj_q * q).sum(axis=-1).real  # <q, q> is real
+    vals[..., 0] = np.add.reduce(conj_q * q, axis=-1).real  # <q, q> is real
+    # Each step is _apply(t_r, f) and each pairing a sum, as direct ufunc
+    # calls: at a few rows a step costs its numpy calls, not its arithmetic.
     f = q
     for k in range(1, n):
-        f = rq if k == 1 else _apply(t_r, f)
-        vals[..., k] = (conj_q * f).sum(axis=-1)
+        f = rq if k == 1 else np.add.reduce(t_r * f[..., None, :], axis=-1)
+        vals[..., k] = np.add.reduce(conj_q * f, axis=-1)
     return MomentSequence(vals, d.simple_zeros, unstacked(resid))
 
 

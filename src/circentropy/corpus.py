@@ -66,7 +66,7 @@ def random_circle_stack(
     draws = np.empty((len(rngs), 2))  # modulus and phase of the leading factor
     for row, (rng, flag) in enumerate(zip(rngs, flags, strict=True)):
         angles[row] = _draw_angles(n, rng, flag)
-        draws[row] = rng.random(), rng.random()
+        draws[row] = rng.random(2)  # as two rng.random() calls draw them
     leading = (0.5 + 1.5 * draws[:, 0]) * np.exp(2j * np.pi * draws[:, 1])
     p = normalize_self_inversive(from_angles(angles, leading))
     if unit_norm:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +46,10 @@ MOMENT_POLAR_TOL = 1e-8        # x N: polar term against its moment formula
 MOMENT_NORM_TOL = 1e-9         # x N: N = 2M_0 + 2 Re M_1, and M_1 = Gamma
 RATIO_SERIES_TOL = TAU_EXPAND  # x max|a_j|: r q = q* through degree n - 1
 MOMENT_BOUND_TOL = 1e-9        # x N: |M_k| <= Gamma + tol, 2 <= k <= n-1
+
+# A report's status, in the order in which later checks override earlier ones.
+_STATUSES = np.array(["ok", "violation:inequality", "violation:moment_identity",
+                      "violation:ratio_series", "violation:moment_bound"], dtype=object)
 
 
 def h_fourier(k: int) -> Fraction:
@@ -106,6 +111,17 @@ def telescoping_closed_form(n: int) -> Fraction:
     return Fraction(1, 4) - Fraction(1, 2 * n * (n - 1))
 
 
+@lru_cache(maxsize=128)
+def _moment_weights(n: int) -> np.ndarray:
+    """The weights 2, 3, 4 (-1)^k / (k(k^2-1)) for k < n, read-only."""
+    k = np.arange(n, dtype=float)
+    weights = np.empty(n)
+    weights[:2] = (2.0, 3.0)[:n]
+    weights[2:] = 4.0 * ((-1.0) ** k[2:] / (k[2:] * (k[2:] * k[2:] - 1.0)))
+    weights.setflags(write=False)
+    return weights
+
+
 def polar_term_via_moments(seq: MomentSequence):
     """Moment-formula value 2M_0 + 3 Re M_1 + 4 sum_{k>=2} w_k Re M_k.
 
@@ -113,11 +129,7 @@ def polar_term_via_moments(seq: MomentSequence):
     Outside the simple-zero case the value is advisory only (consult the
     sequence's ``simple_zeros`` flag).  One value per row of a stack.
     """
-    k = np.arange(seq.degree, dtype=float)
-    weights = np.empty(seq.degree)
-    weights[:2] = (2.0, 3.0)[: seq.degree]
-    weights[2:] = 4.0 * ((-1.0) ** k[2:] / (k[2:] * (k[2:] * k[2:] - 1.0)))
-    return unstacked((weights * seq.values.real).sum(axis=-1))
+    return unstacked((_moment_weights(seq.degree) * seq.values.real).sum(axis=-1))
 
 
 def norm_via_moments(seq: MomentSequence):
@@ -172,7 +184,7 @@ class EntropyReport:
 
 def _classify_extremal(coeffs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Equality-case test per row: interior coefficients negligible, |a_0|=|a_n|."""
-    ends = np.abs(coeffs[..., [0, n]])
+    ends = np.abs(coeffs[..., ::n])  # a_0 and a_n
     edge = ends.max(axis=-1)
     if n >= 2:
         margin = np.abs(coeffs[..., 1:n]).max(axis=-1) / edge
@@ -257,7 +269,9 @@ def _verify_block(p: CirclePoly) -> dict[str, list]:
         "polar": polar_term - polar_bound,
     }
     gap_tol = GAP_TOL * norm
-    ok = np.logical_and.reduce([g >= -gap_tol for g in gaps.values()])
+    gap_floor = -gap_tol
+    ok = ((gaps["main"] >= gap_floor) & (gaps["strengthened"] >= gap_floor)
+          & (gaps["jensen"] >= gap_floor) & (gaps["polar"] >= gap_floor))
 
     # M_1 = Gamma exactly (Parseval), so k = 1 is checked as an identity;
     # the bound |M_k| <= Gamma has room to spare only for k >= 2, and for
@@ -267,17 +281,18 @@ def _verify_block(p: CirclePoly) -> dict[str, list]:
     polar_resid = np.abs(polar_term - moment_polar)
     norm_resid = np.abs(norm - moment_norm_val)
     m1_resid = np.abs(seq.values[..., 1] - gamma) if n >= 2 else np.zeros(norm.shape)
-    status = np.where(ok, "ok", "violation:inequality").astype(object)
-    status[simple & ((polar_resid > MOMENT_POLAR_TOL * norm)
-                     | (norm_resid > MOMENT_NORM_TOL * norm)
-                     | (m1_resid > MOMENT_NORM_TOL * norm))] = "violation:moment_identity"
-    status[simple & (seq.ratio_series_residual > RATIO_SERIES_TOL)] = "violation:ratio_series"
-    bound_slack = np.full(status.shape, None)
+    verdict = np.where(ok, 0, 1)  # indices into _STATUSES
+    verdict[simple & ((polar_resid > MOMENT_POLAR_TOL * norm)
+                      | (norm_resid > MOMENT_NORM_TOL * norm)
+                      | (m1_resid > MOMENT_NORM_TOL * norm))] = 2
+    verdict[simple & (seq.ratio_series_residual > RATIO_SERIES_TOL)] = 3
     if n > 2:
-        slack = (gamma + MOMENT_BOUND_TOL * norm
-                 - np.abs(seq.values[..., 2:]).max(axis=-1))
-        status[simple & (slack < 0)] = "violation:moment_bound"
-        bound_slack = slack
+        bound_slack = (gamma + MOMENT_BOUND_TOL * norm
+                       - np.abs(seq.values[..., 2:]).max(axis=-1))
+        verdict[simple & (bound_slack < 0)] = 4
+    else:
+        bound_slack = np.full(norm.shape, None)
+    status = _STATUSES[verdict]
 
     columns = {
         "simple_zeros": simple,

@@ -5,7 +5,8 @@ exact and reruns the finite algebra of the spectral route on them.  It
 shares the double-precision route's formulas but neither its code nor its
 rounding, so it is an independent referee for the double-precision values.
 The Jensen term is the difference E - polar, so its accuracy is absolute,
-about max(1, N) 2^-(bits + 40 + n), not relative to its own size.
+about max(1, N) 2^-(bits + 40), not relative to its own size; the report
+states a bound on it.
 """
 
 from __future__ import annotations
@@ -40,9 +41,11 @@ def entropy_values_mp(p: CirclePoly, bits: int) -> dict:
     value is rounded once to ``bits``.
 
     The Jensen term is computed as E - polar, both of size about N, so its
-    error is absolute, about max(1, N) 2^-(bits + 40 + n), and a tiny term
-    keeps few or none of its digits: for the binomial z^3 + 1 at 60 bits
-    it is 0.0, where 260 bits give 1.58e-31.
+    error is absolute: besides its rounding to ``bits``, the error of E and
+    polar at the working precision, about max(1, N) 2^-(bits + 40) once the
+    n guard bits have absorbed the cancellation.  A tiny term keeps few or
+    none of its digits: for the binomial z^3 + 1 at 60 bits it is 0.0,
+    where 260 bits give 1.58e-31.
     """
     n = p.degree
     with mp.workprec(bits + 40 + n):
@@ -75,6 +78,23 @@ def entropy_values_mp(p: CirclePoly, bits: int) -> dict:
 
 
 def entropy_report_mp(p: CirclePoly, bits: int) -> dict:
-    """JSON-ready string rendering of :func:`entropy_values_mp`."""
+    """JSON-ready string rendering of :func:`entropy_values_mp`.
+
+    Each value is printed with floor(0.3 bits) significant digits.  Next to
+    the Jensen term, ``jensen_term_abs_error`` bounds the distance of its
+    printed value from the exact one for the given roots and leading
+    factor: |J| 10^(1 - digits), which covers both roundings of J, to
+    ``bits`` and to the printed digits, plus max(1, N) 2^-(bits + 40) for
+    the working precision.  It is printed with three digits.
+    """
     vals = entropy_values_mp(p, bits=bits)
-    return {"bits": bits, **{k: mp.nstr(v, int(bits * 0.3)) for k, v in vals.items()}}
+    digits = int(bits * 0.3)
+    report = {"bits": bits}
+    for key, value in vals.items():
+        report[key] = mp.nstr(value, digits)
+        if key == "jensen_term":
+            with mp.workprec(bits):
+                error = (abs(value) * mp.mpf(10) ** (1 - digits)
+                         + max(1, vals["norm"]) * mp.mpf(2) ** -(bits + 40))
+            report["jensen_term_abs_error"] = mp.nstr(error, 3)
+    return report

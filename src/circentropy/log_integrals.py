@@ -26,6 +26,7 @@ from .errors import (
     IllConditioned,
     NonUnimodularRoot,
     ZeroConstantTerm,
+    ZeroLeading,
     ZeroPolynomial,
 )
 from .polycircle import (
@@ -674,10 +675,11 @@ def ratio_functional(p: CirclePoly) -> RatioFunctionalValue:
     The difference of int |p|^2 log|p|^2 dm and the Jensen term
     int |p|^2 log|q|^2 dm, q = p - (1/n)Dp, is -int |p|^2 log|h|^2 dm for
     h = q/p = (1/n) sum_tau 1/(1 - conj(tau) z) over the roots tau of p.
-    The coefficients of h (``CirclePoly.h_series``, which the moments read
-    too) and of the entropy pairing both come from the given roots, so
-    nothing is root-found and no pointwise quotient is formed.  h has no
-    zeros or poles in the open disk (Laguerre's theorem on polar
+    The coefficients of h (``CirclePoly.h_series``) and of the entropy
+    pairing both come from the given roots, so nothing is root-found and no
+    pointwise quotient is formed; the series of h'/h is the first row of
+    the division by h that the moments read too (``CirclePoly.h_quotients``).
+    h has no zeros or poles in the open disk (Laguerre's theorem on polar
     derivatives puts the zeros of q in |z| >= 1), and its log coefficients
     through z^n are those of its degree-n truncation.
     Dividing the series by h rather than by q keeps the recurrence stable:
@@ -687,9 +689,24 @@ def ratio_functional(p: CirclePoly) -> RatioFunctionalValue:
     """
     n = p.degree
     a = p.coefficients
-    c = trig_square(a)
-    entropy_integral = _pair_lags(c, a, b_roots=p.roots)
-    value = -_pair_lags(c, p.h_series)
+    lead = np.abs(a[..., n])
+    if not lead.all():
+        raise ZeroLeading("every row needs a nonzero leading coefficient")
+    taus = _given_roots(p.roots, n)
+    if n > MAX_SERIES_DEGREE:
+        raise IllConditioned(
+            f"the log series is certified up to degree {MAX_SERIES_DEGREE}, "
+            f"got degree {n}; use log_pair_quadrature"
+        )
+    # p has degree n in every row, so its lags need no degree discovery.
+    c = _lags(a, n)
+    cm = c[..., 1:]
+    m = np.arange(1, n + 1)
+    entropy_integral = unstacked(c[..., 0].real * 2.0 * np.log(lead)
+                                 + _circle_root_pairing(power_sums(taus, n), cm))
+    # log|h|^2 pairs as in _pair_lags, and its constant 2 log|h_0| is 0.
+    dlog = p.h_quotients[..., 0, :]
+    value = unstacked(-2.0 * (np.conj(dlog / m) * cm).sum(axis=-1).real)
     return RatioFunctionalValue(
         value, entropy_integral, entropy_integral - value,
         {"entropy": "spectral", "jensen": "spectral"},

@@ -16,7 +16,7 @@ on the stack that carried it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -151,14 +151,12 @@ def _leja_order(roots: np.ndarray) -> np.ndarray:
         total += logdist[base + idx]
     # Once every sum is -inf, each later step's argmax is index 0.  From its
     # second 0 on, such a row takes its untaken roots in index order.
-    if (idx == 0).any():
-        for row in np.flatnonzero(idx == 0):
-            picks = order[:, row]
-            zeros = np.flatnonzero(picks == 0)
-            if zeros.size > 1:
-                taken = np.zeros(m, dtype=bool)
-                taken[picks[: zeros[1]]] = True
-                picks[zeros[1]:] = np.flatnonzero(~taken)
+    for row in np.flatnonzero(idx == 0).tolist():
+        picks = order[:, row].tolist()
+        if picks.count(0) > 1:
+            second = picks.index(0, picks.index(0) + 1)
+            taken = set(picks[:second])
+            order[second:, row] = [i for i in range(m) if i not in taken]
     return order.T
 
 
@@ -256,6 +254,30 @@ class CirclePoly:
         h /= n
         h.setflags(write=False)
         return h
+
+    @cached_property
+    def h_quotients(self) -> np.ndarray:
+        """Taylor coefficients of h'/h and 1/h through degree n - 1, in two rows.
+
+        One division of the numerator rows [k h_k] (k = 1..n) and [1] by h
+        (``h_series``), one recurrence step per degree for both rows and
+        every row of a stack: (2, n) for one polynomial, (K, 2, n) for a
+        stack.  The Jensen term pairs against h'/h (``ratio_functional``),
+        and the Blaschke quotient is 1/h - 1 (``moments``).  Through degree
+        n - 1 the recurrence reads h_1..h_{n-1} only, so it needs no degree
+        of h.  Computed once per polynomial, on first use.
+        """
+        # Imported here: blaschke_moments imports this module.
+        from .blaschke_moments import series_divide
+
+        n = self.degree
+        h = self.h_series
+        num = np.zeros(h.shape[:-1] + (2, n), dtype=complex)
+        num[..., 0, :] = h[..., 1:] * np.arange(1, n + 1)
+        num[..., 1, 0] = 1.0
+        out = series_divide(num, h[..., None, :], n - 1)
+        out.setflags(write=False)
+        return out
 
     def scaled(self, factor) -> "CirclePoly":
         """The polynomial multiplied by a nonzero constant, one per row of a stack."""
@@ -379,9 +401,20 @@ def _min_chord(roots):
     """The least distance between two roots, per row of a stack; inf for one root."""
     roots = np.asarray(roots, dtype=complex)
     m = roots.shape[-1]
-    diffs = np.abs(roots[..., :, None] - roots[..., None, :])
-    diffs[..., np.arange(m), np.arange(m)] = np.inf
-    return diffs.min(axis=(-2, -1))
+    diffs = np.abs(roots[..., :, None] - roots[..., None, :]).reshape(
+        roots.shape[:-1] + (m * m,))
+    diffs[..., :: m + 1] = np.inf  # the diagonal
+    return diffs.min(axis=-1)
+
+
+@lru_cache(maxsize=128)
+def _polar_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights (n - j)/n, j < n, of q and j/n, j <= n, of q*, read-only."""
+    j = np.arange(n + 1, dtype=float)
+    weights = ((n - j[:n]) / n, j / n)
+    for w in weights:
+        w.setflags(write=False)
+    return weights
 
 
 def polar_factor(p: CirclePoly) -> PolarDecomposition:
@@ -399,9 +432,9 @@ def polar_factor(p: CirclePoly) -> PolarDecomposition:
             f"reflection deviates by {np.max(dev / scale):.3e} relative "
             f"(> {TAU_EXPAND:.0e})"
         )
-    j = np.arange(n + 1, dtype=float)
-    q = ((n - j[:n]) / n) * a[..., :n]
-    qstar = (j / n) * a
+    q_weights, qstar_weights = _polar_weights(n)
+    q = q_weights * a[..., :n]
+    qstar = qstar_weights * a
     return PolarDecomposition(p, q, qstar, has_simple_zeros(p.roots))
 
 
@@ -414,6 +447,15 @@ def parseval_norm(p):
     return unstacked((np.abs(coeffs) ** 2).sum(axis=-1))
 
 
+@lru_cache(maxsize=128)
+def _gamma_weights(n: int) -> np.ndarray:
+    """The weights j(n - j)/n^2, j = 1..n-1, of ``gamma_remainder``, read-only."""
+    j = np.arange(1, n, dtype=float)
+    weights = j * (n - j) / n**2
+    weights.setflags(write=False)
+    return weights
+
+
 def gamma_remainder(p: CirclePoly):
     """The remainder coefficient sum: sum_{j=1}^{n-1} j(n-j)/n^2 |a_j|^2.
 
@@ -421,9 +463,8 @@ def gamma_remainder(p: CirclePoly):
     One sum per row of a stack.
     """
     n = p.degree
-    j = np.arange(1, n, dtype=float)
     mid = p.coefficients[..., 1:n]
-    return unstacked((j * (n - j) / n**2 * np.abs(mid) ** 2).sum(axis=-1))
+    return unstacked((_gamma_weights(n) * np.abs(mid) ** 2).sum(axis=-1))
 
 
 def weighted_form_Sn(g, n: int) -> float:

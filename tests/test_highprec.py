@@ -1,5 +1,6 @@
 """Extended-precision reruns agree with the double-precision spectral route."""
 
+import json
 import math
 
 import mpmath
@@ -88,3 +89,28 @@ def test_referee_matches_frozen_quadrature_values(n, k):
         for key, frozen in QUADRATURE_ANCHORS[n, k].items():
             anchor = mpmath.mpf(frozen)
             assert abs(vals[key] - anchor) <= mpmath.mpf("1e-34") * max(1, abs(anchor)), key
+
+
+@pytest.mark.parametrize("argv", [
+    ["--binomial", "n=3", "--precision", "60"],
+    ["--binomial", "n=6", "--precision", "120"],
+    # where max(1, N) 2^-(bits + 40 + n) missed the error by 2.9x and 2^77
+    ["--binomial", "n=6", "--precision", "60"],
+    ["--binomial", "n=128", "--precision", "120"],
+    # a term of size about N, where the printed digits set the error
+    ["--angles", "[0.3, 0.3, 2.0, 5.0]", "--precision", "60"],
+])
+def test_referee_bounds_the_error_of_its_jensen_term(argv, capsys):
+    # The Jensen term is E - polar: its printed value lies within the
+    # jensen_term_abs_error it is printed with of a 260-bit rerun, also
+    # where the term is tiny (the binomials' 1e-31 to 1e-27).
+    from circentropy.cli import _parse_poly, build_parser, main
+
+    assert main(["verify", *argv]) == 0
+    report = json.loads(capsys.readouterr().out)["highprec"]
+    assert list(report)[3:5] == ["jensen_term", "jensen_term_abs_error"]
+    p = _parse_poly(build_parser().parse_args(["verify", *argv]))
+    exact = entropy_values_mp(p, 260)["jensen_term"]
+    with mpmath.workprec(300):
+        distance = abs(mpmath.mpf(report["jensen_term"]) - exact)
+        assert distance <= mpmath.mpf(report["jensen_term_abs_error"]), distance

@@ -9,6 +9,7 @@ constructed instance: those hold bit for bit.
 """
 
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -323,3 +324,119 @@ def test_verify_stack_takes_a_stack_as_it_is():
         assert [json.dumps(r.to_dict()) for r in reports] == [
             json.dumps(r.to_dict()) for r in listed]
         assert ce.verify_stack(p[:0]) == []
+
+
+# The shared division by h and the moments, against their recurrences on
+# one row in 1-d numpy, bit for bit.  The references call no
+# package kernel (series_divide, _apply, moments, ratio_functional): each
+# sum is one add.reduce over the products in the order the kernels form
+# them, so they see a changed product, order or rounding in the kernels.
+SHARED_DIVISION_DEGREES = (1, 2, 3, 7, 20, 128)
+
+
+def _shared_division_stacks():
+    # Per degree: a stack whose even rows have multiple zeros, a stack of
+    # one, and one polynomial without an instance axis.
+    for n in SHARED_DIVISION_DEGREES:
+        polys = [ce.normalize_self_inversive(
+                     random_circle_poly(n, instance_rng(48, n, i),
+                                        multiple=(n >= 2 and i % 2 == 0)))
+                 for i in range(3 if n == 128 else 5)]
+        yield polys, ce.stack(polys)
+        yield polys[:1], ce.stack(polys[:1])
+        yield polys[:1], polys[0]
+
+
+def _divide_reference(num, h, order):
+    # out_k = (num_k - (out_0 h_k + ... + out_{k-1} h_1)) / h_0, one row.
+    out = np.zeros(order + 1, dtype=complex)
+    out[: min(num.size, order + 1)] = num[: order + 1]
+    for k in range(order + 1):
+        acc = out[k]
+        if k:
+            acc = acc - np.add.reduce(out[:k] * h[k:0:-1])
+        out[k] = acc / h[0]
+    return out
+
+
+def _h_reference(roots):
+    # h_k = (1/n) sum_tau conj(tau)^k, h_0 = 1, from the given roots.
+    n = roots.size
+    h = np.empty(n + 1, dtype=complex)
+    h[0] = n
+    h[1:] = np.add.reduce(np.conj(roots)[:, None] ** np.arange(1, n + 1), axis=0)
+    return h / n
+
+
+def _moments_reference(a, roots):
+    # M_k = <r^k q, q> with r = 1/h - 1: each entry of r^k q is one row of
+    # the Toeplitz matrix of r times r^{k-1} q, each M_k its own reduction.
+    n = roots.size
+    h = _h_reference(roots)
+    r = _divide_reference(np.ones(1, dtype=complex), h, n - 1)
+    r[0] = 0.0
+    q = ((n - np.arange(n, dtype=float)) / n) * a[:n]
+    rows = [np.concatenate((r[i::-1], np.zeros(n - 1 - i, dtype=complex)))
+            for i in range(n)]
+    vals = [complex(np.add.reduce(np.conj(q) * q).real)]
+    f = q
+    for _ in range(1, n):
+        f = np.array([np.add.reduce(row * f) for row in rows])
+        vals.append(np.add.reduce(np.conj(q) * f))
+    return np.array(vals)
+
+
+def test_shared_division_matches_the_one_row_recurrence_bit_for_bit():
+    for polys, p in _shared_division_stacks():
+        n = p.degree
+        got = p.h_quotients
+        assert got.shape == p.h_series.shape[:-1] + (2, n)
+        rows = got.reshape(-1, 2, n)
+        for poly, row in zip(polys, rows, strict=True):
+            h = _h_reference(poly.roots)
+            assert h.tobytes() == poly.h_series.tobytes(), n
+            dlog = _divide_reference(h[1:] * np.arange(1, n + 1), h, n - 1)
+            inverse = _divide_reference(np.ones(1, dtype=complex), h, n - 1)
+            assert row[0].tobytes() == dlog.tobytes(), n
+            assert row[1].tobytes() == inverse.tobytes(), n
+
+
+def test_moments_match_the_one_row_loop_bit_for_bit():
+    # Stacks of one row at n = 1 and 2 as well: numpy can round a complex
+    # product of one entry differently in another layout.  Pairing every
+    # r^k q with q in one (n, rows, n) product did so for M_0 on 34 of 200
+    # such rows at n = 1.
+    stacks = list(_shared_division_stacks())
+    for n in (1, 2):
+        for i in range(40):
+            poly = random_circle_poly(n, instance_rng(50, n, i))
+            stacks.append(([poly], ce.stack([poly])))
+    for polys, p in stacks:
+        values = ce.moments(ce.polar_factor(p)).values.reshape(-1, p.degree)
+        for poly, row in zip(polys, values, strict=True):
+            want = _moments_reference(poly.coefficients, poly.roots)
+            assert row.tobytes() == want.tobytes(), p.degree
+
+
+def test_a_verification_block_divides_by_h_once(monkeypatch):
+    # The Jensen term and the moments read one division by h, and a block
+    # takes every degree from its stack: series_divide runs once, and
+    # poly_degree never.  Every module that binds a name gets the spy.
+    calls = {"series_divide": 0, "poly_degree": 0}
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        for module in [m for key, m in sys.modules.items()
+                       if key.startswith("circentropy.") and hasattr(m, name)]:
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    for n in (1, 7, 20):
+        p = random_circle_stack(n, [instance_rng(49, n, i) for i in range(4)],
+                                multiple=[n >= 2 and i == 0 for i in range(4)])
+        calls.update(series_divide=0, poly_degree=0)
+        ce.verify_columns(p)
+        assert calls == {"series_divide": 1, "poly_degree": 0}, n
