@@ -36,13 +36,11 @@ from .errors import (
     IllConditioned,
     NonUnimodularRoot,
     RootsOffCircle,
-    ZeroPolynomial,
 )
 from .extremal import checked_schedule, coalescence_experiment, minimize
 from .log_integrals import MAX_SERIES_DEGREE
 from .polycircle import (
     CirclePoly,
-    as_coefficients,
     coefficients_from_json,
     eval_poly,
     from_angles,
@@ -85,23 +83,6 @@ def _binomial_poly(tokens: list[str]) -> CirclePoly:
     leading = _parse_complex(params.get("leading", "1"))
     angles = (np.angle(-omega) + 2 * np.pi * np.arange(n)) / n
     return from_angles(angles, leading)
-
-
-def polished_roots(B) -> np.ndarray:
-    """Companion-matrix roots of B, each polished by one Newton step.
-
-    Trailing zero coefficients lower the degree and give no roots.
-    ``_poly_from_coefficients`` polishes the same eigenvalues by the same
-    step, and keeps them for its cluster rule.
-    """
-    arr = as_coefficients(B)
-    deg = poly_degree(arr)
-    if deg < 0:
-        raise ZeroPolynomial("the zero polynomial has no root set")
-    if deg == 0:
-        return np.zeros(0, dtype=complex)
-    body = arr[: deg + 1]
-    return _newton_step(body, np.roots(body[::-1]))
 
 
 def _newton_step(body: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -212,6 +193,10 @@ def _parse_poly(args) -> CirclePoly:
                 for a in angles):
             raise ValueError(f"--angles must be a JSON array of real numbers, "
                              f"got {args.angles!r}")
+        for angle in angles:
+            if not math.isfinite(angle):
+                # exp(1j * inf) is NaN, and numpy warns while it builds it
+                raise NonUnimodularRoot(f"root angles must be finite, got {angle!r}")
         return from_angles(angles, _parse_complex(args.leading))
     coeffs = coefficients_from_json(json.loads(args.coeffs))
     return _poly_from_coefficients(coeffs)

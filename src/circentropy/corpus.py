@@ -39,7 +39,10 @@ def random_circle_poly(
 ) -> CirclePoly:
     """Random self-inversive polynomial of degree n with circle zeros.
 
-    ``multiple`` forces at least one repeated zero (two for n >= 8).
+    ``multiple`` forces at least one repeated zero: one angle is copied onto
+    the next.  For n >= 8 a second copy follows with probability 1/2.  It
+    adds a second repeated zero, or makes the first one triple, or leaves a
+    single double zero, when it draws the first angle or the one before it.
     ``unit_norm`` rescales so that the squared norm is 1.  The one-row case
     of ``random_circle_stack``.
     """

@@ -2,14 +2,14 @@
 
 The spectral route pairs the Taylor coefficients of log B against the
 autocorrelation of A, which truncates exactly at deg A.  The log
-coefficients come either from given unit-circle roots of B or, when B has
-no zeros in the open disk, from the power series of B'/B; no roots are
-found.  The series route stops at degree ``MAX_SERIES_DEGREE``.  The
+coefficients come from the given unit-circle roots of B; no roots are
+found.  The Jensen term of ``ratio_functional`` pairs the same way with the
+log series of h = q/p, which stops at degree ``MAX_SERIES_DEGREE``.  The
 quadrature route integrates the boundary values numerically, with windowed
 exponential substitutions around the zeros of B on or near the circle to
-resolve the logarithmic singularities.  The convention x log x = 0 at x = 0 applies
-throughout, and quotient functionals are always evaluated as differences of
-the two integrals, never as pointwise ratios.
+resolve the logarithmic singularities.  The convention x log x = 0 at
+x = 0 applies throughout, and quotient functionals are always evaluated as
+differences of the two integrals, never as pointwise ratios.
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke_moments import series_divide
 from .errors import (
     BudgetExceeded,
     IllConditioned,
     NonUnimodularRoot,
-    ZeroConstantTerm,
     ZeroLeading,
     ZeroPolynomial,
 )
@@ -40,12 +38,11 @@ from .polycircle import (
     unstacked,
 )
 
-# Highest degree the spectral route supports: the range the tests cover.
-# Rounding in the B'/B division recurrence grows with the coefficients of
-# 1/B.  For B = q itself, 5 of 150 random unit-norm instances at n = 128
-# were off by more than 1e-10 (up to 1.5e-3); for B = h in ratio_functional
-# the Jensen term stayed within 4e-14 of a 160-bit evaluation on the same
-# instances (and within 2e-12 at n = 512).
+# Highest degree the log series of h supports: the range the tests cover.
+# Rounding in the h'/h division recurrence grows with the coefficients of
+# 1/h = 1 + q*/q, which stay bounded.  On 150 random unit-norm instances at
+# n = 128 the Jensen term of ratio_functional stayed within 4e-14 of a
+# 160-bit evaluation (and within 2e-12 at n = 512).
 MAX_SERIES_DEGREE = 128
 _S_CUT = 37.0        # window substitutions stop at |t - angle| = e^{-37}
 # A window piece whose cut lies below this starts as one Kronrod panel.  A
@@ -138,28 +135,17 @@ def _given_roots(b_roots, deg: int) -> np.ndarray:
     return roots / mods
 
 
-def log_pair_spectral(A, B, b_roots=None):
-    """Integral of |A|^2 log|B|^2 over dm, by the exact series pairing.
+def log_pair_spectral(A, B, b_roots):
+    """Integral of |A|^2 log|B|^2 over dm, by the exact pairing on the roots of B.
 
-    A stack of A and B (and of ``b_roots``), one row per instance, gives one
-    value per row; the rows of B share their degree.
-
-    With log B = log B(0) + sum_m l_m z^m on the disk, log|B|^2 on the
-    circle is 2 log|B(0)| + 2 Re sum_m l_m e^{imt}, and pairing it against
-    the autocorrelation c_m of A gives 2 c_0 log|B(0)| + 2 Re sum_m c_m
-    conj(l_m), which truncates exactly at m = deg A.  The log coefficients
-    come from one of two places:
-
-    - ``b_roots`` given: the deg B roots of B, which must lie on the unit
-      circle (``NonUnimodularRoot`` otherwise); they are input data.
-    - no roots: the Taylor series l_m = [B'/B]_{m-1} / m, which uses the
-      coefficients of B only through degree deg A.  This is the integral
-      when B has no zeros in the open unit disk (zeros on the circle are
-      fine); a zero inside, other than at 0, gives a wrong value, not an
-      error.  Rounding grows with the coefficients of 1/B, so zeros of B
-      clustered near the circle cost digits.  This route raises
-      ``IllConditioned`` when deg A or deg B exceeds ``MAX_SERIES_DEGREE``;
-      use ``log_pair_quadrature`` there.
+    ``b_roots`` are the deg B roots of B, which must lie on the unit circle
+    (``NonUnimodularRoot`` otherwise); they are input data, and nothing is
+    root-found.  A stack of A, B and ``b_roots``, one row per instance,
+    gives one value per row; the rows of B share their degree
+    (``ZeroLeading`` otherwise).  The value is 2 c_0 log|b_n| -
+    2 Re sum_m c_m P_m / m, with c_m the autocorrelation of A
+    (``trig_square``) and P_m the power sums of the roots; it truncates
+    exactly at m = deg A.
 
     Raises ``ValueError`` when A or B holds a NaN or an infinity.
     """
@@ -167,42 +153,30 @@ def log_pair_spectral(A, B, b_roots=None):
     b_arr = as_coefficient_stack(B)
     if not (np.isfinite(a_arr).all() and np.isfinite(b_arr).all()):
         raise ValueError("the coefficients of A and B must be finite")
-    return _pair_lags(trig_square(a_arr), b_arr, b_roots)
-
-
-def _pair_lags(c, B, b_roots=None):
-    """``log_pair_spectral`` of the A whose lags are ``c = trig_square(A)``.
-
-    Pairing one A against several B builds its lags once.
-    """
-    arr = as_coefficient_stack(B)
-    deg = poly_degree(arr)
+    deg = poly_degree(b_arr)
     if deg < 0:
         raise ZeroPolynomial("log|B| undefined for the zero polynomial")
-    d = c.shape[-1] - 1
-    c0 = c[..., 0].real
-    cm = c[..., 1:]
-    if b_roots is not None:
-        taus = _given_roots(b_roots, deg)
-        lead = np.abs(arr[..., deg])
-        if not lead.all():
-            raise ValueError("the rows of B must share their degree")
-        return unstacked(c0 * 2.0 * np.log(lead)
-                         + _circle_root_pairing(power_sums(taus, d), cm))
-    if max(d, deg) > MAX_SERIES_DEGREE:
-        raise IllConditioned(
-            f"the log series is certified up to degree {MAX_SERIES_DEGREE}, "
-            f"got degrees {d} and {deg}; use log_pair_quadrature"
-        )
-    if not arr[..., 0].all():
-        raise ZeroConstantTerm("B vanishes at 0, inside the disk")
-    total = c0 * 2.0 * np.log(np.abs(arr[..., 0]))
-    if d == 0 or deg == 0:
-        return unstacked(total)
-    body = arr[..., : deg + 1]
-    dlog = series_divide(body[..., 1:] * np.arange(1, deg + 1), body, d - 1)
-    pairs = np.conj(dlog / np.arange(1, d + 1)) * cm
-    return unstacked(total + 2.0 * pairs.sum(axis=-1).real)
+    return _pair_circle_roots(trig_square(a_arr), b_arr, deg, b_roots)
+
+
+def _pair_circle_roots(c, B, deg: int, b_roots):
+    """Integral of |A|^2 log|B|^2 over dm for the A whose lags are
+    ``c = trig_square(A)``, and B = b_n prod (z - tau) of degree ``deg`` with
+    the given circle roots tau, per row of a stack.
+
+    On the circle log|B|^2 = 2 log|b_n| + sum_tau log|e^{it} - tau|^2, so
+    the integral is 2 c_0 log|b_n| - 2 Re sum_m c_m P_m / m
+    (``_circle_root_pairing``).  The roots are checked by ``_given_roots``,
+    and every row of B needs a nonzero b_n (``ZeroLeading``).  Taking the
+    lags lets ``ratio_functional`` build them once for both of its terms.
+    """
+    taus = _given_roots(b_roots, deg)
+    lead = np.abs(B[..., deg])
+    if not lead.all():
+        raise ZeroLeading(f"every row of B needs a nonzero coefficient at degree {deg}")
+    sums = power_sums(taus, c.shape[-1] - 1)
+    return unstacked(c[..., 0].real * 2.0 * np.log(lead)
+                     + _circle_root_pairing(sums, c[..., 1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -688,23 +662,20 @@ def ratio_functional(p: CirclePoly) -> RatioFunctionalValue:
     ``MAX_SERIES_DEGREE``.  A stack of polynomials gives one value per row.
     """
     n = p.degree
-    a = p.coefficients
-    lead = np.abs(a[..., n])
-    if not lead.all():
-        raise ZeroLeading("every row needs a nonzero leading coefficient")
-    taus = _given_roots(p.roots, n)
     if n > MAX_SERIES_DEGREE:
         raise IllConditioned(
             f"the log series is certified up to degree {MAX_SERIES_DEGREE}, "
             f"got degree {n}; use log_pair_quadrature"
         )
+    a = p.coefficients
     # p has degree n in every row, so its lags need no degree discovery.
     c = _lags(a, n)
     cm = c[..., 1:]
     m = np.arange(1, n + 1)
-    entropy_integral = unstacked(c[..., 0].real * 2.0 * np.log(lead)
-                                 + _circle_root_pairing(power_sums(taus, n), cm))
-    # log|h|^2 pairs as in _pair_lags, and its constant 2 log|h_0| is 0.
+    entropy_integral = _pair_circle_roots(c, a, n, p.roots)
+    # log h = sum_m l_m z^m with l_m = [h'/h]_{m-1} / m, as h(0) = 1, so
+    # log|h|^2 = 2 Re sum_m l_m e^{imt} pairs with the lags to
+    # 2 Re sum_m c_m conj(l_m), which truncates at m = n.
     dlog = p.h_quotients[..., 0, :]
     value = unstacked(-2.0 * (np.conj(dlog / m) * cm).sum(axis=-1).real)
     return RatioFunctionalValue(

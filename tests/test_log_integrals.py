@@ -27,7 +27,7 @@ from circentropy.log_integrals import (
     MAX_SERIES_DEGREE,
     _kronrod_nodes,
 )
-from circentropy.cli import polished_roots
+from circentropy.cli import _newton_step
 from circentropy.polycircle import eval_poly, poly_degree
 
 
@@ -106,37 +106,25 @@ def test_trig_square_hermitian_and_pointwise():
     assert np.max(np.abs(series - direct)) < 1e-10 * np.max(direct)
 
 
-def test_polished_roots_basics():
-    assert np.allclose(polished_roots([1.0, -1.0]), [1.0])  # 1 - z
-    # constant (the polar factor of a binomial): no roots
-    assert polished_roots([3.0 + 0j]).size == 0
-    # trailing zeros lower the degree
-    assert np.allclose(polished_roots([2.0, 1.0, 0.0, 0.0]), [-2.0])
-    with pytest.raises(ce.ZeroPolynomial):
-        polished_roots([0.0])
-
-
-def test_polished_roots_accuracy():
-    rng = instance_rng(31)
-    b = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    roots = polished_roots(b)
-    resid = np.abs(eval_poly(b, roots))
-    assert np.max(resid) < 1e-9 * np.sum(np.abs(b))
+def _polished_roots(b):
+    """Companion-matrix roots of b, each polished by one Newton step, as
+    coefficient input on the command line is."""
+    return _newton_step(b, np.roots(b[::-1]))
 
 
 def test_log_pair_spectral_frozen_values():
-    assert abs(ce.log_pair_spectral([1, 1], [1, 1]) - 2.0) < 1e-14
-    assert abs(ce.log_pair_spectral([1, -2, 1], [1, -2, 1]) - 14.0) < 1e-13
-    assert abs(ce.log_pair_spectral([1, -2, 1], [1, -1]) - 7.0) < 1e-13
+    assert abs(ce.log_pair_spectral([1, 1], [1, 1], b_roots=[-1.0]) - 2.0) < 1e-14
+    assert abs(ce.log_pair_spectral([1, -2, 1], [1, -2, 1], b_roots=[1.0, 1.0])
+               - 14.0) < 1e-13
+    assert abs(ce.log_pair_spectral([1, -2, 1], [1, -1], b_roots=[1.0]) - 7.0) < 1e-13
 
 
 def test_log_pair_spectral_mahler_and_scaling():
-    # mean of log|e^{it} - rho|^2 is 0 for |rho| <= 1, log|rho|^2 outside
-    assert abs(ce.log_pair_spectral([1.0], [-1.0, 1.0])) < 1e-14
-    assert abs(ce.log_pair_spectral([1.0], [1.0, -0.5]) - 0.0) < 1e-14
-    val = ce.log_pair_spectral([1.0, 1.0], [1.0, -0.5])
-    assert abs(val - (-1.0)) < 1e-14
+    # the mean of log|e^{it} - tau|^2 is 0 for |tau| = 1, and a leading
+    # factor b adds log|b|^2 times the mean of |A|^2
     assert abs(ce.log_pair_spectral([1.0], [-1.0, 1.0], b_roots=[1.0])) < 1e-14
+    assert abs(ce.log_pair_spectral([1.0], [-3.0, 3.0], b_roots=[1.0])
+               - math.log(9.0)) < 1e-14
 
 
 def test_log_pair_spectral_input_checks():
@@ -155,14 +143,11 @@ def test_log_pair_spectral_input_checks():
             route([1.0, 1.0], [-1.0, 1.0], b_roots=[2.0])
         with pytest.raises(ce.NonUnimodularRoot):
             route([1.0, 1.0], [-1.0, 1.0], b_roots=[np.nan])
-    with pytest.raises(ce.ZeroConstantTerm):  # a zero at 0 is inside the disk
-        ce.log_pair_spectral([1.0, 1.0], [0.0, 1.0])
-    # the series route stops at its certified degree; roots have no limit
+    # the spectral route takes B only with its roots
+    with pytest.raises(TypeError):
+        ce.log_pair_spectral([1.0, 1.0], [1.0, 1.0])
+    # the log series of h stops at its certified degree; roots have no limit
     top = ce.from_angles(np.arange(MAX_SERIES_DEGREE + 1) * 0.1)
-    with pytest.raises(ce.IllConditioned):
-        ce.log_pair_spectral(top.coefficients, [1.0, 0.5])
-    with pytest.raises(ce.IllConditioned):
-        ce.log_pair_spectral([1.0], top.coefficients)
     with pytest.raises(ce.IllConditioned):
         ce.ratio_functional(top)
     assert abs(ce.log_pair_spectral([1.0], top.coefficients, b_roots=top.roots)) < 1e-12
@@ -175,7 +160,7 @@ def test_log_pair_quadrature_matches_spectral_frozen():
 
 
 def test_route_agreement_random_sample():
-    # through n = MAX_SERIES_DEGREE, where the series route must still hold
+    # through n = MAX_SERIES_DEGREE, where the log series of h must still hold
     for n, count in ((1, 8), (3, 8), (7, 8), (12, 8), (16, 8),
                      (32, 3), (64, 3), (MAX_SERIES_DEGREE, 3)):
         for i in range(count):
@@ -229,21 +214,17 @@ def test_rotation_invariance():
             rotated.coefficients, rotated.coefficients, b_roots=rotated.roots
         )
         assert abs(base_e - rot_e) < 1e-9
-    q = ce.polar_factor(p).q
-    qr = ce.polar_factor(ce.normalize_self_inversive(rotated)).q
-    assert abs(
-        ce.log_pair_spectral(p.coefficients, q)
-        - ce.log_pair_spectral(rotated.coefficients, qr)
-    ) < 1e-9
+    assert abs(ce.ratio_functional(p).jensen_integral
+               - ce.ratio_functional(rotated).jensen_integral) < 1e-9
 
 
 def test_scaling_law():
     rng = instance_rng(34)
     a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    b = ce.from_angles(rng.uniform(0, 2 * np.pi, 4)).coefficients
+    b = ce.from_angles(rng.uniform(0, 2 * np.pi, 4))
     c = 2.5 - 1.3j
-    base = ce.log_pair_spectral(a, b)
-    scaled = ce.log_pair_spectral(a, c * b)
+    base = ce.log_pair_spectral(a, b.coefficients, b_roots=b.roots)
+    scaled = ce.log_pair_spectral(a, c * b.coefficients, b_roots=b.roots)
     expected = base + ce.parseval_norm(a) * math.log(abs(c) ** 2)
     assert abs(scaled - expected) < 1e-9
 
@@ -860,7 +841,7 @@ def test_tail_amplitude_bounds_and_cuts(monkeypatch):
         circle = random_circle_poly(n, instance_rng(42, 12, n), unit_norm=True)
         gaussian = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
         for a, zeros in ((circle.coefficients, np.angle(circle.roots)),
-                         (gaussian, np.angle(polished_roots(gaussian)))):
+                         (gaussian, np.angle(_polished_roots(gaussian)))):
             zeros = zeros[:12]
             centers = np.concatenate((zeros, zeros + 1e-9, zeros - 1e-6,
                                       zeros + 1e-3, rng.uniform(0, 2 * np.pi, 8),
@@ -924,12 +905,15 @@ def _spy_windows(m):
 
 @pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-9])
 def test_zero_off_the_circle_stops_at_a_tenth_of_its_distance(monkeypatch, d):
-    # B has one zero at (1 + d) e^{i phi}, phi = 1.3.  Its substitution ends at s = -log(d/10) and one arc panel covers
-    # |t - phi| < d/10, where log|B|^2 is analytic; the series route is
-    # exact here, as B has no zeros in the open disk.  At d = 1e-9 too the
-    # found zero only places a window; B is evaluated whole.
+    # B has one zero at (1 + d) e^{i phi}, phi = 1.3.  Its substitution ends
+    # at s = -log(d/10) and one arc panel covers |t - phi| < d/10, where
+    # log|B|^2 is analytic.  At d = 1e-9 too the found zero only places a
+    # window; B is evaluated whole.  The reference pairs the lags c_m of A
+    # with B's known zeros rho, all in |z| > 1: the mean of |A|^2 times
+    # log|e^{it} - rho|^2 is c_0 log|rho|^2 - 2 Re sum_m c_m conj(rho)^{-m} / m.
     a, others = _off_circle_case()
-    b = np.poly(np.concatenate(([(1 + d) * np.exp(1.3j)], others)))[::-1]
+    zeros = np.concatenate(([(1 + d) * np.exp(1.3j)], others))
+    b = np.poly(zeros)[::-1]
     seen = _spy_windows(monkeypatch)
     value = ce.log_pair_quadrature(a, b)
     (scale,), ((c, cut, closed, pieces, arcs),) = seen["scale"], seen["centers"]
@@ -939,7 +923,11 @@ def test_zero_off_the_circle_stops_at_a_tenth_of_its_distance(monkeypatch, d):
     (lo, hi), = arcs
     assert abs(lo - (c - d / 10)) <= 1e-6 * d
     assert abs(hi - (c + d / 10)) <= 1e-6 * d
-    assert abs(value - ce.log_pair_spectral(a, b)) <= 1e-9 * max(1.0, scale)
+    lags = ce.trig_square(a)
+    m = np.arange(1, lags.size)
+    want = sum(lags[0].real * math.log(abs(rho) ** 2)
+               - 2.0 * (lags[1:] * np.conj(rho) ** -m / m).sum().real for rho in zeros)
+    assert abs(value - want) <= 1e-9 * max(1.0, scale)
 
 
 def test_kronrod_table_is_qk21():
@@ -1035,11 +1023,13 @@ def test_quadrature_memory_is_bounded():
     ([1.0], [1.0, 1.0, np.inf]),
 ], ids=["nan-in-A", "inf-in-B", "nan-in-B", "inf-on-top-of-B"])
 def test_quadrature_refuses_non_finite_coefficients(A, B):
-    # Both routes: the spectral one returned nan, 0.0 and log 4 for the
-    # first three.
+    # Both routes, with roots given or not: the spectral one returned nan,
+    # 0.0 and log 4 for the first three.
+    with pytest.raises(ValueError, match="finite"):
+        ce.log_pair_quadrature(A, B)
     for route in (ce.log_pair_spectral, ce.log_pair_quadrature):
         with pytest.raises(ValueError, match="finite"):
-            route(A, B)
+            route(A, B, b_roots=np.ones(len(B) - 1))
 
 
 def _meets_stop_bound(b, roots):
@@ -1084,9 +1074,9 @@ def test_found_roots_match_the_companion_roots_when_well_conditioned():
     for n in (1, 7, 16):
         b = np.zeros(n + 1, dtype=complex)
         b[0], b[n] = -(1.5 ** n), 1.0  # zeros 1.5 e^{2 pi i k / n}
-        _assert_same_roots(log_integrals._aberth_roots(b), polished_roots(b), 1e-12)
+        _assert_same_roots(log_integrals._aberth_roots(b), _polished_roots(b), 1e-12)
     gaussian = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    _assert_same_roots(log_integrals._aberth_roots(gaussian), polished_roots(gaussian),
+    _assert_same_roots(log_integrals._aberth_roots(gaussian), _polished_roots(gaussian),
                        1e-12)
 
 
