@@ -290,11 +290,8 @@ def circle_quadrature(f, singular_angles=(), scale: float = 1.0,
 
     ``s_cut_of`` optionally shortens the substitution tail: called once with
     the array of window centers (an angle past 2pi where a window wraps
-    around), it returns two sequences, one cut per center and one flag per
-    center.  Where the flag is false the caller certifies the mass beyond
-    the cut, which is dropped; where it is true f is analytic within
-    10 e^{-cut} of the center, and the arc within e^{-cut} becomes one arc
-    piece.
+    around), it returns one cut per center, and the mass within e^{-cut} of
+    the center, which the caller bounds, is dropped.
 
     Angles within 1e-12 of each other, also across 2pi, are one center.
     Overlapping windows split at the midpoints between their centers, and a
@@ -335,26 +332,20 @@ def circle_quadrature(f, singular_angles=(), scale: float = 1.0,
                 "each, cover the whole circle"
             )
         if s_cut_of is None:
-            s_cuts, closed = [_S_CUT] * centers.size, [False] * centers.size
+            s_cuts = [_S_CUT] * centers.size
         else:
-            s_cuts, closed = s_cut_of(centers)
-            s_cuts = [min(_S_CUT, s) for s in s_cuts]
+            s_cuts = [min(_S_CUT, s) for s in s_cut_of(centers)]
         # Each side of a center maps to the s-interval [-log span, s_cut]
-        # under t = center -/+ e^{-s}.  A closed center's arc within e^{-s_cut},
-        # clipped to its window, is an arc piece of its own.
-        closing = []
-        for c, lo, hi, s_cut, close in zip(centers.tolist(), left.tolist(),
-                                           right.tolist(), s_cuts, closed):
+        # under t = center -/+ e^{-s}.
+        for c, lo, hi, s_cut in zip(centers.tolist(), left.tolist(),
+                                    right.tolist(), s_cuts):
             for edge, sign in ((lo, -1.0), (hi, 1.0)):
                 s0 = -math.log(abs(edge - c))
                 if s0 < s_cut:
                     window_pieces.append((c, sign, s0, s_cut))
-            if close:
-                u = math.exp(-s_cut)
-                closing.append((max(lo, c - u), min(hi, c + u)))
         # The arcs between runs, the last one's to the first start past 2pi.
         nxt = np.append(starts[1:], starts[0] + 2 * np.pi)
-        arcs = [(a, b) for a, b in zip(ends.tolist(), nxt.tolist()) if b - a > 1e-12] + closing
+        arcs = [(a, b) for a, b in zip(ends.tolist(), nxt.tolist()) if b - a > 1e-12]
     arc_pieces = [(a, b, max(1, int(math.ceil((b - a) / 0.15)))) for a, b in arcs]
     return _kronrod_sum(f, window_pieces, arc_pieces, tol)[0]
 
@@ -548,12 +539,14 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
 
     Without ``b_roots``, B is evaluated whole by Horner's rule, and the zeros
     found by the Aberth-Ehrlich sweeps of ``_aberth_roots`` only place
-    windows: one around each found zero less than ``_WINDOW`` off the
-    circle.  Its substitution stops at s = -log(d/10), d the distance from
-    the center e^{ic} to the nearest found zero (for a lone zero, its
-    distance from the circle), and the arc within d/10 of the center, where
-    log|B|^2 is analytic if the zeros are right, is one Kronrod panel.  With
-    no such zero the whole circle is one arc piece of ``circle_quadrature``.
+    windows: one at the angle of each found zero less than ``_WINDOW`` off
+    the circle, its tail cut by the same rule.  For a zero rho with
+    |rho| >= 1, |e^{it} - rho| >= |e^{it} - rho/|rho||: its log factor's
+    singular part is no larger than that of a circle zero at the same
+    angle, and by rearrangement, over the tail, no larger than that of one
+    at the window center.  The zeros of q = p - (1/n)Dp lie in |z| >= 1
+    (Laguerre).  With no window the whole circle is one arc piece of
+    ``circle_quadrature``.
     Found roots are not certified: they are zeros of a B perturbed at
     rounding level.  Where B has zeros on the circle and A does not vanish
     there, the value can miss the integral by more than the tolerance, with
@@ -572,15 +565,13 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
         raise ZeroPolynomial("log|B| undefined for the zero polynomial")
     body = b_arr[: deg + 1]
     if b_roots is None:
-        taus = np.empty(0)
+        factors = np.empty(0)
         found = _aberth_roots(body)
-        window_zeros = found[np.abs(np.abs(found) - 1.0) < _WINDOW]
+        window_angles = np.angle(found[np.abs(np.abs(found) - 1.0) < _WINDOW])
         rest = body
     else:
-        taus = window_zeros = _given_roots(b_roots, deg)
+        factors = window_angles = np.angle(_given_roots(b_roots, deg))
         rest = body[deg:]
-    factors = np.angle(taus)
-    window_angles = np.angle(window_zeros)
 
     scale = float(np.sum(np.abs(a_arr) ** 2)) * max(
         1.0, 2.0 * abs(math.log(max(abs(body[deg]), 1e-300)))
@@ -610,14 +601,8 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
     weight = 2.0 * _U_LADDER * (2.0 * deg * (_S_LADDER + 2.0) + 160.0)
 
     def s_cut_of(centers: np.ndarray):
-        if b_roots is None:
-            # The floor keeps the cut finite at a found zero on the circle.
-            d = np.abs(np.exp(1j * centers)[:, None] - window_zeros).min(
-                axis=1, initial=np.inf)
-            return -np.log(np.maximum(d, _TINY) / 10.0), np.ones(centers.size, dtype=bool)
         ok = _tail_amplitudes(a_arr, centers) ** 2 * weight <= budget
-        return (np.where(ok.any(axis=1), _S_LADDER[ok.argmax(axis=1)], _S_CUT),
-                np.zeros(centers.size, dtype=bool))
+        return np.where(ok.any(axis=1), _S_LADDER[ok.argmax(axis=1)], _S_CUT)
 
     return circle_quadrature(integrand, window_angles, scale=scale,
                              s_cut_of=s_cut_of)
@@ -630,17 +615,12 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
 
 @dataclass(frozen=True)
 class RatioFunctionalValue:
-    """The difference functional together with its two constituent integrals.
-
-    ``certificates`` records the evidence backing each term: the circle roots
-    the entropy pairing used, and the degree range of the log series.
-    """
+    """The difference functional together with its two constituent integrals."""
 
     value: float
     entropy_integral: float
     jensen_integral: float
     routes: dict
-    certificates: dict
 
 
 def ratio_functional(p: CirclePoly) -> RatioFunctionalValue:
@@ -681,6 +661,4 @@ def ratio_functional(p: CirclePoly) -> RatioFunctionalValue:
     return RatioFunctionalValue(
         value, entropy_integral, entropy_integral - value,
         {"entropy": "spectral", "jensen": "spectral"},
-        {"entropy": {"kind": "circle_roots", "count": n},
-         "jensen": {"kind": "log_series", "max_degree": MAX_SERIES_DEGREE}},
     )

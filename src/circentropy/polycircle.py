@@ -340,7 +340,8 @@ def normalize_self_inversive(p: CirclePoly) -> CirclePoly:
     and eta^2 = lambda: eta is the square root with Re eta > 0, or with
     Im eta > 0 when Re eta = 0, so the one nearest 1.  Raises
     ``InconsistentReflection`` when p is no such multiple (roots off the
-    circle), and ``IllConditioned`` when the squared coefficients overflow.
+    circle), and ``IllConditioned`` when the squared coefficients overflow,
+    or underflow so far that lambda / |lambda| is not finite.
     """
     arr = p.coefficients
     refl = np.conj(arr[..., ::-1])
@@ -352,7 +353,10 @@ def normalize_self_inversive(p: CirclePoly) -> CirclePoly:
         raise IllConditioned("the squared coefficients overflow a double")
     if np.count_nonzero(mod) < mod.size:
         raise InconsistentReflection("reflection is orthogonal to the input")
-    lam = lam / mod
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = lam / mod
+    if not np.isfinite(lam).all():
+        raise IllConditioned("the squared coefficients underflow a double")
     scale = np.abs(arr).max(axis=-1)
     resid = np.abs(refl - lam[..., None] * arr).max(axis=-1)
     if not (resid <= TAU_EXPAND * scale).all():  # also rejects NaN

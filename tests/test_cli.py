@@ -427,6 +427,8 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
     # an infinite root angle is refused before numpy builds a NaN root
     (("--angles", "[Infinity, 1.0]"), 3),
     (("--angles", "[-Infinity]"), 3),
+    # squared coefficients that underflow: lambda / |lambda| is not finite
+    (("--binomial", "n=4", "leading=1e-160"), 3),
 ])
 def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
     # text that does not parse is a usage error (2); a parsed polynomial

@@ -325,11 +325,10 @@ def _layout_reference(singular_angles, s_cut_of=None):
                          "each, cover the whole circle")
     centers = np.array([c for _, _, group in clusters for c in group])
     if s_cut_of is None:
-        s_cuts, closed = [_S_CUT] * centers.size, [False] * centers.size
+        s_cuts = [_S_CUT] * centers.size
     else:
-        s_cuts, closed = s_cut_of(centers)
-        s_cuts = [min(_S_CUT, s) for s in s_cuts]
-    pieces, closing, arcs = [], [], []
+        s_cuts = [min(_S_CUT, s) for s in s_cut_of(centers)]
+    pieces, arcs = [], []
     used = 0
     for start, end, group in clusters:
         pts = [start] + [0.5 * (a + b) for a, b in zip(group[:-1], group[1:])] + [end]
@@ -342,9 +341,6 @@ def _layout_reference(singular_angles, s_cut_of=None):
                 s0 = -math.log(span)
                 if s0 < s_cut:
                     pieces.append((c, sign, s0, s_cut))
-            if closed[used + i]:
-                u = math.exp(-s_cut)
-                closing.append((max(pts[i], c - u), min(pts[i + 1], c + u)))
         used += len(group)
     for idx, (_, end, _) in enumerate(clusters):
         nxt_start = clusters[(idx + 1) % len(clusters)][0]
@@ -352,7 +348,6 @@ def _layout_reference(singular_angles, s_cut_of=None):
             nxt_start += 2 * np.pi
         if nxt_start - end > 1e-12:
             arcs.append((end, nxt_start))
-    arcs.extend(closing)
     return pieces, [(a, b, max(1, int(math.ceil((b - a) / 0.15)))) for a, b in arcs]
 
 
@@ -448,21 +443,19 @@ def _quadrature_oracle_cases():
 
 
 def _spy_tail_cuts(m, checked):
-    # The tail cuts and closing flags of every window center must be those
-    # of the original evaluation, one center at a time.  ``checked`` counts
-    # the centers, the cuts shorter than _S_CUT and the closed centers.
+    # The tail cut of every window center must be that of the original
+    # evaluation, one center at a time.  ``checked`` counts the centers and
+    # the cuts shorter than _S_CUT.
     quadrature = log_integrals.circle_quadrature
 
     def quadrature_spy(f, singular_angles=(), scale=1.0, s_cut_of=None):
         def s_cut_spy(centers):
-            cuts, closed = s_cut_of(centers)
-            want = [s_cut_of(np.array([c])) for c in centers]
-            assert [min(_S_CUT, cut) for cut in cuts] == [min(_S_CUT, cut[0]) for cut, _ in want]
-            assert list(closed) == [bool(flag[0]) for _, flag in want]
+            cuts = s_cut_of(centers)
+            want = [s_cut_of(np.array([c]))[0] for c in centers]
+            assert [min(_S_CUT, cut) for cut in cuts] == [min(_S_CUT, cut) for cut in want]
             checked["centers"] += len(centers)
             checked["short"] += sum(cut < _S_CUT for cut in cuts)
-            checked["closed"] += sum(closed)
-            return cuts, closed
+            return cuts
 
         return quadrature(f, singular_angles, scale=scale, s_cut_of=s_cut_spy)
 
@@ -506,7 +499,7 @@ def test_quadrature_matches_unblocked_reference_bit_for_bit(monkeypatch):
         got = log_integrals._log_distance_sum(t, angles)
         assert got.tobytes() == _log_distance_sum_reference(t, angles).tobytes(), size
 
-    checked = {"centers": 0, "short": 0, "closed": 0}
+    checked = {"centers": 0, "short": 0}
     for p, a, roots in _quadrature_oracle_cases():
         q = ce.polar_factor(ce.normalize_self_inversive(p)).q
         calls = ((a, a, roots), (a, q, None))
@@ -522,7 +515,6 @@ def test_quadrature_matches_unblocked_reference_bit_for_bit(monkeypatch):
             want = [ce.log_pair_quadrature(A, B, b_roots=r) for A, B, r in calls]
         assert [v.hex() for v in got] == [v.hex() for v in want], p.degree
     assert checked["centers"] > 20 and checked["short"] > 0, checked
-    assert checked["closed"] > 0, checked
 
 
 def _layout_angle_sets(rng, count):
@@ -558,10 +550,9 @@ def _layout_angle_sets(rng, count):
 
 
 def _layout_cuts(centers):
-    # Tail cuts from 10 to 40, past _S_CUT at the top, and closed centers,
-    # as functions of the center alone.
-    frac = np.mod(centers * 1e6, 1.0)
-    return 10.0 + 30.0 * frac, frac < 0.3
+    # Tail cuts from 10 to 40, past _S_CUT at the top, as functions of the
+    # center alone.
+    return 10.0 + 30.0 * np.mod(centers * 1e6, 1.0)
 
 
 def test_window_layout_matches_the_cluster_reference_bit_for_bit(monkeypatch):
@@ -573,7 +564,7 @@ def test_window_layout_matches_the_cluster_reference_bit_for_bit(monkeypatch):
     def bits(layout):
         return [np.array(pieces, dtype=float).tobytes() for pieces in layout]
 
-    # Every set with tail cuts and closed centers, every fourth also without.
+    # Every set with tail cuts, every fourth also without.
     covered = 0
     for i, angles in enumerate(_layout_angle_sets(instance_rng(47), 10_000)):
         for s_cut_of in (_layout_cuts, None)[: 1 + (i % 4 == 0)]:
@@ -824,8 +815,7 @@ def test_tail_amplitude_bounds_and_cuts(monkeypatch):
     # At zeros of A, near them and at generic points, the dense-sampled sup
     # of |A(e^{it})| over |t - c| <= e^{-s} stays within the amplitude bound
     # at every s of the ladder, and no tail cut is later than the rule with
-    # the first-order bound alone gave (windows closed around a zero off the
-    # circle drop no tail).
+    # the first-order bound alone gave.
     quadrature = log_integrals.circle_quadrature
     seen = {}
 
@@ -854,12 +844,10 @@ def test_tail_amplitude_bounds_and_cuts(monkeypatch):
             # B = A with its circle zeros given: the windows the repo places.
             b_roots = circle.roots if a is circle.coefficients else None
             ce.log_pair_quadrature(a, a, b_roots=b_roots)
-            cuts, closed = seen["s_cut_of"](centers)
+            cuts = seen["s_cut_of"](centers)
             budget = 1e-9 * max(1.0, seen["scale"]) / (8.0 * max(1, seen["windows"]))
             values = eval_poly(a, np.exp(1j * centers))
-            for cut, flag, v in zip(cuts, closed, values):
-                if flag:  # a zero off the circle: nothing is dropped
-                    continue
+            for cut, v in zip(cuts, values):
                 old = _tail_cut_reference(abs(complex(v)), n, float(np.abs(a).sum()),
                                           n, budget)
                 assert cut <= old
@@ -876,26 +864,27 @@ def _off_circle_case():
 
 def _spy_windows(m):
     # Records the scale of each quadrature, and each window center's tail
-    # cut, closing flag, substitution pieces and the arc pieces around it:
-    # its closing arc, as no arc between windows reaches a center.
+    # cut, substitution pieces and the arc pieces that reach into its
+    # window.
     quadrature = log_integrals.circle_quadrature
     kronrod_sum = log_integrals._kronrod_sum
     seen = {"scale": [], "centers": []}
 
     def quadrature_spy(f, singular_angles=(), scale=1.0, s_cut_of=None):
         def s_cut_spy(centers):
-            cuts, closed = s_cut_of(centers)
-            seen["cuts"] = centers, [min(_S_CUT, cut) for cut in cuts], list(closed)
-            return cuts, closed
+            cuts = s_cut_of(centers)
+            seen["cuts"] = centers, [min(_S_CUT, cut) for cut in cuts]
+            return cuts
 
         seen["scale"].append(scale)
         return quadrature(f, singular_angles, scale=scale, s_cut_of=s_cut_spy)
 
     def kronrod_spy(f, window_pieces, arc_pieces, tol):
-        for c, cut, closed in zip(*seen.pop("cuts")):
+        hw = _WINDOW / 2.0
+        for c, cut in zip(*seen.pop("cuts")):
             pieces = [piece for piece in window_pieces if piece[0] == c]
-            arcs = [(a, b) for a, b, _ in arc_pieces if a < c < b]
-            seen["centers"].append((c, cut, closed, pieces, arcs))
+            arcs = [(a, b) for a, b, _ in arc_pieces if a < c + hw and b > c - hw]
+            seen["centers"].append((c, cut, pieces, arcs))
         return kronrod_sum(f, window_pieces, arc_pieces, tol)
 
     m.setattr(log_integrals, "circle_quadrature", quadrature_spy)
@@ -904,25 +893,29 @@ def _spy_windows(m):
 
 
 @pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-9])
-def test_zero_off_the_circle_stops_at_a_tenth_of_its_distance(monkeypatch, d):
-    # B has one zero at (1 + d) e^{i phi}, phi = 1.3.  Its substitution ends
-    # at s = -log(d/10) and one arc panel covers |t - phi| < d/10, where
-    # log|B|^2 is analytic.  At d = 1e-9 too the found zero only places a
-    # window; B is evaluated whole.  The reference pairs the lags c_m of A
-    # with B's known zeros rho, all in |z| > 1: the mean of |A|^2 times
-    # log|e^{it} - rho|^2 is c_0 log|rho|^2 - 2 Re sum_m c_m conj(rho)^{-m} / m.
+def test_zero_off_the_circle_takes_the_tail_amplitude_cut(monkeypatch, d):
+    # B has one zero at (1 + d) e^{i phi}, phi = 1.3.  Its window's
+    # substitution stops where a given circle zero's would: at the first s
+    # of the ladder where amp^2 weight <= budget, amp from _tail_amplitudes,
+    # and no arc piece reaches into the window.  At d = 1e-9 too the found
+    # zero only places a window; B is evaluated whole.  The reference pairs
+    # the lags c_m of A with B's known zeros rho, all in |z| > 1: the mean of
+    # |A|^2 times log|e^{it} - rho|^2 is c_0 log|rho|^2 -
+    # 2 Re sum_m c_m conj(rho)^{-m} / m.  Error/tolerance measured at most
+    # 0.01.
     a, others = _off_circle_case()
     zeros = np.concatenate(([(1 + d) * np.exp(1.3j)], others))
     b = np.poly(zeros)[::-1]
     seen = _spy_windows(monkeypatch)
     value = ce.log_pair_quadrature(a, b)
-    (scale,), ((c, cut, closed, pieces, arcs),) = seen["scale"], seen["centers"]
-    assert closed
-    assert abs(cut + math.log(d / 10)) <= 1e-6
+    (scale,), ((c, cut, pieces, arcs),) = seen["scale"], seen["centers"]
+    budget = 1e-9 * max(1.0, scale) / 8.0
+    ladder = log_integrals._S_LADDER
+    weight = 2.0 * log_integrals._U_LADDER * (2.0 * zeros.size * (ladder + 2.0) + 160.0)
+    ok = log_integrals._tail_amplitudes(a, [c])[0] ** 2 * weight <= budget
+    assert cut == (ladder[ok.argmax()] if ok.any() else _S_CUT)
     assert {s_cut for _, _, _, s_cut in pieces} == {cut}
-    (lo, hi), = arcs
-    assert abs(lo - (c - d / 10)) <= 1e-6 * d
-    assert abs(hi - (c + d / 10)) <= 1e-6 * d
+    assert arcs == []
     lags = ce.trig_square(a)
     m = np.arange(1, lags.size)
     want = sum(lags[0].real * math.log(abs(rho) ** 2)
