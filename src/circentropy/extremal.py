@@ -269,25 +269,23 @@ def _starts(n: int, restarts: int, rng):
             yield rng.uniform(0.0, 2 * np.pi, n - 1)
 
 
-def _multiplicities(angles) -> list[int]:
-    """Multiplicity pattern of the zeros at the angles, largest first."""
-    clusters = root_clusters(np.exp(1j * angles), CLUSTER_TOL)
-    return sorted((mult for _, mult in clusters), reverse=True)
+def _clusters(x):
+    """``root_clusters`` at ``CLUSTER_TOL`` of the gauge-fixed angles (0, x)."""
+    return root_clusters(np.exp(1j * np.concatenate([[0.0], x])), CLUSTER_TOL)
 
 
-def _split_clusters(angles) -> np.ndarray | None:
-    """Gauge-fixed simple angles from a configuration with a multiple zero.
+def _split_clusters(clusters, n: int) -> np.ndarray | None:
+    """Gauge-fixed simple angles from n zeros grouped as ``clusters``.
 
     Keeps one zero per cluster (at its center) and moves each extra zero to
     the midpoint of the then largest gap, so the re-descent starts away from
     the coalescence stratum.  Returns the n angles sorted with the first at
     0, or None when every zero is simple.
     """
-    clusters = root_clusters(np.exp(1j * angles), CLUSTER_TOL)
-    if len(clusters) == angles.size:
+    if len(clusters) == n:
         return None
     pts = np.sort(np.mod([np.angle(center) for center, _ in clusters], 2 * np.pi))
-    for _ in range(angles.size - len(clusters)):
+    for _ in range(n - len(clusters)):
         gaps = np.diff(np.append(pts, pts[0] + 2 * np.pi))
         k = int(np.argmax(gaps))
         pts = np.sort(np.mod(np.append(pts, pts[k] + gaps[k] / 2), 2 * np.pi))
@@ -298,15 +296,19 @@ def _start(x0):
     """One start, a generator like ``_descend``: it descends from x0 and,
     while the endpoint has a multiple zero, from the split endpoint
     (``_split_clusters``), at most ``MAX_SPLITS`` times.  Returns every
-    descent's ``(x, f, g)`` and the multiplicity pattern of the first one.
+    descent's ``(x, f, g)`` and the multiplicity pattern of the first one,
+    largest first.  Each endpoint that may split is clustered once.
     """
     endpoints = [(yield from _descend(x0))]
-    pattern = _multiplicities(np.concatenate([[0.0], endpoints[0][0]]))
+    clusters = _clusters(endpoints[0][0])
+    pattern = sorted((mult for _, mult in clusters), reverse=True)
     while len(endpoints) <= MAX_SPLITS:
-        split = _split_clusters(np.concatenate([[0.0], endpoints[-1][0]]))
+        split = _split_clusters(clusters, x0.size + 1)
         if split is None:
             break
         endpoints.append((yield from _descend(split[1:])))
+        if len(endpoints) <= MAX_SPLITS:
+            clusters = _clusters(endpoints[-1][0])
     return endpoints, pattern
 
 

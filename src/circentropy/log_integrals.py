@@ -218,14 +218,18 @@ _G10_WEIGHTS[19:10:-2] = _WG
 _KG_WEIGHTS = _K21_WEIGHTS - _G10_WEIGHTS
 
 
-def _kronrod_panels(lo, hi, panels):
-    """Kronrod nodes and half-widths on ``panels[i]`` equal panels of [lo[i], hi[i]].
+def _kronrod_panels(table, panels):
+    """Kronrod nodes in t and their weights, on ``panels[i]`` equal panels of
+    row i of a piece table (see ``circle_quadrature``).
 
-    The panel edges of piece i are those of np.linspace(lo[i], hi[i],
-    panels[i] + 1), rounding included: k * ((hi - lo) / panels) + lo, the
-    last edge exactly hi.  One row per panel, piece by piece: the 21 nodes
-    and the half-width.
+    The panel edges of row i are those of np.linspace(lo, hi, panels[i] + 1),
+    rounding included: k * ((hi - lo) / panels) + lo, the last edge exactly
+    hi.  An arc row (sign 0) is an interval in t.  A window row is one in s,
+    mapped to t = center + sign e^{-s}, with dt/ds folded into the weights.
+    One row of 21 per panel, row by row: the nodes, and the half-width
+    times dt/dx at each.
     """
+    lo, hi, _, center, sign = table.T
     piece = np.repeat(np.arange(panels.size), panels)
     ends = np.cumsum(panels)
     k = np.arange(piece.size) - (ends - panels)[piece]
@@ -236,36 +240,14 @@ def _kronrod_panels(lo, hi, panels):
     right[ends - 1] = hi
     half = ((hi - lo) / (2.0 * panels))[piece]
     mids = 0.5 * (left + right)
-    return mids[:, None] + half[:, None] * _K21_NODES, half
-
-
-def _kronrod_nodes(window_pieces, arc_pieces, levels):
-    """Kronrod nodes (in t) and Jacobian weights of every panel of the pieces.
-
-    Window pieces ``(center, sign, s0, s_cut)`` come first, then arc pieces
-    ``(a, b, base panels)``; ``levels`` holds one doubling count per piece,
-    in the same order.  A window piece whose cut is below ``_ONE_PANEL_CUT``
-    (34) has one base panel in s; one that reaches it has
-    ceil((s_cut - s0) / 2.5), at least 3, as s0 <= -log 5e-13 for centers
-    more than 1e-12 apart.  Only beyond s = 34.25 can a node round onto a
-    center below 8, where the log-distance kernel floors it, and there
-    panels 2.5 wide keep the weight of such a node below 1e-15.  Returns
-    the nodes and the weights dt/dx times the panel half-width, one row of
-    21 per panel, and the panel count of each piece.
-    """
-    c, sign, s0, s_cut = np.array(window_pieces, dtype=float).reshape(-1, 4).T
-    a, b, p0 = np.array(arc_pieces, dtype=float).reshape(-1, 3).T
-    win = np.where(s_cut < _ONE_PANEL_CUT, 1, np.ceil((s_cut - s0) / 2.5).astype(int))
-    panels = np.concatenate((win, p0.astype(int))) << levels
-    win_panels = panels[: c.size]
-    s, half = _kronrod_panels(s0, s_cut, win_panels)
-    u = np.exp(-s)
-    piece = np.repeat(np.arange(c.size), win_panels)[:, None]
-    t, arc_half = _kronrod_panels(a, b, panels[c.size:])
-    return (np.concatenate((c[piece] + sign[piece] * u, t)),
-            np.concatenate((half[:, None] * u,
-                            np.broadcast_to(arc_half[:, None], t.shape))),
-            panels)
+    nodes = mids[:, None] + half[:, None] * _K21_NODES
+    weights = np.repeat(half[:, None], _K21_NODES.size, axis=1)
+    rows = np.flatnonzero(sign[piece])  # the panels of window rows
+    win = piece[rows]
+    u = np.exp(-nodes[rows])
+    nodes[rows] = center[win, None] + sign[win, None] * u
+    weights[rows] *= u
+    return nodes, weights
 
 
 def circle_quadrature(f, singular_angles=(), scale: float = 1.0,
@@ -275,18 +257,19 @@ def circle_quadrature(f, singular_angles=(), scale: float = 1.0,
     Around each singular angle a window of width ``_WINDOW`` is cut out and
     integrated under the substitution t = angle +/- e^{-s}, which resolves
     logarithmic singularities; the complement arcs are pieces of their own,
-    and with no singular angles the whole circle is one arc.  Every piece is
-    cut into equal panels: an arc into panels at most 0.15 wide, a window
-    side cut short of s = ``_ONE_PANEL_CUT`` (34) into one panel in s, and
-    one that reaches it into panels at most 2.5 wide, since only past
-    s = 34.25 can a node round onto its center (see ``_kronrod_nodes``).
-    Each panel is integrated by the 21-point Gauss-Kronrod rule (QUADPACK
-    qk21), and |K21 - G10|, its difference from the embedded 10-point Gauss
-    rule, estimates the panel's error.  Each round calls f
-    once, on the panels of the pieces still refining.  The Kronrod sum is
-    returned once the estimates of all pieces sum to at most the tolerance,
-    ``_TOLERANCE`` * max(1, |scale|); until then, every piece whose estimate
-    exceeds its share, tolerance / pieces, has its panels doubled.
+    and with no singular angles the whole circle is one arc.
+
+    The pieces are laid out as one table, a float array with one row per
+    piece, window sides first: ``(lo, hi, base panels, center, sign)``.  A
+    window side's [lo, hi] is an interval in s, mapped to t = center +
+    sign e^{-s} with sign -1 or +1; an arc's is an interval in t, with
+    center and sign 0.  Every piece is cut into equal panels: an arc into
+    panels at most 0.15 wide, a window side cut short of s =
+    ``_ONE_PANEL_CUT`` (34) into one panel in s, and one that reaches it
+    into panels at most 2.5 wide (why: see ``_ONE_PANEL_CUT``), at least 3,
+    as s0 <= -log 5e-13 for centers more than 1e-12 apart.
+    ``_kronrod_sum`` integrates the table to the tolerance ``_TOLERANCE`` *
+    max(1, |scale|).
 
     ``s_cut_of`` optionally shortens the substitution tail: called once with
     the array of window centers (an angle past 2pi where a window wraps
@@ -301,8 +284,8 @@ def circle_quadrature(f, singular_angles=(), scale: float = 1.0,
     """
     tol = _TOLERANCE * max(1.0, abs(scale))
     angles = np.asarray(singular_angles, dtype=float)
-    window_pieces = []
-    arcs = [(0.0, 2 * np.pi)]
+    windows = np.empty((0, 5))
+    starts = ends = np.zeros(1)  # no window: one arc, [0, 2pi)
     if angles.size:
         # Deduplicate angle list; multiplicity lives inside the integrand.
         angles = np.sort(np.mod(angles, 2 * np.pi))
@@ -331,37 +314,47 @@ def circle_quadrature(f, singular_angles=(), scale: float = 1.0,
                 f"the windows of {centers.size} singular angles, {_WINDOW:g} wide "
                 "each, cover the whole circle"
             )
-        if s_cut_of is None:
-            s_cuts = [_S_CUT] * centers.size
-        else:
-            s_cuts = [min(_S_CUT, s) for s in s_cut_of(centers)]
-        # Each side of a center maps to the s-interval [-log span, s_cut]
-        # under t = center -/+ e^{-s}.
-        for c, lo, hi, s_cut in zip(centers.tolist(), left.tolist(),
-                                    right.tolist(), s_cuts):
-            for edge, sign in ((lo, -1.0), (hi, 1.0)):
-                s0 = -math.log(abs(edge - c))
-                if s0 < s_cut:
-                    window_pieces.append((c, sign, s0, s_cut))
-        # The arcs between runs, the last one's to the first start past 2pi.
-        nxt = np.append(starts[1:], starts[0] + 2 * np.pi)
-        arcs = [(a, b) for a, b in zip(ends.tolist(), nxt.tolist()) if b - a > 1e-12]
-    arc_pieces = [(a, b, max(1, int(math.ceil((b - a) / 0.15)))) for a, b in arcs]
-    return _kronrod_sum(f, window_pieces, arc_pieces, tol)[0]
+        s_cut = np.full(centers.size, _S_CUT)
+        if s_cut_of is not None:
+            s_cut = np.minimum(s_cut, s_cut_of(centers))
+        # Each side of a center, left then right, is the s-interval
+        # [-log |side|, s_cut] under t = center + sign(side) e^{-s}; s0
+        # takes libm's log, which rounds apart from numpy's.
+        side = (np.array((left, right)).T - centers[:, None]).ravel()
+        s0 = np.array([-math.log(abs(x)) for x in side.tolist()])
+        s_cut = np.repeat(s_cut, 2)
+        base = np.where(s_cut < _ONE_PANEL_CUT, 1.0, np.ceil((s_cut - s0) / 2.5))
+        windows = np.array((s0, s_cut, base, np.repeat(centers, 2), np.sign(side))).T
+        windows = windows[s0 < s_cut]
+    # The arcs between runs, the last one's to the first start past 2pi.
+    nxt = np.append(starts[1:], starts[0] + 2 * np.pi)
+    zero = np.zeros(nxt.size)
+    base = np.maximum(1.0, np.ceil((nxt - ends) / 0.15))
+    arcs = np.array((ends, nxt, base, zero, zero)).T[nxt - ends > 1e-12]
+    return _kronrod_sum(f, np.concatenate((windows, arcs)), tol)[0]
 
 
-def _kronrod_sum(f, window_pieces, arc_pieces, tol: float):
-    """The rounds of ``circle_quadrature``: (mean, error estimate).
+def _kronrod_sum(f, table, tol: float):
+    """The rounds of ``circle_quadrature`` on a piece table: (mean of f,
+    error estimate).
 
-    Each round evaluates f once, on every panel of the pieces still
-    refining.  ``BudgetExceeded`` is raised, before f is called, when the
-    nodes of all rounds so far would exceed ``_MAX_NODES``; that bounds
-    both the time and the memory of one call.  The weighted sums are numpy
-    reductions, not np.dot: BLAS ddot rounds differently with the number
-    of BLAS threads.
+    Every panel is integrated by the 21-point Gauss-Kronrod rule (QUADPACK
+    qk21), and |K21 - G10|, its difference from the embedded 10-point Gauss
+    rule, estimates the panel's error.  Each round lays out the panels of
+    the pieces still refining, their base counts doubled once per level,
+    with one ``_kronrod_panels`` call, and evaluates f once on them.  The
+    Kronrod sum is returned once the estimates of all pieces sum to at most
+    ``tol``; until then, every piece whose estimate exceeds its share,
+    tol / pieces, has its panels doubled.  ``BudgetExceeded`` is raised,
+    before f is called, when the nodes of all rounds so far would exceed
+    ``_MAX_NODES``; that bounds both the time and the memory of one call.
+    The weighted sums are numpy reductions, not np.dot: BLAS ddot rounds
+    differently with the number of BLAS threads.  The nodes and weights of
+    a row depend on that row and its level alone, so a row of concatenated
+    tables gets the ones it gets in its own table.
     """
-    n_win = len(window_pieces)
-    pieces = n_win + len(arc_pieces)
+    pieces = len(table)
+    base = table[:, 2].astype(int)
     bound = 2 * np.pi * tol  # value and est are integrals over [0, 2pi)
     levels = np.zeros(pieces, dtype=int)
     value = np.zeros(pieces)
@@ -369,10 +362,8 @@ def _kronrod_sum(f, window_pieces, arc_pieces, tol: float):
     todo = np.arange(pieces)
     nodes = 0
     while True:
-        pts, wts, panels = _kronrod_nodes(
-            [window_pieces[i] for i in todo[todo < n_win]],
-            [arc_pieces[i - n_win] for i in todo[todo >= n_win]],
-            levels[todo])
+        panels = base[todo] << levels[todo]
+        pts, wts = _kronrod_panels(table[todo], panels)
         nodes += pts.size
         if nodes > _MAX_NODES:
             raise BudgetExceeded(

@@ -341,7 +341,7 @@ def normalize_self_inversive(p: CirclePoly) -> CirclePoly:
     Im eta > 0 when Re eta = 0, so the one nearest 1.  Raises
     ``InconsistentReflection`` when p is no such multiple (roots off the
     circle), and ``IllConditioned`` when the squared coefficients overflow,
-    or underflow so far that lambda / |lambda| is not finite.
+    or underflow so far that <p, refl> is 0 or lambda / |lambda| not finite.
     """
     arr = p.coefficients
     refl = np.conj(arr[..., ::-1])
@@ -351,7 +351,10 @@ def normalize_self_inversive(p: CirclePoly) -> CirclePoly:
     mod = np.abs(lam)
     if not np.isfinite(mod).all():
         raise IllConditioned("the squared coefficients overflow a double")
-    if np.count_nonzero(mod) < mod.size:
+    if not mod.all():
+        # Where even the largest |a_j|^2 underflows, so does <p, refl>.
+        if (np.abs(arr[mod == 0]).max(axis=-1) ** 2 == 0).any():
+            raise IllConditioned("the squared coefficients underflow a double")
         raise InconsistentReflection("reflection is orthogonal to the input")
     with np.errstate(over="ignore", invalid="ignore"):
         lam = lam / mod

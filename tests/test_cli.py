@@ -429,6 +429,8 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
     (("--angles", "[-Infinity]"), 3),
     # squared coefficients that underflow: lambda / |lambda| is not finite
     (("--binomial", "n=4", "leading=1e-160"), 3),
+    # ... or every product in <p, refl> underflows to 0
+    (("--binomial", "n=4", "leading=1e-170"), 3),
 ])
 def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
     # text that does not parse is a usage error (2); a parsed polynomial
@@ -442,6 +444,18 @@ def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
     else:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "moments", "coalesce"])
+@pytest.mark.parametrize("leading", ["1e-160", "1e-170"])
+def test_squared_coefficients_that_underflow_are_named(capsys, command, leading):
+    # At 1e-170 every product in <p, refl> underflows to 0: the message
+    # names the underflow, not an orthogonal reflection.
+    code = main([command, "--binomial", "n=4", f"leading={leading}"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: the squared coefficients underflow a double\n"
 
 
 @pytest.mark.parametrize("omega", ["inf", "nan", "-inf"])

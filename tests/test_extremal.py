@@ -244,9 +244,13 @@ def test_lockstep_search_matches_starts_run_one_at_a_time(n, restarts, seed):
     assert ce.minimize(n, restarts, seed).to_dict() == want
 
 
+def _clusters_at(angles):
+    return root_clusters(np.exp(1j * angles), extremal.CLUSTER_TOL)
+
+
 def test_split_clusters_separates_a_double_zero():
     angles = np.array([0.5, 1.0, 1.0, 2.5, 4.0])
-    split = _split_clusters(angles)
+    split = _split_clusters(_clusters_at(angles), angles.size)
     assert len(root_clusters(np.exp(1j * split), extremal.CLUSTER_TOL)) == 5
     # The extra zero goes to the midpoint of the largest gap, 4.0 -> 0.5 + 2 pi,
     # and the rotation by -0.5 fixes the gauge: the first angle is exactly 0.
@@ -256,8 +260,25 @@ def test_split_clusters_separates_a_double_zero():
 
 
 def test_split_clusters_leaves_simple_zeros_alone():
-    assert _split_clusters(np.array([0.0, 1.0, 2.0, 4.0])) is None
-    assert _split_clusters(np.array([0.3])) is None
+    for angles in (np.array([0.0, 1.0, 2.0, 4.0]), np.array([0.3])):
+        assert _split_clusters(_clusters_at(angles), angles.size) is None
+
+
+def test_each_endpoint_that_may_split_is_clustered_once(monkeypatch):
+    # The first endpoint's pattern and its split share one clustering; an
+    # endpoint after the last allowed split is not clustered at all.
+    calls = []
+
+    def clusters_spy(roots, tol):
+        calls.append(tol)
+        return root_clusters(roots, tol)
+
+    monkeypatch.setattr(extremal, "root_clusters", clusters_spy)
+    res = ce.minimize(8, restarts=8, seed=2)
+    splits = [entry["splits"] for entry in res.trace]
+    assert any(splits)
+    assert calls == [extremal.CLUSTER_TOL] * sum(
+        min(k + 1, extremal.MAX_SPLITS) for k in splits)
 
 
 def test_min_objective_seen_is_the_minimum_of_every_value(monkeypatch):

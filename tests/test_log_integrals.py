@@ -25,7 +25,7 @@ from circentropy.log_integrals import (
     _S_CUT,
     _WINDOW,
     MAX_SERIES_DEGREE,
-    _kronrod_nodes,
+    _kronrod_panels,
 )
 from circentropy.cli import _newton_step
 from circentropy.polycircle import eval_poly, poly_degree
@@ -273,37 +273,48 @@ def test_finiteness_at_maximal_multiplicity():
         assert math.isfinite(rf.jensen_integral)
 
 
-def _kronrod_nodes_reference(window_pieces, arc_pieces, levels):
-    # Panel by panel from np.linspace; _kronrod_nodes must reproduce its
-    # bytes.
+def _kronrod_panels_reference(table, panels):
+    # Panel by panel from np.linspace, row by row of a piece table
+    # (lo, hi, base panels, center, sign), sign 0 on an arc;
+    # _kronrod_panels must reproduce its bytes.
     pts = []
     wts = []
-    counts = []
-    for (c, sign, s0, s_cut), level in zip(window_pieces, levels):
-        base = 1 if s_cut < _ONE_PANEL_CUT else int(math.ceil((s_cut - s0) / 2.5))
-        panels = base * 2**int(level)
-        edges = np.linspace(s0, s_cut, panels + 1)
-        half = (s_cut - s0) / (2.0 * panels)
+    for (lo, hi, _, c, sign), count in zip(table, panels):
+        edges = np.linspace(lo, hi, count + 1)
+        half = (hi - lo) / (2.0 * count)
         mids = 0.5 * (edges[:-1] + edges[1:])
-        u = np.exp(-(mids[:, None] + half * _K21_NODES[None, :]))
-        pts.append(c + sign * u)
-        wts.append(half * u)
-        counts.append(panels)
-    for (a, b, p0), level in zip(arc_pieces, levels[len(window_pieces):]):
-        panels = p0 * 2**int(level)
-        edges = np.linspace(a, b, panels + 1)
-        half = (b - a) / (2.0 * panels)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        pts.append(mids[:, None] + half * _K21_NODES[None, :])
-        wts.append(np.full((panels, _K21_NODES.size), half))
-        counts.append(panels)
-    return np.concatenate(pts), np.concatenate(wts), np.array(counts)
+        x = mids[:, None] + half * _K21_NODES[None, :]
+        if sign == 0:
+            pts.append(x)
+            wts.append(np.full((count, _K21_NODES.size), half))
+        else:
+            u = np.exp(-x)
+            pts.append(c + sign * u)
+            wts.append(half * u)
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+def _window_rows(window_pieces):
+    # Table rows of window pieces (center, sign, s0, s_cut): one base panel
+    # below _ONE_PANEL_CUT, else panels at most 2.5 wide in s.
+    rows = []
+    for c, sign, s0, s_cut in window_pieces:
+        base = 1 if s_cut < _ONE_PANEL_CUT else math.ceil((s_cut - s0) / 2.5)
+        rows.append((s0, s_cut, base, c, sign))
+    return np.array(rows, dtype=float).reshape(-1, 5)
+
+
+def _arc_rows(arcs):
+    # Table rows of arcs (a, b): panels at most 0.15 wide.
+    return np.array([(a, b, max(1, int(math.ceil((b - a) / 0.15))), 0.0, 0.0)
+                     for a, b in arcs], dtype=float).reshape(-1, 5)
 
 
 def _layout_reference(singular_angles, s_cut_of=None):
-    # The window and arc pieces of circle_quadrature as cluster records,
-    # (start, end, centers) per chain of overlapping windows, each split at
-    # its midpoints; the one-pass layout must reproduce their bytes.
+    # The piece table of circle_quadrature from cluster records, (start,
+    # end, centers) per chain of overlapping windows, each split at its
+    # midpoints: window sides first, then arcs.  The one-pass layout must
+    # reproduce its bytes.
     halfwidth = _WINDOW / 2.0
     angles = np.sort(np.mod(np.asarray(singular_angles, dtype=float), 2 * np.pi))
     keep = np.concatenate(([True], np.diff(angles) > 1e-12))
@@ -348,19 +359,19 @@ def _layout_reference(singular_angles, s_cut_of=None):
             nxt_start += 2 * np.pi
         if nxt_start - end > 1e-12:
             arcs.append((end, nxt_start))
-    return pieces, [(a, b, max(1, int(math.ceil((b - a) / 0.15)))) for a, b in arcs]
+    return np.concatenate((_window_rows(pieces), _arc_rows(arcs)))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _gl16_level_nodes(window_pieces, arc_pieces, level):
+def _gl16_level_nodes(table, level):
     # The uniform 16-point Gauss-Legendre level rule that the Kronrod rounds
     # replaced, every panel of every piece doubled ``level`` times: the
     # accuracy reference.
     pts = []
     wts = []
-    for c, sign, s0, s_cut in window_pieces:
+    for s0, s_cut, _, c, sign in table[table[:, 4] != 0]:
         panels = max(2, int(math.ceil((s_cut - s0) / 2.5))) * 2**level
         edges = np.linspace(s0, s_cut, panels + 1)
         half = (s_cut - s0) / (2.0 * panels)
@@ -369,8 +380,8 @@ def _gl16_level_nodes(window_pieces, arc_pieces, level):
         u = np.exp(-s)
         pts.append(c + sign * u)
         wts.append(np.tile(_GL_WEIGHTS * half, panels) * u)
-    for a, b, p0 in arc_pieces:
-        panels = p0 * 2**level
+    for a, b, p0, _, _ in table[table[:, 4] == 0]:
+        panels = int(p0) * 2**level
         edges = np.linspace(a, b, panels + 1)
         half = (b - a) / (2.0 * panels)
         mids = 0.5 * (edges[:-1] + edges[1:])
@@ -412,7 +423,8 @@ def _horner_reference(coeffs, z):
     return acc
 
 
-def _random_pieces(rng):
+def _random_table(rng):
+    # Window rows, then arc rows.
     windows = []
     for _ in range(rng.integers(0, 12)):
         s0 = -math.log(rng.uniform(1e-9, 5e-3))
@@ -423,8 +435,8 @@ def _random_pieces(rng):
     for _ in range(rng.integers(0 if windows else 1, 6)):
         a = float(rng.uniform(0, 2 * np.pi))
         length = float(rng.uniform(1e-3, 3.0))
-        arcs.append((a, a + length, max(1, int(math.ceil(length / 0.15)))))
-    return windows, arcs
+        arcs.append((a, a + length))
+    return np.concatenate((_window_rows(windows), _arc_rows(arcs)))
 
 
 def _quadrature_oracle_cases():
@@ -465,11 +477,11 @@ def _spy_tail_cuts(m, checked):
 def test_quadrature_matches_unblocked_reference_bit_for_bit(monkeypatch):
     rng = instance_rng(35)
     for _ in range(40):
-        windows, arcs = _random_pieces(rng)
+        table = _random_table(rng)
         for level in range(4):
-            levels = np.full(len(windows) + len(arcs), level)
-            got = _kronrod_nodes(windows, arcs, levels)
-            want = _kronrod_nodes_reference(windows, arcs, levels)
+            panels = table[:, 2].astype(int) << level
+            got = _kronrod_panels(table, panels)
+            want = _kronrod_panels_reference(table, panels)
             for x, y in zip(got, want):
                 assert x.shape == y.shape
                 assert x.tobytes() == y.tobytes()
@@ -509,7 +521,7 @@ def test_quadrature_matches_unblocked_reference_bit_for_bit(monkeypatch):
             _spy_tail_cuts(m, checked)
             got = [ce.log_pair_quadrature(A, B, b_roots=r) for A, B, r in calls]
         with monkeypatch.context() as m:
-            m.setattr(log_integrals, "_kronrod_nodes", _kronrod_nodes_reference)
+            m.setattr(log_integrals, "_kronrod_panels", _kronrod_panels_reference)
             m.setattr(log_integrals, "_log_distance_sum", _log_distance_sum_reference)
             m.setattr(log_integrals, "eval_poly", _horner_reference)
             want = [ce.log_pair_quadrature(A, B, b_roots=r) for A, B, r in calls]
@@ -555,14 +567,20 @@ def _layout_cuts(centers):
     return 10.0 + 30.0 * np.mod(centers * 1e6, 1.0)
 
 
-def test_window_layout_matches_the_cluster_reference_bit_for_bit(monkeypatch):
+def _spy_tables(m):
+    # Records the piece table of each circle_quadrature and integrates
+    # nothing.
     laid = []
-    monkeypatch.setattr(log_integrals, "_kronrod_sum",
-                        lambda f, windows, arcs, tol: laid.append((windows, arcs))
-                        or (0.0, 0.0))
+    m.setattr(log_integrals, "_kronrod_sum",
+              lambda f, table, tol: laid.append(table) or (0.0, 0.0))
+    return laid
 
-    def bits(layout):
-        return [np.array(pieces, dtype=float).tobytes() for pieces in layout]
+
+def test_window_layout_matches_the_cluster_reference_bit_for_bit(monkeypatch):
+    laid = _spy_tables(monkeypatch)
+
+    def bits(table):
+        return table.shape, table.dtype, table.tobytes()
 
     # Every set with tail cuts, every fourth also without.
     covered = 0
@@ -578,6 +596,31 @@ def test_window_layout_matches_the_cluster_reference_bit_for_bit(monkeypatch):
             ce.circle_quadrature(np.cos, angles, s_cut_of=s_cut_of)
             assert bits(laid.pop()) == bits(want), [a.hex() for a in angles]
     assert covered > 0
+
+
+def test_piece_tables_concatenate_row_by_row(monkeypatch):
+    # The tables of two layouts, one with a run of windows across 2pi and
+    # tail cuts, one with angles repeated within 1e-12, concatenated: at any
+    # levels each row's panels get the nodes and weights they get in their
+    # own table, bit for bit.
+    laid = _spy_tables(monkeypatch)
+    ce.circle_quadrature(np.cos, [2 * np.pi - 3e-3, 1e-3, 2.0, 4.0], s_cut_of=_layout_cuts)
+    ce.circle_quadrature(np.cos, [1.0, 1.0 + 5e-13, 1.0 + 4e-3, 3.0, 3.0 - 2e-13])
+    one, two = laid
+    assert (one[:, 3] > 2 * np.pi).any() and (one[:, 1] < _S_CUT).any()
+    assert len(set(two[two[:, 4] != 0, 3])) == 3
+    both = np.concatenate((one, two))
+    rng = instance_rng(50)
+    for _ in range(6):
+        levels = rng.integers(0, 4, len(both))
+        panels = both[:, 2].astype(int) << levels
+        t, w = _kronrod_panels(both, panels)
+        split = panels[: len(one)].sum()
+        for table, part, rows in ((one, panels[: len(one)], slice(None, split)),
+                                  (two, panels[len(one):], slice(split, None))):
+            t_alone, w_alone = _kronrod_panels(table, part)
+            assert t_alone.tobytes() == t[rows].tobytes()
+            assert w_alone.tobytes() == w[rows].tobytes()
 
 
 def test_angles_within_1e_12_across_2pi_are_one_center():
@@ -649,12 +692,13 @@ def test_log_distance_floor_only_at_negligible_weight():
     rng = instance_rng(41)
     centers = np.concatenate((rng.uniform(0, 2 * np.pi, 40),
                               2 * np.pi + rng.uniform(0, 0.1, 8)))
-    windows = [(c, sign, -math.log(0.005), _S_CUT)
-               for c in centers for sign in (-1.0, 1.0)]
+    table = _window_rows([(c, sign, -math.log(0.005), _S_CUT)
+                          for c in centers for sign in (-1.0, 1.0)])
     floored = 0
     for level in range(4):
-        t, w, panels = _kronrod_nodes(windows, [], np.full(len(windows), level))
-        row_centers = np.repeat([c for c, _, _, _ in windows], panels)
+        panels = table[:, 2].astype(int) << level
+        t, w = _kronrod_panels(table, panels)
+        row_centers = np.repeat(table[:, 3], panels)
         for c, t_row, w_row in zip(row_centers, t, w):
             hit = log_integrals._log_distance_sum(t_row, np.array([c])) <= math.log(_LOG_FLOOR)
             floored += hit.sum()
@@ -663,11 +707,12 @@ def test_log_distance_floor_only_at_negligible_weight():
     assert floored > 0
 
 
-def test_short_window_pieces_start_as_one_panel_with_no_floored_node():
-    # Below _ONE_PANEL_CUT no node of a window piece rounds onto its center,
-    # for centers up to 2pi + 0.1 (wrapped windows) and starts s0 from the
-    # window edge, -log 0.005, to -log 5e-13, the least half-gap between two
-    # distinct centers.  Full-length windows keep their 13 panels.
+def test_short_window_pieces_start_as_one_panel_with_no_floored_node(monkeypatch):
+    # Below _ONE_PANEL_CUT no node of a one-panel window piece rounds onto
+    # its center, for centers up to 2pi + 0.1 (wrapped windows) and starts
+    # s0 from the window edge, -log 0.005, to -log 5e-13, the least half-gap
+    # between two distinct centers.  The layout starts every window side
+    # cut short of it as one panel, and full-length windows keep their 13.
     rng = instance_rng(49)
     centers = np.concatenate((rng.uniform(0, 2 * np.pi + 0.1, 60),
                               [0.0, 1e-3, np.pi, 2 * np.pi, 2 * np.pi + 0.1]))
@@ -679,14 +724,20 @@ def test_short_window_pieces_start_as_one_panel_with_no_floored_node():
         for start in s0:
             for s_cut in (rng.uniform(start, _ONE_PANEL_CUT), below):
                 windows.append((float(c), float(rng.choice([-1.0, 1.0])), start, s_cut))
-    t, _, panels = _kronrod_nodes(windows, [], np.zeros(len(windows), dtype=int))
-    assert (panels == 1).all()
+    table = _window_rows(windows)
+    t, _ = _kronrod_panels(table, np.ones(len(table), dtype=int))
     for (c, _, _, _), t_row in zip(windows, t):
         assert (log_integrals._log_distance_sum(t_row, np.array([c]))
                 > math.log(_LOG_FLOOR)).all(), c
-    full = [(c, sign, -math.log(0.005), _S_CUT) for c in centers for sign in (-1.0, 1.0)]
-    _, _, panels = _kronrod_nodes(full, [], np.zeros(len(full), dtype=int))
-    assert (panels == 13).all()
+    # The layout's base panels: 1 on every side cut short of 34, 13 on the
+    # outer side of a full-length window, from -log 0.005 to _S_CUT.
+    laid = _spy_tables(monkeypatch)
+    for cut in (below, _S_CUT):
+        ce.circle_quadrature(np.cos, centers, s_cut_of=lambda c: np.full(c.size, cut))
+    short, full = (table[table[:, 4] != 0] for table in laid)
+    assert (short[:, 2] == 1).all()
+    outer = full[np.abs(full[:, 0] + math.log(0.005)) < 1e-9]
+    assert outer.size and (outer[:, 1] == _S_CUT).all() and (outer[:, 2] == 13).all()
 
 
 def test_clustered_zeros_agree_with_the_spectral_route():
@@ -743,9 +794,9 @@ def test_kronrod_quadrature_is_as_accurate_as_it_estimates(monkeypatch):
     kronrod_sum = log_integrals._kronrod_sum
     checked = []
 
-    def kronrod_spy(f, window_pieces, arc_pieces, tol):
-        value, estimate = kronrod_sum(f, window_pieces, arc_pieces, tol)
-        pts, wts = _gl16_level_nodes(window_pieces, arc_pieces, 5)
+    def kronrod_spy(f, table, tol):
+        value, estimate = kronrod_sum(f, table, tol)
+        pts, wts = _gl16_level_nodes(table, 5)
         fv = f(pts)
         reference = float((fv * wts).sum()) / (2 * np.pi)
         mass = float((np.abs(fv) * wts).sum()) / (2 * np.pi)
@@ -787,9 +838,9 @@ def test_zero_just_off_the_circle_is_windowed(monkeypatch):
     kronrod_sum = log_integrals._kronrod_sum
     calls = []
 
-    def kronrod_spy(f, window_pieces, arc_pieces, tol):
-        calls.append((len(window_pieces), tol))
-        return kronrod_sum(f, window_pieces, arc_pieces, tol)
+    def kronrod_spy(f, table, tol):
+        calls.append((int((table[:, 4] != 0).sum()), tol))
+        return kronrod_sum(f, table, tol)
 
     monkeypatch.setattr(log_integrals, "_kronrod_sum", kronrod_spy)
     jensen = ce.log_pair_quadrature(p.coefficients, ce.polar_factor(p).q)
@@ -879,13 +930,14 @@ def _spy_windows(m):
         seen["scale"].append(scale)
         return quadrature(f, singular_angles, scale=scale, s_cut_of=s_cut_spy)
 
-    def kronrod_spy(f, window_pieces, arc_pieces, tol):
+    def kronrod_spy(f, table, tol):
         hw = _WINDOW / 2.0
+        windows, arc_rows = table[table[:, 4] != 0], table[table[:, 4] == 0]
         for c, cut in zip(*seen.pop("cuts")):
-            pieces = [piece for piece in window_pieces if piece[0] == c]
-            arcs = [(a, b) for a, b, _ in arc_pieces if a < c + hw and b > c - hw]
+            pieces = windows[windows[:, 3] == c]
+            arcs = [(a, b) for a, b, _, _, _ in arc_rows if a < c + hw and b > c - hw]
             seen["centers"].append((c, cut, pieces, arcs))
-        return kronrod_sum(f, window_pieces, arc_pieces, tol)
+        return kronrod_sum(f, table, tol)
 
     m.setattr(log_integrals, "circle_quadrature", quadrature_spy)
     m.setattr(log_integrals, "_kronrod_sum", kronrod_spy)
@@ -914,7 +966,7 @@ def test_zero_off_the_circle_takes_the_tail_amplitude_cut(monkeypatch, d):
     weight = 2.0 * log_integrals._U_LADDER * (2.0 * zeros.size * (ladder + 2.0) + 160.0)
     ok = log_integrals._tail_amplitudes(a, [c])[0] ** 2 * weight <= budget
     assert cut == (ladder[ok.argmax()] if ok.any() else _S_CUT)
-    assert {s_cut for _, _, _, s_cut in pieces} == {cut}
+    assert set(pieces[:, 1]) == {cut}
     assert arcs == []
     lags = ce.trig_square(a)
     m = np.arange(1, lags.size)
@@ -990,7 +1042,7 @@ def test_budget_exceeded(monkeypatch):
         return np.abs(np.cos(t))
 
     with pytest.raises(ce.BudgetExceeded):
-        log_integrals._kronrod_sum(f, [], [(0.0, 2 * np.pi, 42)], 1e-30)
+        log_integrals._kronrod_sum(f, _arc_rows([(0.0, 2 * np.pi)]), 1e-30)
     assert sizes == [21 * 42, 21 * 84, 21 * 168]
 
 

@@ -363,6 +363,19 @@ def test_inconsistent_reflection_detects_off_circle_input():
         ce.normalize_self_inversive(bad)
 
 
+def test_orthogonal_reflection_is_told_apart_from_underflow():
+    # 1 + (1 - i) z + i z^2 is exactly orthogonal to its reflection, and is
+    # refused as such; a binomial scaled by 1e-170 has every product in
+    # <p, refl> underflow to 0 as well, and is refused as an underflow.
+    orthogonal = ce.CirclePoly(np.array([1.0, 1.0 - 1.0j, 1.0j]),
+                               np.array([1.0, -1.0], dtype=complex))
+    with pytest.raises(ce.InconsistentReflection, match="orthogonal"):
+        ce.normalize_self_inversive(orthogonal)
+    tiny = ce.from_roots([1.0, 1.0, 1.0, 1.0]).scaled(1e-170)
+    with pytest.raises(ce.IllConditioned, match="underflow"):
+        ce.normalize_self_inversive(tiny)
+
+
 def test_coefficient_json_round_trip():
     coeffs = np.array([1.5 - 2j, 0.0, 3j])
     data = [[1.5, -2.0], [0.0, 0.0], [0.0, 3.0]]
