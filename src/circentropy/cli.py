@@ -10,6 +10,7 @@ yields byte-identical payloads.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -180,9 +181,10 @@ def _add_poly_arguments(parser: argparse.ArgumentParser) -> None:
 def _parse_poly(args) -> CirclePoly:
     """The polynomial given on the command line.
 
-    Text that does not parse raises ValueError or TypeError (exit 2); a
-    parsed polynomial that is not a circle polynomial raises a
-    CircEntropyError (exit 3, in ``main``).
+    Text that does not parse raises ValueError or TypeError, which the
+    caller's ``_usage`` block makes a usage error (exit 2); a parsed
+    polynomial that is not a circle polynomial raises a CircEntropyError
+    (exit 3).  ``main`` maps both.
     """
     if args.binomial is not None:
         return _binomial_poly(args.binomial)
@@ -193,17 +195,24 @@ def _parse_poly(args) -> CirclePoly:
                 for a in angles):
             raise ValueError(f"--angles must be a JSON array of real numbers, "
                              f"got {args.angles!r}")
-        for angle in angles:
-            if not math.isfinite(angle):
-                # exp(1j * inf) is NaN, and numpy warns while it builds it
-                raise NonUnimodularRoot(f"root angles must be finite, got {angle!r}")
         return from_angles(angles, _parse_complex(args.leading))
     coeffs = coefficients_from_json(json.loads(args.coeffs))
     return _poly_from_coefficients(coeffs)
 
 
-class _Unwritable(Exception):
-    """An ``--out`` path that cannot be written (exit 2, in ``main``)."""
+class _UsageError(Exception):
+    """A command line that does not parse, or an ``--out`` path that cannot
+    be written (exit 2, in ``main``)."""
+
+
+@contextlib.contextmanager
+def _usage():
+    """Re-raise a TypeError or ValueError from the block as a usage error
+    (exit 2, in ``main``)."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(exc) from exc
 
 
 def _write(path: str, payload: str) -> None:
@@ -211,7 +220,7 @@ def _write(path: str, payload: str) -> None:
         with open(path, "w") as fh:
             fh.write(payload)
     except OSError as exc:
-        raise _Unwritable(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+        raise _UsageError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _emit(payload: str, out_path: str | None) -> None:
@@ -231,16 +240,13 @@ def _csv_payload(header: list[str], rows: list[list]) -> str:
 
 
 def cmd_verify(args) -> int:
-    try:
+    with _usage():
         # A rerun checks in extended precision: at least a double's 53 bits.
         if args.precision != "double" and not (
                 args.precision.isdecimal() and int(args.precision) >= 53):
             raise ValueError(f"--precision must be 'double' or a bit count of "
                              f"at least 53, got {args.precision!r}")
         p = _parse_poly(args)
-    except (TypeError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     report = verify_main(p)
     data = report.to_dict()
     if args.precision != "double":
@@ -279,13 +285,10 @@ def _check_nonnegative(flag: str, value: int) -> None:
 
 
 def cmd_suite(args) -> int:
-    try:
+    with _usage():
         degrees = _parse_degree_range(args.degrees)
         _check_nonnegative("--seed", args.seed)
         _check_nonnegative("--count", args.count)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     if max(degrees) > MAX_SERIES_DEGREE:  # before any instance is built
         raise IllConditioned(f"the log series is certified up to degree "
                              f"{MAX_SERIES_DEGREE}, got degree {max(degrees)}")
@@ -339,11 +342,8 @@ def cmd_suite(args) -> int:
 
 
 def cmd_fourier_h(args) -> int:
-    try:
+    with _usage():
         _check_nonnegative("--max-k", args.max_k)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     rows = []
     worst = 0.0
     for k in range(args.max_k + 1):
@@ -366,12 +366,9 @@ def cmd_fourier_h(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
+    with _usage():
         _check_nonnegative("--seed", args.seed)
         result = minimize(args.n, restarts=args.restarts, seed=args.seed)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     _emit(json.dumps(result.to_dict(), indent=2), args.out)
     return 0 if result.converged else 1
 
@@ -396,13 +393,10 @@ def parse_schedule(spec: str) -> list[float]:
 
 
 def cmd_coalesce(args) -> int:
-    try:
+    with _usage():
         p = _parse_poly(args)
         schedule = checked_schedule(parse_schedule(args.schedule))
         _check_nonnegative("--seed", args.seed)
-    except (TypeError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     table = coalescence_experiment(p, schedule, seed=args.seed)
     if args.format == "csv":
         _emit(_csv_payload(list(table.CSV_FIELDS), table.to_csv_rows()), args.out)
@@ -417,11 +411,8 @@ def cmd_coalesce(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    try:
+    with _usage():
         p = _parse_poly(args)
-    except (TypeError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     d = polar_factor(normalize_self_inversive(p))
     seq = moments(d)
     _emit(json.dumps(seq.to_json_dict(), indent=2), args.out)
@@ -429,11 +420,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_telescoping(args) -> int:
-    try:
+    with _usage():
         _check_nonnegative("--max-n", args.max_n)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     bad = [n for n, total in telescoping_sums(args.max_n)
            if total != telescoping_closed_form(n)]
     _emit(json.dumps({"max_n": args.max_n, "failures": bad}, indent=2), args.out)
@@ -508,12 +496,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except CircEntropyError as exc:  # e.g. off-circle roots, n > MAX_SERIES_DEGREE
+    # e.g. a negative --seed (2); off-circle roots, n > MAX_SERIES_DEGREE (3)
+    except (_UsageError, CircEntropyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except _Unwritable as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return 2 if isinstance(exc, _UsageError) else 3
 
 
 if __name__ == "__main__":

@@ -25,12 +25,12 @@ from .log_integrals import circle_quadrature, ratio_functional
 from .polycircle import (
     TAU_EXPAND,
     TAU_UNIMOD,
-    _STACK_ENTRIES,
     CirclePoly,
     gamma_remainder,
     normalize_self_inversive,
     parseval_norm,
     polar_factor,
+    row_blocks,
     stack,
     unstacked,
 )
@@ -223,14 +223,13 @@ def verify_columns(p: CirclePoly) -> dict[str, list]:
     These are ``verify_stack``'s values without a report object per row.
     Keys are the ``EntropyReport`` field names in field order; each value
     is a list of Python scalars, one per row, in row order.  The stack is
-    computed in blocks of at most ``_STACK_ENTRIES / n^2`` rows.  Every
+    computed in the blocks of ``row_blocks``.  Every
     reduction runs along a row, so a row's values do not depend on the
     stack that computed them.
     """
     columns: dict[str, list] = {f.name: [] for f in fields(EntropyReport)}
-    rows = max(1, _STACK_ENTRIES // (p.degree * p.degree))
-    for start in range(0, p.coefficients.shape[0], rows):
-        for name, values in _verify_block(p[start : start + rows]).items():
+    for block in row_blocks(p.coefficients.shape[0], p.degree):
+        for name, values in _verify_block(p[block]).items():
             columns[name] += values
     return columns
 

@@ -14,7 +14,6 @@ from .blaschke_moments import moments
 from .entropy import polar_term_via_moments
 from .log_integrals import _circle_root_pairing, _lags, ratio_functional
 from .polycircle import (
-    _STACK_ENTRIES,
     CirclePoly,
     expand_from_roots,
     gamma_remainder,
@@ -22,6 +21,7 @@ from .polycircle import (
     polar_factor,
     power_sums,
     root_clusters,
+    row_blocks,
     stack,
 )
 
@@ -181,20 +181,19 @@ def objective_and_gradient(angles):
     g_l = sum_k conj(a_k) lambda_{k-l}, one vector for every j.  Finally
     dF = dE/N - (E/N^2 + 1/N) dN.  Sums are elementwise, not BLAS, so the
     bits do not depend on the BLAS thread count.  A stack is evaluated in
-    blocks of at most ``_STACK_ENTRIES / n^2`` rows, which bounds the
-    memory of its (rows, n, n) tables.
+    the blocks of ``row_blocks``, which bound the memory of its (rows, n, n)
+    tables.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.ndim < 2:
         values, grad = objective_and_gradient(angles[None])
         return float(values[0]), grad[0]
     n = angles.shape[-1]
-    rows = max(1, _STACK_ENTRIES // (n * n))
-    if len(angles) > rows:
-        blocks = [objective_and_gradient(angles[start : start + rows])
-                  for start in range(0, len(angles), rows)]
-        return (np.concatenate([values for values, _ in blocks]),
-                np.concatenate([grad for _, grad in blocks]))
+    blocks = row_blocks(len(angles), n)
+    if len(blocks) > 1:
+        parts = [objective_and_gradient(angles[block]) for block in blocks]
+        return (np.concatenate([values for values, _ in parts]),
+                np.concatenate([grad for _, grad in parts]))
     roots = np.exp(1j * angles)
     coeffs = expand_from_roots(roots, 1.0)
     norms = np.add.reduce(np.abs(coeffs) ** 2, axis=-1).tolist()
@@ -438,8 +437,8 @@ def coalescence_experiment(p: CirclePoly, schedule, seed: int = 0) -> Coalescenc
     remainder sum, and the moment-formula value are compared against the
     values computed directly on p through the difference form (which is the
     limit of the simple-zero values).  The perturbed copies are one stack,
-    evaluated in blocks of at most ``_STACK_ENTRIES / n^2`` rows; each row
-    has the values it has alone.
+    evaluated in the blocks of ``row_blocks``; each row has the values it
+    has alone.
     """
     schedule = checked_schedule(schedule)
     # Built first: their normalization rejects an overflowing p before any work.
@@ -452,9 +451,8 @@ def coalescence_experiment(p: CirclePoly, schedule, seed: int = 0) -> Coalescenc
         "gamma": gamma_remainder(p),
     }
     columns = []
-    size = max(1, _STACK_ENTRIES // (p.degree * p.degree))
-    for start in range(0, len(schedule), size):
-        block = perturbed[start : start + size]
+    for rows in row_blocks(len(schedule), p.degree):
+        block = perturbed[rows]
         rfe = ratio_functional(block)
         columns.append(np.stack([rfe.entropy_integral, rfe.jensen_integral, rfe.value,
                                  gamma_remainder(block),

@@ -42,6 +42,13 @@ TAU_SEP = 1e-8       # chordal separation deciding the simple-zero flag
 _STACK_ENTRIES = 1 << 16
 
 
+def row_blocks(count: int, n: int) -> list[slice]:
+    """Consecutive slices covering ``count`` rows of degree (or width) n, each
+    of at most ``_STACK_ENTRIES / n^2`` rows, or of one row for n > 256."""
+    rows = max(1, _STACK_ENTRIES // (n * n))
+    return [slice(start, start + rows) for start in range(0, count, rows)]
+
+
 def as_coefficient_stack(values) -> np.ndarray:
     """Coerce input to a complex array with coefficients along the last axis.
 
@@ -125,16 +132,14 @@ def _leja_order(roots: np.ndarray) -> np.ndarray:
     The matrix log|r_i - r_j| is built once, so time and memory are O(m^2).
     It takes a stack of root lists (K, m), ``roots[None]`` for one list, and
     gives each row the order it gets alone; the rows take their steps
-    together, in blocks of at most ``_STACK_ENTRIES / m^2`` rows, or of one
-    row for m > 256.
+    together, in the blocks of ``row_blocks``.
     """
     m = roots.shape[-1]
     if m < 3:
         return np.broadcast_to(np.arange(m), roots.shape)
-    rows = max(1, _STACK_ENTRIES // (m * m))
-    if len(roots) > rows:
-        return np.concatenate([_leja_order(roots[start : start + rows])
-                               for start in range(0, len(roots), rows)])
+    blocks = row_blocks(len(roots), m)
+    if len(blocks) > 1:
+        return np.concatenate([_leja_order(roots[block]) for block in blocks])
     with np.errstate(divide="ignore"):
         logdist = np.log(np.abs(roots[:, None, :] - roots[:, :, None]))
     # order[k] holds step k's pick for every row.  The stack reads its rows
@@ -327,8 +332,15 @@ def from_roots(roots, leading=1.0) -> CirclePoly:
 
 
 def from_angles(angles, leading=1.0) -> CirclePoly:
-    """Build a CirclePoly with roots ``exp(i * angle)``, or a stack of them."""
+    """Build a CirclePoly with roots ``exp(i * angle)``, or a stack of them.
+
+    The first angle in C order that is not finite raises ``NonUnimodularRoot``.
+    """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    bad = ~np.isfinite(angles)
+    if bad.any():
+        raise NonUnimodularRoot(
+            f"root angles must be finite, got {float(angles[bad][0])!r}")
     return from_roots(np.exp(1j * angles), leading)
 
 

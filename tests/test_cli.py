@@ -90,10 +90,10 @@ def test_cold_import_skips_optimizer_and_mpmath():
     assert proc.stdout.strip() == "[]"
 
 
-def test_in_process_commands_match_separate_runs(capsys):
+def test_in_process_commands_match_separate_runs(capsys, tmp_path):
     # main keeps one parser for the process; each command in a run of them,
-    # usage errors among them, gives the bytes and exit code of a process
-    # of its own.
+    # usage errors and invalid input among them, gives the bytes and exit
+    # code of a process of its own.
     commands = [
         ("suite", "--degrees", "1..5", "--count", "4", "--seed", "3",
          "--format", "csv"),
@@ -103,6 +103,8 @@ def test_in_process_commands_match_separate_runs(capsys):
         ("verify",),
         ("suite", "--degrees", "2,7", "--count", "3", "--seed", "9"),
         ("verify", "--angles", "[0.3, 2.0, 4.0]", "--leading", "2-1i"),
+        ("verify", "--binomial", "n=3", "--out", str(tmp_path / "missing" / "x")),
+        ("verify", "--coeffs", "[[1,0],[0,0],[0,0],[0.5,0]]"),
     ]
     in_process = []
     for argv in commands:
@@ -119,7 +121,7 @@ def test_in_process_commands_match_separate_runs(capsys):
         proc = subprocess.run([sys.executable, "-m", "circentropy", *argv],
                               capture_output=True, text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == result, argv
-    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 2, 0, 0]
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 2, 0, 0, 2, 3]
 
 
 def test_verify_highprec_rerun(capsys):
@@ -367,6 +369,21 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
             assert f"error: {flag} must be " in err
     if "--schedule" in argv:
         assert err.startswith("error: schedule must be ")
+
+
+@pytest.mark.parametrize("argv, target", [
+    (("verify", "--binomial", "n=3"), "verify_main"),
+    (("suite", "--degrees", "2", "--count", "1"), "verify_columns"),
+])
+def test_a_value_error_while_computing_is_not_a_usage_error(monkeypatch, argv, target):
+    # Only the parsing of the command line is a usage error (exit 2): a
+    # ValueError raised by the computation propagates out of main.
+    def fail(p):
+        raise ValueError("raised while computing")
+
+    monkeypatch.setattr(f"circentropy.cli.{target}", fail)
+    with pytest.raises(ValueError, match="raised while computing"):
+        main(list(argv))
 
 
 @pytest.mark.parametrize("argv", [

@@ -47,6 +47,19 @@ def test_from_roots_rejects_bad_input():
         ce.from_roots([1.0], 0.0)
 
 
+@pytest.mark.parametrize("angles, named", [
+    ([np.inf, 1.0], "inf"),
+    ([0.5, -np.inf, np.nan], "-inf"),
+    # a stack with one bad row: the first bad angle in C order is named
+    ([[0.1, 0.2, 0.3], [0.4, np.nan, np.inf], [0.7, 0.8, 0.9]], "nan"),
+])
+def test_from_angles_refuses_angles_that_are_not_finite(angles, named):
+    # Refused before exp(1j * angle) builds a NaN root, and numpy warns of it.
+    with pytest.raises(ce.NonUnimodularRoot) as info:
+        ce.from_angles(angles)
+    assert str(info.value) == f"root angles must be finite, got {named}"
+
+
 def test_expand_reproduces_coefficients_at_scale():
     # relative re-expansion error stays within tolerance through n = 64
     for n in (8, 32, 64):
