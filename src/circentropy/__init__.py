@@ -25,7 +25,6 @@ from .entropy import (
     norm_via_moments,
     polar_term_via_moments,
     telescoping_closed_form,
-    telescoping_sum,
     verify_columns,
     verify_main,
     verify_stack,
@@ -58,7 +57,6 @@ from .log_integrals import (
     log_pair_quadrature,
     log_pair_spectral,
     ratio_functional,
-    trig_square,
 )
 from .polycircle import (
     CirclePoly,

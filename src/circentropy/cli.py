@@ -54,6 +54,11 @@ from .polycircle import (
 
 INPUT_ROOT_TOL = 1e-6   # circle membership tolerance for coefficient input
 MULTIPLE_FRAC = 0.1     # share of each degree's suite instances with a multiple zero
+# Size budgets: the largest value each size flag takes.  Time and memory grow
+# with the value; README ("Supported degrees") gives the cost at each cap.
+MAX_SUITE_COUNT = 10_000         # suite --count: instances per degree
+MAX_FOURIER_K = 1_000            # fourier-h --max-k: one quadrature per k
+MAX_TELESCOPING_N = 1_000_000    # telescoping --max-n: one Fraction sum per n
 
 
 def _parse_complex(text: str) -> complex:
@@ -284,11 +289,17 @@ def _check_nonnegative(flag: str, value: int) -> None:
         raise ValueError(f"{flag} must be a non-negative integer, got {value}")
 
 
+def _check_size(flag: str, value: int, cap: int) -> None:
+    _check_nonnegative(flag, value)
+    if value > cap:
+        raise ValueError(f"{flag} must be at most {cap}, got {value}")
+
+
 def cmd_suite(args) -> int:
     with _usage():
         degrees = _parse_degree_range(args.degrees)
         _check_nonnegative("--seed", args.seed)
-        _check_nonnegative("--count", args.count)
+        _check_size("--count", args.count, MAX_SUITE_COUNT)
     if max(degrees) > MAX_SERIES_DEGREE:  # before any instance is built
         raise IllConditioned(f"the log series is certified up to degree "
                              f"{MAX_SERIES_DEGREE}, got degree {max(degrees)}")
@@ -343,7 +354,7 @@ def cmd_suite(args) -> int:
 
 def cmd_fourier_h(args) -> int:
     with _usage():
-        _check_nonnegative("--max-k", args.max_k)
+        _check_size("--max-k", args.max_k, MAX_FOURIER_K)
     rows = []
     worst = 0.0
     for k in range(args.max_k + 1):
@@ -421,7 +432,7 @@ def cmd_moments(args) -> int:
 
 def cmd_telescoping(args) -> int:
     with _usage():
-        _check_nonnegative("--max-n", args.max_n)
+        _check_size("--max-n", args.max_n, MAX_TELESCOPING_N)
     bad = [n for n, total in telescoping_sums(args.max_n)
            if total != telescoping_closed_form(n)]
     _emit(json.dumps({"max_n": args.max_n, "failures": bad}, indent=2), args.out)

@@ -36,6 +36,8 @@ from .polycircle import (
 )
 
 TAU_EQ = 1e-8        # relative coefficient tolerance for equality classification
+# The route of each log integral in a report: one dict, shared by every row.
+_ROUTES = {"entropy": "spectral", "jensen": "spectral"}
 
 # The tolerance table: every check ``verify_main`` decides reads it.  "x N"
 # entries scale with the squared norm N, "x max|a_j|" with the largest
@@ -93,15 +95,6 @@ def telescoping_sums(max_n: int):
     for n in range(2, max_n + 1):
         yield n, total
         total += Fraction(1, n * (n * n - 1))
-
-
-def telescoping_sum(n: int) -> Fraction:
-    """Exact rational value of sum_{k=2}^{n-1} 1/(k(k^2-1))."""
-    if n < 2:
-        raise ValueError("telescoping sum needs n >= 2")
-    for _, total in telescoping_sums(n):
-        pass
-    return total
 
 
 def telescoping_closed_form(n: int) -> Fraction:
@@ -319,7 +312,6 @@ def _verify_block(p: CirclePoly) -> dict[str, list]:
         "moment_bound_slack_min": bound_slack,
         "status": status,
     }
-    # The rows of a block share its routes dict.
     rows = norm.shape[0]
-    return {"degree": [n] * rows, "routes": [rf.routes] * rows,
+    return {"degree": [n] * rows, "routes": [_ROUTES] * rows,
             **{name: col.tolist() for name, col in columns.items()}}

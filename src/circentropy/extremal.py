@@ -12,7 +12,7 @@ import numpy as np
 
 from .blaschke_moments import moments
 from .entropy import polar_term_via_moments
-from .log_integrals import _circle_root_pairing, _lags, ratio_functional
+from .log_integrals import MAX_SERIES_DEGREE, _circle_root_pairing, _lags, ratio_functional
 from .polycircle import (
     CirclePoly,
     expand_from_roots,
@@ -31,6 +31,10 @@ from .polycircle import (
 GRAD_TOL = 1e-6
 CLUSTER_TOL = 1e-6
 MAX_SPLITS = 3   # cluster-splitting re-descents per start
+# The search's size budget: a degree in the supported range, up to
+# MAX_SERIES_DEGREE, and at most MAX_RESTARTS starts, each holding its
+# descent until the search ends.
+MAX_RESTARTS = 1024
 
 # The descent engine: it stops at a gradient max-norm of DESCENT_GTOL; the
 # line search asks for sufficient decrease (C1) and strong curvature (C2),
@@ -333,6 +337,9 @@ def minimize(n: int, restarts: int = 8, seed: int = 0) -> ExtremalResult:
     """
     if n < 1 or restarts < 1:
         raise ValueError("need n >= 1 and restarts >= 1")
+    if n > MAX_SERIES_DEGREE or restarts > MAX_RESTARTS:
+        raise ValueError(f"need n <= {MAX_SERIES_DEGREE} and restarts <= "
+                         f"{MAX_RESTARTS}, got n={n} and restarts={restarts}")
     if n == 1:
         # No angle is free: one evaluation at the gauge angle 0 is the search.
         val, grad = objective_and_gradient([0.0])

@@ -77,24 +77,13 @@ def _lag_window(deg: int) -> np.ndarray:
     return window
 
 
-def trig_square(A) -> np.ndarray:
-    """Autocorrelation c_0..c_d of the coefficients of A, per row of a stack.
-
-    c_k = sum_j a_{j+k} conj(a_j), with d the highest degree among the rows,
-    so that |A(e^{it})|^2 = sum_{|k| <= d} c_k e^{ikt} with c_{-k} =
-    conj(c_k), and c_0 = sum |a_j|^2 is real.  Lag k pairs a_k..a_{k+d}
-    (zero past a_d) with a_0..a_d: one elementwise product of a
-    (d + 1) x (d + 1) window with conj(a), summed along its rows.
-    """
-    arr = as_coefficient_stack(A)
-    deg = poly_degree(arr)
-    if deg < 0:
-        raise ZeroPolynomial("|A|^2 undefined for the zero polynomial")
-    return _lags(arr, deg)
-
-
 def _lags(arr, deg: int) -> np.ndarray:
-    """``trig_square`` of a complex stack ``arr`` whose highest degree is ``deg``."""
+    """Autocorrelation c_0..c_deg of each row of a complex stack ``arr`` of
+    highest degree ``deg``: c_k = sum_j a_{j+k} conj(a_j), so |A(e^{it})|^2 =
+    sum_{|k| <= deg} c_k e^{ikt}, c_{-k} = conj(c_k) and c_0 is real.  Lag k
+    pairs a_k..a_{k+deg} (zero past a_deg) with a_0..a_deg: one elementwise
+    product of a (deg + 1)-square window with conj(a), summed along its rows.
+    """
     padded = np.zeros(arr.shape[:-1] + (2 * deg + 1,), dtype=complex)
     padded[..., : deg + 1] = arr[..., : deg + 1]
     # take lays the windows out row-major, so each lag sums along
@@ -144,10 +133,11 @@ def log_pair_spectral(A, B, b_roots):
     gives one value per row; the rows of B share their degree
     (``ZeroLeading`` otherwise).  The value is 2 c_0 log|b_n| -
     2 Re sum_m c_m P_m / m, with c_m the autocorrelation of A
-    (``trig_square``) and P_m the power sums of the roots; it truncates
-    exactly at m = deg A.
+    (``_lags``) and P_m the power sums of the roots; it truncates exactly at
+    m = deg A.
 
-    Raises ``ValueError`` when A or B holds a NaN or an infinity.
+    Raises ``ValueError`` when A or B holds a NaN or an infinity, and
+    ``ZeroPolynomial`` when either is zero.
     """
     a_arr = as_coefficient_stack(A)
     b_arr = as_coefficient_stack(B)
@@ -156,12 +146,15 @@ def log_pair_spectral(A, B, b_roots):
     deg = poly_degree(b_arr)
     if deg < 0:
         raise ZeroPolynomial("log|B| undefined for the zero polynomial")
-    return _pair_circle_roots(trig_square(a_arr), b_arr, deg, b_roots)
+    a_deg = poly_degree(a_arr)
+    if a_deg < 0:
+        raise ZeroPolynomial("|A|^2 undefined for the zero polynomial")
+    return _pair_circle_roots(_lags(a_arr, a_deg), b_arr, deg, b_roots)
 
 
 def _pair_circle_roots(c, B, deg: int, b_roots):
     """Integral of |A|^2 log|B|^2 over dm for the A whose lags are
-    ``c = trig_square(A)``, and B = b_n prod (z - tau) of degree ``deg`` with
+    ``c = _lags(A, deg A)``, and B = b_n prod (z - tau) of degree ``deg`` with
     the given circle roots tau, per row of a stack.
 
     On the circle log|B|^2 = 2 log|b_n| + sum_tau log|e^{it} - tau|^2, so
@@ -611,7 +604,6 @@ class RatioFunctionalValue:
     value: float
     entropy_integral: float
     jensen_integral: float
-    routes: dict
 
 
 def ratio_functional(p: CirclePoly) -> RatioFunctionalValue:
@@ -649,7 +641,4 @@ def ratio_functional(p: CirclePoly) -> RatioFunctionalValue:
     # 2 Re sum_m c_m conj(l_m), which truncates at m = n.
     dlog = p.h_quotients[..., 0, :]
     value = unstacked(-2.0 * (np.conj(dlog / m) * cm).sum(axis=-1).real)
-    return RatioFunctionalValue(
-        value, entropy_integral, entropy_integral - value,
-        {"entropy": "spectral", "jensen": "spectral"},
-    )
+    return RatioFunctionalValue(value, entropy_integral, entropy_integral - value)

@@ -12,6 +12,7 @@ from circentropy.corpus import (
     random_circle_poly,
     random_schur_triple,
 )
+from circentropy.log_integrals import _lags
 from circentropy.polycircle import TAU_EXPAND, eval_poly, polar_factor
 
 
@@ -175,7 +176,7 @@ def _ratio_functional_reference(p):
     # takes it, so the leading factor's log is taken on an array.
     n = p.degree
     a = p.coefficients
-    c = ce.trig_square(a)
+    c = _lags(a, n)
     m = np.arange(1, n + 1)
     taus = p.roots / np.abs(p.roots)
     sums = np.add.reduce(taus[:, None] ** m, axis=0)

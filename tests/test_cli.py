@@ -13,7 +13,15 @@ import pytest
 
 import circentropy
 from circentropy import entropy, extremal
-from circentropy.cli import MULTIPLE_FRAC, SUITE_HEADER, main, parse_schedule
+from circentropy.cli import (
+    MAX_FOURIER_K,
+    MAX_SUITE_COUNT,
+    MAX_TELESCOPING_N,
+    MULTIPLE_FRAC,
+    SUITE_HEADER,
+    main,
+    parse_schedule,
+)
 from circentropy.corpus import random_circle_stack
 from circentropy.log_integrals import MAX_SERIES_DEGREE
 
@@ -352,9 +360,22 @@ def test_coalesce_command(capsys):
     # binomial parameters: an unknown name, and an omega of modulus 0
     ("verify", "--binomial", "n=4", "foo=1"),
     ("verify", "--binomial", "n=4", "omega=0"),
+    # a size one above its budget
+    ("suite", "--count", str(MAX_SUITE_COUNT + 1)),
+    ("fourier-h", "--max-k", str(MAX_FOURIER_K + 1)),
+    ("telescoping", "--max-n", str(MAX_TELESCOPING_N + 1)),
+    ("search", "--n", "3", "--restarts", str(extremal.MAX_RESTARTS + 1)),
+    ("search", "--n", str(MAX_SERIES_DEGREE + 1)),
 ])
-def test_bad_arguments_are_usage_errors(capsys, argv):
-    # exit 1 means an inequality violated or a search not converged
+def test_bad_arguments_are_usage_errors(capsys, monkeypatch, argv):
+    # exit 1 means an inequality violated or a search not converged.  Each
+    # is refused before the work it would size starts.
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the argument checks")
+
+    for target in ("cli.random_circle_stack", "cli.h_fourier",
+                   "cli.telescoping_sums", "extremal._start"):
+        monkeypatch.setattr(f"circentropy.{target}", never)
     code = main(list(argv))
     assert code == 2
     captured = capsys.readouterr()
@@ -364,9 +385,11 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     if "--seed" in argv:
         # every command names the flag, as suite does
         assert "--seed must be a non-negative integer, got -1" in err
-    for flag in ("--max-k", "--max-n", "--precision"):
+    for flag in ("--count", "--max-k", "--max-n", "--precision"):
         if flag in argv:
             assert f"error: {flag} must be " in err
+    if argv[0] == "search" and "--seed" not in argv:
+        assert err.startswith("error: need n ")
     if "--schedule" in argv:
         assert err.startswith("error: schedule must be ")
 

@@ -9,7 +9,7 @@ import pytest
 
 import circentropy as ce
 from circentropy.corpus import instance_rng, random_binomial, random_circle_poly
-from circentropy.entropy import GAP_TOL
+from circentropy.entropy import GAP_TOL, telescoping_sums
 from circentropy.polycircle import eval_poly, polar_factor
 
 
@@ -45,12 +45,13 @@ def test_h_partial_sums_uniform_bound():
 
 
 def test_telescoping_identity():
-    assert ce.telescoping_sum(2) == Fraction(0)
-    assert ce.telescoping_sum(3) == Fraction(1, 6)
+    sums = dict(telescoping_sums(100))
+    assert sums[2] == Fraction(0)
+    assert sums[3] == Fraction(1, 6)
     assert ce.telescoping_closed_form(3) == Fraction(1, 4) - Fraction(1, 12)
-    assert ce.telescoping_sum(100) == Fraction(1, 4) - Fraction(1, 19800)
-    with pytest.raises(ValueError):
-        ce.telescoping_sum(1)
+    assert sums[100] == Fraction(1, 4) - Fraction(1, 19800)
+    # the sums start at n = 2
+    assert list(telescoping_sums(1)) == []
 
 
 def test_moment_route_identities_frozen():

@@ -19,6 +19,7 @@ from circentropy.extremal import (
     angle_gap_deviation,
     objective_and_gradient,
 )
+from circentropy.log_integrals import MAX_SERIES_DEGREE
 from circentropy.polycircle import root_clusters
 from test_polycircle import _expand_reference
 
@@ -508,11 +509,20 @@ def test_minimize_live_lower_bound_holds():
     assert len(res.trace) == 6
 
 
-def test_minimize_validates_arguments():
+def test_minimize_validates_arguments(monkeypatch):
+    # Refused before the first start is built, whatever the size.
+    def never(x0):
+        raise AssertionError("a start was built")
+
+    monkeypatch.setattr(extremal, "_start", never)
     with pytest.raises(ValueError):
         ce.minimize(0)
     with pytest.raises(ValueError):
         ce.minimize(3, restarts=0)
+    with pytest.raises(ValueError, match=f"restarts={extremal.MAX_RESTARTS + 1}"):
+        ce.minimize(3, restarts=extremal.MAX_RESTARTS + 1)
+    with pytest.raises(ValueError, match=f"n={MAX_SERIES_DEGREE + 1}"):
+        ce.minimize(MAX_SERIES_DEGREE + 1)
 
 
 def test_angle_gap_deviation():

@@ -1,5 +1,6 @@
 """Tests for the spectral and quadrature evaluators of |A|^2 log|B|^2 integrals."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import circentropy as ce
 from circentropy import log_integrals
-from circentropy.corpus import instance_rng, random_circle_poly
+from circentropy.corpus import instance_rng, random_circle_poly, random_circle_stack
 from circentropy.entropy import h_fourier, h_fourier_quadrature
 from circentropy.log_integrals import (
     _G10_WEIGHTS,
@@ -26,12 +27,19 @@ from circentropy.log_integrals import (
     _WINDOW,
     MAX_SERIES_DEGREE,
     _kronrod_panels,
+    _lags,
 )
 from circentropy.cli import _newton_step
-from circentropy.polycircle import eval_poly, poly_degree
+from circentropy.polycircle import as_coefficient_stack, eval_poly, poly_degree
 
 
-def _trig_square_reference(A):
+def _lags_of(A):
+    """The lags of a coefficient list or stack, at its highest degree."""
+    arr = as_coefficient_stack(A)
+    return _lags(arr, poly_degree(arr))
+
+
+def _lags_reference(A):
     """Reference autocorrelation in the mirrored layout: c_{-d}..c_d, and d.
 
     The same window product and row sum, written into the middle of an
@@ -56,44 +64,45 @@ def _trig_square_reference(A):
     return c, deg
 
 
-def test_trig_square_matches_reference_bit_for_bit():
+def test_lags_match_reference_bit_for_bit():
     rng = instance_rng(32)
     for n in (0, 1, 2, 7, 20, 64, 128):
         a = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-        want, deg = _trig_square_reference(a)
+        want, deg = _lags_reference(a)
         assert deg == n
-        assert ce.trig_square(a).tobytes() == want[deg:].tobytes(), n
+        assert _lags_of(a).tobytes() == want[deg:].tobytes(), n
         # trailing zeros lower the degree and the lag count
         padded = np.concatenate((a, np.zeros(3)))
-        assert ce.trig_square(padded).tobytes() == want[deg:].tobytes(), n
+        assert _lags_of(padded).tobytes() == want[deg:].tobytes(), n
         # a stack whose rows have lower degree than the stack
         rows = rng.standard_normal((4, n + 1)) + 1j * rng.standard_normal((4, n + 1))
         for i in range(1, 4):
             rows[i, n + 1 - min(i, n):] = 0.0
-        want, deg = _trig_square_reference(rows)
-        got = ce.trig_square(rows)
+        want, deg = _lags_reference(rows)
+        got = _lags_of(rows)
         assert got.shape == (4, deg + 1)
         assert got.tobytes() == np.ascontiguousarray(want[:, deg:]).tobytes(), n
     stack = [random_circle_poly(128, instance_rng(33, i)).coefficients for i in range(3)]
-    want, deg = _trig_square_reference(stack)
-    assert ce.trig_square(stack).tobytes() == np.ascontiguousarray(want[:, deg:]).tobytes()
+    want, deg = _lags_reference(stack)
+    assert _lags_of(stack).tobytes() == np.ascontiguousarray(want[:, deg:]).tobytes()
 
 
-def test_trig_square_examples():
-    assert np.allclose(ce.trig_square([1.0, 1.0]), [2, 1])
-    assert np.allclose(ce.trig_square([1.0, -2.0, 1.0]), [6, -4, 1])
-    c = ce.trig_square([0, 0, 0, 1.0])  # z^3
+def test_lags_examples():
+    assert np.allclose(_lags_of([1.0, 1.0]), [2, 1])
+    assert np.allclose(_lags_of([1.0, -2.0, 1.0]), [6, -4, 1])
+    c = _lags_of([0, 0, 0, 1.0])  # z^3
     assert c.size == 3 + 1  # nothing stored beyond lag 3
     assert c[0] == 1.0
     assert all(c[k] == 0 for k in (1, 2, 3))
-    with pytest.raises(ce.ZeroPolynomial):
-        ce.trig_square([0.0, 0.0])
+    # the spectral route refuses a zero A, as it refuses a zero B
+    with pytest.raises(ce.ZeroPolynomial, match=r"\|A\|\^2"):
+        ce.log_pair_spectral([0.0, 0.0], [1.0, 1.0], b_roots=[-1.0])
 
 
-def test_trig_square_hermitian_and_pointwise():
+def test_lags_hermitian_and_pointwise():
     rng = instance_rng(30)
     a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    c = ce.trig_square(a)
+    c = _lags_of(a)
     deg = c.size - 1
     assert c[0].imag == 0.0
     assert abs(c[0] - ce.parseval_norm(a)) < 1e-12
@@ -179,6 +188,25 @@ def test_route_agreement_random_sample():
                - ce.log_pair_quadrature(a, a, b_roots=p.roots)) < 1e-7
 
 
+def test_both_spectral_faces_of_e_agree_bit_for_bit():
+    # ratio_functional's entropy integral is the pairing on the given roots
+    # that log_pair_spectral(a, a, b_roots=roots) runs too, to the bit.
+    for n in (1, 2, 3, 8, 16, 64, 128):
+        for unit_norm in (False, True):
+            for multiple in (False, True):
+                for i in range(3):
+                    p = random_circle_poly(n, instance_rng(36, n, i), multiple, unit_norm)
+                    a = p.coefficients
+                    want = ce.log_pair_spectral(a, a, b_roots=p.roots)
+                    got = ce.ratio_functional(p).entropy_integral
+                    assert got.hex() == want.hex(), (n, unit_norm, multiple, i)
+    p = random_circle_stack(12, [instance_rng(37, 12, i) for i in range(7)],
+                            multiple=[i % 2 == 1 for i in range(7)])
+    a = p.coefficients
+    want = ce.log_pair_spectral(a, a, b_roots=p.roots)
+    assert ce.ratio_functional(p).entropy_integral.tobytes() == want.tobytes()
+
+
 def test_jensen_term_matches_mpmath_reference():
     # Suite instance (n=20, index 92, seed 42), where roots of q found by the
     # companion matrix drifted by 1.7e-7 N.  Frozen from highprec at 120 bits
@@ -243,7 +271,9 @@ def test_ratio_functional_frozen_values():
     p1 = ce.from_roots([-1.0])  # 1 + z, n = 1
     rf = ce.ratio_functional(p1)
     assert abs(rf.value - ce.parseval_norm(p1)) < 1e-13
-    assert rf.routes["entropy"] == "spectral"
+    # the value and its two integrals, each by the one spectral route
+    assert [f.name for f in dataclasses.fields(rf)] == [
+        "value", "entropy_integral", "jensen_integral"]
 
 
 def test_log_continuity_along_coalescence():
@@ -968,7 +998,7 @@ def test_zero_off_the_circle_takes_the_tail_amplitude_cut(monkeypatch, d):
     assert cut == (ladder[ok.argmax()] if ok.any() else _S_CUT)
     assert set(pieces[:, 1]) == {cut}
     assert arcs == []
-    lags = ce.trig_square(a)
+    lags = _lags_of(a)
     m = np.arange(1, lags.size)
     want = sum(lags[0].real * math.log(abs(rho) ** 2)
                - 2.0 * (lags[1:] * np.conj(rho) ** -m / m).sum().real for rho in zeros)

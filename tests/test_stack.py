@@ -24,6 +24,7 @@ from circentropy.corpus import (
     random_circle_stack,
 )
 from circentropy.extremal import objective_and_gradient
+from circentropy.log_integrals import _lags
 from circentropy.polycircle import (
     _STACK_ENTRIES,
     TAU_UNIMOD,
@@ -61,7 +62,7 @@ def _divide_by_dot(num, den, order):
 def test_autocorrelation_matches_vdot_per_instance():
     for n in DEGREES:
         polys, p = _stack(n)
-        c = ce.trig_square(p.coefficients)
+        c = _lags(p.coefficients, n)
         norm = ce.parseval_norm(p)
         for i, poly in enumerate(polys):
             a = poly.coefficients
@@ -181,8 +182,10 @@ def test_stack_input_checks():
     with pytest.raises(ce.ZeroLeading, match="degree 2"):
         ce.log_pair_spectral([[1.0, 1.0], [1.0, 1.0]], b,
                              b_roots=[[1.0, 1.0], [1.0, 1.0]])
+    # and every row of A nonzero
     with pytest.raises(ce.ZeroPolynomial):
-        ce.trig_square([[1.0, 1.0], [0.0, 0.0]])
+        ce.log_pair_spectral([[1.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]],
+                             b_roots=[[-1.0], [-1.0]])
     with pytest.raises(ce.ZeroConstantTerm):
         series_divide(1.0, [[1.0, 1.0], [0.0, 1.0]], 3)
 
