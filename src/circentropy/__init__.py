@@ -55,7 +55,6 @@ from .log_integrals import (
     RatioFunctionalValue,
     circle_quadrature,
     log_pair_quadrature,
-    log_pair_spectral,
     ratio_functional,
 )
 from .polycircle import (

@@ -220,12 +220,30 @@ def _usage():
         raise _UsageError(exc) from exc
 
 
+class _OutFile:
+    """A text file written at an ``--out`` path; its OSErrors are usage errors."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self._fh = self._call(open, path, "w")
+
+    def _call(self, func, *args):
+        try:
+            return func(*args)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {self.path!r}: "
+                              f"{exc.strerror or exc}") from exc
+
+    def write(self, text: str) -> None:
+        self._call(self._fh.write, text)
+
+    def close(self) -> None:
+        self._call(self._fh.close)
+
+
 def _write(path: str, payload: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise _UsageError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+    with contextlib.closing(_OutFile(path)) as out:
+        out.write(payload)
 
 
 def _emit(payload: str, out_path: str | None) -> None:
@@ -272,16 +290,18 @@ SUITE_HEADER = [
 ]
 
 
-def _parse_degree_range(spec: str) -> list[int]:
+def _parse_degree_range(spec: str) -> tuple[range | list[int], int]:
+    """The degrees in order and the largest; ``lo..hi`` stays a range, never a list."""
     match = re.fullmatch(r"(\d+)\.\.(\d+)", spec.strip())
     if match:
-        lo, hi = int(match.group(1)), int(match.group(2))
-        degrees = list(range(lo, hi + 1))
+        degrees = range(int(match.group(1)), int(match.group(2)) + 1)
+        low, top = degrees.start, degrees.stop - 1
     else:
         degrees = [int(tok) for tok in spec.split(",")]
-    if not degrees or min(degrees) < 1:
+        low, top = min(degrees), max(degrees)
+    if not degrees or low < 1:
         raise ValueError(f"bad degree range {spec!r}")
-    return degrees
+    return degrees, top
 
 
 def _check_nonnegative(flag: str, value: int) -> None:
@@ -297,57 +317,64 @@ def _check_size(flag: str, value: int, cap: int) -> None:
 
 def cmd_suite(args) -> int:
     with _usage():
-        degrees = _parse_degree_range(args.degrees)
+        degrees, top = _parse_degree_range(args.degrees)
         _check_nonnegative("--seed", args.seed)
         _check_size("--count", args.count, MAX_SUITE_COUNT)
-    if max(degrees) > MAX_SERIES_DEGREE:  # before any instance is built
+    if top > MAX_SERIES_DEGREE:  # before any instance is built
         raise IllConditioned(f"the log series is certified up to degree "
-                             f"{MAX_SERIES_DEGREE}, got degree {max(degrees)}")
-    rows = []
+                             f"{MAX_SERIES_DEGREE}, got degree {top}")
     failures = 0
     min_gaps = {"main": math.inf, "strengthened": math.inf,
                 "jensen": math.inf, "polar": math.inf}
     max_resid = {"moment_polar": 0.0, "moment_norm": 0.0, "ratio_series": 0.0}
     n_multiple = int(round(MULTIPLE_FRAC * args.count))
-    for n in degrees:
-        polys = random_circle_stack(
-            n, [instance_rng(args.seed, n, i) for i in range(args.count)],
-            multiple=[n >= 2 and i < n_multiple for i in range(args.count)])
-        cols = verify_columns(polys)
-        failures += sum(status != "ok" for status in cols["status"])
-        # min and max run through the rows in order, as a loop over the
-        # rows would: a NaN is kept only where it comes first.
-        for key in min_gaps:
-            min_gaps[key] = min([min_gaps[key], *cols[key + "_gap"]])
-        simple = cols["simple_zeros"]
-        # relative to N, as the checks they summarize are
-        for key in ("moment_polar", "moment_norm"):
-            relative = (resid / norm for resid, norm in
-                        compress(zip(cols[key + "_resid"], cols["norm"]), simple))
-            max_resid[key] = max([max_resid[key], *relative])
-        max_resid["ratio_series"] = max(
-            [max_resid["ratio_series"], *compress(cols["ratio_series_resid"], simple)])
-        # csv writes a None field as an empty cell
-        rows += zip(repeat(n), range(args.count),
-                    *(cols[col] for col in SUITE_HEADER[2:]))
+    # Each degree's rows are formatted once and written to every sink as its
+    # block finishes; a JSON run without --out has none, and formats no CSV.
+    sinks = [_OutFile(args.out + ".csv")] if args.out else []
+    sinks += [sys.stdout] if args.format == "csv" else []
+    block = io.StringIO()
+    writer = csv.writer(block, lineterminator="\n")
+    writer.writerow(SUITE_HEADER)
+    with contextlib.closing(sinks[0]) if args.out else contextlib.nullcontext():
+        for n in degrees:
+            cols = verify_columns(random_circle_stack(
+                n, [instance_rng(args.seed, n, i) for i in range(args.count)],
+                multiple=[n >= 2 and i < n_multiple for i in range(args.count)]))
+            failures += sum(status != "ok" for status in cols["status"])
+            # min and max run through the rows in order, as a loop over the
+            # rows would: a NaN is kept only where it comes first.
+            for key in min_gaps:
+                min_gaps[key] = min([min_gaps[key], *cols[key + "_gap"]])
+            simple = cols["simple_zeros"]
+            # relative to N, as the checks they summarize are
+            for key in ("moment_polar", "moment_norm"):
+                relative = (resid / norm for resid, norm in
+                            compress(zip(cols[key + "_resid"], cols["norm"]), simple))
+                max_resid[key] = max([max_resid[key], *relative])
+            max_resid["ratio_series"] = max(
+                [max_resid["ratio_series"], *compress(cols["ratio_series_resid"], simple)])
+            if sinks:  # csv writes a None field as an empty cell
+                writer.writerows(zip(repeat(n), range(args.count),
+                                     *(cols[col] for col in SUITE_HEADER[2:])))
+                for sink in sinks:
+                    sink.write(block.getvalue())
+            block.seek(0)
+            block.truncate()
+            del cols  # before the next block is built: one block at a time
     summary = {
-        "degrees": degrees,
+        "degrees": list(degrees),
         "count": args.count,
         "seed": args.seed,
-        "instances": len(rows),
+        "instances": len(degrees) * args.count,
         "failures": failures,
         # JSON has no Infinity: a gap that no instance reached is null.
         "min_gaps": {key: None if gap == math.inf else gap
                      for key, gap in min_gaps.items()},
         "max_residuals": max_resid,
     }
-    csv_payload = _csv_payload(SUITE_HEADER, rows)
     if args.out:
-        _write(args.out + ".csv", csv_payload)
         _write(args.out + ".json", json.dumps(summary, indent=2))
-    if args.format == "csv":
-        sys.stdout.write(csv_payload)
-    else:
+    if args.format != "csv":
         sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     return 0 if failures == 0 else 1
 

@@ -1,15 +1,15 @@
-"""Two independent evaluators for integrals of |A|^2 log|B|^2 over the circle.
+"""Two independent routes to the two log integrals of the inequality.
 
-The spectral route pairs the Taylor coefficients of log B against the
-autocorrelation of A, which truncates exactly at deg A.  The log
-coefficients come from the given unit-circle roots of B; no roots are
-found.  The Jensen term of ``ratio_functional`` pairs the same way with the
-log series of h = q/p, which stops at degree ``MAX_SERIES_DEGREE``.  The
-quadrature route integrates the boundary values numerically, with windowed
-exponential substitutions around the zeros of B on or near the circle to
-resolve the logarithmic singularities.  The convention x log x = 0 at
-x = 0 applies throughout, and quotient functionals are always evaluated as
-differences of the two integrals, never as pointwise ratios.
+Both weigh by |p|^2: the entropy E = int |p|^2 log|p|^2 dm and the Jensen
+term int |p|^2 log|q|^2 dm, q = p - (1/n)Dp.  The spectral route
+(``ratio_functional``) pairs log coefficients against the autocorrelation
+of p, which truncates exactly at deg p: for E those of log|p|^2 on the
+given roots, with nothing root-found, and for the Jensen term the log
+series of h = q/p, which stops at degree ``MAX_SERIES_DEGREE``.  The
+quadrature route (``log_pair_quadrature``) integrates boundary values, with
+windowed exponential substitutions around the zeros on or near the circle.
+x log x = 0 at x = 0 throughout, and quotient functionals are differences
+of the two integrals, never pointwise ratios.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .errors import (
 from .polycircle import (
     TAU_SEP,
     CirclePoly,
-    as_coefficient_stack,
     as_coefficients,
     eval_poly,
     poly_degree,
@@ -108,7 +107,7 @@ def _circle_root_pairing(sums, cm) -> np.ndarray:
 
 
 def _given_roots(b_roots, deg: int) -> np.ndarray:
-    """The roots of B given to either route, projected onto the unit circle.
+    """The given roots of B, projected onto the unit circle.
 
     There must be one per degree of B, each within ``TAU_SEP`` of the circle
     (``NonUnimodularRoot`` otherwise, a NaN root included).
@@ -124,38 +123,10 @@ def _given_roots(b_roots, deg: int) -> np.ndarray:
     return roots / mods
 
 
-def log_pair_spectral(A, B, b_roots):
-    """Integral of |A|^2 log|B|^2 over dm, by the exact pairing on the roots of B.
-
-    ``b_roots`` are the deg B roots of B, which must lie on the unit circle
-    (``NonUnimodularRoot`` otherwise); they are input data, and nothing is
-    root-found.  A stack of A, B and ``b_roots``, one row per instance,
-    gives one value per row; the rows of B share their degree
-    (``ZeroLeading`` otherwise).  The value is 2 c_0 log|b_n| -
-    2 Re sum_m c_m P_m / m, with c_m the autocorrelation of A
-    (``_lags``) and P_m the power sums of the roots; it truncates exactly at
-    m = deg A.
-
-    Raises ``ValueError`` when A or B holds a NaN or an infinity, and
-    ``ZeroPolynomial`` when either is zero.
-    """
-    a_arr = as_coefficient_stack(A)
-    b_arr = as_coefficient_stack(B)
-    if not (np.isfinite(a_arr).all() and np.isfinite(b_arr).all()):
-        raise ValueError("the coefficients of A and B must be finite")
-    deg = poly_degree(b_arr)
-    if deg < 0:
-        raise ZeroPolynomial("log|B| undefined for the zero polynomial")
-    a_deg = poly_degree(a_arr)
-    if a_deg < 0:
-        raise ZeroPolynomial("|A|^2 undefined for the zero polynomial")
-    return _pair_circle_roots(_lags(a_arr, a_deg), b_arr, deg, b_roots)
-
-
 def _pair_circle_roots(c, B, deg: int, b_roots):
-    """Integral of |A|^2 log|B|^2 over dm for the A whose lags are
-    ``c = _lags(A, deg A)``, and B = b_n prod (z - tau) of degree ``deg`` with
-    the given circle roots tau, per row of a stack.
+    """The spectral E: int |A|^2 log|B|^2 dm with A = B = p, from the lags
+    ``c = _lags(p, deg)`` and the given circle roots tau of B = b_n prod
+    (z - tau), per row of a stack.
 
     On the circle log|B|^2 = 2 log|b_n| + sum_tau log|e^{it} - tau|^2, so
     the integral is 2 c_0 log|b_n| - 2 Re sum_m c_m P_m / m
@@ -508,37 +479,39 @@ def _tail_amplitudes(A, centers) -> np.ndarray:
 
 
 def log_pair_quadrature(A, B, b_roots=None) -> float:
-    """Integral of |A|^2 log|B|^2 over dm by adaptive circle quadrature.
+    """Integral of |A|^2 log|B|^2 over dm by adaptive circle quadrature, in
+    the two forms the inequality needs, both with A = p.
 
-    With ``b_roots``, the deg B zeros of B on the unit circle
-    (``NonUnimodularRoot`` otherwise), B = b_n prod (z - tau): the log
-    factors are evaluated as products of e^{it} - tau, eight to a logarithm
+    The entropy form, E = int |p|^2 log|p|^2 dm, takes A = B = p and
+    ``b_roots``, the deg B zeros of B on the unit circle
+    (``NonUnimodularRoot`` otherwise); an A other than B raises
+    ``ValueError``.  With B = b_n prod (z - tau), log|B|^2 is log|b_n|^2
+    plus the log factors of e^{it} - tau, multiplied eight to a logarithm
     (``_log_distance_sum``), which stay accurate arbitrarily close to the
-    singularity.  When A and B are the same coefficients, as in the entropy
-    term, |A|^2 is taken as exp(log|B|^2), so the integrand evaluates no
-    polynomial.  Each circle zero is the center of a window integrated under
-    the exponential substitution, which stops at the first s = 10, 11, ..
-    where the mass beyond it is certified below its share of the tolerance;
-    the integrand follows x log x = 0 at common zeros of A and B.
+    singularity.  |A|^2 is exp(log|B|^2), so the integrand evaluates no
+    polynomial.
 
-    Without ``b_roots``, B is evaluated whole by Horner's rule, and the zeros
-    found by the Aberth-Ehrlich sweeps of ``_aberth_roots`` only place
-    windows: one at the angle of each found zero less than ``_WINDOW`` off
-    the circle, its tail cut by the same rule.  For a zero rho with
-    |rho| >= 1, |e^{it} - rho| >= |e^{it} - rho/|rho||: its log factor's
-    singular part is no larger than that of a circle zero at the same
-    angle, and by rearrangement, over the tail, no larger than that of one
-    at the window center.  The zeros of q = p - (1/n)Dp lie in |z| >= 1
-    (Laguerre).  With no window the whole circle is one arc piece of
-    ``circle_quadrature``.
-    Found roots are not certified: they are zeros of a B perturbed at
-    rounding level.  Where B has zeros on the circle and A does not vanish
-    there, the value can miss the integral by more than the tolerance, with
-    no error raised, or the call exhausts its node budget.  Give
-    ``b_roots`` there.
+    The Jensen form, int |p|^2 log|q|^2 dm, takes A = p, B = q and no roots.
+    A and B are evaluated by Horner's rule, and the zeros of B found by the
+    Aberth-Ehrlich sweeps of ``_aberth_roots`` only place windows: one at
+    the angle of each found zero less than ``_WINDOW`` off the circle.  For
+    a zero rho with |rho| >= 1, |e^{it} - rho| >= |e^{it} - rho/|rho||: its
+    log factor's singular part is no larger than that of a circle zero at
+    the same angle, and by rearrangement, over the tail, no larger than that
+    of one at the window center.  The zeros of q lie in |z| >= 1
+    (Laguerre), on the circle only at a multiple zero of p, where A = p
+    vanishes too.  Found roots are not certified: they are zeros of a B
+    perturbed at rounding level.  So this form is certified for the Jensen
+    term only; where B has circle zeros at which A does not vanish, the
+    value can miss the integral by more than the tolerance, with no error
+    raised, or the call exhausts its node budget.
 
-    Raises ``ValueError`` when A or B holds a NaN or an infinity, and
-    ``BudgetExceeded`` as ``circle_quadrature`` does.
+    Each window is integrated under the exponential substitution, which
+    stops at the first s = 10, 11, .. where the mass beyond it is certified
+    below its share of the tolerance; with no window the whole circle is
+    one arc piece of ``circle_quadrature``.  The integrand follows x log x
+    = 0 where A vanishes.  Raises ``ValueError`` when A or B holds a NaN or
+    an infinity, and ``BudgetExceeded`` as ``circle_quadrature`` does.
     """
     a_arr = as_coefficients(A)
     b_arr = as_coefficients(B)
@@ -548,34 +521,33 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
     if deg < 0:
         raise ZeroPolynomial("log|B| undefined for the zero polynomial")
     body = b_arr[: deg + 1]
-    if b_roots is None:
-        factors = np.empty(0)
+    # libm's log (numpy's can round apart): E's leading term, and a constant q.
+    log_lead = math.log(max(abs(body[deg]) ** 2, _LOG_FLOOR))
+    if b_roots is not None:
+        if not np.array_equal(a_arr, b_arr):
+            raise ValueError("with b_roots, A and B must be the same coefficients")
+        window_angles = np.angle(_given_roots(b_roots, deg))
+
+        def integrand(t):
+            logb = log_lead + _log_distance_sum(t, window_angles)
+            a2 = np.exp(logb)
+            return np.where(a2 > 0, a2 * logb, 0.0)
+    else:
         found = _aberth_roots(body)
         window_angles = np.angle(found[np.abs(np.abs(found) - 1.0) < _WINDOW])
-        rest = body
-    else:
-        factors = window_angles = np.angle(_given_roots(b_roots, deg))
-        rest = body[deg:]
+
+        def integrand(t):
+            z = np.exp(1j * t)
+            if deg:
+                logb = np.log(np.maximum(np.abs(eval_poly(body, z)) ** 2, _LOG_FLOOR))
+            else:
+                logb = np.full(t.shape, log_lead)
+            a2 = np.abs(eval_poly(a_arr, z)) ** 2
+            return np.where(a2 > 0, a2 * logb, 0.0)
 
     scale = float(np.sum(np.abs(a_arr) ** 2)) * max(
         1.0, 2.0 * abs(math.log(max(abs(body[deg]), 1e-300)))
     )
-
-    # The entropy term pairs B with itself: there |A|^2 = exp(log|B|^2).
-    same = np.array_equal(a_arr, b_arr)
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        if rest.size > 1 or not same:
-            z = np.exp(1j * t)
-        if rest.size > 1:
-            logb = np.log(np.maximum(np.abs(eval_poly(rest, z)) ** 2, _LOG_FLOOR))
-        else:
-            logb = np.full(t.shape, math.log(max(abs(rest[0]) ** 2, _LOG_FLOOR)))
-        if factors.size:
-            logb += _log_distance_sum(t, factors)
-        a2 = np.exp(logb) if same else np.abs(eval_poly(a_arr, z)) ** 2
-        return np.where(a2 > 0, a2 * logb, 0.0)
 
     # The substitution tail beyond u0 = e^{-s} contributes at most
     # amp^2 weight, weight = 2 u0 (2 deg B (s + 2) + 160), with amp a bound

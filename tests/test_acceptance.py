@@ -65,8 +65,7 @@ def test_criterion_02_extremal_value():
             omega = np.exp(2j * np.pi * rng.random())
             angles = (np.angle(-omega) + 2 * np.pi * np.arange(n)) / n
             p = ce.from_angles(angles, 1.0 / math.sqrt(2.0))
-            spec = ce.log_pair_spectral(p.coefficients, p.coefficients,
-                                        b_roots=p.roots)
+            spec = ce.ratio_functional(p).entropy_integral
             worst_spec = max(worst_spec, abs(spec - TARGET))
             quad = ce.log_pair_quadrature(p.coefficients, p.coefficients,
                                           b_roots=p.roots)

@@ -13,7 +13,7 @@ import pytest
 
 import circentropy as ce
 from circentropy import log_integrals
-from circentropy.corpus import instance_rng, random_circle_poly, random_circle_stack
+from circentropy.corpus import instance_rng, random_circle_poly
 from circentropy.entropy import h_fourier, h_fourier_quadrature
 from circentropy.log_integrals import (
     _G10_WEIGHTS,
@@ -94,9 +94,9 @@ def test_lags_examples():
     assert c.size == 3 + 1  # nothing stored beyond lag 3
     assert c[0] == 1.0
     assert all(c[k] == 0 for k in (1, 2, 3))
-    # the spectral route refuses a zero A, as it refuses a zero B
-    with pytest.raises(ce.ZeroPolynomial, match=r"\|A\|\^2"):
-        ce.log_pair_spectral([0.0, 0.0], [1.0, 1.0], b_roots=[-1.0])
+    # the quadrature refuses a zero p
+    with pytest.raises(ce.ZeroPolynomial, match=r"log\|B\|"):
+        ce.log_pair_quadrature([0.0, 0.0], [0.0, 0.0], b_roots=[])
 
 
 def test_lags_hermitian_and_pointwise():
@@ -121,45 +121,46 @@ def _polished_roots(b):
     return _newton_step(b, np.roots(b[::-1]))
 
 
-def test_log_pair_spectral_frozen_values():
-    assert abs(ce.log_pair_spectral([1, 1], [1, 1], b_roots=[-1.0]) - 2.0) < 1e-14
-    assert abs(ce.log_pair_spectral([1, -2, 1], [1, -2, 1], b_roots=[1.0, 1.0])
-               - 14.0) < 1e-13
-    assert abs(ce.log_pair_spectral([1, -2, 1], [1, -1], b_roots=[1.0]) - 7.0) < 1e-13
+def test_entropy_frozen_values():
+    rf = ce.ratio_functional(ce.from_roots([-1.0]))  # 1 + z
+    assert abs(rf.entropy_integral - 2.0) < 1e-14
+    rf = ce.ratio_functional(ce.from_roots([1.0, 1.0]))  # (z - 1)^2
+    assert abs(rf.entropy_integral - 14.0) < 1e-13
+    assert abs(rf.jensen_integral - 7.0) < 1e-13
 
 
-def test_log_pair_spectral_mahler_and_scaling():
-    # the mean of log|e^{it} - tau|^2 is 0 for |tau| = 1, and a leading
-    # factor b adds log|b|^2 times the mean of |A|^2
-    assert abs(ce.log_pair_spectral([1.0], [-1.0, 1.0], b_roots=[1.0])) < 1e-14
-    assert abs(ce.log_pair_spectral([1.0], [-3.0, 3.0], b_roots=[1.0])
-               - math.log(9.0)) < 1e-14
-
-
-def test_log_pair_spectral_input_checks():
+def test_entropy_quadrature_input_checks():
     with pytest.raises(ce.NonUnimodularRoot):
-        ce.log_pair_spectral([1.0, 1.0], [-2.0, 1.0], b_roots=[2.0])
-    # one given root per degree of B, in both routes
-    for route in (ce.log_pair_spectral, ce.log_pair_quadrature):
-        with pytest.raises(ValueError, match="expected 1"):
-            route([1.0, 1.0], [-1.0, 1.0], b_roots=[1.0, -1.0])
-        with pytest.raises(ValueError, match="expected 2"):
-            route([1, 1], [1, -2, 1], b_roots=[1.0])
-        with pytest.raises(ValueError, match="expected 2"):
-            route([1, 1], [1, -2, 1], b_roots=[1.0, 1.0, 1.0])
-        # given roots off the circle, or NaN, are refused by both routes
-        with pytest.raises(ce.NonUnimodularRoot):
-            route([1.0, 1.0], [-1.0, 1.0], b_roots=[2.0])
-        with pytest.raises(ce.NonUnimodularRoot):
-            route([1.0, 1.0], [-1.0, 1.0], b_roots=[np.nan])
-    # the spectral route takes B only with its roots
-    with pytest.raises(TypeError):
-        ce.log_pair_spectral([1.0, 1.0], [1.0, 1.0])
-    # the log series of h stops at its certified degree; roots have no limit
+        ce.log_pair_quadrature([-2.0, 1.0], [-2.0, 1.0], b_roots=[2.0])
+    # one given root per degree of p
+    with pytest.raises(ValueError, match="expected 1"):
+        ce.log_pair_quadrature([-1.0, 1.0], [-1.0, 1.0], b_roots=[1.0, -1.0])
+    with pytest.raises(ValueError, match="expected 2"):
+        ce.log_pair_quadrature([1, -2, 1], [1, -2, 1], b_roots=[1.0])
+    with pytest.raises(ValueError, match="expected 2"):
+        ce.log_pair_quadrature([1, -2, 1], [1, -2, 1], b_roots=[1.0, 1.0, 1.0])
+    # given roots off the circle, or NaN, are refused
+    with pytest.raises(ce.NonUnimodularRoot):
+        ce.log_pair_quadrature([-1.0, 1.0], [-1.0, 1.0], b_roots=[2.0])
+    with pytest.raises(ce.NonUnimodularRoot):
+        ce.log_pair_quadrature([-1.0, 1.0], [-1.0, 1.0], b_roots=[np.nan])
+    # the log series of h stops at its certified degree
     top = ce.from_angles(np.arange(MAX_SERIES_DEGREE + 1) * 0.1)
     with pytest.raises(ce.IllConditioned):
         ce.ratio_functional(top)
-    assert abs(ce.log_pair_spectral([1.0], top.coefficients, b_roots=top.roots)) < 1e-12
+
+
+def test_entropy_quadrature_refuses_an_a_other_than_b(monkeypatch):
+    # Given roots serve E alone, where A and B are both p; the check comes
+    # before any quadrature.
+    def never(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(log_integrals, "circle_quadrature", never)
+    for a, b, roots in (([1.0, -2.0, 1.0], [-1.0, 1.0], [1.0]),
+                        ([1.0, 1.0], [2.0, 2.0], [-1.0])):
+        with pytest.raises(ValueError, match="same coefficients"):
+            ce.log_pair_quadrature(a, b, b_roots=roots)
 
 
 def test_log_pair_quadrature_matches_spectral_frozen():
@@ -184,27 +185,8 @@ def test_route_agreement_random_sample():
     # quadrature has no degree limit, nor does the pairing on given roots.
     p = random_circle_poly(256, instance_rng(32, 256, 0), unit_norm=True)
     a = p.coefficients
-    assert abs(ce.log_pair_spectral(a, a, b_roots=p.roots)
+    assert abs(log_integrals._pair_circle_roots(_lags(a, 256), a, 256, p.roots)
                - ce.log_pair_quadrature(a, a, b_roots=p.roots)) < 1e-7
-
-
-def test_both_spectral_faces_of_e_agree_bit_for_bit():
-    # ratio_functional's entropy integral is the pairing on the given roots
-    # that log_pair_spectral(a, a, b_roots=roots) runs too, to the bit.
-    for n in (1, 2, 3, 8, 16, 64, 128):
-        for unit_norm in (False, True):
-            for multiple in (False, True):
-                for i in range(3):
-                    p = random_circle_poly(n, instance_rng(36, n, i), multiple, unit_norm)
-                    a = p.coefficients
-                    want = ce.log_pair_spectral(a, a, b_roots=p.roots)
-                    got = ce.ratio_functional(p).entropy_integral
-                    assert got.hex() == want.hex(), (n, unit_norm, multiple, i)
-    p = random_circle_stack(12, [instance_rng(37, 12, i) for i in range(7)],
-                            multiple=[i % 2 == 1 for i in range(7)])
-    a = p.coefficients
-    want = ce.log_pair_spectral(a, a, b_roots=p.roots)
-    assert ce.ratio_functional(p).entropy_integral.tobytes() == want.tobytes()
 
 
 def test_jensen_term_matches_mpmath_reference():
@@ -236,25 +218,9 @@ def test_rotation_invariance():
     p = random_circle_poly(6, instance_rng(33, 6))
     gamma = np.exp(0.37j)
     rotated = ce.from_roots(p.roots * np.conj(gamma), p.leading * gamma**p.degree)
-    for poly in (p,):
-        base_e = ce.log_pair_spectral(p.coefficients, p.coefficients, b_roots=p.roots)
-        rot_e = ce.log_pair_spectral(
-            rotated.coefficients, rotated.coefficients, b_roots=rotated.roots
-        )
-        assert abs(base_e - rot_e) < 1e-9
-    assert abs(ce.ratio_functional(p).jensen_integral
-               - ce.ratio_functional(rotated).jensen_integral) < 1e-9
-
-
-def test_scaling_law():
-    rng = instance_rng(34)
-    a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    b = ce.from_angles(rng.uniform(0, 2 * np.pi, 4))
-    c = 2.5 - 1.3j
-    base = ce.log_pair_spectral(a, b.coefficients, b_roots=b.roots)
-    scaled = ce.log_pair_spectral(a, c * b.coefficients, b_roots=b.roots)
-    expected = base + ce.parseval_norm(a) * math.log(abs(c) ** 2)
-    assert abs(scaled - expected) < 1e-9
+    base, rot = ce.ratio_functional(p), ce.ratio_functional(rotated)
+    assert abs(base.entropy_integral - rot.entropy_integral) < 1e-9
+    assert abs(base.jensen_integral - rot.jensen_integral) < 1e-9
 
 
 def test_ratio_functional_frozen_values():
@@ -1098,13 +1064,10 @@ def test_quadrature_memory_is_bounded():
     ([1.0], [1.0, 1.0, np.inf]),
 ], ids=["nan-in-A", "inf-in-B", "nan-in-B", "inf-on-top-of-B"])
 def test_quadrature_refuses_non_finite_coefficients(A, B):
-    # Both routes, with roots given or not: the spectral one returned nan,
-    # 0.0 and log 4 for the first three.
-    with pytest.raises(ValueError, match="finite"):
-        ce.log_pair_quadrature(A, B)
-    for route in (ce.log_pair_spectral, ce.log_pair_quadrature):
+    # With roots given or not; the check comes first.
+    for b_roots in (None, np.ones(len(B) - 1)):
         with pytest.raises(ValueError, match="finite"):
-            route(A, B, b_roots=np.ones(len(B) - 1))
+            ce.log_pair_quadrature(A, B, b_roots=b_roots)
 
 
 def _meets_stop_bound(b, roots):
@@ -1180,7 +1143,8 @@ def test_found_roots_at_the_edges():
     assert np.all(np.isfinite(found))
     assert np.all(_meets_stop_bound(b, found))
     assert abs(ce.log_pair_quadrature(b, b)
-               - ce.log_pair_spectral(b, b, b_roots=[1.0, 1.0, -1.0])) <= 1e-8
+               - ce.ratio_functional(ce.from_roots([1.0, 1.0, -1.0])).entropy_integral
+               ) <= 1e-8
 
 
 @pytest.mark.parametrize("n", [16, 64, 128])
@@ -1193,4 +1157,4 @@ def test_found_roots_of_a_circle_polynomial_only_place_windows(n):
         p = random_circle_poly(n, instance_rng(2301, n, i), unit_norm=True)
         a = p.coefficients
         assert abs(ce.log_pair_quadrature(a, a)
-                   - ce.log_pair_spectral(a, a, b_roots=p.roots)) <= 1e-9, i
+                   - ce.ratio_functional(p).entropy_integral) <= 1e-9, i
