@@ -53,6 +53,7 @@ from .polycircle import (
 )
 
 INPUT_ROOT_TOL = 1e-6   # circle membership tolerance for coefficient input
+_FIT_STEPS = 8          # Gauss-Newton steps of a root fit to coefficient input
 MULTIPLE_FRAC = 0.1     # share of each degree's suite instances with a multiple zero
 # Size budgets: the largest value each size flag takes.  Time and memory grow
 # with the value; README ("Supported degrees") gives the cost at each cap.
@@ -113,8 +114,12 @@ def _poly_from_coefficients(coeffs: np.ndarray) -> CirclePoly:
     eps^(1/m) around it, which the Newton polish only scatters, while the
     centroid of those eigenvalues keeps the zero to rounding.  So a cluster
     around a root off the circle (``_off_circle_clusters``) stands for its
-    centroid, and that is what must be near the circle.  A coefficient that
-    is not finite is refused before any eigensolve.
+    centroid, and that is what must be near the circle.  Where that fails,
+    the roots are fitted to the coefficients with their multiplicities
+    (``_refitted_roots``), and of the fits that pass the same checks the
+    one nearest the coefficients is taken; with none, the first failure is
+    raised.  A coefficient that is not finite is refused before any
+    eigensolve.
     """
     if not np.isfinite(coeffs).all():
         raise RootsOffCircle("input coefficients must be finite")
@@ -124,23 +129,96 @@ def _poly_from_coefficients(coeffs: np.ndarray) -> CirclePoly:
     body = coeffs[: deg + 1]
     companion = np.roots(body[::-1])
     roots = _newton_step(body, companion)
+    groups = []
     if np.abs(np.abs(roots) - 1.0).max() > INPUT_ROOT_TOL:
-        for group in _off_circle_clusters(companion):
+        groups = list(_off_circle_clusters(companion))
+        for group in groups:
             roots[group] = companion[group].mean()
-        off = np.abs(np.abs(roots) - 1.0).max()
-        if off > INPUT_ROOT_TOL:
-            raise RootsOffCircle(f"a root sits {off:.3e} away from the unit circle "
-                                 f"(> {INPUT_ROOT_TOL:.0e})")
+    try:
+        return _circle_poly_from_roots(body, roots)
+    except RootsOffCircle as first:
+        fits = []
+        for fitted in _refitted_roots(body, roots, companion, groups):
+            with contextlib.suppress(RootsOffCircle):
+                fits.append(_circle_poly_from_roots(body, fitted))
+        if not fits:
+            raise first
+        return min(fits, key=lambda p: np.abs(p.coefficients - body).max())
+
+
+def _circle_poly_from_roots(body: np.ndarray, roots: np.ndarray) -> CirclePoly:
+    """The CirclePoly of the roots, snapped into multiplicity clusters, if
+    each is within ``INPUT_ROOT_TOL`` of the circle and their re-expansion
+    reproduces ``body``; RootsOffCircle otherwise."""
+    off = np.abs(np.abs(roots) - 1.0).max()
+    if off > INPUT_ROOT_TOL:
+        raise RootsOffCircle(f"a root sits {off:.3e} away from the unit circle "
+                             f"(> {INPUT_ROOT_TOL:.0e})")
     snapped = []
     for center, mult in root_clusters(roots, tol=1e-7):
         snapped.extend([center] * mult)
-    p = from_roots(snapped, body[deg])
-    scale = np.max(np.abs(body))
-    if np.max(np.abs(p.coefficients - body)) > INPUT_ROOT_TOL * scale:
+    p = from_roots(snapped, body[-1])
+    if np.max(np.abs(p.coefficients - body)) > INPUT_ROOT_TOL * np.max(np.abs(body)):
         raise RootsOffCircle(
             "re-expansion from circle roots does not reproduce the input coefficients"
         )
     return p
+
+
+def _refitted_roots(body, roots, companion, groups):
+    """Root lists fitted to ``body`` (``_fitted_roots``), for
+    ``_poly_from_coefficients`` to check; none when every cluster
+    (``_off_circle_clusters``) holds one root.
+
+    The roots of an m-fold zero and the simple zeros near it are all
+    ill-conditioned: a simple zero 0.02 from a 6-fold one moves about 1e-4
+    under rounding of the coefficients, and the centroid of the 6-gon about
+    1e-5.  Fitted with their multiplicities, they are well conditioned.
+    The first fit keeps each cluster as one zero at its centroid.  Then a
+    cluster that holds simple zeros too is split: with L the monic
+    polynomial of its k companion roots, an m-fold zero of L is a zero of
+    L^(m-1), and L divided by its m-th power has the others.  For m = k - 1
+    down to 2, each such split whose zeros all lie nearer the circle than
+    every root of the cluster starts a fit.
+    """
+    if all(g.sum() == 1 for g in groups):
+        return
+    free = ~np.any(groups, axis=0)
+    zeros = [(r, 1) for r in roots[free]] + [(roots[g][0], int(g.sum())) for g in groups]
+    yield _fitted_roots(body, zeros)
+    for j, group in enumerate(groups, start=int(free.sum())):
+        center, k = zeros[j]
+        local = np.poly(companion[group] - center)
+        nearest = np.abs(np.abs(companion[group]) - 1.0).min()
+        for m in range(k - 1, 1, -1):
+            for y in np.roots(np.polyder(local, m - 1)):
+                if abs(abs(center + y) - 1.0) >= nearest:
+                    continue
+                rest = center + np.roots(np.polydiv(local, np.poly(np.full(m, y)))[0])
+                if np.abs(np.abs(rest) - 1.0).max() < nearest:
+                    split = [(center + y, m)] + [(x, 1) for x in rest]
+                    yield _fitted_roots(body, zeros[:j] + split + zeros[j + 1:])
+
+
+def _fitted_roots(body, zeros) -> np.ndarray:
+    """The roots of lead prod (z - c)^m, over the distinct zeros (c, m), whose
+    coefficients best fit ``body``: Gauss-Newton on the c from ``zeros``."""
+    centers = np.array([c for c, _ in zeros], dtype=complex)
+    mults = np.array([m for _, m in zeros])
+    quotients = np.empty((centers.size, body.size - 1), dtype=complex)
+    with np.errstate(all="ignore"):
+        for _ in range(_FIT_STEPS):
+            fit = body[-1] * np.poly(np.repeat(centers, mults))
+            # d fit / dc = -m fit / (z - c), by synthetic division for every c
+            acc = np.zeros(centers.size, dtype=complex)
+            for k in range(body.size - 1):
+                acc = acc * centers + fit[k]
+                quotients[:, k] = acc
+            jac = (-mults[:, None] * quotients)[:, ::-1].T
+            if not np.isfinite(jac).all():  # a center ran off to overflow
+                break
+            centers += np.linalg.lstsq(jac, (body - fit[::-1])[:-1], rcond=None)[0]
+    return np.repeat(centers, mults)
 
 
 def _off_circle_clusters(roots: np.ndarray):

@@ -30,6 +30,7 @@ from .errors import (
 from .polycircle import (
     TAU_SEP,
     CirclePoly,
+    _polar_weights,
     as_coefficients,
     eval_poly,
     poly_degree,
@@ -395,15 +396,15 @@ def _log_distance_sum(t: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def _aberth_roots(body: np.ndarray) -> np.ndarray:
-    """The zeros of b_0 + b_1 z + .. + b_n z^n, b_n != 0, by Aberth-Ehrlich
-    sweeps (Bini and Fiorentino 2000), uncertified.
+def _aberth_roots(b: np.ndarray) -> np.ndarray:
+    """The zeros of b_0 + b_1 z + .. + b_n z^n, b_0 != 0 != b_n, by
+    Aberth-Ehrlich sweeps (Bini and Fiorentino 2000), uncertified.
 
-    Zero roots split off exactly.  The others start on one circle of radius
-    |b_0/b_n|^(1/n) (clamped to e^{+-700}, so that every start is finite),
-    at angles 2 pi k / n + 0.7, and each sweep moves every approximation z
-    that has not stopped to z - 1/(B'/B - sum 1/(z - z_j)), the sum over
-    the other approximations; B'(z) = 0 gives a finite step.  B and B' are
+    They start on one circle of radius |b_0/b_n|^(1/n) (clamped to
+    e^{+-700}, so that every start is finite), at angles 2 pi k / n + 0.7,
+    and each sweep moves every approximation z that has not stopped to
+    z - 1/(B'/B - sum 1/(z - z_j)), the sum over the other approximations;
+    B'(z) = 0 gives a finite step.  B and B' are
     sums over the powers of z at |z| <= 1, and of w = 1/z, in the reversed
     polynomial R(w) = w^n B(z), at |z| > 1, where B'/B = w (n - w R'/R): no
     power overflows.  An approximation stops once |B(z)| <= 8 (n + 1) eps
@@ -411,11 +412,9 @@ def _aberth_roots(body: np.ndarray) -> np.ndarray:
     after ``_SWEEPS`` sweeps, or whose step is not finite, stays where it
     is.  The sums are numpy reductions, not BLAS.
     """
-    low = int(np.flatnonzero(body)[0])
-    b = body[low:]
     n = b.size - 1
     if n == 0:
-        return np.zeros(low, dtype=complex)
+        return np.zeros(0, dtype=complex)
     log_r = (math.log(abs(b[0])) - math.log(abs(b[n]))) / n
     z = math.exp(min(max(log_r, -700.0), 700.0)) * np.exp(
         1j * (2 * np.pi / n * np.arange(n) + 0.7))
@@ -446,7 +445,7 @@ def _aberth_roots(body: np.ndarray) -> np.ndarray:
             moving &= np.isfinite(moved)
             active = active[moving]
             z[active] = moved[moving]
-    return np.concatenate((np.zeros(low, dtype=complex), z))
+    return z
 
 
 def _tail_amplitudes(A, centers) -> np.ndarray:
@@ -480,31 +479,28 @@ def _tail_amplitudes(A, centers) -> np.ndarray:
 
 def log_pair_quadrature(A, B, b_roots=None) -> float:
     """Integral of |A|^2 log|B|^2 over dm by adaptive circle quadrature, in
-    the two forms the inequality needs, both with A = p.
+    the two forms the inequality needs, both with A = p; ``ValueError`` for
+    any other input.
 
     The entropy form, E = int |p|^2 log|p|^2 dm, takes A = B = p and
-    ``b_roots``, the deg B zeros of B on the unit circle
-    (``NonUnimodularRoot`` otherwise); an A other than B raises
-    ``ValueError``.  With B = b_n prod (z - tau), log|B|^2 is log|b_n|^2
-    plus the log factors of e^{it} - tau, multiplied eight to a logarithm
+    ``b_roots``, the deg B zeros tau of B = b_n prod (z - tau) on the unit
+    circle (``NonUnimodularRoot`` otherwise).  log|B|^2 is log|b_n|^2 plus
+    the log factors of e^{it} - tau, multiplied eight to a logarithm
     (``_log_distance_sum``), which stay accurate arbitrarily close to the
-    singularity.  |A|^2 is exp(log|B|^2), so the integrand evaluates no
-    polynomial.
+    singularity; |A|^2 is exp(log|B|^2), and no polynomial is evaluated.
 
-    The Jensen form, int |p|^2 log|q|^2 dm, takes A = p, B = q and no roots.
-    A and B are evaluated by Horner's rule, and the zeros of B found by the
-    Aberth-Ehrlich sweeps of ``_aberth_roots`` only place windows: one at
-    the angle of each found zero less than ``_WINDOW`` off the circle.  For
-    a zero rho with |rho| >= 1, |e^{it} - rho| >= |e^{it} - rho/|rho||: its
-    log factor's singular part is no larger than that of a circle zero at
-    the same angle, and by rearrangement, over the tail, no larger than that
-    of one at the window center.  The zeros of q lie in |z| >= 1
-    (Laguerre), on the circle only at a multiple zero of p, where A = p
-    vanishes too.  Found roots are not certified: they are zeros of a B
-    perturbed at rounding level.  So this form is certified for the Jensen
-    term only; where B has circle zeros at which A does not vanish, the
-    value can miss the integral by more than the tolerance, with no error
-    raised, or the call exhausts its node budget.
+    The Jensen form, int |p|^2 log|q|^2 dm, takes no roots, A = p of degree
+    n >= 1 with a_0 != 0 (as |a_0| = |a_n| on every circle polynomial), and
+    B = q, exactly the (n - j)/n a_j, j < n, that ``polar_factor`` builds;
+    these checks come before any root finding.  A and q are evaluated by
+    Horner's rule, and the zeros of q found by ``_aberth_roots`` only place
+    windows, one at the angle of each found zero less than ``_WINDOW`` off
+    the circle.  They lie in |z| >= 1 (Laguerre), on the circle only at a
+    multiple zero of p, where A vanishes too; and for a zero rho with
+    |rho| >= 1, |e^{it} - rho| >= |e^{it} - rho/|rho||, so its log factor's
+    singular part is no larger than that of a circle zero at the same
+    angle, and by rearrangement, over the tail, no larger than that of one
+    at the window center.
 
     Each window is integrated under the exponential substitution, which
     stops at the first s = 10, 11, .. where the mass beyond it is certified
@@ -517,6 +513,12 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
     b_arr = as_coefficients(B)
     if not (np.isfinite(a_arr).all() and np.isfinite(b_arr).all()):
         raise ValueError("the coefficients of A and B must be finite")
+    if b_roots is not None and not np.array_equal(a_arr, b_arr):
+        raise ValueError("with b_roots, A and B must be the same coefficients")
+    if b_roots is None and ((n := poly_degree(a_arr)) < 1 or a_arr[0] == 0 or not
+                            np.array_equal(b_arr, _polar_weights(n)[0] * a_arr[:n])):
+        raise ValueError("without b_roots, A must have degree >= 1 and A(0) != 0, "
+                         "and B must be its polar factor q")
     deg = poly_degree(b_arr)
     if deg < 0:
         raise ZeroPolynomial("log|B| undefined for the zero polynomial")
@@ -524,8 +526,6 @@ def log_pair_quadrature(A, B, b_roots=None) -> float:
     # libm's log (numpy's can round apart): E's leading term, and a constant q.
     log_lead = math.log(max(abs(body[deg]) ** 2, _LOG_FLOOR))
     if b_roots is not None:
-        if not np.array_equal(a_arr, b_arr):
-            raise ValueError("with b_roots, A and B must be the same coefficients")
         window_angles = np.angle(_given_roots(b_roots, deg))
 
         def integrand(t):

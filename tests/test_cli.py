@@ -16,16 +16,31 @@ import pytest
 import circentropy
 from circentropy import entropy, extremal
 from circentropy.cli import (
+    INPUT_ROOT_TOL,
     MAX_FOURIER_K,
     MAX_SUITE_COUNT,
     MAX_TELESCOPING_N,
     MULTIPLE_FRAC,
     SUITE_HEADER,
+    _poly_from_coefficients,
     main,
     parse_schedule,
 )
-from circentropy.corpus import random_circle_stack
+from circentropy.corpus import instance_rng, random_circle_stack
 from circentropy.log_integrals import MAX_SERIES_DEGREE
+
+
+# The coefficients of from_angles([2.514] * 6 + [2.536, 4.312]).
+SIX_FOLD_BESIDE_A_SIMPLE_ZERO = (
+    "[[-0.9982512329656473, 0.05911409208105515], "
+    "[-6.24547148140249, -2.8072409244426515], "
+    "[-13.566244602665893, -15.511016267183077], "
+    "[-12.560246803137483, -34.372469528016666], "
+    "[-1.290758129510881, -43.63188087569635], "
+    "[10.506384528852358, -35.05484767249818], "
+    "[12.625600757435757, -16.285847345901804], "
+    "[6.068602108260602, -3.171527090297725], [1.0, 0.0]]"
+)
 
 
 def run_cli(capsys, *argv):
@@ -525,6 +540,9 @@ def test_a_write_that_fails_midway_is_a_usage_error(capsys, monkeypatch, tmp_pat
     (("--binomial", "n=4", "leading=1e-160"), 3),
     # ... or every product in <p, refl> underflows to 0
     (("--binomial", "n=4", "leading=1e-170"), 3),
+    # a 6-fold zero with a simple zero 0.022 rad away, whose companion
+    # roots link into one cluster: fitted with their multiplicities
+    (("--coeffs", SIX_FOLD_BESIDE_A_SIMPLE_ZERO), 0),
 ])
 def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
     # text that does not parse is a usage error (2); a parsed polynomial
@@ -606,3 +624,29 @@ def test_telescoping_command(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["failures"] == []
+
+
+def test_coefficient_input_splits_a_simple_zero_off_a_multiple_one():
+    # The companion roots of the 6-fold zero spread about 5e-3 and link the
+    # simple zero into their cluster, whose centroid sits 3e-5 off the
+    # circle; the 6-gon's own centroid sits 6e-6 off.  Fitted with their
+    # multiplicities, every zero is recovered to rounding.
+    coeffs = circentropy.coefficients_from_json(json.loads(SIX_FOLD_BESIDE_A_SIMPLE_ZERO))
+    roots = _poly_from_coefficients(coeffs).roots
+    assert roots.size == 8
+    for angle, count in ((2.514, 6), (2.536, 1), (4.312, 1)):
+        near = np.abs(roots - np.exp(1j * angle)) <= INPUT_ROOT_TOL
+        assert near.sum() == count, angle
+
+
+def test_coefficient_input_with_a_multiple_zero_is_accepted():
+    # 600 circle polynomials given by coefficients: one zero of multiplicity
+    # 1..6 and one to four simple zeros, at angles rounded to 1e-3.  Before
+    # the fits, 10 of these were refused, each with a root 2e-6 to 9e-5 off
+    # the circle.
+    rng = instance_rng(669)
+    for i in range(600):
+        angles = np.round(rng.uniform(0, 2 * np.pi, int(rng.integers(2, 6))), 3)
+        p = circentropy.from_angles(np.concatenate(([angles[0]] * (i % 6), angles)))
+        pairs = json.dumps([[z.real, z.imag] for z in p.coefficients.tolist()])
+        _poly_from_coefficients(circentropy.coefficients_from_json(json.loads(pairs)))
