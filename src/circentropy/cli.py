@@ -32,14 +32,9 @@ from .entropy import (
     verify_columns,
     verify_main,
 )
-from .errors import (
-    CircEntropyError,
-    IllConditioned,
-    NonUnimodularRoot,
-    RootsOffCircle,
-)
+from .errors import CircEntropyError, NonUnimodularRoot, RootsOffCircle
 from .extremal import checked_schedule, coalescence_experiment, minimize
-from .log_integrals import MAX_SERIES_DEGREE
+from .log_integrals import check_degree
 from .polycircle import (
     CirclePoly,
     coefficients_from_json,
@@ -80,6 +75,7 @@ def _binomial_poly(tokens: list[str]) -> CirclePoly:
     if unknown:
         raise ValueError(f"unknown binomial parameters: {sorted(unknown)}")
     n = int(params.get("n", "1"))
+    check_degree(n)
     omega = _parse_complex(params.get("omega", "1"))
     if omega == 0:
         raise ValueError("omega must be unimodular, got 0")
@@ -126,6 +122,7 @@ def _poly_from_coefficients(coeffs: np.ndarray) -> CirclePoly:
     deg = poly_degree(coeffs)
     if deg < 1:
         raise RootsOffCircle("input polynomial must have degree >= 1")
+    check_degree(deg)
     body = coeffs[: deg + 1]
     companion = np.roots(body[::-1])
     roots = _newton_step(body, companion)
@@ -256,9 +253,7 @@ def _add_poly_arguments(parser: argparse.ArgumentParser) -> None:
         "--binomial", nargs="+", metavar="KEY=VALUE",
         help="binomial family shorthand, e.g. --binomial n=6 omega=1",
     )
-    parser.add_argument(
-        "--leading", default="1", help="leading coefficient for --angles input"
-    )
+    parser.add_argument("--leading", help="leading coefficient for --angles input")
 
 
 def _parse_poly(args) -> CirclePoly:
@@ -269,6 +264,8 @@ def _parse_poly(args) -> CirclePoly:
     polynomial that is not a circle polynomial raises a CircEntropyError
     (exit 3).  ``main`` maps both.
     """
+    if args.leading is not None and args.angles is None:
+        raise ValueError("--leading is for --angles; a binomial takes leading=")
     if args.binomial is not None:
         return _binomial_poly(args.binomial)
     if args.angles is not None:
@@ -278,7 +275,9 @@ def _parse_poly(args) -> CirclePoly:
                 for a in angles):
             raise ValueError(f"--angles must be a JSON array of real numbers, "
                              f"got {args.angles!r}")
-        return from_angles(angles, _parse_complex(args.leading))
+        check_degree(len(angles))
+        leading = "1" if args.leading is None else args.leading
+        return from_angles(angles, _parse_complex(leading))
     coeffs = coefficients_from_json(json.loads(args.coeffs))
     return _poly_from_coefficients(coeffs)
 
@@ -398,9 +397,7 @@ def cmd_suite(args) -> int:
         degrees, top = _parse_degree_range(args.degrees)
         _check_nonnegative("--seed", args.seed)
         _check_size("--count", args.count, MAX_SUITE_COUNT)
-    if top > MAX_SERIES_DEGREE:  # before any instance is built
-        raise IllConditioned(f"the log series is certified up to degree "
-                             f"{MAX_SERIES_DEGREE}, got degree {top}")
+    check_degree(top)  # before any instance is built
     failures = 0
     min_gaps = {"main": math.inf, "strengthened": math.inf,
                 "jensen": math.inf, "polar": math.inf}
@@ -512,8 +509,7 @@ def cmd_coalesce(args) -> int:
     with _usage():
         p = _parse_poly(args)
         schedule = checked_schedule(parse_schedule(args.schedule))
-        _check_nonnegative("--seed", args.seed)
-    table = coalescence_experiment(p, schedule, seed=args.seed)
+    table = coalescence_experiment(p, schedule)
     if args.format == "csv":
         _emit(_csv_payload(list(table.CSV_FIELDS), table.to_csv_rows()), args.out)
     else:
@@ -584,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_coalesce = sub.add_parser("coalesce", help="root-coalescence convergence table")
     _add_poly_arguments(p_coalesce)
     p_coalesce.add_argument("--schedule", default="2^-1..2^-20")
-    p_coalesce.add_argument("--seed", type=int, default=0)
     p_coalesce.add_argument("--out")
     p_coalesce.add_argument("--format", choices=["json", "csv"], default="json")
     p_coalesce.set_defaults(func=cmd_coalesce)

@@ -12,7 +12,8 @@ import numpy as np
 
 from .blaschke_moments import moments
 from .entropy import polar_term_via_moments
-from .log_integrals import MAX_SERIES_DEGREE, _circle_root_pairing, _lags, ratio_functional
+from .log_integrals import (MAX_SERIES_DEGREE, _circle_root_pairing, _lags, check_degree,
+                            ratio_functional)
 from .polycircle import (
     CirclePoly,
     expand_from_roots,
@@ -337,7 +338,8 @@ def minimize(n: int, restarts: int = 8, seed: int = 0) -> ExtremalResult:
     """
     if n < 1 or restarts < 1:
         raise ValueError("need n >= 1 and restarts >= 1")
-    if n > MAX_SERIES_DEGREE or restarts > MAX_RESTARTS:
+    check_degree(n)
+    if restarts > MAX_RESTARTS:
         raise ValueError(f"need n <= {MAX_SERIES_DEGREE} and restarts <= "
                          f"{MAX_RESTARTS}, got n={n} and restarts={restarts}")
     if n == 1:
@@ -436,7 +438,7 @@ def checked_schedule(schedule) -> list[float]:
     return schedule
 
 
-def coalescence_experiment(p: CirclePoly, schedule, seed: int = 0) -> CoalescenceTable:
+def coalescence_experiment(p: CirclePoly, schedule) -> CoalescenceTable:
     """Track every functional along perturbed copies of p as epsilon -> 0.
 
     For each epsilon in the strictly decreasing schedule the roots of p are
@@ -449,7 +451,7 @@ def coalescence_experiment(p: CirclePoly, schedule, seed: int = 0) -> Coalescenc
     """
     schedule = checked_schedule(schedule)
     # Built first: their normalization rejects an overflowing p before any work.
-    perturbed = stack([perturb_roots(p, eps, seed=seed) for eps in schedule])
+    perturbed = stack([perturb_roots(p, eps) for eps in schedule])
     rf = ratio_functional(p)
     limits = {
         "entropy": rf.entropy_integral,

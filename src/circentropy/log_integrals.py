@@ -68,6 +68,13 @@ _S_LADDER = np.arange(10.0, _S_CUT)
 _U_LADDER = np.array([math.exp(-s) for s in _S_LADDER])
 
 
+def check_degree(n: int) -> None:
+    """Raise ``IllConditioned`` above ``MAX_SERIES_DEGREE``: the one degree rule."""
+    if n > MAX_SERIES_DEGREE:
+        raise IllConditioned(f"the log series is certified up to degree "
+                             f"{MAX_SERIES_DEGREE}, got degree {n}")
+
+
 @functools.lru_cache(maxsize=128)
 def _lag_window(deg: int) -> np.ndarray:
     """Index array [k, j] -> k + j, read-only, for lags and terms 0..deg."""
@@ -597,11 +604,7 @@ def ratio_functional(p: CirclePoly) -> RatioFunctionalValue:
     ``MAX_SERIES_DEGREE``.  A stack of polynomials gives one value per row.
     """
     n = p.degree
-    if n > MAX_SERIES_DEGREE:
-        raise IllConditioned(
-            f"the log series is certified up to degree {MAX_SERIES_DEGREE}, "
-            f"got degree {n}; use log_pair_quadrature"
-        )
+    check_degree(n)
     a = p.coefficients
     # p has degree n in every row, so its lags need no degree discovery.
     c = _lags(a, n)

@@ -509,23 +509,23 @@ def partial_energy_Al(g, l: int) -> float:
     return float(np.sum(np.abs(arr[: l + 1]) ** 2))
 
 
-def perturb_roots(p: CirclePoly, epsilon: float, seed=None) -> CirclePoly:
+def perturb_roots(p: CirclePoly, epsilon: float) -> CirclePoly:
     """Split the roots of a self-inversive p into pairwise distinct ones.
 
     Root j is rotated by epsilon * j / n (magnitudes <= epsilon), and the
     result is renormalized by ``normalize_self_inversive``, whose eta is the
     square root nearest 1, so the output converges to p coefficientwise as
-    epsilon -> 0.  Falls back to seeded jitter if the deterministic schedule
-    produces a collision, and raises ``SeparationFailure`` when eight tries
-    collide.  That happens once the rotations fall below the rounding of the
-    roots, about 2^-53: the zeros at angles 0.7, 0.7 and 2.0 with seed 0
-    fail at epsilon = 2^-54.  An epsilon that is not finite and positive
-    raises ValueError.
+    epsilon -> 0.  Falls back to jitter seeded with 0, so equal inputs give
+    equal bits, if the deterministic schedule produces a collision, and
+    raises ``SeparationFailure`` when eight tries collide.  That happens once
+    the rotations fall below the rounding of the roots, about 2^-53: the
+    zeros at angles 0.7, 0.7 and 2.0 fail at epsilon = 2^-54.  An epsilon
+    that is not finite and positive raises ValueError.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     n = p.degree
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     offsets = epsilon * np.arange(1, n + 1) / n
     for _ in range(8):
         rotated = p.roots * np.exp(1j * offsets)

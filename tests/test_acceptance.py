@@ -259,7 +259,7 @@ def test_criterion_10_coalescence_convergence():
         n = int(rng.integers(2, 9))
         p = random_circle_poly(n, rng, multiple=True, unit_norm=True)
         assert not polar_factor(p).simple_zeros
-        table = ce.coalescence_experiment(p, schedule, seed=i)
+        table = ce.coalescence_experiment(p, schedule)
         first = max(table.rows[0].dev_entropy, table.rows[0].dev_jensen,
                     table.rows[0].dev_polar, table.rows[0].dev_gamma)
         assert table.final_max_deviation <= max(first, 1e-6)

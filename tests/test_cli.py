@@ -389,7 +389,6 @@ def test_coalesce_command(capsys):
     ("search", "--n", "0"),
     ("search", "--n", "3", "--restarts", "0"),
     ("suite", "--seed", "-1"),
-    ("coalesce", "--angles", "[0.3,0.3,2,5]", "--seed", "-1"),
     ("search", "--n", "3", "--seed", "-1"),
     ("suite", "--degrees", "1..3", "--count", "-2"),
     ("fourier-h", "--max-k", "-1"),
@@ -414,7 +413,6 @@ def test_coalesce_command(capsys):
     ("fourier-h", "--max-k", str(MAX_FOURIER_K + 1)),
     ("telescoping", "--max-n", str(MAX_TELESCOPING_N + 1)),
     ("search", "--n", "3", "--restarts", str(extremal.MAX_RESTARTS + 1)),
-    ("search", "--n", str(MAX_SERIES_DEGREE + 1)),
 ])
 def test_bad_arguments_are_usage_errors(capsys, monkeypatch, argv):
     # exit 1 means an inequality violated or a search not converged.  Each
@@ -543,6 +541,10 @@ def test_a_write_that_fails_midway_is_a_usage_error(capsys, monkeypatch, tmp_pat
     # a 6-fold zero with a simple zero 0.022 rad away, whose companion
     # roots link into one cluster: fitted with their multiplicities
     (("--coeffs", SIX_FOLD_BESIDE_A_SIMPLE_ZERO), 0),
+    # a degree above the cap, and a --leading that only --angles takes
+    (("--binomial", f"n={MAX_SERIES_DEGREE + 1}"), 3),
+    (("--binomial", "n=2", "--leading", "5"), 2),
+    (("--coeffs", "[[1,0],[1,0]]", "--leading", "7"), 2),
 ])
 def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
     # text that does not parse is a usage error (2); a parsed polynomial
@@ -556,6 +558,50 @@ def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
     else:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+ABOVE_THE_CAP = [
+    (("--binomial", f"n={MAX_SERIES_DEGREE + 1}"), MAX_SERIES_DEGREE + 1),
+    (("--angles", json.dumps([0.0] * (MAX_SERIES_DEGREE + 1))), MAX_SERIES_DEGREE + 1),
+    # z^129 - 1
+    (("--coeffs", json.dumps([[-1, 0]] + [[0, 0]] * MAX_SERIES_DEGREE + [[1, 0]])),
+     MAX_SERIES_DEGREE + 1),
+    (("--binomial", "n=1000000000"), 10**9),
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "moments", "coalesce"])
+@pytest.mark.parametrize("poly_args, degree", ABOVE_THE_CAP)
+def test_a_degree_above_the_cap_is_refused_before_the_polynomial_is_built(
+        capsys, monkeypatch, command, poly_args, degree):
+    # One rule and one message in every command: n = 10^9 once built its
+    # roots before the check, and ran out of memory.
+    def never(*args, **kwargs):
+        raise AssertionError("a polynomial was built")
+
+    monkeypatch.setattr("circentropy.cli.from_angles", never)
+    monkeypatch.setattr(np, "roots", never)
+    code = main([command, *poly_args])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (f"error: the log series is certified up to degree "
+                            f"{MAX_SERIES_DEGREE}, got degree {degree}\n")
+
+
+@pytest.mark.parametrize("n", [MAX_SERIES_DEGREE + 1, 10**9])
+def test_search_above_the_cap_is_invalid_input(capsys, monkeypatch, n):
+    # As in every other command: exit 3, refused before a start is built.
+    def never(x0):
+        raise AssertionError("a start was built")
+
+    monkeypatch.setattr(extremal, "_start", never)
+    code = main(["search", "--n", str(n)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (f"error: the log series is certified up to degree "
+                            f"{MAX_SERIES_DEGREE}, got degree {n}\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "moments", "coalesce"])

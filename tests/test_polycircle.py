@@ -289,12 +289,12 @@ def test_perturb_roots_keeps_simple_inputs_simple():
                 ce.perturb_roots(q, epsilon)
 
 
-def _perturb_roots_reference(p, epsilon, seed):
+def _perturb_roots_reference(p, epsilon):
     # The rule perturb_roots had with a normalization of its own: the
     # least-squares multiplier lambda, cmath.sqrt, and the square root
     # nearest 1.  perturb_roots must give its bits.
     n = p.degree
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     offsets = epsilon * np.arange(1, n + 1) / n
     for _ in range(8):
         rotated = p.roots * np.exp(1j * offsets)
@@ -320,14 +320,30 @@ def test_perturb_roots_matches_reference_bit_for_bit():
     for i in range(20):
         rng = instance_rng(104, i)
         n = int(rng.integers(2, 9))
-        cases.append((random_circle_poly(n, rng, multiple=True, unit_norm=True), i))
-    cases.append((ce.normalize_self_inversive(ce.from_roots([1j, 1j, 1j])), 0))
-    for p, seed in cases:
+        cases.append(random_circle_poly(n, rng, multiple=True, unit_norm=True))
+    cases.append(ce.normalize_self_inversive(ce.from_roots([1j, 1j, 1j])))
+    # both zeros rotate onto angle 0.25 at epsilon = 2^-2: the jitter runs
+    cases.append(ce.from_angles([0.125, 0.0]))
+    for i, p in enumerate(cases):
         for eps in schedule:
-            pe = ce.perturb_roots(p, eps, seed=seed)
-            coeffs, roots = _perturb_roots_reference(p, eps, seed)
-            assert pe.coefficients.tobytes() == coeffs.tobytes(), (seed, eps)
-            assert pe.roots.tobytes() == roots.tobytes(), (seed, eps)
+            pe = ce.perturb_roots(p, eps)
+            coeffs, roots = _perturb_roots_reference(p, eps)
+            assert pe.coefficients.tobytes() == coeffs.tobytes(), (i, eps)
+            assert pe.roots.tobytes() == roots.tobytes(), (i, eps)
+
+
+def test_perturb_roots_jitter_is_the_same_on_every_call():
+    # Both zeros rotate onto angle 0.25, so the jitter runs; it once drew
+    # from OS entropy and gave other bits on each call.  The frozen bits
+    # are those of the generator seeded with 0.
+    p = ce.from_angles([0.125, 0.0])
+    first, second = ce.perturb_roots(p, 2**-2), ce.perturb_roots(p, 2**-2)
+    assert first.coefficients.tobytes() == second.coefficients.tobytes()
+    assert first.coefficients.tobytes().hex() == (
+        "f023f8da9037ef3f3b7fb0582724cc3f2c98ccf275ffffbf6e9b42a89753743c"
+        "f123f8da9037ef3f3d7fb0582724ccbf")
+    assert first.roots.tobytes().hex() == (
+        "65d36f6fb44bef3f9143a44ee6b4ca3f7ca27ded5f22ef3f2194b1937592cd3f")
 
 
 def test_zero_freeness_of_polar_factor():
