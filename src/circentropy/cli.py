@@ -18,7 +18,7 @@ import json
 import math
 import re
 import sys
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .polycircle import (
     normalize_self_inversive,
     polar_factor,
     poly_degree,
-    root_clusters,
 )
 
 INPUT_ROOT_TOL = 1e-6   # circle membership tolerance for coefficient input
@@ -55,6 +54,7 @@ MULTIPLE_FRAC = 0.1     # share of each degree's suite instances with a multiple
 MAX_SUITE_COUNT = 10_000         # suite --count: instances per degree
 MAX_FOURIER_K = 1_000            # fourier-h --max-k: one quadrature per k
 MAX_TELESCOPING_N = 1_000_000    # telescoping --max-n: one Fraction sum per n
+MAX_PRECISION_BITS = 4_096       # verify --precision: mantissa bits of the mpmath rerun
 
 
 def _parse_complex(text: str) -> complex:
@@ -103,19 +103,15 @@ def _newton_step(body: np.ndarray, roots: np.ndarray) -> np.ndarray:
 def _poly_from_coefficients(coeffs: np.ndarray) -> CirclePoly:
     """Recover a CirclePoly from raw coefficients, or raise RootsOffCircle.
 
-    Roots are located numerically, required to sit within ``INPUT_ROOT_TOL``
-    of the circle, snapped into multiplicity clusters, and re-expanded; a
-    mismatch with the input coefficients is treated as an input error.  An
-    m-fold zero leaves the companion matrix as an m-gon of radius about
-    eps^(1/m) around it, which the Newton polish only scatters, while the
-    centroid of those eigenvalues keeps the zero to rounding.  So a cluster
-    around a root off the circle (``_off_circle_clusters``) stands for its
-    centroid, and that is what must be near the circle.  Where that fails,
-    the roots are fitted to the coefficients with their multiplicities
-    (``_refitted_roots``), and of the fits that pass the same checks the
-    one nearest the coefficients is taken; with none, the first failure is
-    raised.  A coefficient that is not finite is refused before any
-    eigensolve.
+    The companion roots are grouped into zeros (``_zero_clusters``).  An
+    m-fold zero leaves them as an m-gon of radius about eps^(1/m), which a
+    Newton step only scatters, but fitted with its multiplicity
+    (``_refitted_roots``) it is well conditioned.  The candidates are that
+    fit, then the groups' centroids, then the fits that split a group (the
+    one nearest the coefficients); the first whose roots lie within
+    ``INPUT_ROOT_TOL`` of the circle and re-expand to the input is taken.
+    With none, the centroids' failure is raised.  A coefficient that is not
+    finite is refused before any eigensolve.
     """
     if not np.isfinite(coeffs).all():
         raise RootsOffCircle("input coefficients must be finite")
@@ -126,35 +122,35 @@ def _poly_from_coefficients(coeffs: np.ndarray) -> CirclePoly:
     body = coeffs[: deg + 1]
     companion = np.roots(body[::-1])
     roots = _newton_step(body, companion)
-    groups = []
-    if np.abs(np.abs(roots) - 1.0).max() > INPUT_ROOT_TOL:
-        groups = list(_off_circle_clusters(companion))
-        for group in groups:
-            roots[group] = companion[group].mean()
+    groups = list(_zero_clusters(companion, roots))
+    for group in groups:
+        roots[group] = companion[group].mean()
+    fits = _refitted_roots(body, roots, companion, groups)
+    for fitted in islice(fits, 1):
+        with contextlib.suppress(RootsOffCircle):
+            return _circle_poly_from_roots(body, fitted)
     try:
         return _circle_poly_from_roots(body, roots)
-    except RootsOffCircle as first:
-        fits = []
-        for fitted in _refitted_roots(body, roots, companion, groups):
+    except RootsOffCircle as failure:
+        splits = []
+        for fitted in fits:
             with contextlib.suppress(RootsOffCircle):
-                fits.append(_circle_poly_from_roots(body, fitted))
-        if not fits:
-            raise first
-        return min(fits, key=lambda p: np.abs(p.coefficients - body).max())
+                splits.append(_circle_poly_from_roots(body, fitted))
+        if not splits:
+            raise failure
+        return min(splits, key=lambda p: np.abs(p.coefficients - body).max())
 
 
 def _circle_poly_from_roots(body: np.ndarray, roots: np.ndarray) -> CirclePoly:
-    """The CirclePoly of the roots, snapped into multiplicity clusters, if
-    each is within ``INPUT_ROOT_TOL`` of the circle and their re-expansion
-    reproduces ``body``; RootsOffCircle otherwise."""
+    """The CirclePoly of the roots, in order of angle and projected onto the
+    circle, if each is within ``INPUT_ROOT_TOL`` of it and their
+    re-expansion reproduces ``body``; RootsOffCircle otherwise."""
     off = np.abs(np.abs(roots) - 1.0).max()
     if off > INPUT_ROOT_TOL:
         raise RootsOffCircle(f"a root sits {off:.3e} away from the unit circle "
                              f"(> {INPUT_ROOT_TOL:.0e})")
-    snapped = []
-    for center, mult in root_clusters(roots, tol=1e-7):
-        snapped.extend([center] * mult)
-    p = from_roots(snapped, body[-1])
+    p = from_roots([tau / abs(tau) for tau in roots[np.argsort(np.angle(roots))]],
+                   body[-1])
     if np.max(np.abs(p.coefficients - body)) > INPUT_ROOT_TOL * np.max(np.abs(body)):
         raise RootsOffCircle(
             "re-expansion from circle roots does not reproduce the input coefficients"
@@ -162,23 +158,52 @@ def _circle_poly_from_roots(body: np.ndarray, roots: np.ndarray) -> CirclePoly:
     return p
 
 
+def _zero_clusters(companion: np.ndarray, polished: np.ndarray):
+    """The groups of companion roots that stand for one zero, as boolean masks.
+
+    Two roots are linked when their distance is at most three times the
+    larger of their distances from the circle (a vertex of an m-gon of
+    radius rho around a point of the circle lies 2 rho sin(pi/m) from a
+    neighbour, and one of the two at least rho sin(pi/m) off the circle);
+    when their Newton steps ``polished`` end within ``INPUT_ROOT_TOL`` of
+    each other; or when both lie more than ``INPUT_ROOT_TOL`` off the circle
+    and their midpoint within it, as a double zero's may, parted along the
+    circle.  A group is a set of two or more roots joined by links.
+    """
+    off = np.abs(np.abs(companion) - 1.0)
+    far = off > INPUT_ROOT_TOL
+    midpoint_on = np.abs(np.abs(companion[:, None] + companion) / 2 - 1.0) <= INPUT_ROOT_TOL
+    link = ((np.abs(companion[:, None] - companion) <= 3.0 * np.maximum(off[:, None], off))
+            | (np.abs(polished[:, None] - polished) <= INPUT_ROOT_TOL)
+            | (far[:, None] & far & midpoint_on))
+    taken = np.zeros(companion.size, dtype=bool)
+    for seed in np.flatnonzero(link.sum(axis=1) > 1):
+        if taken[seed]:
+            continue
+        group = link[seed]
+        while (grown := link[group].any(axis=0)).sum() > group.sum():
+            group = grown
+        taken |= group
+        yield group
+
+
 def _refitted_roots(body, roots, companion, groups):
     """Root lists fitted to ``body`` (``_fitted_roots``), for
-    ``_poly_from_coefficients`` to check; none when every cluster
-    (``_off_circle_clusters``) holds one root.
+    ``_poly_from_coefficients`` to check; none without a group
+    (``_zero_clusters``).
 
     The roots of an m-fold zero and the simple zeros near it are all
     ill-conditioned: a simple zero 0.02 from a 6-fold one moves about 1e-4
     under rounding of the coefficients, and the centroid of the 6-gon about
     1e-5.  Fitted with their multiplicities, they are well conditioned.
-    The first fit keeps each cluster as one zero at its centroid.  Then a
-    cluster that holds simple zeros too is split: with L the monic
+    The first fit keeps each group as one zero at its centroid.  Then a
+    group that holds simple zeros too is split: with L the monic
     polynomial of its k companion roots, an m-fold zero of L is a zero of
     L^(m-1), and L divided by its m-th power has the others.  For m = k - 1
     down to 2, each such split whose zeros all lie nearer the circle than
-    every root of the cluster starts a fit.
+    every root of the group starts a fit.
     """
-    if all(g.sum() == 1 for g in groups):
+    if not groups:
         return
     free = ~np.any(groups, axis=0)
     zeros = [(r, 1) for r in roots[free]] + [(roots[g][0], int(g.sum())) for g in groups]
@@ -216,30 +241,6 @@ def _fitted_roots(body, zeros) -> np.ndarray:
                 break
             centers += np.linalg.lstsq(jac, (body - fit[::-1])[:-1], rcond=None)[0]
     return np.repeat(centers, mults)
-
-
-def _off_circle_clusters(roots: np.ndarray):
-    """The clusters of roots around each root more than ``INPUT_ROOT_TOL`` off
-    the circle, as boolean masks.
-
-    Two roots are linked when their distance is at most three times the
-    larger of their distances from the circle, and a cluster is the set of
-    roots linked to such a root through a chain of links.  Each vertex of
-    an m-gon of radius rho around a point of the circle is linked to a
-    neighbour, which lies 2 rho sin(pi/m) away while one of the two sits at
-    least rho sin(pi/m) off the circle.
-    """
-    off = np.abs(np.abs(roots) - 1.0)
-    link = np.abs(roots[:, None] - roots) <= 3.0 * np.maximum(off[:, None], off)
-    taken = np.zeros(roots.size, dtype=bool)
-    for seed in np.flatnonzero(off > INPUT_ROOT_TOL):
-        if taken[seed]:
-            continue
-        group = link[seed]
-        while (grown := link[group].any(axis=0)).sum() > group.sum():
-            group = grown
-        taken |= group
-        yield group
 
 
 def _add_poly_arguments(parser: argparse.ArgumentParser) -> None:
@@ -346,6 +347,8 @@ def cmd_verify(args) -> int:
                 args.precision.isdecimal() and int(args.precision) >= 53):
             raise ValueError(f"--precision must be 'double' or a bit count of "
                              f"at least 53, got {args.precision!r}")
+        if args.precision != "double":
+            _check_size("--precision", int(args.precision), MAX_PRECISION_BITS)
         p = _parse_poly(args)
     report = verify_main(p)
     data = report.to_dict()

@@ -18,6 +18,7 @@ from circentropy import entropy, extremal
 from circentropy.cli import (
     INPUT_ROOT_TOL,
     MAX_FOURIER_K,
+    MAX_PRECISION_BITS,
     MAX_SUITE_COUNT,
     MAX_TELESCOPING_N,
     MULTIPLE_FRAC,
@@ -28,6 +29,7 @@ from circentropy.cli import (
 )
 from circentropy.corpus import instance_rng, random_circle_stack
 from circentropy.log_integrals import MAX_SERIES_DEGREE
+from circentropy.polycircle import has_simple_zeros
 
 
 # The coefficients of from_angles([2.514] * 6 + [2.536, 4.312]).
@@ -41,6 +43,23 @@ SIX_FOLD_BESIDE_A_SIMPLE_ZERO = (
     "[12.625600757435757, -16.285847345901804], "
     "[6.068602108260602, -3.171527090297725], [1.0, 0.0]]"
 )
+# A double zero at 2.306 whose two companion roots sit 8.85e-6 off the
+# circle, 3.5e-5 apart along it, with their midpoint on it.
+DOUBLE_ZERO_PARTED_ALONG_THE_CIRCLE = [
+    1.058, 2.011, 2.056, 2.306, 2.306, 2.459, 2.466, 2.667, 2.96, 3.064, 3.703, 3.912,
+]
+
+
+def coefficient_json(angles) -> str:
+    """The coefficients of from_angles(angles), as --coeffs takes them."""
+    p = circentropy.from_angles(angles)
+    return json.dumps([[z.real, z.imag] for z in p.coefficients.tolist()])
+
+
+def recovered(angles):
+    """The CirclePoly that --coeffs recovers from the coefficients of the angles."""
+    coeffs = circentropy.coefficients_from_json(json.loads(coefficient_json(angles)))
+    return _poly_from_coefficients(coeffs)
 
 
 def run_cli(capsys, *argv):
@@ -413,6 +432,7 @@ def test_coalesce_command(capsys):
     ("fourier-h", "--max-k", str(MAX_FOURIER_K + 1)),
     ("telescoping", "--max-n", str(MAX_TELESCOPING_N + 1)),
     ("search", "--n", "3", "--restarts", str(extremal.MAX_RESTARTS + 1)),
+    ("verify", "--binomial", "n=2", "--precision", str(MAX_PRECISION_BITS + 1)),
 ])
 def test_bad_arguments_are_usage_errors(capsys, monkeypatch, argv):
     # exit 1 means an inequality violated or a search not converged.  Each
@@ -421,7 +441,8 @@ def test_bad_arguments_are_usage_errors(capsys, monkeypatch, argv):
         raise AssertionError("ran past the argument checks")
 
     for target in ("cli.random_circle_stack", "cli.h_fourier",
-                   "cli.telescoping_sums", "extremal._start"):
+                   "cli.telescoping_sums", "extremal._start",
+                   "highprec.entropy_report_mp"):
         monkeypatch.setattr(f"circentropy.{target}", never)
     code = main(list(argv))
     assert code == 2
@@ -545,6 +566,8 @@ def test_a_write_that_fails_midway_is_a_usage_error(capsys, monkeypatch, tmp_pat
     (("--binomial", f"n={MAX_SERIES_DEGREE + 1}"), 3),
     (("--binomial", "n=2", "--leading", "5"), 2),
     (("--coeffs", "[[1,0],[1,0]]", "--leading", "7"), 2),
+    # a double zero whose companion roots part along the circle
+    (("--coeffs", coefficient_json(DOUBLE_ZERO_PARTED_ALONG_THE_CIRCLE)), 0),
 ])
 def test_polynomial_argument_exit_codes(capsys, command, poly_args, expected):
     # text that does not parse is a usage error (2); a parsed polynomial
@@ -685,14 +708,101 @@ def test_coefficient_input_splits_a_simple_zero_off_a_multiple_one():
         assert near.sum() == count, angle
 
 
-def test_coefficient_input_with_a_multiple_zero_is_accepted():
-    # 600 circle polynomials given by coefficients: one zero of multiplicity
-    # 1..6 and one to four simple zeros, at angles rounded to 1e-3.  Before
-    # the fits, 10 of these were refused, each with a root 2e-6 to 9e-5 off
-    # the circle.
+def multiple_zero_angles():
+    """The root angles of 600 circle polynomials: one zero of multiplicity
+    1..6 and one to four simple zeros, rounded to 1e-3."""
     rng = instance_rng(669)
     for i in range(600):
         angles = np.round(rng.uniform(0, 2 * np.pi, int(rng.integers(2, 6))), 3)
-        p = circentropy.from_angles(np.concatenate(([angles[0]] * (i % 6), angles)))
-        pairs = json.dumps([[z.real, z.imag] for z in p.coefficients.tolist()])
-        _poly_from_coefficients(circentropy.coefficients_from_json(json.loads(pairs)))
+        yield np.concatenate(([angles[0]] * (i % 6), angles))
+
+
+def test_coefficient_input_with_a_multiple_zero_is_accepted():
+    # Given by coefficients.  Before the fits, 10 of these were refused,
+    # each with a root 2e-6 to 9e-5 off the circle.
+    for angles in multiple_zero_angles():
+        recovered(angles)
+
+
+def test_coefficient_input_joins_a_double_zero_parted_along_the_circle():
+    # Neither root is linked to the other by distance, but their midpoint
+    # is the zero: fitted as one double zero.
+    roots = recovered(DOUBLE_ZERO_PARTED_ALONG_THE_CIRCLE).roots
+    assert roots.size == 12
+    assert (np.abs(roots - np.exp(2.306j)) <= INPUT_ROOT_TOL).sum() == 2
+
+
+def test_verify_reads_a_double_zero_given_by_coefficients_as_the_angles_do(capsys):
+    # Its two companion roots were once left apart, 1e-8 from the zero, and
+    # verify reported simple zeros where --angles did not.
+    angles = [0.088, 0.088, 0.173, 1.811, 2.958, 3.606, 6.027]
+    _, by_coeffs = run_cli(capsys, "verify", "--coeffs", coefficient_json(angles))
+    _, by_angles = run_cli(capsys, "verify", "--angles", json.dumps(angles))
+    assert json.loads(by_coeffs)["simple_zeros"] is False
+    assert json.loads(by_angles)["simple_zeros"] is False
+    roots = recovered(angles).roots
+    assert (np.abs(roots - np.exp(0.088j)) <= INPUT_ROOT_TOL).sum() == 2
+
+
+def test_coefficient_input_reads_a_double_zero_as_double():
+    # 300 inputs, each with one double zero and up to eleven simple zeros,
+    # at angles rounded to 1e-3: every one is accepted, and 2 are read as
+    # simple zeros, recovered 3.5e-7 and 1.1e-6 apart, which the re-expansion
+    # tolerance cannot tell from a double zero.  Grouped by two rules, 56
+    # were read as simple and 2 refused.
+    rng = instance_rng(1046)
+    simple = 0
+    for _ in range(300):
+        angles = np.round(rng.uniform(0, 2 * np.pi, int(rng.integers(1, 12))), 3)
+        simple += bool(has_simple_zeros(recovered([angles[0], *angles]).roots))
+    assert simple <= 2
+
+
+def test_coefficient_input_fits_each_multiple_zero_first():
+    # Fitted with its multiplicity before the centroid of its companion
+    # roots is tried, a multiple zero is recovered to rounding: 2 of the 600
+    # have a root more than 1e-10 from its place.  One is a 5-fold zero
+    # 2e-3 from a simple one, read as a 6-fold zero; the other a double
+    # zero 3e-3 from a simple one, read as two simple zeros 1.1e-6 apart.
+    # With the centroids tried first, 29 of the 600 were that far off.
+    far = 0
+    for angles in multiple_zero_angles():
+        roots = recovered(angles).roots
+        dist = np.abs(np.exp(1j * angles)[:, None] - roots)
+        far += max(dist.min(axis=0).max(), dist.min(axis=1).max()) > 1e-10
+    assert far <= 2
+
+
+def test_coefficient_input_with_simple_zeros_keeps_its_bits():
+    # Simple zeros take one Newton step and a projection onto the circle,
+    # root by root as numpy scalars (dividing the array by its moduli gives
+    # other bits for some).  The bits were frozen before the roots were
+    # grouped by one rule, and did not change.
+    frozen = [
+        ("dfe2d6f28237eebf97a39f49db10d5bfd63ccad820d6ecbf06a7ce50f8bedbbf"
+         "226d21351195debfa8a7d721331cec3f442246018785ecbf63ff5da8be04dd3f",
+         "e048ce4e6835e73fed2b0bfae707e6bfcea9ccd846c90540644eb23513cefcbf"
+         "df902de1f11c114032adccacd350fbbf22feddd96cb709400b82cfa8a836e2bf"
+         "000000000000f03f0000000000000000"),
+        ("02453ed46cbad5bffae7e13a6f19eebf8640fb6c6fe2ca3feb67e1884449efbf"
+         "c61ba2eb182ee83ff59a49d1c6f5e4bf6bf19752f196ee3f1bd9fb2a7dcad23f"
+         "57cfadba7a5dc0bfab6bd601c5bcef3f676b2ddf3ad5e7bf0792b1e89c5ae53f",
+         "88622bb38940ed3f90c915207df2d93f02ccf02e4867d9bf14ad0bd58e5bebbf"
+         "0cb7f397405eec3f682b0d8c5a2cb53f9458e46388dbf5bf2c3297f4af84d2bf"
+         "889d89ac5201eb3fb74cb4b3e029d23f94db8021d6b3e6bf9a000715dadbe33f"
+         "000000000000f03f0000000000000000"),
+        ("e8e210d8b2fbefbf988c98c5f396a0bf754476c8a13dbb3fac9199437dd1efbf"
+         "a7f4e117299be03f1afd9c459b5aebbfa568d1b3dca7e83f7a5b1f6dff65e4bf"
+         "042036a00df9ef3f810b37f0b614a5bf705d1e7df897eb3f43782d2a6534e03f"
+         "762f36642a0ce2bf4a515da6d46cea3f2a86aa6cebf5e7bf797c2f49e835e53f",
+         "1fcb6ee1fb6ad63ffa4a6b2efff8edbf99c67b033b88ebbf79697ce5c9fde53f"
+         "4d9c334b18c1f0bf9fba786fddd7c5bf530053263386fe3f070c80aa7fe3f03f"
+         "60a5a09692fc913fc04b458d15f488bfeaa95406b681d4bf879c4b7bc84001c0"
+         "84f82902797dcabfc455080f33a6f03fc70a2579f73deebfbb9df887b015e23f"
+         "000000000000f03f0000000000000000"),
+    ]
+    rng = instance_rng(1047)
+    for n, (roots, coefficients) in zip((4, 6, 8), frozen):
+        p = recovered(np.round(rng.uniform(0, 2 * np.pi, n), 3))
+        assert p.roots.tobytes().hex() == roots, n
+        assert p.coefficients.tobytes().hex() == coefficients, n
